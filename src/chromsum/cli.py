@@ -25,9 +25,9 @@ from .repcount import chromatic_count_table, inhomogeneous_count_table, tfold_se
 from .structure import (
     DEFAULT_MARGIN,
     StructureResult,
+    _box_points,
     structure_constants,
     structure_constants_inhomogeneous,
-    verify_structure,
     verify_structure_inhomogeneous,
     witness_representations,
 )
@@ -161,13 +161,6 @@ def _optional_B(req: _Request):
     return _parse_fset(value, "--B")
 
 
-def _box(lower: HVec, margin: int):
-    from itertools import product
-
-    for deltas in product(range(margin + 1), repeat=lower.q):
-        yield HVec(tuple(c + d for c, d in zip(lower.coords, deltas)))
-
-
 def _fmt_set(elements) -> str:
     return "{" + ", ".join(str(x) for x in elements) + "}"
 
@@ -219,25 +212,10 @@ def _cmd_structure(req: _Request):
 
 
 def _cmd_threshold(req: _Request):
-    st = _tuple_of(req)
-    strategy = req.field("strategy", "empirical")
-    if strategy not in ("constructive", "empirical"):
-        raise UsageError("--strategy must be 'constructive' or 'empirical'")
-    res = structure_constants(st, _t_of(req), strategy=strategy, margin=_margin_of(req))
-    payload = {
-        "h_t": list(res.threshold.coords),
-        "verified_box": [
-            list(res.verified_box[0].coords),
-            list(res.verified_box[1].coords),
-        ],
-        "strategy": res.strategy,
-    }
-    lo, hi = res.verified_box
-    text = (
-        f"h_t={payload['h_t']} strategy={res.strategy} "
-        f"verified over [{list(lo.coords)}, {list(hi.coords)}]"
-    )
-    return payload, text
+    """The threshold fields of the structure result and its last text line."""
+    full, text = _cmd_structure(req)
+    payload = {key: full[key] for key in ("h_t", "verified_box", "strategy")}
+    return payload, text.split("\n")[-1]
 
 
 def _cmd_verify(req: _Request):
@@ -253,16 +231,14 @@ def _cmd_verify(req: _Request):
         result = StructureResult.from_json(raw)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    B = _optional_B(req)
+    # the plain t-fold sets are the translated ones with B = {0}
+    B = _optional_B(req) or make_set([0])
     h_field = req.field("h")
     base = _parse_hvec(h_field, st.q) if h_field is not None else result.threshold
     rows = []
     all_ok = True
-    for h in _box(base, _margin_of(req)):
-        if B is None:
-            ok = verify_structure(st, t, result, h)
-        else:
-            ok = verify_structure_inhomogeneous(st, B, t, result, h)
+    for h in _box_points(base, _margin_of(req)):
+        ok = verify_structure_inhomogeneous(st, B, t, result, h)
         rows.append({"h": list(h.coords), "ok": ok})
         all_ok = all_ok and ok
     payload = {

@@ -58,5 +58,8 @@ class ConstructiveMismatchError(DomainError):
     When some nonzero element belongs to several component sets, colored
     counts of small integers can exceed their uncolored counts and the
     constructed fringe constants need not describe the true t-fold sets.
-    The empirical strategy handles such tuples.
+    The high fringe is built from the per-color reflections, so the same
+    happens on disjoint colors whose reflections overlap: [[0,3,5],[0,2,7]]
+    reflects to {0,2,5} and {0,5,7}, which share 5.  The empirical
+    strategy handles such tuples.
     """

@@ -27,7 +27,6 @@ elements summing to n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,9 +206,15 @@ def _convolve_capped(a: list[int], b: list[int], cap: int) -> list[int]:
     return [min(c, cap) for c in _convolve_exact(a, b)]
 
 
-def _fold_convolve(tables: list[list[int]], cap: int | None) -> list[int]:
-    acc = [1]
-    for t in tables:
+def _colored_counts(st: SetTuple, h: HVec, cap: int | None, acc: list[int]) -> list[int]:
+    """Fold the per-color tables of st at h into acc by convolution,
+    clipped at cap when one is set.  acc = [1] gives the colored counts."""
+    if h.q != st.q:
+        raise DimensionError("exponent vector length does not match tuple")
+    if not st.normalized:
+        raise NotNormalizedError("chromatic counting requires a normalized tuple")
+    per_color = [_multiset_counts(A, hi, cap) for A, hi in zip(st.sets, h.coords)]
+    for t in per_color:
         acc = _convolve_exact(acc, t) if cap is None else _convolve_capped(acc, t, cap)
     return acc
 
@@ -222,12 +227,7 @@ def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> Coun
     the table is the convolution of the per-color tables.
     """
     _validate_cap(cap)
-    if h.q != st.q:
-        raise DimensionError("exponent vector length does not match tuple")
-    if not st.normalized:
-        raise NotNormalizedError("chromatic counting requires a normalized tuple")
-    per_color = [_multiset_counts(A, hi, cap) for A, hi in zip(st.sets, h.coords)]
-    return CountTable(offset=0, counts=tuple(_fold_convolve(per_color, cap)), cap=cap)
+    return CountTable(offset=0, counts=tuple(_colored_counts(st, h, cap, [1])), cap=cap)
 
 
 def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
@@ -265,15 +265,8 @@ def inhomogeneous_count_table(
     _validate_cap(cap)
     if not B:
         raise EmptySetError("translation set B must be nonempty")
-    chrom = chromatic_count_table(st, h, cap=cap)
-    span = B.max - B.min
-    indicator = [0] * (span + 1)
+    indicator = [0] * (B.max - B.min + 1)
     for b in B.elements:
         indicator[b - B.min] = 1
-    base = list(chrom.counts)
-    out = (
-        _convolve_exact(base, indicator)
-        if cap is None
-        else _convolve_capped(base, indicator, cap)
-    )
-    return CountTable(offset=B.min, counts=tuple(out), cap=cap)
+    counts = _colored_counts(st, h, cap, indicator)
+    return CountTable(offset=B.min, counts=tuple(counts), cap=cap)

@@ -15,13 +15,17 @@ exponent vector past which the shape holds, by two routes:
   the nonzero union elements (low side) and of the reflected union
   (high side); the threshold vector comes from explicit witness
   representations.  Fast and certificate-backed, but its counts ignore
-  colors, so on tuples where a nonzero element carries several colors
-  the result can fail verification and is then refused.
+  colors, so the result can fail verification, and is then refused, on
+  tuples where a nonzero element carries several colors, and on tuples
+  whose colors are disjoint but whose per-color reflections overlap
+  ([[0,3,5],[0,2,7]] reflects to {0,2,5} and {0,5,7}, sharing 5).
 
 * empirical: ascend the diagonal, read the shape off the computed
   t-fold set, and accept once the same constants reproduce every
   t-fold set in a margin box; then shrink coordinates greedily.  Total
-  over every tuple that stabilizes, with a search ceiling.
+  over every tuple that stabilizes, with a search ceiling.  The search
+  runs on the translated form h.A + B; the plain t-fold sets are the
+  case B = {0}.
 
 Both routes verify the full margin box before returning.
 """
@@ -41,8 +45,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .intset import FiniteSet, HVec, SetTuple, hvec_leq, hvec_sup
-from .oracle import oracle_partitions
-from .repcount import inhomogeneous_count_table, partition_count_table, tfold_set
+from .repcount import inhomogeneous_count_table, partition_count_table
 
 __all__ = [
     "StructureResult",
@@ -62,6 +65,8 @@ __all__ = [
 ]
 
 DEFAULT_MARGIN = 3
+# the plain t-fold sets are those of the translated form with B = {0}
+_ZERO = FiniteSet((0,))
 
 
 @dataclass(frozen=True)
@@ -84,10 +89,9 @@ class StructureResult:
 
     def pattern_set(self, m: int) -> FiniteSet:
         """The predicted set for right endpoint m."""
-        members = set(self.low_fringe.elements)
-        members.update(range(self.low_cut, m - self.high_cut + 1))
-        members.update(m - x for x in self.high_fringe.elements)
-        return FiniteSet(tuple(sorted(members)))
+        dec = (self.low_fringe.elements, self.low_cut,
+               self.high_fringe.elements, self.high_cut)
+        return FiniteSet(_pattern_members(dec, m))
 
     def to_json(self) -> dict:
         return {
@@ -193,6 +197,22 @@ def _require_t(t: int) -> None:
         raise DomainError("t must be a positive integer")
 
 
+def _box_points(lo: HVec, margin: int):
+    """The exponent vectors of the closed box [lo, lo + margin]."""
+    for deltas in product(range(margin + 1), repeat=lo.q):
+        yield HVec(tuple(c + d for c, d in zip(lo.coords, deltas)))
+
+
+def _pattern_members(dec, m: int) -> tuple[int, ...]:
+    """Members of the shape (low fringe, low cut, high fringe, high cut)
+    at right endpoint m."""
+    low, cut_low, high, cut_high = dec
+    members = set(low)
+    members.update(range(cut_low, m - cut_high + 1))
+    members.update(m - x for x in high)
+    return tuple(sorted(members))
+
+
 def certified_rep_bound(st: SetTuple, t: int) -> int:
     """k * (t*a - 1) * a with k the number of nonzero elements counted over
     colors and a the largest element anywhere: every n at or above this
@@ -217,8 +237,11 @@ def low_fringe_constants(st: SetTuple, t: int) -> tuple[FiniteSet, int]:
 
     Counts here ignore colors.  When an element belongs to several
     component sets, colored counts of small n can exceed these, and the
-    constants may then fail verification against the true t-fold sets;
-    the empirical strategy covers those tuples.
+    constants may then fail verification against the true t-fold sets.
+    Through high_fringe_constants this also happens on disjoint colors
+    whose per-color reflections overlap: [[0,3,5],[0,2,7]] reflects to
+    {0,2,5} and {0,5,7}, which share 5.  The empirical strategy covers
+    those tuples.
     """
     _require_normalized(st)
     _require_t(t)
@@ -315,7 +338,8 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
         g2, u, v = _ext_gcd(g, e)
         coeffs = [c * u for c in coeffs] + [v]
         g = g2
-    assert g == 1
+    if g != 1:
+        raise RuntimeError(f"internal invariant: the nonzero elements have gcd {g}, not 1")
     solved = [c * n for c in coeffs]
 
     reps = []
@@ -330,14 +354,19 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
                 entries[(color, a)] = val
                 used += val * a
         residual = n - used
-        assert residual >= 0 and residual % a_star == 0
+        if residual < 0 or residual % a_star:
+            raise RuntimeError(
+                f"internal invariant: residual {residual} of n={n} is not a "
+                f"nonnegative multiple of {a_star}"
+            )
         dist_mult = residual // a_star
         if dist_mult:
             entries[flat[dist]] = dist_mult
         reps.append(
             ColoredRep(entries=tuple(sorted((c, a, m) for (c, a), m in entries.items())))
         )
-    assert len(set(reps)) == t
+    if len(set(reps)) != t:
+        raise RuntimeError(f"internal invariant: the {t} representations of n={n} repeat")
     return WitnessSet(n=n, reps=tuple(reps))
 
 
@@ -345,27 +374,71 @@ def _smallest_color(st: SetTuple, part: int) -> int:
     for i, A in enumerate(st.sets):
         if part in A:
             return i
-    raise AssertionError(f"part {part} not in any color")
+    raise RuntimeError(f"internal invariant: part {part} is in no color")
 
 
-def _witness_loads(st: SetTuple, n: int, t: int, bound: int, parts: FiniteSet) -> HVec:
+def _reach_rows(parts: FiniteSet, top: int) -> list[tuple[int, ...]]:
+    """Row j is nonzero at r <= top exactly when r is a sum of parts[j:]."""
+    return [
+        partition_count_table(FiniteSet(parts.elements[j:]), top, cap=1).counts
+        for j in range(len(parts))
+    ]
+
+
+def _fewest_partitions(
+    parts: FiniteSet, reach: list[tuple[int, ...]], n: int, t: int
+) -> list[tuple[int, ...]]:
+    """The t multisets of parts summing to n with fewest parts, ties broken
+    lexicographically, as non-decreasing tuples (all of them if fewer).
+
+    With reach from _reach_rows, every branch the enumeration enters
+    completes to a partition.
+    """
+    elems = parts.elements
+    out: list[tuple[int, ...]] = []
+    acc: list[int] = []
+
+    def rec(remaining: int, start: int) -> None:
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        for j in range(start, len(elems)):
+            p = elems[j]
+            if p > remaining:
+                break
+            if reach[j][remaining - p]:
+                acc.append(p)
+                rec(remaining - p, j)
+                acc.pop()
+
+    if reach[0][n]:
+        rec(n, 0)
+    return sorted(out, key=lambda p: (len(p), p))[:t]
+
+
+def _witness_loads(
+    st: SetTuple, n: int, t: int, bound: int, parts: FiniteSet, reach: list[tuple[int, ...]]
+) -> HVec:
     """Per-color nonzero part counts sufficient for t distinct colored
     representations of n: maxima over the t representations.
 
     At or above the certified bound the residue-window construction
-    supplies them; below it, exhaustive partition enumeration does,
-    taking the t partitions with fewest parts (ties lexicographic) and
-    coloring each part by the smallest color containing it.
+    supplies them; below it, partition enumeration does, taking the t
+    partitions with fewest parts (ties lexicographic) and coloring each
+    part by the smallest color containing it.
     """
     q = st.q
     if n >= bound:
         ws = witness_representations(st, n, t)
         loads = [[rep.color_load(i) for i in range(q)] for rep in ws.reps]
     else:
-        all_parts = sorted(oracle_partitions(parts, n), key=lambda p: (len(p), p))
-        assert len(all_parts) >= t, "caller guarantees t uncolored representations"
+        fewest = _fewest_partitions(parts, reach, n, t)
+        if len(fewest) < t:
+            raise RuntimeError(
+                f"internal invariant: n={n} has fewer than {t} uncolored representations"
+            )
         loads = []
-        for partition in all_parts[:t]:
+        for partition in fewest:
             load = [0] * q
             for part in partition:
                 load[_smallest_color(st, part)] += 1
@@ -380,18 +453,16 @@ def _one_sided_threshold(st: SetTuple, t: int, sporadic: FiniteSet, cut: int) ->
     bound = certified_rep_bound(st, t)
     parts = _nonzero_union(st)
     targets = list(sporadic.elements) + list(range(cut, cut + a_star))
-    vecs = [_witness_loads(st, n, t, bound, parts) for n in targets]
+    reach = _reach_rows(parts, max(targets))
+    vecs = [_witness_loads(st, n, t, bound, parts, reach) for n in targets]
     return hvec_sup(vecs)
 
 
-def threshold_constructive(st: SetTuple, t: int) -> HVec:
-    """Exponent vector past which the constructed constants describe the
-    t-fold sets (when they do at all; see low_fringe_constants).
-
-    Grows the low-side witness exponents until the middle interval can
-    chain upward, mirrors on the reflection, takes the componentwise
-    sup, and enlarges it minimally until the two solid intervals meet.
-    """
+def _constructive(
+    st: SetTuple, t: int
+) -> tuple[tuple[FiniteSet, int], tuple[FiniteSet, int], HVec]:
+    """The low and high (sporadic set, cut) pairs and the constructive
+    threshold vector, each fringe table built once."""
     _require_normalized(st)
     _require_t(t)
     sporadic_low, cut_low = low_fringe_constants(st, t)
@@ -413,7 +484,18 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
         coords = list(ht.coords)
         coords[bump] += 1
         ht = HVec(tuple(coords))
-    return ht
+    return (sporadic_low, cut_low), (sporadic_high, cut_high), ht
+
+
+def threshold_constructive(st: SetTuple, t: int) -> HVec:
+    """Exponent vector past which the constructed constants describe the
+    t-fold sets (when they do at all; see low_fringe_constants).
+
+    Grows the low-side witness exponents until the middle interval can
+    chain upward, mirrors on the reflection, takes the componentwise
+    sup, and enlarges it minimally until the two solid intervals meet.
+    """
+    return _constructive(st, t)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +528,6 @@ def _read_off(support: tuple[int, ...], m: int):
     return low, lo, high, m - hi
 
 
-def _pattern_members(dec, m: int) -> tuple[int, ...]:
-    low, cut_low, high, cut_high = dec
-    members = set(low)
-    members.update(range(cut_low, m - cut_high + 1))
-    members.update(m - x for x in high)
-    return tuple(sorted(members))
-
-
 def _counts_are_bounded(st: SetTuple) -> bool:
     """True when colored counts stay at most 1 for every exponent vector:
     at most one color has a second element (after normalization that
@@ -470,70 +544,63 @@ def _search_ceiling(st: SetTuple, t: int) -> int:
 
 
 def _stabilize(
-    st: SetTuple,
-    t: int,
-    margin: int,
-    ceiling: int | None,
-    support_of,
-    endpoint_of,
-    what: str,
+    st: SetTuple, B: FiniteSet, t: int, margin: int, ceiling: int | None
 ) -> StructureResult:
-    """Diagonal ascent with margin-box confirmation and greedy shrink.
-
-    support_of(coords) must yield the support tuple at those exponents
-    and endpoint_of(coords) its right endpoint.
-    """
+    """Diagonal ascent with margin-box confirmation and greedy shrink over
+    the t-fold sets of the translated form, whose right endpoint at h is
+    h . maxima + max(B)."""
     q = st.q
+    maxima = st.maxima
+    b_star = B.max
     if ceiling is None:
         ceiling = _search_ceiling(st, t)
-    cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+    cache: dict[HVec, tuple[int, ...]] = {}
 
-    def support(coords: tuple[int, ...]) -> tuple[int, ...]:
-        got = cache.get(coords)
+    def support(h: HVec) -> tuple[int, ...]:
+        got = cache.get(h)
         if got is None:
-            got = support_of(coords)
-            cache[coords] = got
+            got = inhomogeneous_count_table(st, h, B, cap=t).support_at_least(t).elements
+            cache[h] = got
         return got
 
-    def box_decomposition(coords: tuple[int, ...]):
-        dec = _read_off(support(coords), endpoint_of(coords))
+    def box_decomposition(h: HVec):
+        dec = _read_off(support(h), h.dot(maxima) + b_star)
         if dec is None:
             return None
-        for deltas in product(range(margin + 1), repeat=q):
-            pt = tuple(c + d for c, d in zip(coords, deltas))
-            if support(pt) != _pattern_members(dec, endpoint_of(pt)):
+        for pt in _box_points(h, margin):
+            if support(pt) != _pattern_members(dec, pt.dot(maxima) + b_star):
                 return None
         return dec
 
     found = None
     for m in range(ceiling + 1):
-        base = (m,) * q
+        base = HVec((m,) * q)
         dec = box_decomposition(base)
         if dec is not None:
             found = (base, dec)
             break
     if found is None:
         raise SearchExhaustedError(
-            f"no stable {what} shape up to the diagonal ceiling {ceiling} "
+            f"no stable t-fold shape up to the diagonal ceiling {ceiling} "
             f"with margin {margin}"
         )
 
-    coords, dec = found
+    ht, dec = found
     changed = True
     while changed:
         changed = False
         for i in range(q):
-            while coords[i] > 0:
-                cand = coords[:i] + (coords[i] - 1,) + coords[i + 1 :]
+            while ht.coords[i] > 0:
+                c = ht.coords
+                cand = HVec(c[:i] + (c[i] - 1,) + c[i + 1 :])
                 dec2 = box_decomposition(cand)
                 if dec2 is None:
                     break
-                coords, dec = cand, dec2
+                ht, dec = cand, dec2
                 changed = True
 
     low, cut_low, high, cut_high = dec
-    ht = HVec(coords)
-    top = HVec(tuple(c + margin for c in coords))
+    top = HVec(tuple(c + margin for c in ht.coords))
     return StructureResult(
         low_fringe=FiniteSet(low),
         low_cut=cut_low,
@@ -549,38 +616,14 @@ def threshold_empirical(
     st: SetTuple, t: int, margin: int = DEFAULT_MARGIN, ceiling: int | None = None
 ) -> StructureResult:
     """Find the smallest exponent vector whose t-fold set decomposes into
-    the eventual shape reproduced across the whole margin box."""
-    _require_normalized(st)
-    _require_t(t)
-    if margin < 1:
-        raise DomainError("margin must be a positive integer")
-    if t >= 2 and _counts_are_bounded(st):
-        raise DegenerateAlphabetError(
-            "counts never exceed 1 on this tuple: t-fold sets are empty for t >= 2"
-        )
-    maxima = st.maxima
-
-    def support_of(coords: tuple[int, ...]) -> tuple[int, ...]:
-        return tfold_set(st, HVec(coords), t).elements
-
-    def endpoint_of(coords: tuple[int, ...]) -> int:
-        return sum(c * w for c, w in zip(coords, maxima))
-
-    return _stabilize(st, t, margin, ceiling, support_of, endpoint_of, "t-fold")
+    the eventual shape reproduced across the whole margin box: the
+    translated search with B = {0}."""
+    return structure_constants_inhomogeneous(st, _ZERO, t, margin=margin, ceiling=ceiling)
 
 
 def verify_structure(st: SetTuple, t: int, result: StructureResult, h: HVec) -> bool:
     """Exact check: does the t-fold set at h equal the predicted shape?"""
-    _require_normalized(st)
-    _require_t(t)
-    if h.q != st.q or result.threshold.q != st.q:
-        raise DimensionError("exponent vector length does not match tuple")
-    if not hvec_leq(result.threshold, h):
-        raise DomainError("h lies below the result's threshold vector")
-    m = h.dot(st.maxima)
-    if result.low_cut + result.high_cut > m:
-        raise DomainError("malformed interval: the cuts overlap at this h")
-    return tfold_set(st, h, t) == result.pattern_set(m)
+    return verify_structure_inhomogeneous(st, _ZERO, t, result, h)
 
 
 def verify_structure_inhomogeneous(
@@ -602,11 +645,6 @@ def verify_structure_inhomogeneous(
     return support == result.pattern_set(m)
 
 
-def _box_points(lo: HVec, margin: int):
-    for deltas in product(range(margin + 1), repeat=lo.q):
-        yield HVec(tuple(c + d for c, d in zip(lo.coords, deltas)))
-
-
 def structure_constants(
     st: SetTuple, t: int, strategy: str = "empirical", margin: int = DEFAULT_MARGIN
 ) -> StructureResult:
@@ -621,9 +659,7 @@ def structure_constants(
     if strategy != "constructive":
         raise DomainError(f"unknown strategy {strategy!r}")
 
-    sporadic_low, cut_low = low_fringe_constants(st, t)
-    sporadic_high, cut_high = high_fringe_constants(st, t)
-    ht = threshold_constructive(st, t)
+    (sporadic_low, cut_low), (sporadic_high, cut_high), ht = _constructive(st, t)
     if st.q == 1:
         # the closed form is sufficient for a single set; never exceed it
         explicit = closed_form_threshold(st.sets[0], t)
@@ -641,7 +677,8 @@ def structure_constants(
         if not verify_structure(st, t, result, h):
             raise ConstructiveMismatchError(
                 f"uncolored constants fail at h={list(h.coords)}: some element "
-                "carries several colors; use the empirical strategy"
+                "carries several colors, or the per-color reflections overlap; "
+                "use the empirical strategy"
             )
     return result
 
@@ -654,8 +691,8 @@ def structure_constants_inhomogeneous(
     ceiling: int | None = None,
 ) -> StructureResult:
     """Empirical constants for the translated form (sum plus one element
-    of B); the right endpoint is shifted by max(B).  With B = {0} this
-    reduces exactly to the homogeneous search."""
+    of B); the right endpoint is shifted by max(B).  With B = {0} this is
+    exactly the homogeneous search."""
     _require_normalized(st)
     _require_t(t)
     if margin < 1:
@@ -664,17 +701,7 @@ def structure_constants_inhomogeneous(
         raise DomainError("the translation set must have minimum 0")
     if t >= 2 and _counts_are_bounded(st) and t > len(B):
         raise DegenerateAlphabetError(
-            f"counts never exceed |B|={len(B)} on this tuple: t-fold sets "
-            f"are empty for t={t}"
+            f"counts never exceed {len(B)} on this tuple: t-fold sets are "
+            f"empty for t={t}"
         )
-    maxima = st.maxima
-    b_star = B.max
-
-    def support_of(coords: tuple[int, ...]) -> tuple[int, ...]:
-        table = inhomogeneous_count_table(st, HVec(coords), B, cap=t)
-        return table.support_at_least(t).elements
-
-    def endpoint_of(coords: tuple[int, ...]) -> int:
-        return sum(c * w for c, w in zip(coords, maxima)) + b_star
-
-    return _stabilize(st, t, margin, ceiling, support_of, endpoint_of, "translated")
+    return _stabilize(st, B, t, margin, ceiling)

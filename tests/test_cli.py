@@ -1,8 +1,15 @@
 """End-to-end command-line checks through real subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+# the subprocesses run the package from this checkout, installed or not
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
 
 
 def run_cli(*args, stdin: str | None = None):
@@ -11,6 +18,7 @@ def run_cli(*args, stdin: str | None = None):
         input=stdin,
         capture_output=True,
         text=True,
+        env=ENV,
     )
 
 

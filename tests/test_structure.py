@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from chromsum import structure
 from chromsum.errors import (
     BoundError,
     ConstructiveMismatchError,
@@ -11,7 +12,7 @@ from chromsum.errors import (
     SearchExhaustedError,
 )
 from chromsum.intset import FiniteSet, HVec, make_set, make_tuple
-from chromsum.oracle import enumerate_representations, enumeration_size
+from chromsum.oracle import enumerate_representations, enumeration_size, oracle_partitions
 from chromsum.repcount import partition_count_table, tfold_set
 from chromsum.structure import (
     ColoredRep,
@@ -128,6 +129,11 @@ class TestWitnesses:
         with pytest.raises(DegenerateAlphabetError):
             witness_representations(make_tuple([[0, 1]]), 50, 2)
 
+    def test_broken_invariant_is_not_a_domain_error(self, monkeypatch):
+        monkeypatch.setattr(structure, "_ext_gcd", lambda a, b: (2, 0, 0))
+        with pytest.raises(RuntimeError, match="internal invariant"):
+            witness_representations(A023, 12, 1)
+
     def test_witness_appears_in_oracle_enumeration(self):
         st = make_tuple([[0, 2, 3]])
         ws = witness_representations(st, 14, 1)
@@ -144,6 +150,17 @@ class TestWitnesses:
         assert all(isinstance(row["multiplicity"], str)
                    for rep in obj["reps"] for row in rep)
         assert WitnessSet.from_json(obj) == ws
+
+
+def test_fewest_partitions_match_oracle():
+    rng = random.Random(17)
+    for _ in range(300):
+        parts = make_set(rng.sample(range(1, 13), rng.randint(1, 4)))
+        n = rng.randint(0, 60)
+        t = rng.randint(1, 6)
+        got = structure._fewest_partitions(parts, structure._reach_rows(parts, n), n, t)
+        want = sorted(oracle_partitions(parts, n), key=lambda p: (len(p), p))[:t]
+        assert got == want, (parts.elements, n, t)
 
 
 class TestThresholds:
@@ -249,9 +266,11 @@ class TestStructureConstants:
             b.low_fringe, b.low_cut, b.high_fringe, b.high_cut)
 
     def test_overlapping_colors_mismatch_detected(self):
-        with pytest.raises(ConstructiveMismatchError):
-            structure_constants(make_tuple([[0, 1, 2], [0, 1, 2]]), 2,
-                                strategy="constructive")
+        # the second tuple's colors are disjoint, but their reflections
+        # {0,2,5} and {0,5,7} share 5
+        for sets in ([[0, 1, 2], [0, 1, 2]], [[0, 3, 5], [0, 2, 7]]):
+            with pytest.raises(ConstructiveMismatchError):
+                structure_constants(make_tuple(sets), 2, strategy="constructive")
 
     def test_unknown_strategy(self):
         with pytest.raises(DomainError):
