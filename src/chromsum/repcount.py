@@ -22,12 +22,22 @@ The multiset recurrence iterates elements in increasing order with
     f(j, m, n) = f(j-1, m, n) + f(j, m-1, n - a_j)
 
 where f(j, m, n) counts non-decreasing m-tuples from the first j
-elements summing to n.
+elements summing to n.  The capped kernel streams it over m: row m+1 of
+every element prefix comes from row m of the same prefix, so rows
+m = 0, 1, 2, ... cost one step each and only |A| rows are live.  The
+structure search keeps each color's stream and the rows it produced, so
+moving one exponent by one costs one row.
+
+Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
+running sum along each residue class mod a, which only grows, so
+clipping the running sums is the same as clipping after every addition.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -149,20 +159,42 @@ def _multiset_counts_exact(elements: tuple[int, ...], h: int) -> list[int]:
     return rows[h]
 
 
+def _capped_stream(elements: tuple[int, ...], cap: int) -> Iterator[np.ndarray]:
+    """Rows m = 0, 1, 2, ... of the multiset DP over the increasing
+    elements, clipped at a word-safe cap.  Row m has length
+    m * max(elements) + 1; callers must not write to it.
+
+    The state is f(j, m, .) for every prefix j, of length m * a_j + 1;
+    f(j, m+1, .) adds f(j, m, .) shifted by a_j to f(j-1, m+1, .), the
+    recurrence and clipping of the table kernel, in m-major order."""
+    prefix = [np.ones(1, dtype=np.int64)] * len(elements)
+    while True:
+        yield prefix[-1]
+        below = None
+        for j, a in enumerate(elements):
+            row = prefix[j]
+            cur = np.zeros(len(row) + a, dtype=np.int64)
+            if below is not None:
+                cur[: len(below)] = below
+            cur[a:] += row
+            np.minimum(cur, cap, out=cur)
+            prefix[j] = below = cur
+
+
 def _multiset_counts_capped(elements: tuple[int, ...], h: int, cap: int) -> list[int]:
     if cap > _WORD_SAFE_CAP:
         return [min(c, cap) for c in _multiset_counts_exact(elements, h)]
-    n_top = h * elements[-1]
-    rows = np.zeros((h + 1, n_top + 1), dtype=np.int64)
-    rows[0, 0] = 1
-    for a in elements:
-        for m in range(1, h + 1):
-            if a == 0:
-                rows[m] += rows[m - 1]
-            else:
-                rows[m, a:] += rows[m - 1, : n_top + 1 - a]
-            np.minimum(rows[m], cap, out=rows[m])
-    return [int(c) for c in rows[h]]
+    rows = _capped_stream(elements, cap)
+    for _ in range(h):
+        next(rows)
+    return next(rows).tolist()
+
+
+def _color_rows(elements: tuple[int, ...], cap: int) -> Iterator[Sequence[int]]:
+    """Rows m = 0, 1, 2, ... of one color's capped table."""
+    if cap > _WORD_SAFE_CAP:
+        return (_multiset_counts_capped(elements, m, cap) for m in count())
+    return _capped_stream(elements, cap)
 
 
 def _multiset_counts(A: FiniteSet, h: int, cap: int | None) -> list[int]:
@@ -196,27 +228,31 @@ def _convolve_exact(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _convolve_capped(a: list[int], b: list[int], cap: int) -> list[int]:
+def _convolve_capped(a: Sequence[int], b: Sequence[int], cap: int) -> Sequence[int]:
     # inputs already clipped at cap
     short = min(len(a), len(b))
     if cap <= _WORD_SAFE_CAP and short * cap * cap < (1 << 62):
         out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         np.minimum(out, cap, out=out)
-        return [int(c) for c in out]
-    return [min(c, cap) for c in _convolve_exact(a, b)]
+        return out
+    return [min(c, cap) for c in _convolve_exact([int(x) for x in a], [int(y) for y in b])]
 
 
-def _colored_counts(st: SetTuple, h: HVec, cap: int | None, acc: list[int]) -> list[int]:
-    """Fold the per-color tables of st at h into acc by convolution,
-    clipped at cap when one is set.  acc = [1] gives the colored counts."""
+def _fold(acc: Sequence[int], per_color: Iterable[Sequence[int]], cap: int | None) -> Sequence[int]:
+    """Convolve the per-color tables into acc, clipped at cap when one is set."""
+    for row in per_color:
+        acc = _convolve_exact(acc, row) if cap is None else _convolve_capped(acc, row, cap)
+    return acc
+
+
+def _colored_counts(st: SetTuple, h: HVec, cap: int | None, acc: list[int]) -> Sequence[int]:
+    """Fold the per-color tables of st at h into acc.  acc = [1] gives the
+    colored counts."""
     if h.q != st.q:
         raise DimensionError("exponent vector length does not match tuple")
     if not st.normalized:
         raise NotNormalizedError("chromatic counting requires a normalized tuple")
-    per_color = [_multiset_counts(A, hi, cap) for A, hi in zip(st.sets, h.coords)]
-    for t in per_color:
-        acc = _convolve_exact(acc, t) if cap is None else _convolve_capped(acc, t, cap)
-    return acc
+    return _fold(acc, (_multiset_counts(A, hi, cap) for A, hi in zip(st.sets, h.coords)), cap)
 
 
 def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> CountTable:
@@ -249,12 +285,30 @@ def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
         raise DomainError("table end must be nonnegative")
     if parts and parts.min < 1:
         raise DomainError("partition parts must all be at least 1")
-    counts = [1] + [0] * n_top
-    for part in parts.elements:
-        for n in range(part, n_top + 1):
-            v = counts[n] + counts[n - part]
-            counts[n] = v if v < cap else cap
+    counts = _unbounded_fold([1] + [0] * n_top, parts.elements, cap)
     return CountTable(offset=0, counts=tuple(counts), cap=cap)
+
+
+def _unbounded_fold(acc: Sequence[int], parts: Iterable[int], cap: int) -> list[int]:
+    """acc times 1/(1 - x^a) for each part a >= 1 (repeats allowed), over
+    the range of acc, clipped at cap; acc must already be clipped."""
+    dtype = np.int64 if cap <= _WORD_SAFE_CAP else object
+    length = len(acc)
+    out = np.asarray(acc, dtype=dtype)
+    for a in parts:
+        rows = -(-length // a)
+        grid = np.zeros(rows * a, dtype=dtype)
+        grid[:length] = out
+        out = np.minimum(grid.reshape(rows, a).cumsum(axis=0), cap).ravel()[:length]
+    return out.tolist()
+
+
+def _indicator(B: FiniteSet) -> list[int]:
+    """The 0/1 table of B over [min(B), max(B)]."""
+    out = [0] * (B.max - B.min + 1)
+    for b in B.elements:
+        out[b - B.min] = 1
+    return out
 
 
 def inhomogeneous_count_table(
@@ -265,8 +319,36 @@ def inhomogeneous_count_table(
     _validate_cap(cap)
     if not B:
         raise EmptySetError("translation set B must be nonempty")
-    indicator = [0] * (B.max - B.min + 1)
-    for b in B.elements:
-        indicator[b - B.min] = 1
-    counts = _colored_counts(st, h, cap, indicator)
+    counts = _colored_counts(st, h, cap, _indicator(B))
     return CountTable(offset=B.min, counts=tuple(counts), cap=cap)
+
+
+class _TFoldSets:
+    """The t-fold sets of h.A + B at any exponent vector h, without count
+    tables: each color's capped rows are streamed once and kept, and the
+    counts at h are their capped convolution started from B's indicator."""
+
+    def __init__(self, st: SetTuple, B: FiniteSet, t: int):
+        self._t = t
+        self._offset = B.min
+        self._start = _indicator(B)
+        self._streams = [_color_rows(A.elements, t) for A in st.sets]
+        self._rows: list[list[Sequence[int]]] = [[] for _ in st.sets]
+
+    def _row(self, i: int, m: int) -> Sequence[int]:
+        rows = self._rows[i]
+        while len(rows) <= m:
+            rows.append(next(self._streams[i]))
+        return rows[m]
+
+    def _at_least(self, h: HVec) -> np.ndarray:
+        per_color = (self._row(i, m) for i, m in enumerate(h.coords))
+        return np.asarray(_fold(self._start, per_color, self._t)) >= self._t
+
+    def size(self, h: HVec) -> int:
+        """Number of integers with at least t representations at h."""
+        return int(np.count_nonzero(self._at_least(h)))
+
+    def members(self, h: HVec) -> tuple[int, ...]:
+        """The integers with at least t representations at h, increasing."""
+        return tuple((np.flatnonzero(self._at_least(h)) + self._offset).tolist())

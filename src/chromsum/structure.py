@@ -20,14 +20,40 @@ exponent vector past which the shape holds, by two routes:
   whose colors are disjoint but whose per-color reflections overlap
   ([[0,3,5],[0,2,7]] reflects to {0,2,5} and {0,5,7}, sharing 5).
 
-* empirical: ascend the diagonal, read the shape off the computed
-  t-fold set, and accept once the same constants reproduce every
-  t-fold set in a margin box; then shrink coordinates greedily.  Total
-  over every tuple that stabilizes, with a search ceiling.  The search
-  runs on the translated form h.A + B; the plain t-fold sets are the
-  case B = {0}.
+* empirical: the constants are the large-h limit, and the threshold is
+  a minimal exponent vector at which the certificate below proves the
+  shape for every larger vector.  The search runs on the translated
+  form h.A + B; the plain t-fold sets are the case B = {0}.
 
-Both routes verify the full margin box before returning.
+Both routes check the full margin box before returning.
+
+The certificate.  Write S_h for the t-fold set of h.A + B, a_i for
+max(A_i) and M = M(h) = sum_i h_i a_i + max(B) for its right endpoint.
+Let Q(n) count the pairs (b, colored partition of n - b) with b in B
+and parts the nonzero (color, element) pairs, and Q'(n) the same count
+over the per-color reflections a_i - A_i and the reflected B.  As every
+h_i grows, the count of n tends to Q(n) and the count of M - n to
+Q'(n).  (C, c) are read off {n : Q(n) >= t}: c is the least integer
+with Q >= t from c on, and C holds the smaller members, all below
+c - 1.  (D, d) are read off Q' the same way.  Adding a part never lowers
+Q, so once Q >= t on a run as long as the smallest part it stays so.
+The pattern at M is C U [c, M - d] U (M - D).
+
+1. Since 0 is in A_i, S_{h+e_i} contains S_h and S_h + a_i.
+2. The count of n at h is at most Q(n), and the count of M - n at most
+   Q'(n), so S_h lies inside the pattern at M(h).
+3. Let L = M - d - c + 1 be the length of the middle.  If S_h is the
+   pattern and L >= a_i, then by 1 S_{h+e_i} contains the pattern at M
+   and its shift by a_i, whose middles [c, M - d] and
+   [c + a_i, M + a_i - d] join; so it contains the pattern at M + a_i,
+   and by 2 it is that pattern.
+
+So define cert(h): L >= 1, S_h is the pattern, and cert(h + e_i) for
+every i with a_i > L.  Along e_i, L grows by a_i, so the recursion ends,
+and a {0} color never needs a step.  cert(h) holds exactly when the
+pattern holds at every h' >= h: the certified vectors form an up-set.
+By 2, S_h is the pattern exactly when both have |C| + L + |D| members,
+so the search compares sizes; the final box check compares the sets.
 """
 
 from __future__ import annotations
@@ -44,8 +70,13 @@ from .errors import (
     NotNormalizedError,
     SearchExhaustedError,
 )
-from .intset import FiniteSet, HVec, SetTuple, hvec_leq, hvec_sup
-from .repcount import inhomogeneous_count_table, partition_count_table
+from .intset import FiniteSet, HVec, SetTuple, hvec_add_unit, hvec_leq, hvec_sup
+from .repcount import (
+    _TFoldSets,
+    _unbounded_fold,
+    inhomogeneous_count_table,
+    partition_count_table,
+)
 
 __all__ = [
     "StructureResult",
@@ -377,16 +408,17 @@ def _smallest_color(st: SetTuple, part: int) -> int:
     raise RuntimeError(f"internal invariant: part {part} is in no color")
 
 
-def _reach_rows(parts: FiniteSet, top: int) -> list[tuple[int, ...]]:
-    """Row j is nonzero at r <= top exactly when r is a sum of parts[j:]."""
-    return [
-        partition_count_table(FiniteSet(parts.elements[j:]), top, cap=1).counts
-        for j in range(len(parts))
-    ]
+def _reach_rows(parts: FiniteSet, top: int) -> list[list[int]]:
+    """Row j is nonzero at r <= top exactly when r is a sum of parts[j:];
+    built from the last part down, one pass per part."""
+    rows = [[1] + [0] * top]
+    for part in reversed(parts.elements):
+        rows.append(_unbounded_fold(rows[-1], (part,), 1))
+    return rows[:0:-1]
 
 
 def _fewest_partitions(
-    parts: FiniteSet, reach: list[tuple[int, ...]], n: int, t: int
+    parts: FiniteSet, reach: list[list[int]], n: int, t: int
 ) -> list[tuple[int, ...]]:
     """The t multisets of parts summing to n with fewest parts, ties broken
     lexicographically, as non-decreasing tuples (all of them if fewer).
@@ -417,7 +449,7 @@ def _fewest_partitions(
 
 
 def _witness_loads(
-    st: SetTuple, n: int, t: int, bound: int, parts: FiniteSet, reach: list[tuple[int, ...]]
+    st: SetTuple, n: int, t: int, bound: int, parts: FiniteSet, reach: list[list[int]]
 ) -> HVec:
     """Per-color nonzero part counts sufficient for t distinct colored
     representations of n: maxima over the t representations.
@@ -502,30 +534,55 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
 # empirical search
 
 
-def _read_off(support: tuple[int, ...], m: int):
-    """Decompose a support inside [0, m] as sporadic-low, solid interval,
-    sporadic-high anchored at m.  The middle interval is the unique
-    longest run of consecutive members; returns None when the support is
-    empty, out of range, or the longest run is tied."""
-    if not support or support[0] < 0 or support[-1] > m:
-        return None
-    runs = []
-    start = end = support[0]
-    for v in support[1:]:
-        if v == end + 1:
-            end = v
-        else:
-            runs.append((start, end))
-            start = end = v
-    runs.append((start, end))
-    best_len = max(e - s for s, e in runs)
-    best = [(s, e) for s, e in runs if e - s == best_len]
-    if len(best) > 1:
-        return None
-    lo, hi = best[0]
-    low = tuple(v for v in support if v < lo)
-    high = tuple(sorted(m - v for v in support if v > hi))
-    return low, lo, high, m - hi
+def _limit_side(
+    parts: list[int], shifts: list[int], t: int, bound: int
+) -> tuple[tuple[int, ...], int]:
+    """(fringe, cut) of {n : Q(n) >= t}, Q(n) counting the pairs (b, partition
+    of n - b) with b in shifts and parts counted with repeats.  Every n at
+    or above bound must have Q(n) >= t; the table doubles up to there."""
+    run = min(parts)
+    length = min(256, bound + run)
+    while True:
+        start = [0] * length
+        for b in shifts:
+            if b < length:
+                start[b] = 1
+        below = [v < t for v in _unbounded_fold(start, parts, t)]
+        streak = 0
+        for n, low in enumerate(below):
+            streak = 0 if low else streak + 1
+            if streak == run:
+                first = n - run + 1
+                cut = max((m for m in range(first) if below[m]), default=-1) + 1
+                return tuple(m for m in range(cut) if not below[m]), cut
+        if length >= bound + run:
+            raise RuntimeError(
+                f"internal invariant: no run of {run} counts >= {t} below {bound + run}"
+            )
+        length = min(2 * length, bound + run)
+
+
+def _limit_constants(st: SetTuple, B: FiniteSet, t: int):
+    """(C, c, D, d) of the large-h limit of the t-fold sets of h.A + B."""
+    # past the certified bound, which the reflected tuple shares, the
+    # witness construction gives t colored partitions, and 0 is in B and in
+    # its reflection; a lone part 1 gives one partition, but then |B| >= t
+    # (or the tuple was refused), so every n >= max(B) has t pairs
+    bound = max(certified_rep_bound(st, t), B.max)
+    low = [a for A in st.sets for a in A.elements if a]
+    high = [A.max - a for A in st.sets for a in A.elements if a != A.max]
+    C, c = _limit_side(low, list(B.elements), t, bound)
+    D, d = _limit_side(high, [B.max - b for b in B.elements], t, bound)
+    return C, c, D, d
+
+
+def _box_failure(sets: _TFoldSets, dec, lo: HVec, margin: int, maxima, b_star: int):
+    """The first point of the box [lo, lo + margin] whose t-fold set is not
+    the shape dec, or None."""
+    for h in _box_points(lo, margin):
+        if sets.members(h) != _pattern_members(dec, h.dot(maxima) + b_star):
+            return h
+    return None
 
 
 def _counts_are_bounded(st: SetTuple) -> bool:
@@ -546,60 +603,51 @@ def _search_ceiling(st: SetTuple, t: int) -> int:
 def _stabilize(
     st: SetTuple, B: FiniteSet, t: int, margin: int, ceiling: int | None
 ) -> StructureResult:
-    """Diagonal ascent with margin-box confirmation and greedy shrink over
-    the t-fold sets of the translated form, whose right endpoint at h is
-    h . maxima + max(B)."""
+    """The limit constants of h.A + B and a minimal certified vector: the
+    first certified point of the diagonal, shrunk greedily on cert."""
     q = st.q
     maxima = st.maxima
     b_star = B.max
     if ceiling is None:
         ceiling = _search_ceiling(st, t)
-    cache: dict[HVec, tuple[int, ...]] = {}
+    dec = _limit_constants(st, B, t)
+    low, cut_low, high, cut_high = dec
+    sets = _TFoldSets(st, B, t)
+    known: dict[HVec, bool] = {}
 
-    def support(h: HVec) -> tuple[int, ...]:
-        got = cache.get(h)
+    def cert(h: HVec) -> bool:
+        got = known.get(h)
         if got is None:
-            got = inhomogeneous_count_table(st, h, B, cap=t).support_at_least(t).elements
-            cache[h] = got
+            middle = h.dot(maxima) + b_star - cut_high - cut_low + 1
+            got = (
+                middle >= 1
+                and sets.size(h) == len(low) + middle + len(high)
+                and all(cert(hvec_add_unit(h, i)) for i in range(q) if maxima[i] > middle)
+            )
+            known[h] = got
         return got
 
-    def box_decomposition(h: HVec):
-        dec = _read_off(support(h), h.dot(maxima) + b_star)
-        if dec is None:
-            return None
-        for pt in _box_points(h, margin):
-            if support(pt) != _pattern_members(dec, pt.dot(maxima) + b_star):
-                return None
-        return dec
-
-    found = None
-    for m in range(ceiling + 1):
-        base = HVec((m,) * q)
-        dec = box_decomposition(base)
-        if dec is not None:
-            found = (base, dec)
-            break
-    if found is None:
+    # the middle is nonempty from the first m with m * sum(maxima) + max(B) >= c + d
+    first = max(0, -(-(cut_low + cut_high - b_star) // sum(maxima)))
+    ht = next((h for h in (HVec((m,) * q) for m in range(first, ceiling + 1)) if cert(h)), None)
+    if ht is None:
         raise SearchExhaustedError(
-            f"no stable t-fold shape up to the diagonal ceiling {ceiling} "
-            f"with margin {margin}"
+            f"no certified t-fold shape up to the diagonal ceiling {ceiling}"
         )
+    # certified vectors form an up-set, so one pass reaches a minimal one
+    for i in range(q):
+        while ht.coords[i] > 0:
+            c = ht.coords
+            cand = HVec(c[:i] + (c[i] - 1,) + c[i + 1 :])
+            if not cert(cand):
+                break
+            ht = cand
 
-    ht, dec = found
-    changed = True
-    while changed:
-        changed = False
-        for i in range(q):
-            while ht.coords[i] > 0:
-                c = ht.coords
-                cand = HVec(c[:i] + (c[i] - 1,) + c[i + 1 :])
-                dec2 = box_decomposition(cand)
-                if dec2 is None:
-                    break
-                ht, dec = cand, dec2
-                changed = True
-
-    low, cut_low, high, cut_high = dec
+    failed = _box_failure(sets, dec, ht, margin, maxima, b_star)
+    if failed is not None:
+        raise RuntimeError(
+            f"internal invariant: the certified shape fails at h={list(failed.coords)}"
+        )
     top = HVec(tuple(c + margin for c in ht.coords))
     return StructureResult(
         low_fringe=FiniteSet(low),
@@ -615,8 +663,9 @@ def _stabilize(
 def threshold_empirical(
     st: SetTuple, t: int, margin: int = DEFAULT_MARGIN, ceiling: int | None = None
 ) -> StructureResult:
-    """Find the smallest exponent vector whose t-fold set decomposes into
-    the eventual shape reproduced across the whole margin box: the
+    """The limit constants and a minimal certified vector: the pattern
+    holds at every exponent vector at or above it (see the module
+    docstring), and the margin box above it is checked.  This is the
     translated search with B = {0}."""
     return structure_constants_inhomogeneous(st, _ZERO, t, margin=margin, ceiling=ceiling)
 
@@ -673,13 +722,16 @@ def structure_constants(
         strategy="constructive",
         verified_box=(ht, HVec(tuple(c + margin for c in ht.coords))),
     )
-    for h in _box_points(ht, margin):
-        if not verify_structure(st, t, result, h):
-            raise ConstructiveMismatchError(
-                f"uncolored constants fail at h={list(h.coords)}: some element "
-                "carries several colors, or the per-color reflections overlap; "
-                "use the empirical strategy"
-            )
+    dec = (sporadic_low.elements, cut_low, sporadic_high.elements, cut_high)
+    if cut_low + cut_high > ht.dot(st.maxima):
+        raise DomainError("malformed interval: the cuts overlap at this h")
+    failed = _box_failure(_TFoldSets(st, _ZERO, t), dec, ht, margin, st.maxima, 0)
+    if failed is not None:
+        raise ConstructiveMismatchError(
+            f"uncolored constants fail at h={list(failed.coords)}: some element "
+            "carries several colors, or the per-color reflections overlap; "
+            "use the empirical strategy"
+        )
     return result
 
 
@@ -690,9 +742,9 @@ def structure_constants_inhomogeneous(
     margin: int = DEFAULT_MARGIN,
     ceiling: int | None = None,
 ) -> StructureResult:
-    """Empirical constants for the translated form (sum plus one element
-    of B); the right endpoint is shifted by max(B).  With B = {0} this is
-    exactly the homogeneous search."""
+    """Limit constants and a minimal certified vector for the translated
+    form (sum plus one element of B); the right endpoint is shifted by
+    max(B).  With B = {0} this is exactly the homogeneous search."""
     _require_normalized(st)
     _require_t(t)
     if margin < 1:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chromsum import repcount
 from chromsum.errors import (
     DimensionError,
     DomainError,
@@ -56,6 +57,15 @@ def test_multiset_cap_is_clipped_exact(A, h, cap):
     capped = multiset_count_table(A, h, cap=cap)
     assert capped.cap == cap
     assert capped.counts == tuple(min(x, cap) for x in exact.counts)
+
+
+@given(normalized_set, st.integers(min_value=0, max_value=8),
+       st.sampled_from([1, 2, 3, 5, repcount._WORD_SAFE_CAP, repcount._WORD_SAFE_CAP + 1]))
+def test_capped_rows_are_clipped_exact(A, h, cap):
+    rows = repcount._color_rows(A.elements, cap)
+    for m in range(h + 1):
+        exact = repcount._multiset_counts_exact(A.elements, m)
+        assert [int(c) for c in next(rows)] == [min(c, cap) for c in exact]
 
 
 def test_chromatic_examples():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as hst
 
 from chromsum import structure
 from chromsum.errors import (
@@ -12,7 +14,12 @@ from chromsum.errors import (
     SearchExhaustedError,
 )
 from chromsum.intset import FiniteSet, HVec, make_set, make_tuple
-from chromsum.oracle import enumerate_representations, enumeration_size, oracle_partitions
+from chromsum.oracle import (
+    enumerate_representations,
+    enumeration_size,
+    oracle_count_table,
+    oracle_partitions,
+)
 from chromsum.repcount import partition_count_table, tfold_set
 from chromsum.structure import (
     ColoredRep,
@@ -199,6 +206,32 @@ class TestThresholds:
         with pytest.raises(SearchExhaustedError):
             threshold_empirical(A023, 3, ceiling=0)
 
+    def test_empirical_constants_are_the_limit(self):
+        # a shape read off one t-fold set and checked on a margin box gave
+        # c=14, c=11 and d=27 here
+        cases = [
+            ([[0, 1], [0, 7, 13, 14]], 3, ((), 13, (), 2)),
+            ([[0, 5], [0, 11, 12], [0, 1]], 3, ((), 10, (), 2)),
+            ([[0, 5, 13, 14]], 5, ((70, 75), 78, (), 23)),
+        ]
+        for sets, t, want in cases:
+            res = threshold_empirical(make_tuple(sets), t)
+            got = (res.low_fringe.elements, res.low_cut,
+                   res.high_fringe.elements, res.high_cut)
+            assert got == want, sets
+
+    def test_failed_box_is_an_internal_invariant(self, monkeypatch):
+        monkeypatch.setattr(structure._TFoldSets, "members", lambda self, h: ())
+        with pytest.raises(RuntimeError, match="internal invariant"):
+            threshold_empirical(A023, 1)
+
+    def test_zero_color_needs_no_exponent(self):
+        plain = threshold_empirical(make_tuple([[0, 8], [0, 5]]), 3)
+        padded = threshold_empirical(make_tuple([[0], [0, 8], [0, 5]]), 3)
+        assert (padded.low_fringe, padded.low_cut, padded.high_fringe, padded.high_cut) == (
+            plain.low_fringe, plain.low_cut, plain.high_fringe, plain.high_cut)
+        assert padded.threshold.coords == (0,) + plain.threshold.coords
+
 
 class TestVerify:
     def test_true_at_closed_form_box(self):
@@ -347,6 +380,54 @@ class TestInhomogeneous:
         res = structure_constants(A023, 1, strategy="empirical")
         with pytest.raises(DomainError):
             verify_structure_inhomogeneous(A023, make_set([1]), 1, res, HVec((3,)))
+
+
+small_color = hst.sets(hst.integers(1, 5), max_size=2).map(lambda xs: [0, *sorted(xs)])
+small_request = hst.tuples(
+    hst.lists(small_color, min_size=1, max_size=2),
+    hst.integers(1, 3),
+    hst.sets(hst.integers(1, 4), max_size=2).map(lambda xs: make_set({0} | xs)),
+)
+
+
+def _certified(request):
+    sets, t, B = request
+    st = make_tuple(sets)
+    assume(st.normalized)
+    try:
+        return st, t, B, structure_constants_inhomogeneous(st, B, t)
+    except DegenerateAlphabetError:
+        assume(False)
+
+
+def _oracle_tfold(st, h, B, t) -> set[int]:
+    """The t-fold set of h.A + B from the brute-force table."""
+    table = oracle_count_table(st, h)
+    counts: dict[int, int] = {}
+    for n in range(table.offset, table.end + 1):
+        for b in B.elements:
+            counts[n + b] = counts.get(n + b, 0) + table.value(n)
+    return {n for n, c in counts.items() if c >= t}
+
+
+@given(small_request, hst.lists(hst.integers(0, 4), min_size=2, max_size=2))
+def test_certified_pattern_matches_oracle(request, delta):
+    st, t, B, res = _certified(request)
+    h = HVec(tuple(c + d for c, d in zip(res.threshold.coords, delta)))
+    assume(enumeration_size(st, h) <= 50_000)
+    m = h.dot(st.maxima) + B.max
+    assert _oracle_tfold(st, h, B, t) == set(res.pattern_set(m).elements)
+
+
+@given(small_request, hst.lists(hst.integers(0, 8), min_size=2, max_size=2))
+def test_counts_never_exceed_the_limit(request, coords):
+    # counts at h are at most the limit counts from both ends, so every
+    # t-fold set lies inside the limit pattern at its right endpoint
+    st, t, B, res = _certified(request)
+    h = HVec(tuple(coords[: st.q]))
+    assume(enumeration_size(st, h) <= 50_000)
+    m = h.dot(st.maxima) + B.max
+    assert _oracle_tfold(st, h, B, t) <= set(res.pattern_set(m).elements)
 
 
 def test_colored_rep_helpers():
