@@ -10,23 +10,34 @@ convolution of clipped inputs:
     min(sum_i min(f_i, cap) * min(g_i, cap), cap) == min(sum_i f_i * g_i, cap)
 
 (the second because any factor above cap forces the clipped term to cap
-already).  Capped tables therefore agree with clipping the exact table,
-which lets the capped path run on fixed-width words: numpy int64 with an
-explicit overflow guard, falling back to exact big-int arithmetic when
-the guard fails.  Convolution is schoolbook in both paths; no
-transform-based multiplication anywhere.
+already).  Capped tables therefore agree with clipping the exact table.
 
-The multiset recurrence iterates elements in increasing order with
-(h+1) rows over n:
+Exact and capped tables run through one multiset kernel and one
+schoolbook convolution (np.convolve; no transform-based multiplication).
+Their dtype is picked once per table from a proven bound on every
+intermediate value: numpy int64 below 2^62, and dtype=object (Python
+ints in the same numpy code) above it, so the result is exact either way.
+
+* exact: a multiset row entry counts multisets from a prefix of A_i, so
+  it is at most C(|A_i| + h_i - 1, h_i), and a convolution partial sum
+  is at most the final count at its n; both are at most the table's
+  total T = |B| * prod_i C(|A_i| + h_i - 1, h_i);
+* capped: a kernel sum is at most 2*cap before clipping, a convolution
+  partial sum at most min(T, short*cap^2), short the shorter factor's
+  length; a cap at or above T never clips, so the table is exact;
+* unbounded partition folds: a running sum is at most len*cap.
+
+The multiset recurrence iterates elements in increasing order:
 
     f(j, m, n) = f(j-1, m, n) + f(j, m-1, n - a_j)
 
 where f(j, m, n) counts non-decreasing m-tuples from the first j
-elements summing to n.  The capped kernel streams it over m: row m+1 of
-every element prefix comes from row m of the same prefix, so rows
-m = 0, 1, 2, ... cost one step each and only |A| rows are live.  The
-structure search keeps each color's stream and the rows it produced, so
-moving one exponent by one costs one row.
+elements summing to n.  The kernel streams it over m: row m+1 of every
+element prefix comes from row m of the same prefix, so rows
+m = 0, 1, 2, ... cost one step each and only |A| rows are live.  A
+table at fixed h takes the h-th row; the structure search keeps each
+color's stream and the rows it produced, so moving one exponent by one
+costs one row.
 
 Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
@@ -35,9 +46,10 @@ clipping the running sums is the same as clipping after every addition.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import count
+from itertools import islice
 
 import numpy as np
 
@@ -58,8 +70,8 @@ __all__ = [
     "inhomogeneous_count_table",
 ]
 
-# numpy path only when every possible intermediate fits comfortably in int64
-_WORD_SAFE_CAP = 1 << 20
+# the plain tables are those of the translated form with B = {0}
+_ZERO = FiniteSet((0,))
 
 
 @dataclass(frozen=True)
@@ -78,12 +90,15 @@ class CountTable:
     def __post_init__(self):
         if self.cap is not None and self.cap < 1:
             raise ValueError("cap must be a positive integer")
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or counts.dtype.kind not in "iu":
+            # big ints, or entries that are not ints yet
+            counts = np.array([int(c) for c in self.counts], dtype=object)
+        if counts.size and counts.min() < 0:
             raise ValueError("counts must be nonnegative")
-        if self.cap is not None and any(c > self.cap for c in counts):
+        if counts.size and self.cap is not None and counts.max() > self.cap:
             raise ValueError("counts exceed the declared cap")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", tuple(counts.tolist()))
         object.__setattr__(self, "offset", int(self.offset))
 
     @property
@@ -143,116 +158,95 @@ def _validate_cap(cap):
         raise DomainError("cap must be a positive integer or None")
 
 
-def _multiset_counts_exact(elements: tuple[int, ...], h: int) -> list[int]:
-    """Exact row m=h of the element-by-element multiset DP."""
-    n_top = h * elements[-1]
-    rows = [[0] * (n_top + 1) for _ in range(h + 1)]
-    rows[0][0] = 1
-    for a in elements:
-        for m in range(1, h + 1):
-            cur = rows[m]
-            prev = rows[m - 1]
-            if a == 0:
-                cur[:] = [x + y for x, y in zip(cur, prev)]
-            else:
-                cur[a:] = [x + y for x, y in zip(cur[a:], prev[: n_top + 1 - a])]
-    return rows[h]
+def _dtype(bound: int):
+    """int64 when no intermediate value exceeds bound < 2^62, else Python
+    ints in object arrays."""
+    return np.int64 if bound < (1 << 62) else object
 
 
-def _capped_stream(elements: tuple[int, ...], cap: int) -> Iterator[np.ndarray]:
+def _capped_bound(length: int, cap: int) -> int:
+    """Largest intermediate value of a capped table over length integers:
+    2*cap in a kernel sum, short*cap^2 in a convolution."""
+    return max(2 * cap, length * cap * cap)
+
+
+def _multiset_rows(elements: tuple[int, ...], dtype, cap: int | None) -> Iterator[np.ndarray]:
     """Rows m = 0, 1, 2, ... of the multiset DP over the increasing
-    elements, clipped at a word-safe cap.  Row m has length
+    elements, clipped at cap unless it is None.  Row m has length
     m * max(elements) + 1; callers must not write to it.
 
     The state is f(j, m, .) for every prefix j, of length m * a_j + 1;
-    f(j, m+1, .) adds f(j, m, .) shifted by a_j to f(j-1, m+1, .), the
-    recurrence and clipping of the table kernel, in m-major order."""
-    prefix = [np.ones(1, dtype=np.int64)] * len(elements)
+    f(j, m+1, .) adds f(j, m, .) shifted by a_j to f(j-1, m+1, .), in
+    m-major order."""
+    prefix = [np.ones(1, dtype=dtype)] * len(elements)
     while True:
         yield prefix[-1]
         below = None
         for j, a in enumerate(elements):
             row = prefix[j]
-            cur = np.zeros(len(row) + a, dtype=np.int64)
+            cur = np.zeros(len(row) + a, dtype=dtype)
             if below is not None:
                 cur[: len(below)] = below
             cur[a:] += row
-            np.minimum(cur, cap, out=cur)
+            if cap is not None:
+                np.minimum(cur, cap, out=cur)
             prefix[j] = below = cur
 
 
-def _multiset_counts_capped(elements: tuple[int, ...], h: int, cap: int) -> list[int]:
-    if cap > _WORD_SAFE_CAP:
-        return [min(c, cap) for c in _multiset_counts_exact(elements, h)]
-    rows = _capped_stream(elements, cap)
-    for _ in range(h):
-        next(rows)
-    return next(rows).tolist()
+def _indicator(B: FiniteSet, dtype) -> np.ndarray:
+    """The 0/1 table of B over [min(B), max(B)]."""
+    out = np.zeros(B.max - B.min + 1, dtype=dtype)
+    out[[b - B.min for b in B.elements]] = 1
+    return out
 
 
-def _color_rows(elements: tuple[int, ...], cap: int) -> Iterator[Sequence[int]]:
-    """Rows m = 0, 1, 2, ... of one color's capped table."""
-    if cap > _WORD_SAFE_CAP:
-        return (_multiset_counts_capped(elements, m, cap) for m in count())
-    return _capped_stream(elements, cap)
+def _fold(acc: np.ndarray, rows: Iterable[np.ndarray], cap: int | None) -> np.ndarray:
+    """Convolve the rows into acc at acc's dtype, clipped at cap when one
+    is set."""
+    for row in rows:
+        acc = np.convolve(acc, row)
+        if cap is not None:
+            np.minimum(acc, cap, out=acc)
+    return acc
 
 
-def _multiset_counts(A: FiniteSet, h: int, cap: int | None) -> list[int]:
-    if not A:
-        raise EmptySetError("cannot count over an empty set")
-    if A.min != 0:
-        raise NotNormalizedError("multiset counting requires min(A) = 0")
-    if h < 0:
-        raise DomainError("repetition count must be nonnegative")
-    if h == 0 or A.max == 0:
-        # the empty multiset, or h copies of 0
-        return [1]
-    if cap is None:
-        return _multiset_counts_exact(A.elements, h)
-    return _multiset_counts_capped(A.elements, h, cap)
+def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | None) -> np.ndarray:
+    """Counts of sum_i (h_i-multiset of A_i) + one element of B over
+    [min(B), sum_i h_i * max(A_i) + max(B)], at the dtype of the table's
+    bound."""
+    for A, h in colors:
+        if not A:
+            raise EmptySetError("cannot count over an empty set")
+        if A.min != 0:
+            raise NotNormalizedError("multiset counting requires min(A) = 0")
+        if h < 0:
+            raise DomainError("repetition count must be nonnegative")
+    bound = len(B) * math.prod(math.comb(len(A) + h - 1, h) for A, h in colors)
+    if cap is not None and cap >= bound:
+        cap = None  # no count reaches it
+    if cap is not None:
+        length = sum(h * A.max for A, h in colors) + B.max - B.min + 1
+        bound = min(bound, _capped_bound(length, cap))
+    dtype = _dtype(bound)
+    rows = (
+        next(islice(_multiset_rows(A.elements, dtype, cap), h if A.max else 0, None))
+        for A, h in colors
+    )
+    return _fold(_indicator(B, dtype), rows, cap)
 
 
 def multiset_count_table(A: FiniteSet, h: int, cap: int | None = None) -> CountTable:
     """Counts of non-decreasing h-tuples from A by their sum, over [0, h*max(A)]."""
     _validate_cap(cap)
-    return CountTable(offset=0, counts=tuple(_multiset_counts(A, h, cap)), cap=cap)
+    return CountTable(offset=0, counts=_counts([(A, h)], _ZERO, cap), cap=cap)
 
 
-def _convolve_exact(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _convolve_capped(a: Sequence[int], b: Sequence[int], cap: int) -> Sequence[int]:
-    # inputs already clipped at cap
-    short = min(len(a), len(b))
-    if cap <= _WORD_SAFE_CAP and short * cap * cap < (1 << 62):
-        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        np.minimum(out, cap, out=out)
-        return out
-    return [min(c, cap) for c in _convolve_exact([int(x) for x in a], [int(y) for y in b])]
-
-
-def _fold(acc: Sequence[int], per_color: Iterable[Sequence[int]], cap: int | None) -> Sequence[int]:
-    """Convolve the per-color tables into acc, clipped at cap when one is set."""
-    for row in per_color:
-        acc = _convolve_exact(acc, row) if cap is None else _convolve_capped(acc, row, cap)
-    return acc
-
-
-def _colored_counts(st: SetTuple, h: HVec, cap: int | None, acc: list[int]) -> Sequence[int]:
-    """Fold the per-color tables of st at h into acc.  acc = [1] gives the
-    colored counts."""
+def _colors(st: SetTuple, h: HVec) -> list[tuple[FiniteSet, int]]:
     if h.q != st.q:
         raise DimensionError("exponent vector length does not match tuple")
     if not st.normalized:
         raise NotNormalizedError("chromatic counting requires a normalized tuple")
-    return _fold(acc, (_multiset_counts(A, hi, cap) for A, hi in zip(st.sets, h.coords)), cap)
+    return list(zip(st.sets, h.coords))
 
 
 def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> CountTable:
@@ -263,14 +257,25 @@ def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> Coun
     the table is the convolution of the per-color tables.
     """
     _validate_cap(cap)
-    return CountTable(offset=0, counts=tuple(_colored_counts(st, h, cap, [1])), cap=cap)
+    return CountTable(offset=0, counts=_counts(_colors(st, h), _ZERO, cap), cap=cap)
+
+
+def _members(counts: np.ndarray, offset: int, t: int) -> tuple[int, ...]:
+    """The n = offset + i with counts[i] >= t, increasing."""
+    return tuple((np.flatnonzero(counts >= t) + offset).tolist())
+
+
+def _tfold_members(st: SetTuple, h: HVec, B: FiniteSet, t: int) -> tuple[int, ...]:
+    """The integers with at least t representations in h.A + B, from one
+    capped fold that keeps no rows."""
+    return _members(_counts(_colors(st, h), B, t), B.min, t)
 
 
 def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
     """The set of integers with at least t colored representations."""
     if t < 1:
         raise DomainError("t must be a positive integer")
-    return chromatic_count_table(st, h, cap=t).support_at_least(t)
+    return FiniteSet(_tfold_members(st, h, _ZERO, t))
 
 
 def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
@@ -286,14 +291,14 @@ def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
     if parts and parts.min < 1:
         raise DomainError("partition parts must all be at least 1")
     counts = _unbounded_fold([1] + [0] * n_top, parts.elements, cap)
-    return CountTable(offset=0, counts=tuple(counts), cap=cap)
+    return CountTable(offset=0, counts=counts, cap=cap)
 
 
 def _unbounded_fold(acc: Sequence[int], parts: Iterable[int], cap: int) -> list[int]:
     """acc times 1/(1 - x^a) for each part a >= 1 (repeats allowed), over
     the range of acc, clipped at cap; acc must already be clipped."""
-    dtype = np.int64 if cap <= _WORD_SAFE_CAP else object
     length = len(acc)
+    dtype = _dtype(length * cap)
     out = np.asarray(acc, dtype=dtype)
     for a in parts:
         rows = -(-length // a)
@@ -301,14 +306,6 @@ def _unbounded_fold(acc: Sequence[int], parts: Iterable[int], cap: int) -> list[
         grid[:length] = out
         out = np.minimum(grid.reshape(rows, a).cumsum(axis=0), cap).ravel()[:length]
     return out.tolist()
-
-
-def _indicator(B: FiniteSet) -> list[int]:
-    """The 0/1 table of B over [min(B), max(B)]."""
-    out = [0] * (B.max - B.min + 1)
-    for b in B.elements:
-        out[b - B.min] = 1
-    return out
 
 
 def inhomogeneous_count_table(
@@ -319,8 +316,7 @@ def inhomogeneous_count_table(
     _validate_cap(cap)
     if not B:
         raise EmptySetError("translation set B must be nonempty")
-    counts = _colored_counts(st, h, cap, _indicator(B))
-    return CountTable(offset=B.min, counts=tuple(counts), cap=cap)
+    return CountTable(offset=B.min, counts=_counts(_colors(st, h), B, cap), cap=cap)
 
 
 class _TFoldSets:
@@ -330,25 +326,28 @@ class _TFoldSets:
 
     def __init__(self, st: SetTuple, B: FiniteSet, t: int):
         self._t = t
-        self._offset = B.min
-        self._start = _indicator(B)
-        self._streams = [_color_rows(A.elements, t) for A in st.sets]
-        self._rows: list[list[Sequence[int]]] = [[] for _ in st.sets]
+        self._B = B
+        self._start = _indicator(B, np.int64)
+        self._maxima = st.maxima
+        self._streams = [_multiset_rows(A.elements, _dtype(2 * t), t) for A in st.sets]
+        self._rows: list[list[np.ndarray]] = [[] for _ in st.sets]
 
-    def _row(self, i: int, m: int) -> Sequence[int]:
+    def _row(self, i: int, m: int) -> np.ndarray:
         rows = self._rows[i]
         while len(rows) <= m:
             rows.append(next(self._streams[i]))
         return rows[m]
 
-    def _at_least(self, h: HVec) -> np.ndarray:
-        per_color = (self._row(i, m) for i, m in enumerate(h.coords))
-        return np.asarray(_fold(self._start, per_color, self._t)) >= self._t
+    def _counts(self, h: HVec) -> np.ndarray:
+        B = self._B
+        length = h.dot(self._maxima) + B.max - B.min + 1
+        start = self._start.astype(_dtype(_capped_bound(length, self._t)), copy=False)
+        return _fold(start, (self._row(i, m) for i, m in enumerate(h.coords)), self._t)
 
     def size(self, h: HVec) -> int:
         """Number of integers with at least t representations at h."""
-        return int(np.count_nonzero(self._at_least(h)))
+        return int(np.count_nonzero(self._counts(h) >= self._t))
 
     def members(self, h: HVec) -> tuple[int, ...]:
         """The integers with at least t representations at h, increasing."""
-        return tuple((np.flatnonzero(self._at_least(h)) + self._offset).tolist())
+        return _members(self._counts(h), self._B.min, self._t)

@@ -72,9 +72,10 @@ from .errors import (
 )
 from .intset import FiniteSet, HVec, SetTuple, hvec_add_unit, hvec_leq, hvec_sup
 from .repcount import (
+    _ZERO,
     _TFoldSets,
+    _tfold_members,
     _unbounded_fold,
-    inhomogeneous_count_table,
     partition_count_table,
 )
 
@@ -96,8 +97,6 @@ __all__ = [
 ]
 
 DEFAULT_MARGIN = 3
-# the plain t-fold sets are those of the translated form with B = {0}
-_ZERO = FiniteSet((0,))
 
 
 @dataclass(frozen=True)
@@ -690,8 +689,7 @@ def verify_structure_inhomogeneous(
     m = h.dot(st.maxima) + B.max
     if result.low_cut + result.high_cut > m:
         raise DomainError("malformed interval: the cuts overlap at this h")
-    support = inhomogeneous_count_table(st, h, B, cap=t).support_at_least(t)
-    return support == result.pattern_set(m)
+    return _tfold_members(st, h, B, t) == result.pattern_set(m).elements
 
 
 def structure_constants(

@@ -1,8 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chromsum import repcount
@@ -13,6 +14,7 @@ from chromsum.errors import (
     NotNormalizedError,
 )
 from chromsum.intset import HVec, make_set, make_tuple
+from chromsum.oracle import oracle_count_table
 from chromsum.repcount import (
     CountTable,
     chromatic_count_table,
@@ -45,13 +47,14 @@ def test_multiset_validation():
 
 
 @given(normalized_set, st.integers(min_value=0, max_value=6))
+@example(make_set(range(40)), 40)  # total above 2^64: object dtype
 def test_multiset_mass(A, h):
     table = multiset_count_table(A, h)
     assert table.total() == math.comb(len(A) + h - 1, h)
 
 
 @given(normalized_set, st.integers(min_value=0, max_value=6),
-       st.integers(min_value=1, max_value=3))
+       st.sampled_from([1, 2, 3, 2**63, 2**70]))
 def test_multiset_cap_is_clipped_exact(A, h, cap):
     exact = multiset_count_table(A, h)
     capped = multiset_count_table(A, h, cap=cap)
@@ -60,12 +63,15 @@ def test_multiset_cap_is_clipped_exact(A, h, cap):
 
 
 @given(normalized_set, st.integers(min_value=0, max_value=8),
-       st.sampled_from([1, 2, 3, 5, repcount._WORD_SAFE_CAP, repcount._WORD_SAFE_CAP + 1]))
-def test_capped_rows_are_clipped_exact(A, h, cap):
-    rows = repcount._color_rows(A.elements, cap)
+       st.sampled_from([None, 1, 2, 3, 5, 1 << 40]),
+       st.sampled_from([np.int64, object]))
+def test_capped_rows_are_clipped_exact(A, h, cap, dtype):
+    rows = repcount._multiset_rows(A.elements, dtype, cap)
     for m in range(h + 1):
-        exact = repcount._multiset_counts_exact(A.elements, m)
-        assert [int(c) for c in next(rows)] == [min(c, cap) for c in exact]
+        row = next(rows)
+        assert row.dtype == np.dtype(dtype)
+        exact = oracle_count_table(make_tuple([A.elements]), HVec((m,))).counts
+        assert [int(c) for c in row] == [c if cap is None else min(c, cap) for c in exact]
 
 
 def test_chromatic_examples():
@@ -99,6 +105,15 @@ def test_chromatic_is_product_of_colors():
         assert table.total() == mass
         assert table.offset == 0
         assert table.end == h.dot(t.maxima)
+    # past the int64 guard: one color whose entries exceed 2^63, and two
+    # colors whose own totals fit a word but whose convolved entries do not
+    for sets, h in (([range(40)], (40,)), ([range(16), range(16)], (30, 30))):
+        table = chromatic_count_table(make_tuple(sets), HVec(h))
+        mass = 1
+        for A, hi in zip(sets, h):
+            mass *= math.comb(len(A) + hi - 1, hi)
+        assert table.total() == mass
+        assert max(table.counts) > 2**63
 
 
 def test_symmetry_reversal():
