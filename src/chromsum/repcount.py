@@ -164,6 +164,14 @@ def _dtype(bound: int):
     return np.int64 if bound < (1 << 62) else object
 
 
+def _row_dtype(cap: int):
+    """The narrowest dtype of a capped multiset row: its kernel sums stay
+    at most 2*cap.  An unsigned row convolved with an int64 start stays
+    int64, since cap < 2^31 whenever a capped table runs on int64; from
+    cap = 2^31 on the rows are uint64 and the start holds Python ints."""
+    return np.min_scalar_type(2 * cap)
+
+
 def _capped_bound(length: int, cap: int) -> int:
     """Largest intermediate value of a capped table over length integers:
     2*cap in a kernel sum, short*cap^2 in a convolution."""
@@ -322,15 +330,22 @@ def inhomogeneous_count_table(
 class _TFoldSets:
     """The t-fold sets of h.A + B at any exponent vector h, without count
     tables: each color's capped rows are streamed once and kept, and the
-    counts at h are their capped convolution started from B's indicator."""
+    counts at h are their capped convolution started from B's indicator.
+
+    The fold of B with colors 0..k-1 is kept for the last h, so a vector
+    sharing its first k coordinates with the one before convolves only the
+    colors after them; with the last coordinate varying fastest, that is
+    one convolution per box point."""
 
     def __init__(self, st: SetTuple, B: FiniteSet, t: int):
         self._t = t
         self._B = B
         self._start = _indicator(B, np.int64)
         self._maxima = st.maxima
-        self._streams = [_multiset_rows(A.elements, _dtype(2 * t), t) for A in st.sets]
+        self._streams = [_multiset_rows(A.elements, _row_dtype(t), t) for A in st.sets]
         self._rows: list[list[np.ndarray]] = [[] for _ in st.sets]
+        self._last: tuple[int, ...] = ()
+        self._folds: list[np.ndarray] = []
 
     def _row(self, i: int, m: int) -> np.ndarray:
         rows = self._rows[i]
@@ -339,15 +354,50 @@ class _TFoldSets:
         return rows[m]
 
     def _counts(self, h: HVec) -> np.ndarray:
+        """The capped counts at h; callers must not write to them."""
         B = self._B
         length = h.dot(self._maxima) + B.max - B.min + 1
-        start = self._start.astype(_dtype(_capped_bound(length, self._t)), copy=False)
-        return _fold(start, (self._row(i, m) for i, m in enumerate(h.coords)), self._t)
+        dtype = _dtype(_capped_bound(length, self._t))
+        coords, folds = h.coords, self._folds
+        if folds and folds[0].dtype == dtype:
+            diff = (k for k, (a, b) in enumerate(zip(self._last, coords)) if a != b)
+            shared = next(diff, len(coords))
+        else:
+            folds[:] = [self._start.astype(dtype, copy=False)]
+            shared = 0
+        del folds[shared + 1 :]
+        for i in range(shared, len(coords)):
+            folds.append(_fold(folds[-1], [self._row(i, coords[i])], self._t))
+        self._last = coords
+        return folds[-1]
 
     def size(self, h: HVec) -> int:
         """Number of integers with at least t representations at h."""
         return int(np.count_nonzero(self._counts(h) >= self._t))
 
-    def members(self, h: HVec) -> tuple[int, ...]:
-        """The integers with at least t representations at h, increasing."""
-        return _members(self._counts(h), self._B.min, self._t)
+    def off_shape(self, points: Iterable[HVec], dec) -> HVec | None:
+        """The first of the points whose t-fold set is not the shape dec =
+        (low fringe, low cut, high fringe, high cut) at the right endpoint
+        M there, or None.
+
+        Needs min(B) = 0, the low fringe below the low cut c, the high
+        fringe below the high cut d, and c + d <= M + 1 at every point: the
+        shape's three parts then fill their own ranges [0, c - 1],
+        [c, M - d] and [M - d + 1, M], so the sets are equal exactly when,
+        on each range, the mask counts >= t equals the shape's mask: the
+        low fringe, all of it, and the reflected high fringe."""
+        low, cut_low, high, cut_high = dec
+        low_mask = np.zeros(cut_low, dtype=bool)
+        low_mask[list(low)] = True
+        high_mask = np.zeros(cut_high, dtype=bool)
+        high_mask[[cut_high - 1 - x for x in high]] = True
+        for h in points:
+            got = self._counts(h) >= self._t
+            end = len(got) - cut_high
+            if not (
+                np.array_equal(got[:cut_low], low_mask)
+                and got[cut_low:end].all()
+                and np.array_equal(got[end:], high_mask)
+            ):
+                return h
+        return None

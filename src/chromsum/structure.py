@@ -35,8 +35,11 @@ over the per-color reflections a_i - A_i and the reflected B.  As every
 h_i grows, the count of n tends to Q(n) and the count of M - n to
 Q'(n).  (C, c) are read off {n : Q(n) >= t}: c is the least integer
 with Q >= t from c on, and C holds the smaller members, all below
-c - 1.  (D, d) are read off Q' the same way.  Adding a part never lowers
-Q, so once Q >= t on a run as long as the smallest part it stays so.
+c - 1.  (D, d) are read off Q' the same way.  With p the smallest part,
+Q(n) >= Q(n - p), since adding p maps the partitions of n - p into those
+of n; so once Q >= t on a run of p consecutive integers it stays so, and
+the cut is read off below the first such run.  The constructive route
+reads its uncolored constants off the same run search.
 The pattern at M is C U [c, M - d] U (M - D).
 
 1. Since 0 is in A_i, S_{h+e_i} contains S_h and S_h + a_i.
@@ -53,7 +56,8 @@ every i with a_i > L.  Along e_i, L grows by a_i, so the recursion ends,
 and a {0} color never needs a step.  cert(h) holds exactly when the
 pattern holds at every h' >= h: the certified vectors form an up-set.
 By 2, S_h is the pattern exactly when both have |C| + L + |D| members,
-so the search compares sizes; the final box check compares the sets.
+so the search compares sizes; the final box check compares the sets, as
+masks over [0, c - 1], [c, M - d] and [M - d + 1, M].
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ from .repcount import (
     _TFoldSets,
     _tfold_members,
     _unbounded_fold,
-    partition_count_table,
 )
 
 __all__ = [
@@ -265,6 +268,12 @@ def low_fringe_constants(st: SetTuple, t: int) -> tuple[FiniteSet, int]:
     unbounded sum of nonzero union elements; the sporadic set collects
     the n <= cut - 2 that already have t.
 
+    With p the smallest part, Q(n) >= Q(n - p) for the count Q, since
+    adding p maps the partitions of n - p into those of n; so once Q >= t
+    on a run of p consecutive integers it stays so, and the cut is read
+    off below the first such run.  Every n from the certified bound on has
+    t representations, so the run starts at or below it.
+
     Counts here ignore colors.  When an element belongs to several
     component sets, colored counts of small n can exceed these, and the
     constants may then fail verification against the true t-fold sets.
@@ -281,17 +290,8 @@ def low_fringe_constants(st: SetTuple, t: int) -> tuple[FiniteSet, int]:
             "the only nonzero element is 1: every integer has exactly one "
             "uncolored representation, so no t-threshold exists for t >= 2"
         )
-    bound = certified_rep_bound(st, t)
-    table = partition_count_table(parts, bound, cap=t)
-    cut = 0
-    for n in range(bound, -1, -1):
-        if table.value(n) < t:
-            cut = n + 1
-            break
-    sporadic = FiniteSet(
-        tuple(n for n in range(0, max(cut - 1, 0)) if table.value(n) >= t)
-    )
-    return sporadic, cut
+    sporadic, cut = _limit_side(list(parts.elements), [0], t, certified_rep_bound(st, t))
+    return FiniteSet(sporadic), cut
 
 
 def high_fringe_constants(st: SetTuple, t: int) -> tuple[FiniteSet, int]:
@@ -400,13 +400,6 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
     return WitnessSet(n=n, reps=tuple(reps))
 
 
-def _smallest_color(st: SetTuple, part: int) -> int:
-    for i, A in enumerate(st.sets):
-        if part in A:
-            return i
-    raise RuntimeError(f"internal invariant: part {part} is in no color")
-
-
 def _reach_rows(parts: FiniteSet, top: int) -> list[list[int]]:
     """Row j is nonzero at r <= top exactly when r is a sum of parts[j:];
     built from the last part down, one pass per part."""
@@ -448,7 +441,13 @@ def _fewest_partitions(
 
 
 def _witness_loads(
-    st: SetTuple, n: int, t: int, bound: int, parts: FiniteSet, reach: list[list[int]]
+    st: SetTuple,
+    n: int,
+    t: int,
+    bound: int,
+    parts: FiniteSet,
+    reach: list[list[int]],
+    color: dict[int, int],
 ) -> HVec:
     """Per-color nonzero part counts sufficient for t distinct colored
     representations of n: maxima over the t representations.
@@ -456,7 +455,7 @@ def _witness_loads(
     At or above the certified bound the residue-window construction
     supplies them; below it, partition enumeration does, taking the t
     partitions with fewest parts (ties lexicographic) and coloring each
-    part by the smallest color containing it.
+    part through color, which maps it to the smallest color containing it.
     """
     q = st.q
     if n >= bound:
@@ -472,7 +471,7 @@ def _witness_loads(
         for partition in fewest:
             load = [0] * q
             for part in partition:
-                load[_smallest_color(st, part)] += 1
+                load[color[part]] += 1
             loads.append(load)
     return HVec(tuple(max(load[i] for load in loads) for i in range(q)))
 
@@ -483,9 +482,11 @@ def _one_sided_threshold(st: SetTuple, t: int, sporadic: FiniteSet, cut: int) ->
     a_star = max(st.maxima)
     bound = certified_rep_bound(st, t)
     parts = _nonzero_union(st)
+    # the smallest color of each element: the last write wins
+    color = {a: i for i in reversed(range(st.q)) for a in st.sets[i].elements}
     targets = list(sporadic.elements) + list(range(cut, cut + a_star))
     reach = _reach_rows(parts, max(targets))
-    vecs = [_witness_loads(st, n, t, bound, parts, reach) for n in targets]
+    vecs = [_witness_loads(st, n, t, bound, parts, reach, color) for n in targets]
     return hvec_sup(vecs)
 
 
@@ -575,15 +576,6 @@ def _limit_constants(st: SetTuple, B: FiniteSet, t: int):
     return C, c, D, d
 
 
-def _box_failure(sets: _TFoldSets, dec, lo: HVec, margin: int, maxima, b_star: int):
-    """The first point of the box [lo, lo + margin] whose t-fold set is not
-    the shape dec, or None."""
-    for h in _box_points(lo, margin):
-        if sets.members(h) != _pattern_members(dec, h.dot(maxima) + b_star):
-            return h
-    return None
-
-
 def _counts_are_bounded(st: SetTuple) -> bool:
     """True when colored counts stay at most 1 for every exponent vector:
     at most one color has a second element (after normalization that
@@ -642,7 +634,7 @@ def _stabilize(
                 break
             ht = cand
 
-    failed = _box_failure(sets, dec, ht, margin, maxima, b_star)
+    failed = sets.off_shape(_box_points(ht, margin), dec)
     if failed is not None:
         raise RuntimeError(
             f"internal invariant: the certified shape fails at h={list(failed.coords)}"
@@ -723,7 +715,7 @@ def structure_constants(
     dec = (sporadic_low.elements, cut_low, sporadic_high.elements, cut_high)
     if cut_low + cut_high > ht.dot(st.maxima):
         raise DomainError("malformed interval: the cuts overlap at this h")
-    failed = _box_failure(_TFoldSets(st, _ZERO, t), dec, ht, margin, st.maxima, 0)
+    failed = _TFoldSets(st, _ZERO, t).off_shape(_box_points(ht, margin), dec)
     if failed is not None:
         raise ConstructiveMismatchError(
             f"uncolored constants fail at h={list(failed.coords)}: some element "

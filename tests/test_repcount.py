@@ -74,6 +74,22 @@ def test_capped_rows_are_clipped_exact(A, h, cap, dtype):
         assert [int(c) for c in row] == [c if cap is None else min(c, cap) for c in exact]
 
 
+@pytest.mark.parametrize("cap", [127, 128, 32767, 32768])
+def test_narrow_capped_rows_are_clipped_exact(cap):
+    # caps at the edges of uint8, uint16 and uint32 rows; the counts of
+    # 20-multisets of {0..9} peak near 185,000, above every 2*cap
+    dtype = repcount._row_dtype(cap)
+    assert np.iinfo(dtype).max >= 2 * cap
+    A = make_set(list(range(10)))
+    sets = repcount._TFoldSets(make_tuple([A.elements]), make_set([0]), cap)
+    for m in range(21):
+        row = sets._row(0, m)
+        assert row.dtype == dtype
+        exact = multiset_count_table(A, m).counts
+        assert row.tolist() == [min(c, cap) for c in exact]
+    assert row.max() == cap
+
+
 def test_chromatic_examples():
     t = make_tuple([[0, 1], [0, 2]])
     assert chromatic_count_table(t, HVec((1, 1))).counts == (1, 1, 1, 1)

@@ -17,3 +17,16 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_structure_imports_no_numpy():
+    """structure.py reaches arrays only through repcount, which owns every
+    numpy kernel and the dtype rules that keep them exact."""
+    path = Path(chromsum.__file__).parent / "structure.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert not any(name.split(".")[0] == "numpy" for name in imported)

@@ -110,6 +110,30 @@ class TestFringeConstants:
                 assert table.value(c - 1) < t
             assert all(n <= c - 2 and table.value(n) >= t for n in C.elements)
 
+    def test_match_the_table_scanned_from_the_certified_bound(self):
+        def scanned(st, t):
+            parts = make_set([a for a in st.union.elements if a != 0])
+            bound = certified_rep_bound(st, t)
+            table = partition_count_table(parts, bound, cap=t)
+            cut = next((n + 1 for n in range(bound, -1, -1) if table.value(n) < t), 0)
+            return FiniteSet(tuple(n for n in range(cut - 1) if table.value(n) >= t)), cut
+
+        rng = random.Random(47)
+        shared = 0
+        for _ in range(200):
+            st = random_normalized_tuple(rng, size_max=4, elt_max=7)
+            t = rng.randint(1, 5)
+            # some nonzero element in two colors
+            shared += len(st.union) < sum(len(A) for A in st.sets) - st.q + 1
+            for fringe, side in ((low_fringe_constants, st),
+                                 (high_fringe_constants, st.reflected())):
+                if side.union.elements == (0, 1) and t >= 2:
+                    with pytest.raises(DegenerateAlphabetError):
+                        fringe(st, t)
+                else:
+                    assert fringe(st, t) == scanned(side, t), (st.sets, t)
+        assert shared >= 50
+
 
 class TestWitnesses:
     def test_resum_and_distinct_q1(self):
@@ -221,9 +245,40 @@ class TestThresholds:
             assert got == want, sets
 
     def test_failed_box_is_an_internal_invariant(self, monkeypatch):
-        monkeypatch.setattr(structure._TFoldSets, "members", lambda self, h: ())
+        # the box check reports its first point as off the shape
+        monkeypatch.setattr(
+            structure._TFoldSets, "off_shape", lambda self, points, dec: next(points)
+        )
         with pytest.raises(RuntimeError, match="internal invariant"):
             threshold_empirical(A023, 1)
+
+    def test_box_check_matches_the_member_comparison(self):
+        rng = random.Random(53)
+        for _ in range(150):
+            st = random_normalized_tuple(rng, size_max=3, elt_max=6)
+            B = make_set([0] + rng.sample(range(1, 4), rng.randint(0, 2)))
+            t = rng.randint(1, 4)
+            if structure._counts_are_bounded(st) and t > len(B):
+                continue  # no limit shape: the search refuses these
+            low, cut_low, high, cut_high = structure._limit_constants(st, B, t)
+            # a wrong fringe, still inside [0, cut - 2], on either side
+            side = rng.choice(["low", "high", None])
+            if side == "low" and cut_low >= 2:
+                low = tuple(sorted(set(low) ^ {rng.randrange(cut_low - 1)}))
+            if side == "high" and cut_high >= 2:
+                high = tuple(sorted(set(high) ^ {rng.randrange(cut_high - 1)}))
+            dec = (low, cut_low, high, cut_high)
+            lo = HVec(tuple(rng.randint(0, 4) for _ in range(st.q)))
+            if lo.dot(st.maxima) + B.max + 1 < cut_low + cut_high:
+                continue
+            want = next(
+                (h for h in structure._box_points(lo, 2)
+                 if structure._tfold_members(st, h, B, t)
+                 != structure._pattern_members(dec, h.dot(st.maxima) + B.max)),
+                None,
+            )
+            got = structure._TFoldSets(st, B, t).off_shape(structure._box_points(lo, 2), dec)
+            assert got == want, (st.sets, B.elements, t, dec, lo)
 
     def test_zero_color_needs_no_exponent(self):
         plain = threshold_empirical(make_tuple([[0, 8], [0, 5]]), 3)
