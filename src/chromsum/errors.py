@@ -33,10 +33,10 @@ class DomainError(ChromsumError):
 class DegenerateAlphabetError(DomainError):
     """The nonzero alphabet cannot produce t-fold counts; no threshold exists.
 
-    After normalization this happens exactly when the only nonzero element
-    is 1, so every integer has a single uncolored representation, or, for
-    the empirical search, when at most one color can contribute a nonzero
-    element and t >= 2.
+    After normalization this happens exactly when a single (color,
+    element) pair is nonzero, that element being 1: counts of h.A + B
+    never exceed |B| (1 without a translation), so the structure routes
+    refuse t > |B|, and witness_representations refuses every t >= 2.
     """
 
 
@@ -53,13 +53,8 @@ class SearchExhaustedError(ChromsumError):
 
 
 class ConstructiveMismatchError(DomainError):
-    """Constants built from uncolored counts failed verification.
-
-    When some nonzero element belongs to several component sets, colored
-    counts of small integers can exceed their uncolored counts and the
-    constructed fringe constants need not describe the true t-fold sets.
-    The high fringe is built from the per-color reflections, so the same
-    happens on disjoint colors whose reflections overlap: [[0,3,5],[0,2,7]]
-    reflects to {0,2,5} and {0,5,7}, which share 5.  The empirical
-    strategy handles such tuples.
+    """No longer raised; kept as a public name so that code catching it
+    still imports.  The constructive strategy takes the same colored limit
+    constants as the empirical one and proves its threshold vector with
+    the same certificate, so it has nothing to refuse.
     """

@@ -11,21 +11,17 @@ middle interval, and a fixed sporadic set hanging off the right
 endpoint.  This module computes those four constants together with an
 exponent vector past which the shape holds, by two routes:
 
-* constructive: the constants come from unbounded partition counts of
-  the nonzero union elements (low side) and of the reflected union
-  (high side); the threshold vector comes from explicit witness
-  representations.  Fast and certificate-backed, but its counts ignore
-  colors, so the result can fail verification, and is then refused, on
-  tuples where a nonzero element carries several colors, and on tuples
-  whose colors are disjoint but whose per-color reflections overlap
-  ([[0,3,5],[0,2,7]] reflects to {0,2,5} and {0,5,7}, sharing 5).
-
 * empirical: the constants are the large-h limit, and the threshold is
   a minimal exponent vector at which the certificate below proves the
   shape for every larger vector.  The search runs on the translated
-  form h.A + B; the plain t-fold sets are the case B = {0}.
+  form h.A + B; the plain t-fold sets are the case B = {0}.  The margin
+  box above the vector is checked once more before returning.
 
-Both routes check the full margin box before returning.
+* constructive: the same limit constants (B = {0}), and a threshold
+  vector from explicit witness representations: t colored partitions of
+  each target below the certified bound, the residue-window construction
+  at or above it.  The certificate below then proves the shape at that
+  vector, and so at every larger one.
 
 The certificate.  Write S_h for the t-fold set of h.A + B, a_i for
 max(A_i) and M = M(h) = sum_i h_i a_i + max(B) for its right endpoint.
@@ -38,8 +34,7 @@ with Q >= t from c on, and C holds the smaller members, all below
 c - 1.  (D, d) are read off Q' the same way.  With p the smallest part,
 Q(n) >= Q(n - p), since adding p maps the partitions of n - p into those
 of n; so once Q >= t on a run of p consecutive integers it stays so, and
-the cut is read off below the first such run.  The constructive route
-reads its uncolored constants off the same run search.
+the cut is read off below the first such run.
 The pattern at M is C U [c, M - d] U (M - D).
 
 1. Since 0 is in A_i, S_{h+e_i} contains S_h and S_h + a_i.
@@ -56,8 +51,8 @@ every i with a_i > L.  Along e_i, L grows by a_i, so the recursion ends,
 and a {0} color never needs a step.  cert(h) holds exactly when the
 pattern holds at every h' >= h: the certified vectors form an up-set.
 By 2, S_h is the pattern exactly when both have |C| + L + |D| members,
-so the search compares sizes; the final box check compares the sets, as
-masks over [0, c - 1], [c, M - d] and [M - d + 1, M].
+so cert compares sizes; the empirical route's final box check compares
+the sets, as masks over [0, c - 1], [c, M - d] and [M - d + 1, M].
 """
 
 from __future__ import annotations
@@ -67,7 +62,6 @@ from itertools import product
 
 from .errors import (
     BoundError,
-    ConstructiveMismatchError,
     DegenerateAlphabetError,
     DimensionError,
     DomainError,
@@ -108,8 +102,9 @@ class StructureResult:
 
     low_fringe lives in [0, low_cut - 2]; high_fringe holds offsets from
     the right endpoint and lives in [0, high_cut - 2].  verified_box is
-    the closed box of exponent vectors over which the shape was checked
-    exactly.
+    the closed box [threshold, threshold + margin]; the certificate at
+    the threshold proves the shape at every vector of it, and the
+    empirical route also checks each of them exactly.
     """
 
     low_fringe: FiniteSet
@@ -248,9 +243,9 @@ def _pattern_members(dec, m: int) -> tuple[int, ...]:
 
 def certified_rep_bound(st: SetTuple, t: int) -> int:
     """k * (t*a - 1) * a with k the number of nonzero elements counted over
-    colors and a the largest element anywhere: every n at or above this
-    has at least t uncolored representations over the union, and the
-    residue-window witness construction succeeds there."""
+    colors and a the largest element anywhere: the residue-window witness
+    construction gives t distinct colored representations of every n at
+    or above this."""
     _require_normalized(st)
     _require_t(t)
     k = sum(len(A) - 1 for A in st.sets)
@@ -258,40 +253,18 @@ def certified_rep_bound(st: SetTuple, t: int) -> int:
     return k * (t * a_star - 1) * a_star
 
 
-def _nonzero_union(st: SetTuple) -> FiniteSet:
-    return FiniteSet(tuple(a for a in st.union.elements if a != 0))
-
-
 def low_fringe_constants(st: SetTuple, t: int) -> tuple[FiniteSet, int]:
-    """(sporadic set, cut) from uncolored counts: cut is the smallest
-    integer such that every n >= cut has at least t representations as an
-    unbounded sum of nonzero union elements; the sporadic set collects
-    the n <= cut - 2 that already have t.
-
-    With p the smallest part, Q(n) >= Q(n - p) for the count Q, since
-    adding p maps the partitions of n - p into those of n; so once Q >= t
-    on a run of p consecutive integers it stays so, and the cut is read
-    off below the first such run.  Every n from the certified bound on has
-    t representations, so the run starts at or below it.
-
-    Counts here ignore colors.  When an element belongs to several
-    component sets, colored counts of small n can exceed these, and the
-    constants may then fail verification against the true t-fold sets.
-    Through high_fringe_constants this also happens on disjoint colors
-    whose per-color reflections overlap: [[0,3,5],[0,2,7]] reflects to
-    {0,2,5} and {0,5,7}, which share 5.  The empirical strategy covers
-    those tuples.
+    """(sporadic set, cut) of the large-h limit: cut is the smallest
+    integer such that every n >= cut has at least t colored partitions
+    into the nonzero (color, element) parts; the sporadic set collects
+    the n <= cut - 2 that already have t.  Both strategies return these
+    as (C, c); see the module docstring.
     """
     _require_normalized(st)
     _require_t(t)
-    parts = _nonzero_union(st)
-    if parts.elements == (1,) and t >= 2:
-        raise DegenerateAlphabetError(
-            "the only nonzero element is 1: every integer has exactly one "
-            "uncolored representation, so no t-threshold exists for t >= 2"
-        )
-    sporadic, cut = _limit_side(list(parts.elements), [0], t, certified_rep_bound(st, t))
-    return FiniteSet(sporadic), cut
+    _require_nondegenerate(st, _ZERO, t)
+    low, cut, _, _ = _limit_constants(st, _ZERO, t)
+    return FiniteSet(low), cut
 
 
 def high_fringe_constants(st: SetTuple, t: int) -> tuple[FiniteSet, int]:
@@ -400,43 +373,47 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
     return WitnessSet(n=n, reps=tuple(reps))
 
 
-def _reach_rows(parts: FiniteSet, top: int) -> list[list[int]]:
-    """Row j is nonzero at r <= top exactly when r is a sum of parts[j:];
-    built from the last part down, one pass per part."""
+def _reach_rows(parts: list[int], top: int) -> list[list[int]]:
+    """Row j is nonzero at r <= top exactly when r is a sum of parts[j:]
+    (repeats allowed); built from the last part down, one pass per part."""
     rows = [[1] + [0] * top]
-    for part in reversed(parts.elements):
+    for part in reversed(parts):
         rows.append(_unbounded_fold(rows[-1], (part,), 1))
     return rows[:0:-1]
 
 
 def _fewest_partitions(
-    parts: FiniteSet, reach: list[list[int]], n: int, t: int
+    parts: list[int], reach: list[list[int]], n: int, t: int
 ) -> list[tuple[int, ...]]:
-    """The t multisets of parts summing to n with fewest parts, ties broken
-    lexicographically, as non-decreasing tuples (all of them if fewer).
+    """The t multisets of indices into the sorted parts whose parts sum to
+    n, with fewest parts, ties broken lexicographically, as non-decreasing
+    index tuples (all of them if fewer).
 
     With reach from _reach_rows, every branch the enumeration enters
-    completes to a partition.
+    completes to a partition.  The depth-first walk keeps its own stack,
+    so a partition may have any number of parts.
     """
-    elems = parts.elements
+    size = len(parts)
     out: list[tuple[int, ...]] = []
-    acc: list[int] = []
-
-    def rec(remaining: int, start: int) -> None:
+    chosen: list[int] = []
+    # one [remaining, next index] frame per open level; chosen holds the
+    # index taken at every level below the top one
+    stack = [[n, 0]] if reach[0][n] else []
+    while stack:
+        frame = stack[-1]
+        remaining, j = frame
         if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for j in range(start, len(elems)):
-            p = elems[j]
-            if p > remaining:
-                break
-            if reach[j][remaining - p]:
-                acc.append(p)
-                rec(remaining - p, j)
-                acc.pop()
-
-    if reach[0][n]:
-        rec(n, 0)
+            out.append(tuple(chosen))
+        while j < size and parts[j] <= remaining and not reach[j][remaining - parts[j]]:
+            j += 1
+        if j < size and parts[j] <= remaining:
+            frame[1] = j + 1
+            chosen.append(j)
+            stack.append([remaining - parts[j], j])
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
     return sorted(out, key=lambda p: (len(p), p))[:t]
 
 
@@ -445,65 +422,60 @@ def _witness_loads(
     n: int,
     t: int,
     bound: int,
-    parts: FiniteSet,
+    flat: list[tuple[int, int]],
     reach: list[list[int]],
-    color: dict[int, int],
 ) -> HVec:
     """Per-color nonzero part counts sufficient for t distinct colored
     representations of n: maxima over the t representations.
 
     At or above the certified bound the residue-window construction
-    supplies them; below it, partition enumeration does, taking the t
-    partitions with fewest parts (ties lexicographic) and coloring each
-    part through color, which maps it to the smallest color containing it.
+    supplies them; below it, partition enumeration over the sorted
+    (element, color) parts flat does, taking the t colored partitions
+    with fewest parts (ties lexicographic on indices into flat).
     """
     q = st.q
     if n >= bound:
         ws = witness_representations(st, n, t)
         loads = [[rep.color_load(i) for i in range(q)] for rep in ws.reps]
     else:
-        fewest = _fewest_partitions(parts, reach, n, t)
+        fewest = _fewest_partitions([a for a, _ in flat], reach, n, t)
         if len(fewest) < t:
             raise RuntimeError(
-                f"internal invariant: n={n} has fewer than {t} uncolored representations"
+                f"internal invariant: n={n} has fewer than {t} colored representations"
             )
         loads = []
         for partition in fewest:
             load = [0] * q
-            for part in partition:
-                load[color[part]] += 1
+            for j in partition:
+                load[flat[j][1]] += 1
             loads.append(load)
     return HVec(tuple(max(load[i] for load in loads) for i in range(q)))
 
 
-def _one_sided_threshold(st: SetTuple, t: int, sporadic: FiniteSet, cut: int) -> HVec:
+def _one_sided_threshold(st: SetTuple, t: int, sporadic: tuple[int, ...], cut: int) -> HVec:
     """Exponents at which every target (the sporadic set plus one full
     window [cut, cut + a - 1]) owns t distinct colored representations."""
     a_star = max(st.maxima)
     bound = certified_rep_bound(st, t)
-    parts = _nonzero_union(st)
-    # the smallest color of each element: the last write wins
-    color = {a: i for i in reversed(range(st.q)) for a in st.sets[i].elements}
-    targets = list(sporadic.elements) + list(range(cut, cut + a_star))
-    reach = _reach_rows(parts, max(targets))
-    vecs = [_witness_loads(st, n, t, bound, parts, reach, color) for n in targets]
-    return hvec_sup(vecs)
+    flat = sorted((a, i) for i, A in enumerate(st.sets) for a in A.elements if a)
+    targets = list(sporadic) + list(range(cut, cut + a_star))
+    reach = _reach_rows([a for a, _ in flat], max(targets))
+    return hvec_sup([_witness_loads(st, n, t, bound, flat, reach) for n in targets])
 
 
-def _constructive(
-    st: SetTuple, t: int
-) -> tuple[tuple[FiniteSet, int], tuple[FiniteSet, int], HVec]:
-    """The low and high (sporadic set, cut) pairs and the constructive
-    threshold vector, each fringe table built once."""
+def _constructive(st: SetTuple, t: int):
+    """The limit constants (C, c, D, d) of the t-fold sets and the
+    constructive threshold vector."""
     _require_normalized(st)
     _require_t(t)
-    sporadic_low, cut_low = low_fringe_constants(st, t)
-    sporadic_high, cut_high = high_fringe_constants(st, t)
+    _require_nondegenerate(st, _ZERO, t)
+    dec = _limit_constants(st, _ZERO, t)
+    low, cut_low, high, cut_high = dec
     a_star = max(st.maxima)
     maxima = st.maxima
 
-    h_low = _one_sided_threshold(st, t, sporadic_low, cut_low)
-    h_high = _one_sided_threshold(st.reflected(), t, sporadic_high, cut_high)
+    h_low = _one_sided_threshold(st, t, low, cut_low)
+    h_high = _one_sided_threshold(st.reflected(), t, high, cut_high)
 
     gap_high = h_low.dot(maxima) - (cut_low + a_star - 1)
     gap_low = h_high.dot(maxima) - (cut_high + a_star - 1)
@@ -516,18 +488,20 @@ def _constructive(
         coords = list(ht.coords)
         coords[bump] += 1
         ht = HVec(tuple(coords))
-    return (sporadic_low, cut_low), (sporadic_high, cut_high), ht
+    return dec, ht
 
 
 def threshold_constructive(st: SetTuple, t: int) -> HVec:
-    """Exponent vector past which the constructed constants describe the
-    t-fold sets (when they do at all; see low_fringe_constants).
+    """Exponent vector past which the limit constants describe the t-fold
+    sets, from explicit colored witness representations.
 
     Grows the low-side witness exponents until the middle interval can
     chain upward, mirrors on the reflection, takes the componentwise
     sup, and enlarges it minimally until the two solid intervals meet.
+    structure_constants then proves the shape at it with the certificate
+    of the module docstring.
     """
-    return _constructive(st, t)[2]
+    return _constructive(st, t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +559,40 @@ def _counts_are_bounded(st: SetTuple) -> bool:
     )
 
 
+def _require_nondegenerate(st: SetTuple, B: FiniteSet, t: int) -> None:
+    """Refuse t when counts of h.A + B never reach it: the t-fold sets are
+    then eventually empty and have no limit shape."""
+    if t >= 2 and _counts_are_bounded(st) and t > len(B):
+        raise DegenerateAlphabetError(
+            f"counts never exceed {len(B)} on this tuple: t-fold sets are "
+            f"empty for t={t}"
+        )
+
+
+def _certifier(st: SetTuple, B: FiniteSet, dec, sets: _TFoldSets):
+    """cert of the module docstring for the limit shape dec = (C, c, D, d)
+    of h.A + B, memoized; sets holds the t-fold sets of h.A + B."""
+    q, maxima = st.q, st.maxima
+    low, cut_low, high, cut_high = dec
+    # middle length L at h is h.maxima + shift
+    shift = B.max - cut_high - cut_low + 1
+    known: dict[HVec, bool] = {}
+
+    def cert(h: HVec) -> bool:
+        got = known.get(h)
+        if got is None:
+            middle = h.dot(maxima) + shift
+            got = (
+                middle >= 1
+                and sets.size(h) == len(low) + middle + len(high)
+                and all(cert(hvec_add_unit(h, i)) for i in range(q) if maxima[i] > middle)
+            )
+            known[h] = got
+        return got
+
+    return cert
+
+
 def _search_ceiling(st: SetTuple, t: int) -> int:
     u = st.union
     a_u = u.max
@@ -597,29 +605,15 @@ def _stabilize(
     """The limit constants of h.A + B and a minimal certified vector: the
     first certified point of the diagonal, shrunk greedily on cert."""
     q = st.q
-    maxima = st.maxima
-    b_star = B.max
     if ceiling is None:
         ceiling = _search_ceiling(st, t)
     dec = _limit_constants(st, B, t)
     low, cut_low, high, cut_high = dec
     sets = _TFoldSets(st, B, t)
-    known: dict[HVec, bool] = {}
-
-    def cert(h: HVec) -> bool:
-        got = known.get(h)
-        if got is None:
-            middle = h.dot(maxima) + b_star - cut_high - cut_low + 1
-            got = (
-                middle >= 1
-                and sets.size(h) == len(low) + middle + len(high)
-                and all(cert(hvec_add_unit(h, i)) for i in range(q) if maxima[i] > middle)
-            )
-            known[h] = got
-        return got
+    cert = _certifier(st, B, dec, sets)
 
     # the middle is nonempty from the first m with m * sum(maxima) + max(B) >= c + d
-    first = max(0, -(-(cut_low + cut_high - b_star) // sum(maxima)))
+    first = max(0, -(-(cut_low + cut_high - B.max) // sum(st.maxima)))
     ht = next((h for h in (HVec((m,) * q) for m in range(first, ceiling + 1)) if cert(h)), None)
     if ht is None:
         raise SearchExhaustedError(
@@ -687,8 +681,10 @@ def verify_structure_inhomogeneous(
 def structure_constants(
     st: SetTuple, t: int, strategy: str = "empirical", margin: int = DEFAULT_MARGIN
 ) -> StructureResult:
-    """Compute the four constants and a threshold vector, verified over the
-    full margin box before returning."""
+    """Compute the four limit constants and a threshold vector at which the
+    certificate of the module docstring proves the shape for every larger
+    vector, so over the whole margin box verified_box; the empirical
+    strategy also checks that box exactly."""
     _require_normalized(st)
     _require_t(t)
     if margin < 1:
@@ -698,31 +694,28 @@ def structure_constants(
     if strategy != "constructive":
         raise DomainError(f"unknown strategy {strategy!r}")
 
-    (sporadic_low, cut_low), (sporadic_high, cut_high), ht = _constructive(st, t)
+    dec, ht = _constructive(st, t)
     if st.q == 1:
         # the closed form is sufficient for a single set; never exceed it
         explicit = closed_form_threshold(st.sets[0], t)
         ht = HVec((min(ht.coords[0], explicit),))
-    result = StructureResult(
-        low_fringe=sporadic_low,
+    low, cut_low, high, cut_high = dec
+    if cut_low + cut_high > ht.dot(st.maxima):
+        raise DomainError("malformed interval: the cuts overlap at this h")
+    if not _certifier(st, _ZERO, dec, _TFoldSets(st, _ZERO, t))(ht):
+        raise RuntimeError(
+            f"internal invariant: the constructive threshold h={list(ht.coords)} "
+            "is not certified"
+        )
+    return StructureResult(
+        low_fringe=FiniteSet(low),
         low_cut=cut_low,
-        high_fringe=sporadic_high,
+        high_fringe=FiniteSet(high),
         high_cut=cut_high,
         threshold=ht,
         strategy="constructive",
         verified_box=(ht, HVec(tuple(c + margin for c in ht.coords))),
     )
-    dec = (sporadic_low.elements, cut_low, sporadic_high.elements, cut_high)
-    if cut_low + cut_high > ht.dot(st.maxima):
-        raise DomainError("malformed interval: the cuts overlap at this h")
-    failed = _TFoldSets(st, _ZERO, t).off_shape(_box_points(ht, margin), dec)
-    if failed is not None:
-        raise ConstructiveMismatchError(
-            f"uncolored constants fail at h={list(failed.coords)}: some element "
-            "carries several colors, or the per-color reflections overlap; "
-            "use the empirical strategy"
-        )
-    return result
 
 
 def structure_constants_inhomogeneous(
@@ -741,9 +734,5 @@ def structure_constants_inhomogeneous(
         raise DomainError("margin must be a positive integer")
     if B.min != 0:
         raise DomainError("the translation set must have minimum 0")
-    if t >= 2 and _counts_are_bounded(st) and t > len(B):
-        raise DegenerateAlphabetError(
-            f"counts never exceed {len(B)} on this tuple: t-fold sets are "
-            f"empty for t={t}"
-        )
+    _require_nondegenerate(st, B, t)
     return _stabilize(st, B, t, margin, ceiling)

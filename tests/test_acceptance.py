@@ -130,12 +130,12 @@ def test_criterion_3_single_color_closed_form(capsys):
 
 
 def test_criterion_4_multi_color_stabilization(capsys):
-    """Empirical search stabilizes for two and three colors; the
-    constructive constants agree whenever that path completes."""
+    """Empirical search stabilizes for two and three colors, and the
+    constructive route returns the same constants on every instance."""
     start = time.monotonic()
     rng = random.Random(BATTERY_SEED + 4)
     failures = []
-    done = compared = 0
+    done = 0
     while done < 50:
         st = random_normalized_tuple(rng, q_min=2, q_max=3)
         t = (done % 3) + 1
@@ -148,18 +148,14 @@ def test_criterion_4_multi_color_stabilization(capsys):
         for point in _box_points(lo, hi):
             if not verify_structure(st, t, result, point):
                 failures.append((st, t, point.coords))
-        try:
-            cons = structure_constants(st, t, strategy="constructive")
-        except (DegenerateAlphabetError, ConstructiveMismatchError):
-            continue
-        compared += 1
+        cons = structure_constants(st, t, strategy="constructive")
         if (cons.low_fringe, cons.low_cut, cons.high_fringe, cons.high_cut) != (
             result.low_fringe, result.low_cut, result.high_fringe, result.high_cut
         ):
             failures.append(("strategy disagreement", st, t))
     elapsed = time.monotonic() - start
     _report(capsys, 4, "multi-color stabilization", failures,
-            f"50 instances, {compared} strategy cross-checks, {elapsed:.1f}s")
+            f"50 instances, 50 strategy cross-checks, {elapsed:.1f}s")
 
 
 def _box_points(lo: HVec, hi: HVec):

@@ -19,14 +19,26 @@ def test_library_has_no_assert():
     assert found == []
 
 
-def test_structure_imports_no_numpy():
-    """structure.py reaches arrays only through repcount, which owns every
-    numpy kernel and the dtype rules that keep them exact."""
-    path = Path(chromsum.__file__).parent / "structure.py"
-    imported = set()
+def _imports(module: str) -> set[str]:
+    """The dotted parts of every module a library module imports, and of
+    every name it imports from one (``from . import oracle`` and
+    ``from chromsum.oracle import x`` both give ``oracle``)."""
+    path = Path(chromsum.__file__).parent / f"{module}.py"
+    parts = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            imported.add(node.module)
-    assert not any(name.split(".")[0] == "numpy" for name in imported)
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        parts.update(part for name in names for part in name.split("."))
+    return parts
+
+
+def test_layering():
+    """structure.py reaches arrays only through repcount, which owns every
+    numpy kernel and the dtype rules that keep them exact; and the fast
+    path shares no code with the brute-force oracle, its ground truth."""
+    pairs = [("structure", "numpy"), ("structure", "oracle"), ("repcount", "oracle")]
+    assert [pair for pair in pairs if pair[1] in _imports(pair[0])] == []

@@ -1,5 +1,7 @@
 import random
+from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as hst
@@ -7,7 +9,6 @@ from hypothesis import strategies as hst
 from chromsum import structure
 from chromsum.errors import (
     BoundError,
-    ConstructiveMismatchError,
     DegenerateAlphabetError,
     DimensionError,
     DomainError,
@@ -41,6 +42,18 @@ from chromsum.structure import (
 from conftest import random_normalized_tuple
 
 A023 = make_tuple([[0, 2, 3]])
+
+
+def colored_partition_counts(st, top, t):
+    """Colored partition counts over [0, top], clipped at t: the partition
+    tables of each color's nonzero elements, convolved."""
+    counts = np.zeros(top + 1, dtype=np.int64)
+    counts[0] = 1
+    for A in st.sets:
+        parts = FiniteSet(tuple(a for a in A.elements if a))
+        color = np.array(partition_count_table(parts, top, cap=t).counts, dtype=np.int64)
+        counts = np.minimum(np.convolve(counts, color)[: top + 1], t)
+    return counts.tolist()
 
 
 def test_certified_rep_bound_examples():
@@ -92,8 +105,11 @@ class TestFringeConstants:
     def test_degenerate_alphabet(self):
         with pytest.raises(DegenerateAlphabetError):
             low_fringe_constants(make_tuple([[0, 1]]), 2)
-        with pytest.raises(DegenerateAlphabetError):
-            low_fringe_constants(make_tuple([[0, 1], [0, 1]]), 3)
+        # two colors of 1 give n + 1 colored partitions of n
+        pair = make_tuple([[0, 1], [0, 1]])
+        res = threshold_empirical(pair, 3)
+        assert low_fringe_constants(pair, 3) == (res.low_fringe, res.low_cut) == (
+            FiniteSet.empty(), 2)
 
     def test_minimality(self):
         rng = random.Random(31)
@@ -104,19 +120,17 @@ class TestFringeConstants:
                 C, c = low_fringe_constants(st, t)
             except DegenerateAlphabetError:
                 continue
-            parts = make_set([a for a in st.union.elements if a != 0])
-            table = partition_count_table(parts, max(c, 1), cap=t)
+            table = colored_partition_counts(st, max(c, 1), t)
             if c >= 1:
-                assert table.value(c - 1) < t
-            assert all(n <= c - 2 and table.value(n) >= t for n in C.elements)
+                assert table[c - 1] < t
+            assert all(n <= c - 2 and table[n] >= t for n in C.elements)
 
     def test_match_the_table_scanned_from_the_certified_bound(self):
         def scanned(st, t):
-            parts = make_set([a for a in st.union.elements if a != 0])
             bound = certified_rep_bound(st, t)
-            table = partition_count_table(parts, bound, cap=t)
-            cut = next((n + 1 for n in range(bound, -1, -1) if table.value(n) < t), 0)
-            return FiniteSet(tuple(n for n in range(cut - 1) if table.value(n) >= t)), cut
+            table = colored_partition_counts(st, bound, t)
+            cut = next((n + 1 for n in range(bound, -1, -1) if table[n] < t), 0)
+            return FiniteSet(tuple(n for n in range(cut - 1) if table[n] >= t)), cut
 
         rng = random.Random(47)
         shared = 0
@@ -127,7 +141,8 @@ class TestFringeConstants:
             shared += len(st.union) < sum(len(A) for A in st.sets) - st.q + 1
             for fringe, side in ((low_fringe_constants, st),
                                  (high_fringe_constants, st.reflected())):
-                if side.union.elements == (0, 1) and t >= 2:
+                # a single nonzero (color, element) pair has one partition
+                if sum(len(A) - 1 for A in side.sets) == 1 and t >= 2:
                     with pytest.raises(DegenerateAlphabetError):
                         fringe(st, t)
                 else:
@@ -183,15 +198,41 @@ class TestWitnesses:
         assert WitnessSet.from_json(obj) == ws
 
 
+def _fewest(parts, n, t):
+    return structure._fewest_partitions(parts, structure._reach_rows(parts, n), n, t)
+
+
 def test_fewest_partitions_match_oracle():
     rng = random.Random(17)
     for _ in range(300):
-        parts = make_set(rng.sample(range(1, 13), rng.randint(1, 4)))
+        parts = sorted(rng.sample(range(1, 13), rng.randint(1, 4)))
         n = rng.randint(0, 60)
         t = rng.randint(1, 6)
-        got = structure._fewest_partitions(parts, structure._reach_rows(parts, n), n, t)
-        want = sorted(oracle_partitions(parts, n), key=lambda p: (len(p), p))[:t]
-        assert got == want, (parts.elements, n, t)
+        got = [tuple(parts[j] for j in p) for p in _fewest(parts, n, t)]
+        want = sorted(oracle_partitions(make_set(parts), n), key=lambda p: (len(p), p))[:t]
+        assert got == want, (parts, n, t)
+    # repeated parts (one element in several colors) are distinct parts:
+    # the index multisets in order of size, each size in lexicographic order
+    for _ in range(150):
+        base = rng.choices(range(1, 8), k=rng.randint(1, 3))
+        parts = sorted(base + [rng.choice(base)])
+        n = rng.randint(0, 20)
+        t = rng.randint(1, 6)
+        want = [
+            p
+            for k in range(n // parts[0] + 1)
+            for p in combinations_with_replacement(range(len(parts)), k)
+            if sum(parts[j] for j in p) == n
+        ][:t]
+        assert _fewest(parts, n, t) == want, (parts, n, t)
+
+
+def test_fewest_partitions_need_no_recursion():
+    # partitions of about 3,000 into parts 3 and 4 (1 and 4 reflected)
+    # run a thousand parts deep
+    res = structure_constants(make_tuple([[0, 3, 4]]), 256, strategy="constructive")
+    assert res.low_cut == 3066
+    assert res.threshold.coords == (1023,)
 
 
 class TestThresholds:
@@ -251,6 +292,11 @@ class TestThresholds:
         )
         with pytest.raises(RuntimeError, match="internal invariant"):
             threshold_empirical(A023, 1)
+
+    def test_uncertified_constructive_vector_is_an_internal_invariant(self, monkeypatch):
+        monkeypatch.setattr(structure, "_certifier", lambda st, B, dec, sets: lambda h: False)
+        with pytest.raises(RuntimeError, match="internal invariant"):
+            structure_constants(A023, 1, strategy="constructive")
 
     def test_box_check_matches_the_member_comparison(self):
         rng = random.Random(53)
@@ -347,18 +393,28 @@ class TestStructureConstants:
         assert res.low_cut == res.high_cut
 
     def test_strategies_agree_on_disjoint_two_color(self):
-        st = make_tuple([[0, 2], [0, 3]])
-        a = structure_constants(st, 1, strategy="constructive")
-        b = structure_constants(st, 1, strategy="empirical")
-        assert (a.low_fringe, a.low_cut, a.high_fringe, a.high_cut) == (
-            b.low_fringe, b.low_cut, b.high_fringe, b.high_cut)
+        for sets in ([[0, 2], [0, 3]], [[0, 1, 2], [0, 1, 2]], [[0, 3, 5], [0, 2, 7]]):
+            st = make_tuple(sets)
+            for t in (1, 2, 3):
+                a = structure_constants(st, t, strategy="constructive")
+                b = structure_constants(st, t, strategy="empirical")
+                assert (a.low_fringe, a.low_cut, a.high_fringe, a.high_cut) == (
+                    b.low_fringe, b.low_cut, b.high_fringe, b.high_cut), (sets, t)
 
-    def test_overlapping_colors_mismatch_detected(self):
-        # the second tuple's colors are disjoint, but their reflections
-        # {0,2,5} and {0,5,7} share 5
+    def test_overlapping_colors_match_empirical(self):
+        # the first tuple shares every element between its colors; the
+        # second's colors are disjoint, but their reflections {0,2,5} and
+        # {0,5,7} share 5.  Colored constants describe both, over the box.
         for sets in ([[0, 1, 2], [0, 1, 2]], [[0, 3, 5], [0, 2, 7]]):
-            with pytest.raises(ConstructiveMismatchError):
-                structure_constants(make_tuple(sets), 2, strategy="constructive")
+            st = make_tuple(sets)
+            res = structure_constants(st, 2, strategy="constructive")
+            emp = threshold_empirical(st, 2)
+            assert (res.low_fringe, res.low_cut, res.high_fringe, res.high_cut) == (
+                emp.low_fringe, emp.low_cut, emp.high_fringe, emp.high_cut)
+            lo, hi = res.verified_box
+            for a in range(lo.coords[0], hi.coords[0] + 1):
+                for b in range(lo.coords[1], hi.coords[1] + 1):
+                    assert verify_structure(st, 2, res, HVec((a, b))), (sets, a, b)
 
     def test_unknown_strategy(self):
         with pytest.raises(DomainError):
