@@ -42,6 +42,20 @@ costs one row.
 Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
 clipping the running sums is the same as clipping after every addition.
+
+The constructive witnesses are, per target, the t partitions into the
+sorted parts p_0 <= p_1 <= ... with fewest parts, ties in lexicographic
+order of their non-decreasing index tuples.  _fewest_partitions lists a
+partition as its multiplicities (m_0, m_1, ...), choosing m_j from
+floor(rem / p_j) down to 0 at level j, and only where the later parts can
+still reach the remainder (the same fold, one pass per part from the
+last).  Among tuples of one length, the one with more copies of the
+first index where they differ comes first, so descending multiplicities
+list each target's partitions of every size in lexicographic order; a
+stable sort by (target, size) then puts the wanted t first.  Targets
+are enumerated in consecutive groups whose partition counts, capped at
+_GROUP_CAP, sum to at most it, so the rows a request holds at once
+never exceed _GROUP_CAP or one target's partitions.
 """
 
 from __future__ import annotations
@@ -72,6 +86,10 @@ __all__ = [
 
 # the plain tables are those of the translated form with B = {0}
 _ZERO = FiniteSet((0,))
+
+# _fewest_partitions caps its suffix counts here and holds at most this
+# many partitions at once, unless one target alone has more
+_GROUP_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -302,18 +320,115 @@ def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
     return CountTable(offset=0, counts=counts, cap=cap)
 
 
-def _unbounded_fold(acc: Sequence[int], parts: Iterable[int], cap: int) -> list[int]:
-    """acc times 1/(1 - x^a) for each part a >= 1 (repeats allowed), over
-    the range of acc, clipped at cap; acc must already be clipped."""
+def _unbounded_rows(acc: Sequence[int], parts: Iterable[int], cap: int) -> Iterator[np.ndarray]:
+    """acc, then acc times 1/(1 - x^a) after each part a >= 1 in turn
+    (repeats allowed), over the range of acc, clipped at cap; acc must
+    already be clipped, and callers must not write to the rows."""
     length = len(acc)
     dtype = _dtype(length * cap)
     out = np.asarray(acc, dtype=dtype)
+    yield out
     for a in parts:
         rows = -(-length // a)
         grid = np.zeros(rows * a, dtype=dtype)
         grid[:length] = out
         out = np.minimum(grid.reshape(rows, a).cumsum(axis=0), cap).ravel()[:length]
+        yield out
+
+
+def _unbounded_fold(acc: Sequence[int], parts: Iterable[int], cap: int) -> list[int]:
+    """acc times 1/(1 - x^a) for each part a >= 1 (repeats allowed), over
+    the range of acc, clipped at cap; acc must already be clipped."""
+    for out in _unbounded_rows(acc, parts, cap):
+        pass
     return out.tolist()
+
+
+def _fewest_partitions(
+    parts: Sequence[int], targets: Sequence[int], t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, mult): for each target, the t multisets of indices into the
+    increasing parts whose parts sum to it, with fewest parts, ties in
+    lexicographic order of their non-decreasing index tuples (all of them
+    if fewer).  Row k of mult holds the multiplicity of every index and
+    owner[k] the position in targets of its target; the rows run in order
+    of target position, then in the order above.
+
+    Suffix row j counts the partitions of r into parts[j:], capped at
+    _GROUP_CAP.  Level j extends each row by the multiplicities of
+    parts[j] whose remainder row j + 1 can still finish, in descending
+    order (the last part takes what is left), and a stable sort by
+    (target, size) puts the wanted t first; see the module docstring."""
+    top = max(targets, default=0)
+    start = np.zeros(top + 1, dtype=np.int64)
+    start[0] = 1
+    suffix = list(_unbounded_rows(start, reversed(parts), _GROUP_CAP))[::-1]
+    # per level j, the remainders parts[j + 1:] reach as keys ordered by
+    # residue class mod parts[j], then by value: the remainders a row r
+    # can leave are the keys of its class up to r, one slice
+    width = top + 1
+    levels = []
+    for j, a in enumerate(parts[:-1]):
+        ys = np.flatnonzero(suffix[j + 1])
+        levels.append(np.sort(ys % a * width + ys))
+    counts = suffix[0][list(targets)].tolist()
+    owners = [np.zeros(0, dtype=np.int64)]
+    mults = [np.zeros((0, len(parts)), dtype=np.int64)]
+    first = 0
+    while first < len(counts):
+        stop, total = first + 1, counts[first]
+        while stop < len(counts) and total + counts[stop] <= _GROUP_CAP:
+            total += counts[stop]
+            stop += 1
+        # one row per target of the group that has a partition
+        owner = np.arange(first, stop)[np.asarray(counts[first:stop]) > 0]
+        rem = np.asarray(targets[first:stop], dtype=np.int64)[owner - first]
+        size = np.zeros(len(rem), dtype=np.int64)
+        steps = []
+        for j, a in enumerate(parts):
+            if j == len(parts) - 1:
+                parent, m = None, rem // a
+            else:
+                keys = levels[j]
+                cls = rem % a * width
+                lo = keys.searchsorted(cls)
+                wide = keys.searchsorted(cls + rem, side="right") - lo
+                parent = np.repeat(np.arange(len(rem)), wide)
+                ys = keys[np.repeat(lo + wide - np.cumsum(wide), wide) + np.arange(len(parent))] % width
+                m = (rem[parent] - ys) // a
+                rem, owner, size = ys, owner[parent], size[parent]
+            size = size + m
+            steps.append((parent, m))
+        order = np.lexsort((size, owner))
+        ranked = owner[order]
+        keep = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < t]
+        owners.append(owner[keep])
+        mult = np.empty((len(keep), len(parts)), dtype=np.int64)
+        for j in range(len(parts) - 1, -1, -1):
+            parent, m = steps[j]
+            mult[:, j] = m[keep]
+            if parent is not None:
+                keep = parent[keep]
+        mults.append(mult)
+        first = stop
+    return np.concatenate(owners), np.concatenate(mults)
+
+
+def _fewest_loads(
+    parts: Sequence[int], colors: Sequence[int], q: int, targets: Sequence[int], t: int
+) -> list[int]:
+    """Per color, the most parts of that color in any of the t fewest-part
+    partitions of any target (see _fewest_partitions); colors[j] is the
+    color of parts[j]."""
+    owner, mult = _fewest_partitions(parts, targets, t)
+    short = np.flatnonzero(np.bincount(owner, minlength=len(targets)) < t)
+    if short.size:
+        raise RuntimeError(
+            f"internal invariant: n={targets[short[0]]} has fewer than {t} colored representations"
+        )
+    onehot = np.zeros((len(parts), q), dtype=np.int64)
+    onehot[np.arange(len(parts)), list(colors)] = 1
+    return (mult @ onehot).max(axis=0, initial=0).tolist()
 
 
 def inhomogeneous_count_table(

@@ -18,10 +18,11 @@ exponent vector past which the shape holds, by two routes:
   box above the vector is checked once more before returning.
 
 * constructive: the same limit constants (B = {0}), and a threshold
-  vector from explicit witness representations: t colored partitions of
-  each target below the certified bound, the residue-window construction
-  at or above it.  The certificate below then proves the shape at that
-  vector, and so at every larger one.
+  vector from explicit witness representations: below the certified
+  bound, the t colored partitions of each target with fewest parts, from
+  one enumeration over all of a side's targets (repcount); at or above
+  it, the residue-window construction.  The certificate below then
+  proves the shape at that vector, and so at every larger one.
 
 The certificate.  Write S_h for the t-fold set of h.A + B, a_i for
 max(A_i) and M = M(h) = sum_i h_i a_i + max(B) for its right endpoint.
@@ -72,6 +73,7 @@ from .intset import FiniteSet, HVec, SetTuple, hvec_add_unit, hvec_leq, hvec_sup
 from .repcount import (
     _ZERO,
     _TFoldSets,
+    _fewest_loads,
     _tfold_members,
     _unbounded_fold,
 )
@@ -373,94 +375,22 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
     return WitnessSet(n=n, reps=tuple(reps))
 
 
-def _reach_rows(parts: list[int], top: int) -> list[list[int]]:
-    """Row j is nonzero at r <= top exactly when r is a sum of parts[j:]
-    (repeats allowed); built from the last part down, one pass per part."""
-    rows = [[1] + [0] * top]
-    for part in reversed(parts):
-        rows.append(_unbounded_fold(rows[-1], (part,), 1))
-    return rows[:0:-1]
-
-
-def _fewest_partitions(
-    parts: list[int], reach: list[list[int]], n: int, t: int
-) -> list[tuple[int, ...]]:
-    """The t multisets of indices into the sorted parts whose parts sum to
-    n, with fewest parts, ties broken lexicographically, as non-decreasing
-    index tuples (all of them if fewer).
-
-    With reach from _reach_rows, every branch the enumeration enters
-    completes to a partition.  The depth-first walk keeps its own stack,
-    so a partition may have any number of parts.
-    """
-    size = len(parts)
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-    # one [remaining, next index] frame per open level; chosen holds the
-    # index taken at every level below the top one
-    stack = [[n, 0]] if reach[0][n] else []
-    while stack:
-        frame = stack[-1]
-        remaining, j = frame
-        if remaining == 0:
-            out.append(tuple(chosen))
-        while j < size and parts[j] <= remaining and not reach[j][remaining - parts[j]]:
-            j += 1
-        if j < size and parts[j] <= remaining:
-            frame[1] = j + 1
-            chosen.append(j)
-            stack.append([remaining - parts[j], j])
-        else:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-    return sorted(out, key=lambda p: (len(p), p))[:t]
-
-
-def _witness_loads(
-    st: SetTuple,
-    n: int,
-    t: int,
-    bound: int,
-    flat: list[tuple[int, int]],
-    reach: list[list[int]],
-) -> HVec:
-    """Per-color nonzero part counts sufficient for t distinct colored
-    representations of n: maxima over the t representations.
-
-    At or above the certified bound the residue-window construction
-    supplies them; below it, partition enumeration over the sorted
-    (element, color) parts flat does, taking the t colored partitions
-    with fewest parts (ties lexicographic on indices into flat).
-    """
-    q = st.q
-    if n >= bound:
-        ws = witness_representations(st, n, t)
-        loads = [[rep.color_load(i) for i in range(q)] for rep in ws.reps]
-    else:
-        fewest = _fewest_partitions([a for a, _ in flat], reach, n, t)
-        if len(fewest) < t:
-            raise RuntimeError(
-                f"internal invariant: n={n} has fewer than {t} colored representations"
-            )
-        loads = []
-        for partition in fewest:
-            load = [0] * q
-            for j in partition:
-                load[flat[j][1]] += 1
-            loads.append(load)
-    return HVec(tuple(max(load[i] for load in loads) for i in range(q)))
-
-
 def _one_sided_threshold(st: SetTuple, t: int, sporadic: tuple[int, ...], cut: int) -> HVec:
-    """Exponents at which every target (the sporadic set plus one full
-    window [cut, cut + a - 1]) owns t distinct colored representations."""
+    """Per-color part counts sufficient for t distinct colored
+    representations of every target (the sporadic set plus one full
+    window [cut, cut + a - 1]): the fewest-part partitions over the
+    sorted nonzero (element, color) parts below the certified bound, the
+    residue-window construction at or above it."""
     a_star = max(st.maxima)
     bound = certified_rep_bound(st, t)
     flat = sorted((a, i) for i, A in enumerate(st.sets) for a in A.elements if a)
     targets = list(sporadic) + list(range(cut, cut + a_star))
-    reach = _reach_rows([a for a, _ in flat], max(targets))
-    return hvec_sup([_witness_loads(st, n, t, bound, flat, reach) for n in targets])
+    below = [n for n in targets if n < bound]
+    loads = _fewest_loads([a for a, _ in flat], [i for _, i in flat], st.q, below, t)
+    for n in targets[len(below) :]:
+        reps = witness_representations(st, n, t).reps
+        loads = [max(load, *(rep.color_load(i) for rep in reps)) for i, load in enumerate(loads)]
+    return HVec(tuple(loads))
 
 
 def _constructive(st: SetTuple, t: int):
@@ -495,11 +425,16 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
     """Exponent vector past which the limit constants describe the t-fold
     sets, from explicit colored witness representations.
 
-    Grows the low-side witness exponents until the middle interval can
-    chain upward, mirrors on the reflection, takes the componentwise
-    sup, and enlarges it minimally until the two solid intervals meet.
-    structure_constants then proves the shape at it with the certificate
-    of the module docstring.
+    The low side's vector holds, per color, the most parts of that color
+    in the witnesses of its targets: the low fringe and one window of
+    max(A) integers from the low cut on, so that the middle interval can
+    chain upward.  Below the certified bound the witnesses are each
+    target's t colored partitions with fewest parts, all targets in one
+    enumeration; at or above it they are witness_representations.  The
+    high side mirrors this on the reflection; the result is the
+    componentwise sup, enlarged minimally until the two solid intervals
+    meet.  structure_constants then proves the shape at it with the
+    certificate of the module docstring.
     """
     return _constructive(st, t)[1]
 

@@ -1,12 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as hst
 
-from chromsum import structure
+from chromsum import repcount, structure
 from chromsum.errors import (
     BoundError,
     DegenerateAlphabetError,
@@ -21,7 +25,7 @@ from chromsum.oracle import (
     oracle_count_table,
     oracle_partitions,
 )
-from chromsum.repcount import partition_count_table, tfold_set
+from chromsum.repcount import _fewest_partitions, partition_count_table, tfold_set
 from chromsum.structure import (
     ColoredRep,
     StructureResult,
@@ -40,6 +44,8 @@ from chromsum.structure import (
 )
 
 from conftest import random_normalized_tuple
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 A023 = make_tuple([[0, 2, 3]])
 
@@ -199,7 +205,10 @@ class TestWitnesses:
 
 
 def _fewest(parts, n, t):
-    return structure._fewest_partitions(parts, structure._reach_rows(parts, n), n, t)
+    """The selected multiplicity rows of n, as non-decreasing index tuples."""
+    owner, mult = _fewest_partitions(parts, [n], t)
+    assert (owner == 0).all()
+    return [tuple(j for j, m in enumerate(row) for _ in range(m)) for row in mult.tolist()]
 
 
 def test_fewest_partitions_match_oracle():
@@ -227,12 +236,78 @@ def test_fewest_partitions_match_oracle():
         assert _fewest(parts, n, t) == want, (parts, n, t)
 
 
+def test_missing_partitions_are_an_internal_invariant(monkeypatch):
+    def none_found(parts, targets, t):
+        return np.zeros(0, dtype=np.int64), np.zeros((0, len(parts)), dtype=np.int64)
+
+    monkeypatch.setattr(repcount, "_fewest_partitions", none_found)
+    # 6 is the low fringe of {0, 2, 3} at t = 2, the first target
+    with pytest.raises(RuntimeError, match="internal invariant: n=6 has fewer than 2 colored"):
+        structure_constants(A023, 2, strategy="constructive")
+
+
 def test_fewest_partitions_need_no_recursion():
     # partitions of about 3,000 into parts 3 and 4 (1 and 4 reflected)
     # run a thousand parts deep
     res = structure_constants(make_tuple([[0, 3, 4]]), 256, strategy="constructive")
     assert res.low_cut == 3066
     assert res.threshold.coords == (1023,)
+
+
+@pytest.mark.parametrize(
+    "sets, t, cut, ht",
+    [([[0, 17, 40]], 5, 3344, (199,)), ([[0, 2, 3]], 1000, 5996, (2999,))],
+)
+def test_large_constructive_answers(sets, t, cut, ht):
+    res = structure_constants(make_tuple(sets), t, strategy="constructive")
+    assert (res.low_cut, res.threshold.coords) == (cut, ht)
+
+
+def test_fewest_partitions_group_size_changes_nothing(monkeypatch):
+    rng = random.Random(23)
+    cases = [(make_tuple([[0, 3, 4]]), 256)] + [
+        (random_normalized_tuple(rng, size_max=4, elt_max=9), rng.randint(1, 5))
+        for _ in range(120)
+    ]
+    cases = [(st, t) for st, t in cases if not _refused(st, t)]
+    assert len(cases) >= 100
+
+    def results():
+        return [structure_constants(st, t, strategy="constructive") for st, t in cases]
+
+    want = results()
+    for cap in (1, 3):
+        monkeypatch.setattr(repcount, "_GROUP_CAP", cap)
+        assert results() == want, cap
+
+
+def _refused(st, t):
+    try:
+        low_fringe_constants(st, t)
+    except DegenerateAlphabetError:
+        return True
+    return False
+
+
+_HEAVY = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from chromsum.intset import make_tuple
+from chromsum.structure import structure_constants
+res = structure_constants(make_tuple([[0, 1, 2, 3, 100], [0, 1, 2]]), 2, strategy="constructive")
+print(res.low_cut, *res.threshold.coords)
+"""
+
+
+def test_heavy_constructive_request_fits_in_one_gib():
+    # one target alone has more partitions than a group may hold
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", _HEAVY], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "34", "49"]
 
 
 class TestThresholds:
