@@ -3,8 +3,8 @@
 Every command takes the tuple inline (``--sets "[[0,2,3],[0,1]]"``),
 reports JSON on stdout by default, and uses three exit codes: 0 for
 success, 2 for malformed input, 3 for a domain refusal (degenerate
-alphabet, below-bound witness request, exhausted search or budget),
-which arrives as a machine-readable error object on stderr.
+alphabet, below-bound witness request, exhausted search), which arrives
+as a machine-readable error object on stderr.
 
 With ``--stdin`` the full request is read as one JSON object from
 standard input and individual flags override its fields.  Without it,
@@ -20,8 +20,7 @@ import sys
 from .errors import ChromsumError
 from .intset import FiniteSet, HVec, SetTuple, make_set, make_tuple
 from .lemmas import run_all
-from .oracle import oracle_count_table
-from .repcount import chromatic_count_table, inhomogeneous_count_table, tfold_set
+from .repcount import inhomogeneous_count_table, tfold_set
 from .structure import (
     DEFAULT_MARGIN,
     StructureResult,
@@ -178,16 +177,8 @@ def _fmt_result(res: StructureResult) -> str:
 def _cmd_counts(req: _Request):
     st = _tuple_of(req)
     h = _parse_hvec(_require(req, "h", "--h"), st.q)
-    B = _optional_B(req)
-    budget = req.field("budget")
-    if budget is not None:
-        if B is not None:
-            raise UsageError("--budget (oracle engine) cannot be combined with --B")
-        table = oracle_count_table(st, h, budget=_positive(budget, "--budget"))
-    elif B is not None:
-        table = inhomogeneous_count_table(st, h, B, cap=_cap_of(req))
-    else:
-        table = chromatic_count_table(st, h, cap=_cap_of(req))
+    # the plain table is the translated one with B = {0}
+    table = inhomogeneous_count_table(st, h, _optional_B(req) or make_set([0]), cap=_cap_of(req))
     text = (
         f"offset={table.offset} cap={table.cap} "
         f"counts={' '.join(str(c) for c in table.counts)}"
@@ -314,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, *, h=False, B=False, strategy=False,
-            cap=False, n=False, budget=False) -> argparse.ArgumentParser:
+            cap=False, n=False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--sets", help='tuple of sets, e.g. "[[0,2,3],[0,1]]"')
         if h:
@@ -331,10 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cap", type=int, help="saturate counts at this value")
         if n:
             p.add_argument("--n", type=int, help="integer to represent")
-        if budget:
-            p.add_argument("--budget", type=int,
-                           help="use the exhaustive oracle engine, refusing past "
-                                "this many enumerated tuples")
         p.add_argument("--stdin", action="store_true",
                        help="read a request JSON object from standard input; "
                             "flags override its fields")
@@ -342,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report format (default json)")
         return p
 
-    add("counts", "count table of the colored sumset", h=True, B=True, cap=True,
-        budget=True)
+    add("counts", "count table of the colored sumset", h=True, B=True, cap=True)
     add("sumset", "members with at least t representations", h=True)
     add("structure", "fringe constants, cuts, and threshold vector", strategy=True)
     add("threshold", "threshold vector and its verification box", strategy=True)

@@ -15,6 +15,7 @@ HVec is the vector of per-color repetition counts, ordered componentwise.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -46,6 +47,18 @@ __all__ = [
 ]
 
 
+def _ints(values: Iterable) -> tuple[int, ...]:
+    """The values as Python ints; anything but a Python or numpy integer
+    (a bool too) raises TypeError naming it."""
+    values = tuple(values)
+    if all(type(x) is int for x in values):
+        return values
+    for x in values:
+        if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+            raise TypeError(f"expected an integer, got {x!r}")
+    return tuple(map(operator.index, values))
+
+
 @dataclass(frozen=True)
 class FiniteSet:
     """Immutable finite set of integers, stored strictly increasing."""
@@ -53,7 +66,7 @@ class FiniteSet:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        elems = tuple(int(x) for x in self.elements)
+        elems = _ints(self.elements)
         for a, b in zip(elems, elems[1:]):
             if a >= b:
                 raise ValueError("FiniteSet elements must be strictly increasing")
@@ -120,7 +133,7 @@ class FiniteSet:
 
 def make_set(values: Iterable[int]) -> FiniteSet:
     """Sort, deduplicate, and wrap; rejects empty input."""
-    elems = tuple(sorted({int(v) for v in values}))
+    elems = tuple(sorted(set(_ints(values))))
     if not elems:
         raise EmptySetError("a set needs at least one element")
     return FiniteSet(elems)
@@ -193,7 +206,7 @@ class HVec:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        coords = tuple(int(x) for x in self.coords)
+        coords = _ints(self.coords)
         if len(coords) < 1:
             raise DimensionError("an exponent vector needs at least one coordinate")
         if any(c < 0 for c in coords):

@@ -61,7 +61,7 @@ never exceed _GROUP_CAP or one target's partitions.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -286,22 +286,44 @@ def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> Coun
     return CountTable(offset=0, counts=_counts(_colors(st, h), _ZERO, cap), cap=cap)
 
 
-def _members(counts: np.ndarray, offset: int, t: int) -> tuple[int, ...]:
-    """The n = offset + i with counts[i] >= t, increasing."""
-    return tuple((np.flatnonzero(counts >= t) + offset).tolist())
-
-
-def _tfold_members(st: SetTuple, h: HVec, B: FiniteSet, t: int) -> tuple[int, ...]:
-    """The integers with at least t representations in h.A + B, from one
-    capped fold that keeps no rows."""
-    return _members(_counts(_colors(st, h), B, t), B.min, t)
+def _tfold_mask(st: SetTuple, h: HVec, B: FiniteSet, t: int) -> np.ndarray:
+    """Which n = min(B) + i have at least t representations in h.A + B,
+    from one capped fold that keeps no rows."""
+    return _counts(_colors(st, h), B, t) >= t
 
 
 def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
     """The set of integers with at least t colored representations."""
     if t < 1:
         raise DomainError("t must be a positive integer")
-    return FiniteSet(_tfold_members(st, h, _ZERO, t))
+    return FiniteSet(tuple(np.flatnonzero(_tfold_mask(st, h, _ZERO, t)).tolist()))
+
+
+def _shape_test(dec) -> Callable[[np.ndarray], bool]:
+    """The test whether a boolean mask over [0, M], M = len(mask) - 1,
+    marks exactly the shape dec = (low fringe, low cut, high fringe, high
+    cut): the union of the low fringe, [low cut, M - high cut] and M minus
+    the high fringe.  A member of the shape outside [0, M] fails it."""
+    low, cut_low, high, cut_high = dec
+    top = max((*low, *high), default=-1)
+    if min((*low, *high), default=0) < 0 or top >= 1 << 62:
+        return lambda mask: False  # a member below 0, or past any mask's end
+    low_at, high_at = np.array(low, dtype=np.int64), np.array(high, dtype=np.int64)
+
+    def fits(mask: np.ndarray) -> bool:
+        end = len(mask) - 1
+        stop = end - cut_high + 1
+        # a fringe member past M, or a nonempty middle reaching below 0 or past M
+        if top > end or (cut_low < stop and min(cut_low, cut_high) < 0):
+            return False
+        want = np.zeros(len(mask), dtype=bool)
+        want[low_at] = True
+        if cut_low < stop:
+            want[cut_low:stop] = True
+        want[end - high_at] = True
+        return bool(np.array_equal(mask, want))
+
+    return fits
 
 
 def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
@@ -486,33 +508,10 @@ class _TFoldSets:
         self._last = coords
         return folds[-1]
 
+    def mask(self, h: HVec) -> np.ndarray:
+        """Which n = min(B) + i have at least t representations at h."""
+        return self._counts(h) >= self._t
+
     def size(self, h: HVec) -> int:
         """Number of integers with at least t representations at h."""
-        return int(np.count_nonzero(self._counts(h) >= self._t))
-
-    def off_shape(self, points: Iterable[HVec], dec) -> HVec | None:
-        """The first of the points whose t-fold set is not the shape dec =
-        (low fringe, low cut, high fringe, high cut) at the right endpoint
-        M there, or None.
-
-        Needs min(B) = 0, the low fringe below the low cut c, the high
-        fringe below the high cut d, and c + d <= M + 1 at every point: the
-        shape's three parts then fill their own ranges [0, c - 1],
-        [c, M - d] and [M - d + 1, M], so the sets are equal exactly when,
-        on each range, the mask counts >= t equals the shape's mask: the
-        low fringe, all of it, and the reflected high fringe."""
-        low, cut_low, high, cut_high = dec
-        low_mask = np.zeros(cut_low, dtype=bool)
-        low_mask[list(low)] = True
-        high_mask = np.zeros(cut_high, dtype=bool)
-        high_mask[[cut_high - 1 - x for x in high]] = True
-        for h in points:
-            got = self._counts(h) >= self._t
-            end = len(got) - cut_high
-            if not (
-                np.array_equal(got[:cut_low], low_mask)
-                and got[cut_low:end].all()
-                and np.array_equal(got[end:], high_mask)
-            ):
-                return h
-        return None
+        return int(np.count_nonzero(self.mask(h)))

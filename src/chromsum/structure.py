@@ -52,8 +52,9 @@ every i with a_i > L.  Along e_i, L grows by a_i, so the recursion ends,
 and a {0} color never needs a step.  cert(h) holds exactly when the
 pattern holds at every h' >= h: the certified vectors form an up-set.
 By 2, S_h is the pattern exactly when both have |C| + L + |D| members,
-so cert compares sizes; the empirical route's final box check compares
-the sets, as masks over [0, c - 1], [c, M - d] and [M - d + 1, M].
+so cert compares sizes; the empirical route's final box check and
+verify_structure compare the sets, as masks over [0, M]
+(repcount._shape_test, which a member outside [0, M] fails).
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ from .repcount import (
     _ZERO,
     _TFoldSets,
     _fewest_loads,
-    _tfold_members,
+    _shape_test,
+    _tfold_mask,
     _unbounded_fold,
 )
 
@@ -231,6 +233,21 @@ def _box_points(lo: HVec, margin: int):
     """The exponent vectors of the closed box [lo, lo + margin]."""
     for deltas in product(range(margin + 1), repeat=lo.q):
         yield HVec(tuple(c + d for c, d in zip(lo.coords, deltas)))
+
+
+def _result(dec, ht: HVec, strategy: str, margin: int) -> StructureResult:
+    """The structure result of the shape dec = (C, c, D, d) at the
+    threshold ht, over the box [ht, ht + margin]."""
+    low, cut_low, high, cut_high = dec
+    return StructureResult(
+        low_fringe=FiniteSet(low),
+        low_cut=cut_low,
+        high_fringe=FiniteSet(high),
+        high_cut=cut_high,
+        threshold=ht,
+        strategy=strategy,
+        verified_box=(ht, HVec(tuple(c + margin for c in ht.coords))),
+    )
 
 
 def _pattern_members(dec, m: int) -> tuple[int, ...]:
@@ -395,7 +412,7 @@ def _one_sided_threshold(st: SetTuple, t: int, sporadic: tuple[int, ...], cut: i
 
 def _constructive(st: SetTuple, t: int):
     """The limit constants (C, c, D, d) of the t-fold sets and the
-    constructive threshold vector."""
+    constructive threshold vector (see threshold_constructive)."""
     _require_normalized(st)
     _require_t(t)
     _require_nondegenerate(st, _ZERO, t)
@@ -412,13 +429,15 @@ def _constructive(st: SetTuple, t: int):
 
     ht = hvec_sup([h_low, h_high])
     # the two intervals must overlap: low side is solid up to M - gap_high,
-    # high side from gap_low on
-    bump = max(range(st.q), key=lambda i: maxima[i])
-    while gap_low + gap_high > ht.dot(maxima):
-        coords = list(ht.coords)
-        coords[bump] += 1
-        ht = HVec(tuple(coords))
-    return dec, ht
+    # high side from gap_low on; each step on the largest maximum adds a_star
+    bump = maxima.index(a_star)
+    short = gap_low + gap_high - ht.dot(maxima)
+    coords = list(ht.coords)
+    coords[bump] += max(0, -(-short // a_star))
+    if st.q == 1:
+        # the closed form is sufficient for a single set; never exceed it
+        coords[0] = min(coords[0], closed_form_threshold(st.sets[0], t))
+    return dec, HVec(tuple(coords))
 
 
 def threshold_constructive(st: SetTuple, t: int) -> HVec:
@@ -433,8 +452,9 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
     enumeration; at or above it they are witness_representations.  The
     high side mirrors this on the reflection; the result is the
     componentwise sup, enlarged minimally until the two solid intervals
-    meet.  structure_constants then proves the shape at it with the
-    certificate of the module docstring.
+    meet, and for a single set at most closed_form_threshold.
+    structure_constants then proves the shape at it with the certificate
+    of the module docstring.
     """
     return _constructive(st, t)[1]
 
@@ -543,7 +563,7 @@ def _stabilize(
     if ceiling is None:
         ceiling = _search_ceiling(st, t)
     dec = _limit_constants(st, B, t)
-    low, cut_low, high, cut_high = dec
+    _, cut_low, _, cut_high = dec
     sets = _TFoldSets(st, B, t)
     cert = _certifier(st, B, dec, sets)
 
@@ -563,21 +583,13 @@ def _stabilize(
                 break
             ht = cand
 
-    failed = sets.off_shape(_box_points(ht, margin), dec)
-    if failed is not None:
-        raise RuntimeError(
-            f"internal invariant: the certified shape fails at h={list(failed.coords)}"
-        )
-    top = HVec(tuple(c + margin for c in ht.coords))
-    return StructureResult(
-        low_fringe=FiniteSet(low),
-        low_cut=cut_low,
-        high_fringe=FiniteSet(high),
-        high_cut=cut_high,
-        threshold=ht,
-        strategy="empirical",
-        verified_box=(ht, top),
-    )
+    fits = _shape_test(dec)
+    for h in _box_points(ht, margin):
+        if not fits(sets.mask(h)):
+            raise RuntimeError(
+                f"internal invariant: the certified shape fails at h={list(h.coords)}"
+            )
+    return _result(dec, ht, "empirical", margin)
 
 
 def threshold_empirical(
@@ -610,7 +622,9 @@ def verify_structure_inhomogeneous(
     m = h.dot(st.maxima) + B.max
     if result.low_cut + result.high_cut > m:
         raise DomainError("malformed interval: the cuts overlap at this h")
-    return _tfold_members(st, h, B, t) == result.pattern_set(m).elements
+    dec = (result.low_fringe.elements, result.low_cut,
+           result.high_fringe.elements, result.high_cut)
+    return _shape_test(dec)(_tfold_mask(st, h, B, t))
 
 
 def structure_constants(
@@ -630,27 +644,14 @@ def structure_constants(
         raise DomainError(f"unknown strategy {strategy!r}")
 
     dec, ht = _constructive(st, t)
-    if st.q == 1:
-        # the closed form is sufficient for a single set; never exceed it
-        explicit = closed_form_threshold(st.sets[0], t)
-        ht = HVec((min(ht.coords[0], explicit),))
-    low, cut_low, high, cut_high = dec
-    if cut_low + cut_high > ht.dot(st.maxima):
+    if dec[1] + dec[3] > ht.dot(st.maxima):
         raise DomainError("malformed interval: the cuts overlap at this h")
     if not _certifier(st, _ZERO, dec, _TFoldSets(st, _ZERO, t))(ht):
         raise RuntimeError(
             f"internal invariant: the constructive threshold h={list(ht.coords)} "
             "is not certified"
         )
-    return StructureResult(
-        low_fringe=FiniteSet(low),
-        low_cut=cut_low,
-        high_fringe=FiniteSet(high),
-        high_cut=cut_high,
-        threshold=ht,
-        strategy="constructive",
-        verified_box=(ht, HVec(tuple(c + margin for c in ht.coords))),
-    )
+    return _result(dec, ht, "constructive", margin)
 
 
 def structure_constants_inhomogeneous(

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,6 +44,21 @@ class TestFiniteSet:
 
     def test_make_set_sorts_and_dedupes(self):
         assert make_set([3, 0, 3, 2]).elements == (0, 2, 3)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", True, np.float64(1.0), np.True_, None])
+    def test_only_integers_are_elements(self, bad):
+        # nothing is truncated or parsed: a non-integer names itself in the error
+        with pytest.raises(TypeError, match="expected an integer"):
+            make_set([0, bad])
+        with pytest.raises(TypeError, match="expected an integer"):
+            FiniteSet((bad,))
+        with pytest.raises(TypeError, match="expected an integer"):
+            HVec((1, bad))
+
+    def test_numpy_integers_are_integers(self):
+        A = make_set([np.int64(3), np.uint8(0)])
+        assert A.elements == (0, 3) and all(type(a) is int for a in A)
+        assert HVec((np.int32(2), 1)).coords == (2, 1)
 
     def test_make_set_empty(self):
         with pytest.raises(EmptySetError):

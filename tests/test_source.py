@@ -39,6 +39,12 @@ def _imports(module: str) -> set[str]:
 def test_layering():
     """structure.py reaches arrays only through repcount, which owns every
     numpy kernel and the dtype rules that keep them exact; and the fast
-    path shares no code with the brute-force oracle, its ground truth."""
-    pairs = [("structure", "numpy"), ("structure", "oracle"), ("repcount", "oracle")]
+    path, the command line included, shares no code with the brute-force
+    oracle, its ground truth."""
+    pairs = [
+        ("structure", "numpy"),
+        ("structure", "oracle"),
+        ("repcount", "oracle"),
+        ("cli", "oracle"),
+    ]
     assert [pair for pair in pairs if pair[1] in _imports(pair[0])] == []

@@ -25,7 +25,11 @@ from chromsum.oracle import (
     oracle_count_table,
     oracle_partitions,
 )
-from chromsum.repcount import _fewest_partitions, partition_count_table, tfold_set
+from chromsum.repcount import (
+    _fewest_partitions,
+    inhomogeneous_count_table,
+    partition_count_table,
+)
 from chromsum.structure import (
     ColoredRep,
     StructureResult,
@@ -361,10 +365,8 @@ class TestThresholds:
             assert got == want, sets
 
     def test_failed_box_is_an_internal_invariant(self, monkeypatch):
-        # the box check reports its first point as off the shape
-        monkeypatch.setattr(
-            structure._TFoldSets, "off_shape", lambda self, points, dec: next(points)
-        )
+        # the shape test reports every box point as off the shape
+        monkeypatch.setattr(structure, "_shape_test", lambda dec: lambda mask: False)
         with pytest.raises(RuntimeError, match="internal invariant"):
             threshold_empirical(A023, 1)
 
@@ -394,12 +396,80 @@ class TestThresholds:
                 continue
             want = next(
                 (h for h in structure._box_points(lo, 2)
-                 if structure._tfold_members(st, h, B, t)
+                 if inhomogeneous_count_table(st, h, B, cap=t).support_at_least(t).elements
                  != structure._pattern_members(dec, h.dot(st.maxima) + B.max)),
                 None,
             )
-            got = structure._TFoldSets(st, B, t).off_shape(structure._box_points(lo, 2), dec)
+            fits, sets = repcount._shape_test(dec), repcount._TFoldSets(st, B, t)
+            got = next(
+                (h for h in structure._box_points(lo, 2) if not fits(sets.mask(h))), None
+            )
             assert got == want, (st.sets, B.elements, t, dec, lo)
+
+    def test_verify_matches_the_set_definition(self):
+        # crafted results around the true shape: verify must answer exactly
+        # whether the pattern set equals the t-fold set of the count table
+        rng = random.Random(71)
+        kinds = ["none", "low_in_middle", "high_in_middle", "low_above_end",
+                 "negative_high", "low_cut_moved", "high_cut_moved"]
+        seen = {kind: [0, 0] for kind in kinds}
+        cases = 0
+        while cases < 600:
+            st = random_normalized_tuple(rng, q_max=2, size_max=3, elt_max=5)
+            B = make_set([0] + rng.sample(range(1, 3), rng.randint(0, 1)))
+            t = rng.randint(1, 3)
+            if structure._counts_are_bounded(st) and t > len(B):
+                continue
+            true = structure_constants_inhomogeneous(st, B, t, margin=1)
+            h = HVec(tuple(max(0, c + rng.randint(-1, 2)) for c in true.threshold.coords))
+            m = h.dot(st.maxima) + B.max
+            low, cut_low = set(true.low_fringe.elements), true.low_cut
+            high, cut_high = set(true.high_fringe.elements), true.high_cut
+            kind = rng.choice(kinds)
+            if kind == "low_in_middle" and cut_low <= m - cut_high:
+                low.add(rng.randint(cut_low, m - cut_high))
+            elif kind == "high_in_middle" and cut_high <= m - cut_low:
+                high.add(rng.randint(cut_high, m - cut_low))
+            elif kind == "low_above_end":
+                low.add(m + rng.randint(1, 3))
+            elif kind == "negative_high":
+                high.add(-rng.randint(1, 3))
+            elif kind == "low_cut_moved":
+                cut_low += rng.choice([-1, 1])
+            elif kind == "high_cut_moved":
+                cut_high += rng.choice([-1, 1])
+            result = StructureResult(
+                low_fringe=FiniteSet(tuple(sorted(low))), low_cut=cut_low,
+                high_fringe=FiniteSet(tuple(sorted(high))), high_cut=cut_high,
+                threshold=h, strategy="empirical", verified_box=(h, h),
+            )
+            if cut_low + cut_high > m:
+                with pytest.raises(DomainError):
+                    verify_structure_inhomogeneous(st, B, t, result, h)
+                continue
+            want = result.pattern_set(m) == inhomogeneous_count_table(
+                st, h, B, cap=t).support_at_least(t)
+            got = verify_structure_inhomogeneous(st, B, t, result, h)
+            assert got == want, (st.sets, B.elements, t, result, h)
+            seen[kind][want] += 1
+            cases += 1
+        # every kind of crafted result ran, and both answers are common
+        assert all(no + yes for no, yes in seen.values()), seen
+        assert min(map(sum, zip(*seen.values()))) >= 100, seen
+
+    def test_threshold_constructive_is_the_constructive_result(self):
+        rng = random.Random(89)
+        cases = singles = 0
+        while cases < 120:
+            st = random_normalized_tuple(rng, q_max=3, size_max=3, elt_max=5)
+            t = rng.randint(1, 3)
+            if structure._counts_are_bounded(st) and t > 1:
+                continue
+            res = structure_constants(st, t, strategy="constructive")
+            assert threshold_constructive(st, t) == res.threshold, (st.sets, t)
+            cases += 1
+            singles += st.q == 1
+        assert singles >= 20
 
     def test_zero_color_needs_no_exponent(self):
         plain = threshold_empirical(make_tuple([[0, 8], [0, 5]]), 3)
