@@ -6,9 +6,14 @@ success, 2 for malformed input, 3 for a domain refusal (degenerate
 alphabet, below-bound witness request, exhausted search), which arrives
 as a machine-readable error object on stderr.
 
-With ``--stdin`` the full request is read as one JSON object from
-standard input and individual flags override its fields.  Without it,
-``verify`` still reads the structure result to check from stdin.
+A request is a set of named fields.  ``_FIELDS`` gives each field its
+help text and the one parser that reads it, from flag text or from the
+JSON value of a ``--stdin`` request, and ``_COMMANDS`` gives each
+subcommand the fields it reads.  A subcommand has a flag for each of its
+fields and no other; a ``--stdin`` request may carry its fields,
+``command``, ``output`` and (for ``verify``) ``result``, and flags
+override its fields.  Without ``--stdin``, ``verify`` still reads the
+structure result to check from stdin.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .errors import ChromsumError
 from .intset import FiniteSet, HVec, SetTuple, make_set, make_tuple
@@ -45,7 +52,7 @@ def _loads(text: str, what: str):
         raise UsageError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _parse_sets(value) -> SetTuple:
+def _parse_sets(value, text: bool) -> SetTuple:
     if isinstance(value, str):
         value = _loads(value, "--sets")
     if not isinstance(value, list) or not all(isinstance(s, list) for s in value):
@@ -73,51 +80,78 @@ def _parse_ints(value, what: str) -> list[int]:
     return value
 
 
-def _parse_hvec(value, q: int) -> HVec:
+def _parse_hvec(value, text: bool) -> HVec:
     coords = _parse_ints(value, "--h")
-    if len(coords) != q:
-        raise UsageError(f"--h has {len(coords)} coordinates but the tuple has {q} colors")
     try:
         return HVec(tuple(coords))
     except (ChromsumError, ValueError) as exc:
         raise UsageError(f"bad exponent vector: {exc}") from exc
 
 
-def _parse_fset(value, what: str) -> FiniteSet:
+def _parse_B(value, text: bool) -> FiniteSet:
     try:
-        return make_set(_parse_ints(value, what))
+        return make_set(_parse_ints(value, "--B"))
     except (ChromsumError, ValueError) as exc:
-        raise UsageError(f"bad {what}: {exc}") from exc
+        raise UsageError(f"bad --B: {exc}") from exc
 
 
-def _positive(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise UsageError(f"{what} must be a positive integer")
-    return value
+def _integer(flag: str, positive: bool = False, strings: bool = False):
+    """The parser of an integer field: flag text is read with int(), a
+    JSON string only when strings is set (to_json writes n as one)."""
+    kind = "a positive integer" if positive else "an integer"
+
+    def parse(value, text: bool) -> int:
+        if isinstance(value, str) and (text or strings):
+            try:
+                value = int(value)
+            except ValueError:
+                pass  # refused below
+        if not isinstance(value, int) or isinstance(value, bool) or (positive and value < 1):
+            raise UsageError(f"{flag} must be {kind}")
+        return value
+
+    return parse
 
 
-class _Request:
-    """Merged view of stdin JSON fields and command-line flags."""
+def _choice(flag: str, *options: str):
+    def parse(value, text: bool) -> str:
+        if value not in options:
+            raise UsageError(f"{flag} must be " + " or ".join(map(repr, options)))
+        return value
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.body: dict = {}
-        if getattr(args, "stdin", False):
-            body = _read_stdin("request")
-            if not isinstance(body, dict):
-                raise UsageError("the request on stdin must be a JSON object")
-            if "command" in body and body["command"] != args.command:
-                raise UsageError(
-                    f"request command {body['command']!r} does not match "
-                    f"invoked command {args.command!r}"
-                )
-            self.body = body
+    return parse
 
-    def field(self, name: str, default=None):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        return self.body.get(name, default)
+
+class _Field(NamedTuple):
+    help: str
+    # (flag text or JSON value, whether it is flag text) -> parsed value
+    parse: Callable[[object, bool], object]
+    default: object = None
+
+
+_FIELDS = {
+    "sets": _Field('tuple of sets, e.g. "[[0,2,3],[0,1]]"', _parse_sets),
+    "h": _Field('exponent vector, e.g. "1,2" or "[1,2]"', _parse_hvec),
+    "t": _Field("representation threshold (default 1)", _integer("--t", positive=True), 1),
+    "B": _Field('translation set, e.g. "0,1" or "[0,1]"', _parse_B),
+    "strategy": _Field(
+        "computation route, constructive or empirical (default empirical)",
+        _choice("--strategy", "constructive", "empirical"),
+        "empirical",
+    ),
+    "margin": _Field(
+        f"verification box width per coordinate (default {DEFAULT_MARGIN})",
+        _integer("--margin", positive=True),
+        DEFAULT_MARGIN,
+    ),
+    "cap": _Field("saturate counts at this value", _integer("--cap", positive=True)),
+    "n": _Field("integer to represent", _integer("--n", strings=True)),
+    "output": _Field(
+        "report format, json or text (default json)",
+        _choice("--output", "json", "text"),
+        "json",
+    ),
+}
 
 
 def _read_stdin(what: str):
@@ -125,39 +159,6 @@ def _read_stdin(what: str):
     if not text.strip():
         raise UsageError(f"expected {what} JSON on stdin")
     return _loads(text, what)
-
-
-def _require(req: _Request, name: str, flag: str):
-    value = req.field(name)
-    if value is None:
-        raise UsageError(f"{flag} is required for this command")
-    return value
-
-
-def _tuple_of(req: _Request) -> SetTuple:
-    return _parse_sets(_require(req, "sets", "--sets"))
-
-
-def _t_of(req: _Request) -> int:
-    return _positive(req.field("t", 1), "--t")
-
-
-def _margin_of(req: _Request) -> int:
-    return _positive(req.field("margin", DEFAULT_MARGIN), "--margin")
-
-
-def _cap_of(req: _Request):
-    cap = req.field("cap")
-    if cap is None:
-        return None
-    return _positive(cap, "--cap")
-
-
-def _optional_B(req: _Request):
-    value = req.field("B")
-    if value is None:
-        return None
-    return _parse_fset(value, "--B")
 
 
 def _fmt_set(elements) -> str:
@@ -174,11 +175,10 @@ def _fmt_result(res: StructureResult) -> str:
     )
 
 
-def _cmd_counts(req: _Request):
-    st = _tuple_of(req)
-    h = _parse_hvec(_require(req, "h", "--h"), st.q)
+def _cmd_counts(req: dict):
     # the plain table is the translated one with B = {0}
-    table = inhomogeneous_count_table(st, h, _optional_B(req) or make_set([0]), cap=_cap_of(req))
+    B = req["B"] or make_set([0])
+    table = inhomogeneous_count_table(req["sets"], req["h"], B, cap=req["cap"])
     text = (
         f"offset={table.offset} cap={table.cap} "
         f"counts={' '.join(str(c) for c in table.counts)}"
@@ -186,49 +186,40 @@ def _cmd_counts(req: _Request):
     return table.to_json(), text
 
 
-def _cmd_sumset(req: _Request):
-    st = _tuple_of(req)
-    h = _parse_hvec(_require(req, "h", "--h"), st.q)
-    S = tfold_set(st, h, _t_of(req))
+def _cmd_sumset(req: dict):
+    S = tfold_set(req["sets"], req["h"], req["t"])
     return list(S.elements), _fmt_set(S.elements)
 
 
-def _cmd_structure(req: _Request):
-    st = _tuple_of(req)
-    strategy = req.field("strategy", "empirical")
-    if strategy not in ("constructive", "empirical"):
-        raise UsageError("--strategy must be 'constructive' or 'empirical'")
-    res = structure_constants(st, _t_of(req), strategy=strategy, margin=_margin_of(req))
+def _cmd_structure(req: dict):
+    res = structure_constants(req["sets"], req["t"], strategy=req["strategy"], margin=req["margin"])
     return res.to_json(), _fmt_result(res)
 
 
-def _cmd_threshold(req: _Request):
+def _cmd_threshold(req: dict):
     """The threshold fields of the structure result and its last text line."""
     full, text = _cmd_structure(req)
     payload = {key: full[key] for key in ("h_t", "verified_box", "strategy")}
     return payload, text.split("\n")[-1]
 
 
-def _cmd_verify(req: _Request):
-    st = _tuple_of(req)
-    t = _t_of(req)
-    if getattr(req.args, "stdin", False):
-        raw = req.body.get("result")
+def _cmd_verify(req: dict):
+    st, t = req["sets"], req["t"]
+    if req["body"] is None:
+        raw = _read_stdin("structure result")
+    else:
+        raw = req["body"].get("result")
         if raw is None:
             raise UsageError("the request on stdin must carry a 'result' object")
-    else:
-        raw = _read_stdin("structure result")
     try:
         result = StructureResult.from_json(raw)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     # the plain t-fold sets are the translated ones with B = {0}
-    B = _optional_B(req) or make_set([0])
-    h_field = req.field("h")
-    base = _parse_hvec(h_field, st.q) if h_field is not None else result.threshold
+    B = req["B"] or make_set([0])
     rows = []
     all_ok = True
-    for h in _box_points(base, _margin_of(req)):
+    for h in _box_points(req["h"] or result.threshold, req["margin"]):
         ok = verify_structure_inhomogeneous(st, B, t, result, h)
         rows.append({"h": list(h.coords), "ok": ok})
         all_ok = all_ok and ok
@@ -243,26 +234,13 @@ def _cmd_verify(req: _Request):
     return payload, "\n".join(lines)
 
 
-def _cmd_inhom(req: _Request):
-    st = _tuple_of(req)
-    B = _parse_fset(_require(req, "B", "--B"), "--B")
-    res = structure_constants_inhomogeneous(st, B, _t_of(req), margin=_margin_of(req))
+def _cmd_inhom(req: dict):
+    res = structure_constants_inhomogeneous(req["sets"], req["B"], req["t"], margin=req["margin"])
     return res.to_json(), _fmt_result(res)
 
 
-def _cmd_witness(req: _Request):
-    st = _tuple_of(req)
-    n = req.field("n")
-    if n is None:
-        raise UsageError("--n is required for this command")
-    if isinstance(n, str):
-        try:
-            n = int(n)
-        except ValueError as exc:
-            raise UsageError("--n must be an integer") from exc
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise UsageError("--n must be an integer")
-    ws = witness_representations(st, n, _t_of(req))
+def _cmd_witness(req: dict):
+    ws = witness_representations(req["sets"], req["n"], req["t"])
     lines = [f"n={ws.n}"]
     for idx, rep in enumerate(ws.reps, start=1):
         parts = " + ".join(f"{m}*{a}(color {c})" for c, a, m in rep.entries) or "0"
@@ -270,10 +248,8 @@ def _cmd_witness(req: _Request):
     return ws.to_json(), "\n".join(lines)
 
 
-def _cmd_lemmas(req: _Request):
-    st = _tuple_of(req)
-    h = _parse_hvec(_require(req, "h", "--h"), st.q)
-    checks = run_all(st, h, t=_t_of(req), B=_optional_B(req))
+def _cmd_lemmas(req: dict):
+    checks = run_all(req["sets"], req["h"], t=req["t"], B=req["B"])
     payload = {
         "checks": [c.to_json() for c in checks],
         "all_ok": all(c.ok for c in checks),
@@ -285,16 +261,69 @@ def _cmd_lemmas(req: _Request):
     return payload, "\n".join(lines)
 
 
+class _Command(NamedTuple):
+    run: Callable[[dict], tuple]
+    help: str
+    needs: tuple[str, ...]  # required fields
+    takes: tuple[str, ...] = ()  # optional fields
+    stdin_keys: tuple[str, ...] = ()  # further keys a --stdin request may carry
+
+
 _COMMANDS = {
-    "counts": _cmd_counts,
-    "sumset": _cmd_sumset,
-    "structure": _cmd_structure,
-    "threshold": _cmd_threshold,
-    "verify": _cmd_verify,
-    "inhom": _cmd_inhom,
-    "witness": _cmd_witness,
-    "lemmas": _cmd_lemmas,
+    "counts": _Command(_cmd_counts, "count table of the colored sumset",
+        ("sets", "h"), ("B", "cap")),
+    "sumset": _Command(_cmd_sumset, "members with at least t representations",
+        ("sets", "h"), ("t",)),
+    "structure": _Command(_cmd_structure, "fringe constants, cuts, and threshold vector",
+        ("sets",), ("t", "strategy", "margin")),
+    "threshold": _Command(_cmd_threshold, "threshold vector and its verification box",
+        ("sets",), ("t", "strategy", "margin")),
+    "verify": _Command(_cmd_verify, "check a structure result (JSON on stdin) over an exponent box",
+        ("sets",), ("t", "h", "B", "margin"), ("result",)),
+    "inhom": _Command(_cmd_inhom, "structure constants of the translated form",
+        ("sets", "B"), ("t", "margin")),
+    "witness": _Command(_cmd_witness, "explicit t distinct representations of n",
+        ("sets", "n"), ("t",)),
+    "lemmas": _Command(_cmd_lemmas, "run the self-check suite on one instance",
+        ("sets", "h"), ("t", "B")),
 }
+
+
+def _request(args: argparse.Namespace, cmd: _Command) -> dict:
+    """Each field of the command, read by its parser from the flag or else
+    from the --stdin request, and that request as "body" (None without
+    --stdin).  An absent field takes its default; a null one counts as
+    absent only where that default is None."""
+    names = cmd.needs + cmd.takes + ("output",)
+    body = None
+    if args.stdin:
+        body = _read_stdin("request")
+        if not isinstance(body, dict):
+            raise UsageError("the request on stdin must be a JSON object")
+        if "command" in body and body["command"] != args.command:
+            raise UsageError(
+                f"request command {body['command']!r} does not match "
+                f"invoked command {args.command!r}"
+            )
+        unknown = sorted(set(body) - {*names, *cmd.stdin_keys, "command"})
+        if unknown:
+            raise UsageError(
+                f"{args.command} takes no field {', '.join(map(repr, unknown))} "
+                f"(its fields: {', '.join(names)})"
+            )
+    req = {"body": body}
+    for name in names:
+        field, flag = _FIELDS[name], getattr(args, name)
+        value = (body or {}).get(name, field.default) if flag is None else flag
+        if value is None and name in cmd.needs:
+            raise UsageError(f"--{name} is required for this command")
+        if value is not None or field.default is not None:
+            value = field.parse(value, flag is not None)
+        req[name] = value
+    h, q = req.get("h"), req["sets"].q
+    if h is not None and h.q != q:
+        raise UsageError(f"--h has {h.q} coordinates but the tuple has {q} colors")
+    return req
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,52 +332,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Colored sumset counting and eventual-structure computation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *, h=False, B=False, strategy=False,
-            cap=False, n=False) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--sets", help='tuple of sets, e.g. "[[0,2,3],[0,1]]"')
-        if h:
-            p.add_argument("--h", help='exponent vector, e.g. "1,2" or "[1,2]"')
-        p.add_argument("--t", type=int, help="representation threshold (default 1)")
-        if B:
-            p.add_argument("--B", help='translation set, e.g. "0,1" or "[0,1]"')
-        if strategy:
-            p.add_argument("--strategy", choices=["constructive", "empirical"],
-                           help="computation route (default empirical)")
-        p.add_argument("--margin", type=int,
-                       help="verification box width per coordinate (default 3)")
-        if cap:
-            p.add_argument("--cap", type=int, help="saturate counts at this value")
-        if n:
-            p.add_argument("--n", type=int, help="integer to represent")
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for field in cmd.needs + cmd.takes + ("output",):
+            p.add_argument(f"--{field}", help=_FIELDS[field].help)
         p.add_argument("--stdin", action="store_true",
                        help="read a request JSON object from standard input; "
                             "flags override its fields")
-        p.add_argument("--output", choices=["json", "text"],
-                       help="report format (default json)")
-        return p
-
-    add("counts", "count table of the colored sumset", h=True, B=True, cap=True)
-    add("sumset", "members with at least t representations", h=True)
-    add("structure", "fringe constants, cuts, and threshold vector", strategy=True)
-    add("threshold", "threshold vector and its verification box", strategy=True)
-    add("verify", "check a structure result over an exponent box "
-        "(result JSON on stdin)", h=True, B=True)
-    add("inhom", "structure constants of the translated form", B=True)
-    add("witness", "explicit t distinct representations of n", n=True)
-    add("lemmas", "run the self-check suite on one instance", h=True, B=True)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cmd = _COMMANDS[args.command]
     try:
-        req = _Request(args)
-        output = req.field("output", "json")
-        if output not in ("json", "text"):
-            raise UsageError("--output must be 'json' or 'text'")
-        payload, text = _COMMANDS[args.command](req)
+        req = _request(args, cmd)
+        payload, text = cmd.run(req)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -359,10 +358,7 @@ def main(argv=None) -> int:
         )
         sys.stderr.write("\n")
         return 3
-    if output == "text":
-        print(text)
-    else:
-        print(json.dumps(payload, indent=2))
+    print(text if req["output"] == "text" else json.dumps(payload, indent=2))
     return 0
 
 

@@ -59,6 +59,15 @@ def _ints(values: Iterable) -> tuple[int, ...]:
     return tuple(map(operator.index, values))
 
 
+def _int(value, decimal: bool = False) -> int:
+    """value as a Python int, with the checks of _ints; with decimal a
+    string is read as a decimal integer too (to_json writes counts,
+    multiplicities and n as strings)."""
+    if decimal and isinstance(value, str):
+        return int(value)
+    return _ints((value,))[0]
+
+
 @dataclass(frozen=True)
 class FiniteSet:
     """Immutable finite set of integers, stored strictly increasing."""

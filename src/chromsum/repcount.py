@@ -73,7 +73,7 @@ from .errors import (
     EmptySetError,
     NotNormalizedError,
 )
-from .intset import FiniteSet, HVec, SetTuple
+from .intset import FiniteSet, HVec, SetTuple, _int, _ints
 
 __all__ = [
     "CountTable",
@@ -106,18 +106,20 @@ class CountTable:
     cap: int | None = None
 
     def __post_init__(self):
-        if self.cap is not None and self.cap < 1:
+        cap = None if self.cap is None else _int(self.cap)
+        if cap is not None and cap < 1:
             raise ValueError("cap must be a positive integer")
-        counts = np.asarray(self.counts)
-        if counts.ndim != 1 or counts.dtype.kind not in "iu":
-            # big ints, or entries that are not ints yet
-            counts = np.array([int(c) for c in self.counts], dtype=object)
+        counts = self.counts
+        if not (isinstance(counts, np.ndarray) and counts.ndim == 1 and counts.dtype.kind in "iu"):
+            # Python ints, or an object array of them; a float or bool raises
+            counts = np.array(_ints(counts), dtype=object)
         if counts.size and counts.min() < 0:
             raise ValueError("counts must be nonnegative")
-        if counts.size and self.cap is not None and counts.max() > self.cap:
+        if counts.size and cap is not None and counts.max() > cap:
             raise ValueError("counts exceed the declared cap")
         object.__setattr__(self, "counts", tuple(counts.tolist()))
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", _int(self.offset))
+        object.__setattr__(self, "cap", cap)
 
     @property
     def end(self) -> int:
@@ -162,13 +164,10 @@ class CountTable:
         if not isinstance(obj, dict):
             raise ValueError("expected a count table object")
         try:
-            offset = int(obj["offset"])
-            cap = obj.get("cap")
-            cap = None if cap is None else int(cap)
-            counts = tuple(int(c) for c in obj["counts"])
+            counts = tuple(_int(c, decimal=True) for c in obj["counts"])
+            return cls(offset=obj["offset"], counts=counts, cap=obj.get("cap"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed count table: {exc}") from exc
-        return cls(offset=offset, counts=counts, cap=cap)
 
 
 def _validate_cap(cap):

@@ -18,11 +18,10 @@ exponent vector past which the shape holds, by two routes:
   box above the vector is checked once more before returning.
 
 * constructive: the same limit constants (B = {0}), and a threshold
-  vector from explicit witness representations: below the certified
-  bound, the t colored partitions of each target with fewest parts, from
-  one enumeration over all of a side's targets (repcount); at or above
-  it, the residue-window construction.  The certificate below then
-  proves the shape at that vector, and so at every larger one.
+  vector from explicit witness representations: the t colored
+  partitions of each target with fewest parts, from one enumeration over
+  all of a side's targets (repcount).  The certificate below then proves
+  the shape at that vector, and so at every larger one.
 
 The certificate.  Write S_h for the t-fold set of h.A + B, a_i for
 max(A_i) and M = M(h) = sum_i h_i a_i + max(B) for its right endpoint.
@@ -70,7 +69,7 @@ from .errors import (
     NotNormalizedError,
     SearchExhaustedError,
 )
-from .intset import FiniteSet, HVec, SetTuple, hvec_add_unit, hvec_leq, hvec_sup
+from .intset import FiniteSet, HVec, SetTuple, _int, hvec_add_unit, hvec_leq, hvec_sup
 from .repcount import (
     _ZERO,
     _TFoldSets,
@@ -145,15 +144,15 @@ class StructureResult:
             raise ValueError("expected a structure result object")
         try:
             return cls(
-                low_fringe=FiniteSet(tuple(sorted(int(x) for x in obj["C"]))),
-                low_cut=int(obj["c"]),
-                high_fringe=FiniteSet(tuple(sorted(int(x) for x in obj["D"]))),
-                high_cut=int(obj["d"]),
-                threshold=HVec(tuple(int(x) for x in obj["h_t"])),
+                low_fringe=FiniteSet(tuple(sorted(obj["C"]))),
+                low_cut=_int(obj["c"]),
+                high_fringe=FiniteSet(tuple(sorted(obj["D"]))),
+                high_cut=_int(obj["d"]),
+                threshold=HVec(tuple(obj["h_t"])),
                 strategy=str(obj["strategy"]),
                 verified_box=(
-                    HVec(tuple(int(x) for x in obj["verified_box"][0])),
-                    HVec(tuple(int(x) for x in obj["verified_box"][1])),
+                    HVec(tuple(obj["verified_box"][0])),
+                    HVec(tuple(obj["verified_box"][1])),
                 ),
             )
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -189,12 +188,15 @@ class ColoredRep:
 
     @classmethod
     def from_json(cls, rows: list) -> "ColoredRep":
-        entries = tuple(
-            sorted(
-                (int(r["color"]), int(r["element"]), int(r["multiplicity"]))
-                for r in rows
+        try:
+            entries = tuple(
+                sorted(
+                    (_int(r["color"]), _int(r["element"]), _int(r["multiplicity"], decimal=True))
+                    for r in rows
+                )
             )
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed colored representation: {exc}") from exc
         return cls(entries=entries)
 
 
@@ -212,7 +214,7 @@ class WitnessSet:
     def from_json(cls, obj: dict) -> "WitnessSet":
         try:
             return cls(
-                n=int(obj["n"]),
+                n=_int(obj["n"], decimal=True),
                 reps=tuple(ColoredRep.from_json(rows) for rows in obj["reps"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -339,9 +341,7 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
     """
     _require_normalized(st)
     _require_t(t)
-    flat = _flat_nonzero(st)
-    if len(flat) == 1 and t >= 2:
-        # a single nonzero element with gcd 1 is the element 1
+    if t >= 2 and _counts_are_bounded(st):
         raise DegenerateAlphabetError(
             "only one nonzero element: distinct representations cannot exist"
         )
@@ -351,6 +351,7 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
             f"n={n} is below the certified bound {bound}; the construction "
             "could produce a negative coefficient"
         )
+    flat = _flat_nonzero(st)
     a_star = max(a for _, a in flat)
     dist = max(idx for idx, (_, a) in enumerate(flat) if a == a_star)
 
@@ -396,18 +397,20 @@ def _one_sided_threshold(st: SetTuple, t: int, sporadic: tuple[int, ...], cut: i
     """Per-color part counts sufficient for t distinct colored
     representations of every target (the sporadic set plus one full
     window [cut, cut + a - 1]): the fewest-part partitions over the
-    sorted nonzero (element, color) parts below the certified bound, the
-    residue-window construction at or above it."""
+    sorted nonzero (element, color) parts.
+
+    Every target lies below certified_rep_bound k(ta - 1)a, where the
+    residue-window construction of witness_representations starts, so
+    that construction is never needed.  It already gives t distinct
+    partitions of every n >= (k - 1)(ta - 1)a: its coefficients on the k - 1
+    parts other than one copy of a are below ta, and the rest of n is a
+    nonnegative multiple of a.  So cut <= (k - 1)(ta - 1)a, and the top
+    target cut + a - 1 is below k(ta - 1)a whenever ta >= 2; when ta = 1
+    the only target is n = 0, whose one partition is empty."""
     a_star = max(st.maxima)
-    bound = certified_rep_bound(st, t)
     flat = sorted((a, i) for i, A in enumerate(st.sets) for a in A.elements if a)
     targets = list(sporadic) + list(range(cut, cut + a_star))
-    below = [n for n in targets if n < bound]
-    loads = _fewest_loads([a for a, _ in flat], [i for _, i in flat], st.q, below, t)
-    for n in targets[len(below) :]:
-        reps = witness_representations(st, n, t).reps
-        loads = [max(load, *(rep.color_load(i) for rep in reps)) for i, load in enumerate(loads)]
-    return HVec(tuple(loads))
+    return HVec(tuple(_fewest_loads([a for a, _ in flat], [i for _, i in flat], st.q, targets, t)))
 
 
 def _constructive(st: SetTuple, t: int):
@@ -447,10 +450,9 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
     The low side's vector holds, per color, the most parts of that color
     in the witnesses of its targets: the low fringe and one window of
     max(A) integers from the low cut on, so that the middle interval can
-    chain upward.  Below the certified bound the witnesses are each
-    target's t colored partitions with fewest parts, all targets in one
-    enumeration; at or above it they are witness_representations.  The
-    high side mirrors this on the reflection; the result is the
+    chain upward.  The witnesses are each target's t colored partitions
+    with fewest parts, all targets in one enumeration.  The high side
+    mirrors this on the reflection; the result is the
     componentwise sup, enlarged minimally until the two solid intervals
     meet, and for a single set at most closed_form_threshold.
     structure_constants then proves the shape at it with the certificate
@@ -507,11 +509,9 @@ def _limit_constants(st: SetTuple, B: FiniteSet, t: int):
 
 def _counts_are_bounded(st: SetTuple) -> bool:
     """True when colored counts stay at most 1 for every exponent vector:
-    at most one color has a second element (after normalization that
-    element is then 1)."""
-    return sum(1 for A in st.sets if len(A) >= 2) <= 1 and all(
-        len(A) <= 2 for A in st.sets
-    )
+    on a normalized tuple, exactly when a single (color, element) pair is
+    nonzero (that element is then 1)."""
+    return len(_flat_nonzero(st)) == 1
 
 
 def _require_nondegenerate(st: SetTuple, B: FiniteSet, t: int) -> None:

@@ -1,10 +1,12 @@
 """The README's command-line examples, run as written."""
 
 import json
+import re
 import shlex
 from itertools import takewhile
 from pathlib import Path
 
+from chromsum import cli
 from test_cli import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -42,3 +44,13 @@ def test_structure_verify_pipeline():
     assert payload["all_ok"] is True
     assert [row["h"] for row in payload["results"]] == [[4], [5], [6], [7]]
     assert all(row["ok"] for row in payload["results"])
+
+
+def test_command_fields_match_the_parser():
+    """The README's field list per command is the parser's."""
+    rows = re.findall(r"^\| `(\w+)` +\| `([^`]*)` +\|", README.read_text(), re.M)
+    listed = {name: fields.split() for name, fields in rows}
+    assert listed == {
+        name: [f"--{f}" for f in cmd.needs] + [f"[--{f}]" for f in cmd.takes]
+        for name, cmd in cli._COMMANDS.items()
+    }

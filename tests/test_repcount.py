@@ -231,6 +231,12 @@ class TestCountTable:
         with pytest.raises(ValueError):
             CountTable(offset=0, counts=(1,), cap=0)
 
+    def test_rejects_non_integers(self):
+        for counts, offset, cap in (((1.5, 2), 0, None), ((True, 2), 0, None),
+                                    ((1, 2), 0.5, None), ((1, 2), 0, 2.5)):
+            with pytest.raises(TypeError, match="expected an integer"):
+                CountTable(offset=offset, counts=counts, cap=cap)
+
     def test_json_roundtrip(self):
         table = multiset_count_table(make_set([0, 2, 3]), 2, cap=3)
         obj = table.to_json()
@@ -242,6 +248,14 @@ class TestCountTable:
             CountTable.from_json({"offset": 0})
         with pytest.raises(ValueError):
             CountTable.from_json({"offset": 0, "cap": None, "counts": ["x"]})
+
+    def test_json_refuses_non_integers(self):
+        obj = {"offset": 0, "cap": None, "counts": ["1", 2]}
+        assert CountTable.from_json(obj).counts == (1, 2)
+        for key, value in (("counts", [1.5]), ("counts", [True]), ("counts", ["1.5"]),
+                           ("offset", 0.5), ("cap", 2.0)):
+            with pytest.raises(ValueError):
+                CountTable.from_json(dict(obj, **{key: value}))
 
     def test_big_counts_survive_json(self):
         table = multiset_count_table(make_set(range(10)), 40)

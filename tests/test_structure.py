@@ -207,6 +207,20 @@ class TestWitnesses:
                    for rep in obj["reps"] for row in rep)
         assert WitnessSet.from_json(obj) == ws
 
+    def test_witness_json_refuses_non_integers(self):
+        obj = witness_representations(make_tuple([[0, 2], [0, 3]]), 30, 2).to_json()
+        for n in (30.0, 30.5, True):
+            with pytest.raises(ValueError, match="expected an integer"):
+                WitnessSet.from_json(dict(obj, n=n))
+
+    def test_colored_rep_json_refuses_non_integers(self):
+        row = {"color": 0, "element": 3, "multiplicity": "10"}
+        assert ColoredRep.from_json([row]) == ColoredRep(entries=((0, 3, 10),))
+        for key, value in (("color", 0.0), ("element", 2.5), ("element", True),
+                           ("multiplicity", 10.0), ("multiplicity", "2.5")):
+            with pytest.raises(ValueError):
+                ColoredRep.from_json([dict(row, **{key: value})])
+
 
 def _fewest(parts, n, t):
     """The selected multiplicity rows of n, as non-decreasing index tuples."""
@@ -595,6 +609,13 @@ class TestStructureConstants:
             StructureResult.from_json({"C": []})
         with pytest.raises(ValueError):
             StructureResult.from_json([1, 2])
+
+    def test_result_json_refuses_non_integers(self):
+        obj = structure_constants(A023, 2, strategy="empirical").to_json()
+        for key, value in (("C", [2.5]), ("c", 8.9), ("d", True), ("h_t", [4.7]),
+                           ("verified_box", [[4], [7.0]]), ("c", "8")):
+            with pytest.raises(ValueError, match="expected an integer"):
+                StructureResult.from_json(dict(obj, **{key: value}))
 
     def test_pattern_set(self):
         res = structure_constants(A023, 1, strategy="empirical")
