@@ -32,9 +32,9 @@ from .structure import (
     DEFAULT_MARGIN,
     StructureResult,
     _box_points,
+    _verify_box,
     structure_constants,
     structure_constants_inhomogeneous,
-    verify_structure_inhomogeneous,
     witness_representations,
 )
 
@@ -217,20 +217,17 @@ def _cmd_verify(req: dict):
         raise UsageError(str(exc)) from exc
     # the plain t-fold sets are the translated ones with B = {0}
     B = req["B"] or make_set([0])
-    rows = []
-    all_ok = True
-    for h in _box_points(req["h"] or result.threshold, req["margin"]):
-        ok = verify_structure_inhomogeneous(st, B, t, result, h)
-        rows.append({"h": list(h.coords), "ok": ok})
-        all_ok = all_ok and ok
+    lo, margin = req["h"] or result.threshold, req["margin"]
+    oks = _verify_box(st, B, t, result, lo, margin)
+    rows = [{"h": list(h.coords), "ok": ok} for h, ok in zip(_box_points(lo, margin), oks)]
     payload = {
         "t": t,
         "h_t": list(result.threshold.coords),
         "results": rows,
-        "all_ok": all_ok,
+        "all_ok": all(oks),
     }
     lines = [f"h={r['h']} {'ok' if r['ok'] else 'MISMATCH'}" for r in rows]
-    lines.append("all ok" if all_ok else "MISMATCH found")
+    lines.append("all ok" if payload["all_ok"] else "MISMATCH found")
     return payload, "\n".join(lines)
 
 
@@ -330,10 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chromsum",
         description="Colored sumset counting and eventual-structure computation.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
+        p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
         for field in cmd.needs + cmd.takes + ("output",):
             p.add_argument(f"--{field}", help=_FIELDS[field].help)
         p.add_argument("--stdin", action="store_true",

@@ -39,6 +39,27 @@ table at fixed h takes the h-th row; the structure search keeps each
 color's stream and the rows it produced, so moving one exponent by one
 costs one row.
 
+The margin box.  The structure search's final check and verify test
+the t-fold set at every point of a box [lo, lo + margin], (margin + 1)^q
+points, with one fold (_box_fits): B's indicator is convolved with each
+color's block of rows lo_i, ..., lo_i + margin in turn, every block
+zero-padded to its longest row, so the accumulator holds one row per
+box point so far, and the box holds (margin + 1)^q * (M + 1) cells, M
+the right endpoint of the top corner (a box of more than _BOX_CELLS
+cells is folded one slab at a time).  Zeros past a row's end change no
+product.  Within one color's step, the operand with the longer rows
+(length L) is laid out as one array, its rows end to end with s - 1
+zeros between them, s the other operand's row length; np.convolve of
+that array with one row of the other operand gives all its products at
+once.  An output entry sums s consecutive entries of the array times
+the row, and no s consecutive entries reach two rows that s - 1 zeros
+separate, so each entry is one pair's convolution with the same
+partial sums: clipped as before, and under the bound of the count table
+at the box's top corner (_bound), which holds at every point below it.
+The gaps cost at most (L + s - 1) / L <= 2 times the useful work.  A
+one-point box, like a count table, is one unpadded np.convolve per
+color.
+
 Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
 clipping the running sums is the same as clipping after every addition.
@@ -90,6 +111,9 @@ _ZERO = FiniteSet((0,))
 # _fewest_partitions caps its suffix counts here and holds at most this
 # many partitions at once, unless one target alone has more
 _GROUP_CAP = 1 << 16
+
+# _box_fits folds a box of more cells than this one slab at a time
+_BOX_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -202,13 +226,17 @@ def _multiset_rows(elements: tuple[int, ...], dtype, cap: int | None) -> Iterato
 
     The state is f(j, m, .) for every prefix j, of length m * a_j + 1;
     f(j, m+1, .) adds f(j, m, .) shifted by a_j to f(j-1, m+1, .), in
-    m-major order."""
+    m-major order.  An element 0 can only come first, and its prefix's
+    rows are all [1], so they are never recomputed."""
     prefix = [np.ones(1, dtype=dtype)] * len(elements)
     while True:
         yield prefix[-1]
         below = None
         for j, a in enumerate(elements):
             row = prefix[j]
+            if a == 0:
+                below = row
+                continue
             cur = np.zeros(len(row) + a, dtype=dtype)
             if below is not None:
                 cur[: len(below)] = below
@@ -225,14 +253,53 @@ def _indicator(B: FiniteSet, dtype) -> np.ndarray:
     return out
 
 
-def _fold(acc: np.ndarray, rows: Iterable[np.ndarray], cap: int | None) -> np.ndarray:
-    """Convolve the rows into acc at acc's dtype, clipped at cap when one
-    is set."""
-    for row in rows:
-        acc = np.convolve(acc, row)
+def _fold(acc: np.ndarray, blocks: Iterable[np.ndarray], cap: int | None) -> np.ndarray:
+    """Convolve every row of acc, a 2-D array, with every row of each
+    2-D block in turn, at acc's dtype, clipped at cap when one is set.
+    Row p * len(block) + r of the result is row p of acc times row r of
+    the block: the last block's row varies fastest.
+
+    The operand with the longer rows is laid out as one array, its rows
+    end to end with (shorter row length - 1) zeros between them, and one
+    np.convolve per row of the other operand gives all its products (see
+    the module docstring).  One row on each side is one unpadded
+    np.convolve, without the packing: on the search's short rows the
+    stacking and reshapes cost about as much as the convolution, and the
+    search's size folds one row per color hundreds of times a request."""
+    for block in blocks:
+        if len(acc) == len(block) == 1:
+            acc = np.convolve(acc[0], block[0])[None]
+        else:
+            flip = block.shape[1] > acc.shape[1]
+            long, short = (block, acc) if flip else (acc, block)
+            span = acc.shape[1] + block.shape[1] - 1
+            line = long[0]
+            if len(long) > 1:
+                line = np.zeros((len(long), span), dtype=long.dtype)
+                line[:, : long.shape[1]] = long
+                line = line.ravel()[: line.size - short.shape[1] + 1]
+            out = np.stack([np.convolve(line, row) for row in short])
+            out = out.reshape(len(short), len(long), span)
+            acc = (out if flip else out.transpose(1, 0, 2)).reshape(-1, span)
         if cap is not None:
             np.minimum(acc, cap, out=acc)
     return acc
+
+
+def _bound(
+    colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | None
+) -> tuple[int, int | None]:
+    """A bound on every intermediate value of the counts of sum_i (h_i-multiset
+    of A_i) + one element of B, clipped at cap, and the cap that can still
+    clip them: None when no count exceeds it.  The bound holds at every
+    smaller h too."""
+    bound = len(B) * math.prod(math.comb(len(A) + h - 1, h) for A, h in colors)
+    if cap is not None and cap >= bound:
+        return bound, None
+    if cap is not None:
+        length = sum(h * A.max for A, h in colors) + B.max - B.min + 1
+        bound = min(bound, _capped_bound(length, cap))
+    return bound, cap
 
 
 def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | None) -> np.ndarray:
@@ -246,18 +313,13 @@ def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | No
             raise NotNormalizedError("multiset counting requires min(A) = 0")
         if h < 0:
             raise DomainError("repetition count must be nonnegative")
-    bound = len(B) * math.prod(math.comb(len(A) + h - 1, h) for A, h in colors)
-    if cap is not None and cap >= bound:
-        cap = None  # no count reaches it
-    if cap is not None:
-        length = sum(h * A.max for A, h in colors) + B.max - B.min + 1
-        bound = min(bound, _capped_bound(length, cap))
+    bound, cap = _bound(colors, B, cap)
     dtype = _dtype(bound)
     rows = (
-        next(islice(_multiset_rows(A.elements, dtype, cap), h if A.max else 0, None))
+        next(islice(_multiset_rows(A.elements, dtype, cap), h if A.max else 0, None))[None]
         for A, h in colors
     )
-    return _fold(_indicator(B, dtype), rows, cap)
+    return _fold(_indicator(B, dtype)[None], rows, cap)[0]
 
 
 def multiset_count_table(A: FiniteSet, h: int, cap: int | None = None) -> CountTable:
@@ -285,44 +347,104 @@ def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> Coun
     return CountTable(offset=0, counts=_counts(_colors(st, h), _ZERO, cap), cap=cap)
 
 
-def _tfold_mask(st: SetTuple, h: HVec, B: FiniteSet, t: int) -> np.ndarray:
-    """Which n = min(B) + i have at least t representations in h.A + B,
-    from one capped fold that keeps no rows."""
-    return _counts(_colors(st, h), B, t) >= t
-
-
 def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
     """The set of integers with at least t colored representations."""
     if t < 1:
         raise DomainError("t must be a positive integer")
-    return FiniteSet(tuple(np.flatnonzero(_tfold_mask(st, h, _ZERO, t)).tolist()))
+    counts = _counts(_colors(st, h), _ZERO, t)
+    return FiniteSet(tuple(np.flatnonzero(counts >= t).tolist()))
 
 
-def _shape_test(dec) -> Callable[[np.ndarray], bool]:
-    """The test whether a boolean mask over [0, M], M = len(mask) - 1,
-    marks exactly the shape dec = (low fringe, low cut, high fringe, high
-    cut): the union of the low fringe, [low cut, M - high cut] and M minus
-    the high fringe.  A member of the shape outside [0, M] fails it."""
+def _shape_test(dec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The test whether row p of a 2-D boolean mask marks exactly the
+    shape dec = (low fringe, low cut, high fringe, high cut) at the right
+    endpoint M = ends[p]: the union of the low fringe, [low cut, M - high
+    cut] and M minus the high fringe.  Column n of the mask is the
+    integer n, and no row may mark a column past its own M.  A member of
+    the shape outside [0, M] fails its row.  The test returns one boolean
+    per row."""
     low, cut_low, high, cut_high = dec
     top = max((*low, *high), default=-1)
     if min((*low, *high), default=0) < 0 or top >= 1 << 62:
-        return lambda mask: False  # a member below 0, or past any mask's end
+        # a member below 0, or past any mask's end
+        return lambda mask, ends: np.zeros(len(ends), dtype=bool)
     low_at, high_at = np.array(low, dtype=np.int64), np.array(high, dtype=np.int64)
 
-    def fits(mask: np.ndarray) -> bool:
-        end = len(mask) - 1
-        stop = end - cut_high + 1
-        # a fringe member past M, or a nonempty middle reaching below 0 or past M
-        if top > end or (cut_low < stop and min(cut_low, cut_high) < 0):
-            return False
-        want = np.zeros(len(mask), dtype=bool)
-        want[low_at] = True
-        if cut_low < stop:
-            want[cut_low:stop] = True
-        want[end - high_at] = True
-        return bool(np.array_equal(mask, want))
+    def fits(mask: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        rows, width = mask.shape
+        if top >= width:
+            return np.zeros(rows, dtype=bool)  # a fringe member past every M
+        # no fringe member past M; where one is, M - (high member) is a
+        # negative index, which marks a column of a row that fails anyway
+        ok = ends >= top
+        # (the cuts are clamped to at most width and their sum to [-1,
+        # width], which keeps every comparison inside int64 and changes
+        # none of them)
+        if min(cut_low, cut_high) < 0:
+            # a nonempty middle, cut_low + cut_high <= M, reaches below 0 or past M
+            ok &= ends < min(max(cut_low + cut_high, -1), width)
+            want = np.zeros(mask.shape, dtype=bool)
+        else:
+            cols = np.arange(width)
+            want = (cols >= min(cut_low, width)) & (cols <= ends[:, None] - min(cut_high, width))
+        want[:, low_at] = True
+        want[np.arange(rows)[:, None], ends[:, None] - high_at] = True
+        return ok & (mask == want).all(axis=1)
 
     return fits
+
+
+def _box_fits(
+    dec, st: SetTuple, B: FiniteSet, t: int, lo: HVec, blocks: Sequence[Sequence[np.ndarray]]
+) -> list[bool]:
+    """Whether the t-fold set of h.A + B is the shape dec (see _shape_test)
+    at each point h of the box [lo, lo + margin], last coordinate varying
+    fastest; blocks[i] holds color i's capped rows lo_i, ..., lo_i +
+    margin.  B must have minimum 0.
+
+    Every point's counts come from one fold of B's indicator with each
+    color's rows, and one comparison tests them all.  The fold's dtype
+    and cap are _bound's at the box's top corner, as for a count table
+    there.  A box of more than _BOX_CELLS cells is split into one slab
+    per row of its first color with several rows: the slabs' folds are
+    the box's fold cut apart, in the same order, so they cost no more
+    work and hold less at once."""
+    width = sum(len(rows[-1]) - 1 for rows in blocks) + B.max - B.min + 1
+    split = next((i for i, rows in enumerate(blocks) if len(rows) > 1), None)
+    if split is not None and math.prod(map(len, blocks)) * width > _BOX_CELLS:
+        c = lo.coords
+        return [
+            fit
+            for r, row in enumerate(blocks[split])
+            for fit in _box_fits(
+                dec, st, B, t, HVec(c[:split] + (c[split] + r,) + c[split + 1 :]),
+                [*blocks[:split], [row], *blocks[split + 1 :]],
+            )
+        ]
+    top = [(A, c + len(rows) - 1) for A, c, rows in zip(st.sets, lo.coords, blocks)]
+    bound, cap = _bound(top, B, t)
+    dtype = _dtype(bound)
+    stacked, ends = [], [B.max]
+    for rows, a, c in zip(blocks, st.maxima, lo.coords):
+        block = np.zeros((len(rows), len(rows[-1])), dtype=dtype)
+        for r, row in enumerate(rows):
+            block[r, : len(row)] = row
+        stacked.append(block)
+        ends = [m + a * (c + d) for m in ends for d in range(len(rows))]
+    counts = _fold(_indicator(B, dtype)[None], stacked, cap)
+    return _shape_test(dec)(counts >= t, np.array(ends, dtype=np.int64)).tolist()
+
+
+def _streamed_box_fits(st: SetTuple, B: FiniteSet, t: int, dec, lo: HVec, margin: int) -> list[bool]:
+    """_box_fits over [lo, lo + margin], streaming each color's rows once
+    and keeping only the margin + 1 rows the box needs.  The rows of {0}
+    are all [1], so they are taken from row 0 on, whatever lo_i is."""
+    blocks = []
+    for A, c in zip(st.sets, lo.coords):
+        start = c if A.max else 0
+        rows = _multiset_rows(A.elements, _row_dtype(t), t)
+        blocks.append(list(islice(rows, start, start + margin + 1)))
+    return _box_fits(dec, st, B, t, lo, blocks)
 
 
 def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
@@ -470,13 +592,12 @@ class _TFoldSets:
 
     The fold of B with colors 0..k-1 is kept for the last h, so a vector
     sharing its first k coordinates with the one before convolves only the
-    colors after them; with the last coordinate varying fastest, that is
-    one convolution per box point."""
+    colors after them."""
 
     def __init__(self, st: SetTuple, B: FiniteSet, t: int):
+        self._st = st
         self._t = t
         self._B = B
-        self._start = _indicator(B, np.int64)
         self._maxima = st.maxima
         self._streams = [_multiset_rows(A.elements, _row_dtype(t), t) for A in st.sets]
         self._rows: list[list[np.ndarray]] = [[] for _ in st.sets]
@@ -489,8 +610,8 @@ class _TFoldSets:
             rows.append(next(self._streams[i]))
         return rows[m]
 
-    def _counts(self, h: HVec) -> np.ndarray:
-        """The capped counts at h; callers must not write to them."""
+    def size(self, h: HVec) -> int:
+        """Number of integers with at least t representations at h."""
         B = self._B
         length = h.dot(self._maxima) + B.max - B.min + 1
         dtype = _dtype(_capped_bound(length, self._t))
@@ -499,18 +620,15 @@ class _TFoldSets:
             diff = (k for k, (a, b) in enumerate(zip(self._last, coords)) if a != b)
             shared = next(diff, len(coords))
         else:
-            folds[:] = [self._start.astype(dtype, copy=False)]
+            folds[:] = [_indicator(B, dtype)[None]]
             shared = 0
         del folds[shared + 1 :]
         for i in range(shared, len(coords)):
-            folds.append(_fold(folds[-1], [self._row(i, coords[i])], self._t))
+            folds.append(_fold(folds[-1], [self._row(i, coords[i])[None]], self._t))
         self._last = coords
-        return folds[-1]
+        return int(np.count_nonzero(folds[-1] >= self._t))
 
-    def mask(self, h: HVec) -> np.ndarray:
-        """Which n = min(B) + i have at least t representations at h."""
-        return self._counts(h) >= self._t
-
-    def size(self, h: HVec) -> int:
-        """Number of integers with at least t representations at h."""
-        return int(np.count_nonzero(self.mask(h)))
+    def box_fits(self, dec, lo: HVec, margin: int) -> list[bool]:
+        """_box_fits over [lo, lo + margin] from the kept rows."""
+        blocks = [[self._row(i, c + d) for d in range(margin + 1)] for i, c in enumerate(lo.coords)]
+        return _box_fits(dec, self._st, self._B, self._t, lo, blocks)

@@ -15,7 +15,8 @@ exponent vector past which the shape holds, by two routes:
   a minimal exponent vector at which the certificate below proves the
   shape for every larger vector.  The search runs on the translated
   form h.A + B; the plain t-fold sets are the case B = {0}.  The margin
-  box above the vector is checked once more before returning.
+  box above the vector is checked once more before returning: the full
+  t-fold set at every point, nothing inferred from the certificate.
 
 * constructive: the same limit constants (B = {0}), and a threshold
   vector from explicit witness representations: the t colored
@@ -51,9 +52,13 @@ every i with a_i > L.  Along e_i, L grows by a_i, so the recursion ends,
 and a {0} color never needs a step.  cert(h) holds exactly when the
 pattern holds at every h' >= h: the certified vectors form an up-set.
 By 2, S_h is the pattern exactly when both have |C| + L + |D| members,
-so cert compares sizes; the empirical route's final box check and
-verify_structure compare the sets, as masks over [0, M]
-(repcount._shape_test, which a member outside [0, M] fails).
+so cert compares sizes.  The empirical route's final box check and
+verify_structure compare the sets instead, over a whole box at once:
+repcount._box_fits folds the counts of every point of the box in one
+pass per color and tests every point's mask over [0, M] against the
+shape at its own M in one comparison (repcount._shape_test, which a
+member outside [0, M] fails).  verify_structure is the one-point box;
+the command line's verify checks its whole box with one fold.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from itertools import product
 
 from .errors import (
     BoundError,
+    ChromsumError,
     DegenerateAlphabetError,
     DimensionError,
     DomainError,
@@ -74,8 +80,7 @@ from .repcount import (
     _ZERO,
     _TFoldSets,
     _fewest_loads,
-    _shape_test,
-    _tfold_mask,
+    _streamed_box_fits,
     _unbounded_fold,
 )
 
@@ -155,7 +160,7 @@ class StructureResult:
                     HVec(tuple(obj["verified_box"][1])),
                 ),
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (ChromsumError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed structure result: {exc}") from exc
 
 
@@ -583,12 +588,12 @@ def _stabilize(
                 break
             ht = cand
 
-    fits = _shape_test(dec)
-    for h in _box_points(ht, margin):
-        if not fits(sets.mask(h)):
-            raise RuntimeError(
-                f"internal invariant: the certified shape fails at h={list(h.coords)}"
-            )
+    fits = sets.box_fits(dec, ht, margin)
+    if not all(fits):
+        h = list(_box_points(ht, margin))[fits.index(False)]
+        raise RuntimeError(
+            f"internal invariant: the certified shape fails at h={list(h.coords)}"
+        )
     return _result(dec, ht, "empirical", margin)
 
 
@@ -611,20 +616,30 @@ def verify_structure_inhomogeneous(
     st: SetTuple, B: FiniteSet, t: int, result: StructureResult, h: HVec
 ) -> bool:
     """Exact check for the translated form, right endpoint shifted by max(B)."""
+    return _verify_box(st, B, t, result, h, 0)[0]
+
+
+def _verify_box(
+    st: SetTuple, B: FiniteSet, t: int, result: StructureResult, lo: HVec, margin: int
+) -> list[bool]:
+    """verify_structure_inhomogeneous at every point of the box [lo, lo +
+    margin], in the order of _box_points, from one box fold (repcount).
+    Every check on a point holds at every point of the box once it holds
+    at lo, the least one."""
     _require_normalized(st)
     _require_t(t)
     if B.min != 0:
         raise DomainError("the translation set must have minimum 0")
-    if h.q != st.q or result.threshold.q != st.q:
+    if lo.q != st.q or result.threshold.q != st.q:
         raise DimensionError("exponent vector length does not match tuple")
-    if not hvec_leq(result.threshold, h):
+    if not hvec_leq(result.threshold, lo):
         raise DomainError("h lies below the result's threshold vector")
-    m = h.dot(st.maxima) + B.max
+    m = lo.dot(st.maxima) + B.max
     if result.low_cut + result.high_cut > m:
         raise DomainError("malformed interval: the cuts overlap at this h")
     dec = (result.low_fringe.elements, result.low_cut,
            result.high_fringe.elements, result.high_cut)
-    return _shape_test(dec)(_tfold_mask(st, h, B, t))
+    return _streamed_box_fits(st, B, t, dec, lo, margin)
 
 
 def structure_constants(

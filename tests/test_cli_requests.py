@@ -129,3 +129,22 @@ def test_verify_refuses_a_result_with_non_integers(monkeypatch, field, value):
     code, out, err = call(monkeypatch, "verify", "--sets", "[[0,2,3]]", "--t", "2", stdin=result)
     assert (code, out) == (2, "")
     assert "expected an integer" in err
+
+
+@pytest.mark.parametrize("field, value", [("h_t", [-1]), ("h_t", []), ("verified_box", [[4], [-7]])])
+def test_verify_refuses_a_result_with_a_bad_vector(monkeypatch, field, value):
+    # the exponent vector's own refusal is a malformed result, not a domain refusal
+    result = json.dumps(dict(RESULT, **{field: value}))
+    code, out, err = call(monkeypatch, "verify", "--sets", "[[0,2,3]]", "--t", "2", stdin=result)
+    assert (code, out) == (2, "")
+    assert "malformed structure result" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["structure", "--sets", "[[0,2,3]]", "--h", "3"],  # once a prefix of --help
+    ["structure", "--sets", "[[0,2,3]]", "--mar", "2"],  # once a prefix of --margin
+    ["--he"],
+])
+def test_abbreviated_flags_are_usage_errors(monkeypatch, argv):
+    code, out, _ = call(monkeypatch, *argv)
+    assert (code, out) == (2, "")

@@ -90,6 +90,32 @@ def test_narrow_capped_rows_are_clipped_exact(cap):
     assert row.max() == cap
 
 
+def test_one_point_fold_is_one_plain_convolution_per_color(monkeypatch):
+    # a count table, the search's size and a one-point box check fold one
+    # row per color into one running row: one np.convolve each, with no
+    # gaps or padding in either operand
+    convolve, calls = np.convolve, []
+
+    def spy(a, v):
+        calls.append(sorted((len(a), len(v))))
+        return convolve(a, v)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    st = make_tuple([[0, 2, 3], [0, 1, 5], [0, 4]])
+    h, B, t = HVec((3, 2, 4)), make_set([0, 2]), 3
+    rows = [h_i * a + 1 for h_i, a in zip(h.coords, st.maxima)]
+    want = [sorted((B.max - B.min + 1 + sum(r - 1 for r in rows[:i]), rows[i])) for i in range(3)]
+    dec = ((), 0, (), 0)
+    for run in (
+        lambda: inhomogeneous_count_table(st, h, B, cap=t),
+        lambda: repcount._TFoldSets(st, B, t).size(h),
+        lambda: repcount._streamed_box_fits(st, B, t, dec, h, 0),
+    ):
+        calls.clear()
+        run()
+        assert calls == want
+
+
 def test_chromatic_examples():
     t = make_tuple([[0, 1], [0, 2]])
     assert chromatic_count_table(t, HVec((1, 1))).counts == (1, 1, 1, 1)

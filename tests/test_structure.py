@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations_with_replacement
@@ -380,9 +381,20 @@ class TestThresholds:
 
     def test_failed_box_is_an_internal_invariant(self, monkeypatch):
         # the shape test reports every box point as off the shape
-        monkeypatch.setattr(structure, "_shape_test", lambda dec: lambda mask: False)
+        monkeypatch.setattr(repcount, "_shape_test", lambda dec: lambda mask, ends: ends < 0)
         with pytest.raises(RuntimeError, match="internal invariant"):
             threshold_empirical(A023, 1)
+        # every point but the first: the error names the second point, the
+        # last coordinate varying fastest
+        st = make_tuple([[0, 1, 3], [0, 2, 5]])
+        monkeypatch.undo()
+        ht = threshold_empirical(st, 2, margin=2).threshold.coords
+        monkeypatch.setattr(
+            repcount, "_shape_test", lambda dec: lambda mask, ends: ends == ends[0]
+        )
+        first = re.escape(str([ht[0], ht[1] + 1]))
+        with pytest.raises(RuntimeError, match=f"internal invariant: .* fails at h={first}$"):
+            threshold_empirical(st, 2, margin=2)
 
     def test_uncertified_constructive_vector_is_an_internal_invariant(self, monkeypatch):
         monkeypatch.setattr(structure, "_certifier", lambda st, B, dec, sets: lambda h: False)
@@ -414,11 +426,125 @@ class TestThresholds:
                  != structure._pattern_members(dec, h.dot(st.maxima) + B.max)),
                 None,
             )
-            fits, sets = repcount._shape_test(dec), repcount._TFoldSets(st, B, t)
-            got = next(
-                (h for h in structure._box_points(lo, 2) if not fits(sets.mask(h))), None
-            )
+            fits = repcount._TFoldSets(st, B, t).box_fits(dec, lo, 2)
+            got = next((h for h, ok in zip(structure._box_points(lo, 2), fits) if not ok), None)
             assert got == want, (st.sets, B.elements, t, dec, lo)
+
+    def test_box_fold_matches_the_member_comparison_at_every_point(self, monkeypatch):
+        # corrupted limit shapes over random boxes: at every point, both
+        # box folds (kept and streamed rows), and the streamed one split
+        # into slabs, must answer whether the t-fold set is exactly the
+        # shape's members
+        rng = random.Random(89)
+        kinds = ["none", "flip_low", "flip_high", "move_low_cut", "move_high_cut",
+                 "above_end", "negative", "huge_cut"]
+        verdicts = {kind: set() for kind in kinds}
+        cases = 0
+        for case in range(350):
+            st = random_normalized_tuple(rng, size_max=3, elt_max=6)
+            B = make_set([0] + rng.sample(range(1, 4), rng.randint(0, 2)))
+            t = rng.randint(1, 4)
+            if structure._counts_are_bounded(st) and t > len(B):
+                continue
+            low, cut_low, high, cut_high = structure._limit_constants(st, B, t)
+            low, high = set(low), set(high)
+            lo = HVec(tuple(rng.randint(0, 4) for _ in range(st.q)))
+            margin = rng.randint(0, 3)
+            end = lo.dot(st.maxima) + B.max
+            kind = kinds[case % len(kinds)]
+            side = rng.choice([low, high])
+            if kind == "flip_low":
+                low ^= {rng.randrange(max(cut_low - 1, 1))}
+            elif kind == "flip_high":
+                high ^= {rng.randrange(max(cut_high - 1, 1))}
+            elif kind == "move_low_cut":
+                cut_low += rng.choice([-1, 1])
+            elif kind == "move_high_cut":
+                cut_high += rng.choice([-1, 1])
+            elif kind == "above_end":
+                side.add(end + rng.randint(1, margin * max(st.maxima) + 1))
+            elif kind == "negative":
+                side.add(-rng.randint(1, 3))
+            elif kind == "huge_cut":  # past int64: the middle is empty
+                cut_low, cut_high = rng.choice([(cut_low + (1 << 70), cut_high),
+                                                (cut_low, cut_high + (1 << 70))])
+            dec = (tuple(sorted(low)), cut_low, tuple(sorted(high)), cut_high)
+            want = [
+                inhomogeneous_count_table(st, h, B, cap=t).support_at_least(t).elements
+                == structure._pattern_members(dec, h.dot(st.maxima) + B.max)
+                for h in structure._box_points(lo, margin)
+            ]
+            args = (st.sets, B.elements, t, dec, lo.coords, margin)
+            assert repcount._TFoldSets(st, B, t).box_fits(dec, lo, margin) == want, args
+            assert repcount._streamed_box_fits(st, B, t, dec, lo, margin) == want, args
+            with monkeypatch.context() as patch:
+                patch.setattr(repcount, "_BOX_CELLS", rng.choice([0, 40, 400]))
+                assert repcount._streamed_box_fits(st, B, t, dec, lo, margin) == want, args
+            verdicts[kind].update(want)
+            cases += 1
+        assert cases >= 300
+        assert verdicts["negative"] == {False}
+        assert all(verdicts[kind] == {False, True} for kind in kinds[:-2]), verdicts
+
+    @pytest.mark.parametrize(
+        "top, t, row_dtype, fold_dtype",
+        [(9, 1 << 30, np.uint32, np.int64), (9, 1 << 31, np.uint64, np.int64),
+         (19, 1 << 30, np.uint32, object), (19, 1 << 31, np.uint64, object)],
+    )
+    def test_box_fold_on_wide_counts(self, monkeypatch, top, t, row_dtype, fold_dtype):
+        # 100-multisets of {0..9} count up to ~6e10 near the middle, those
+        # of {0..19} up to ~1e19: t-fold intervals at t = 2^30 and 2^31,
+        # from uint32 and uint64 rows.  Both capped bounds exceed 2^62,
+        # but the fold of {0..9} runs on int64, as its count table does,
+        # since no count of the box reaches 2^62; that of {0..19} runs on
+        # dtype=object
+        st, B, lo = make_tuple([list(range(top + 1))]), make_set([0]), HVec((100,))
+        assert repcount._row_dtype(t) == row_dtype
+        assert repcount._dtype(repcount._capped_bound(100 * top + 1, t)) is object
+        fold, dtypes = repcount._fold, set()
+
+        def spy(acc, blocks, cap):
+            out = fold(acc, blocks, cap)
+            dtypes.add(out.dtype)
+            return out
+
+        members = inhomogeneous_count_table(st, lo, B, cap=t).support_at_least(t).elements
+        assert members == tuple(range(members[0], members[-1] + 1)) and len(members) > 100
+        exact = ((), members[0], (), 100 * top - members[-1])
+        monkeypatch.setattr(repcount, "_fold", spy)
+        assert repcount._streamed_box_fits(st, B, t, exact, lo, 0) == [True]
+        _, cut_low, _, cut_high = exact
+        for dec in [exact, ((), cut_low, (), cut_high + 1), ((), cut_low + 1, (), cut_high),
+                    ((), cut_low, (cut_high - 2,), cut_high)]:
+            want = [
+                inhomogeneous_count_table(st, h, B, cap=t).support_at_least(t).elements
+                == structure._pattern_members(dec, top * h.coords[0])
+                for h in (lo, HVec((101,)))
+            ]
+            assert repcount._streamed_box_fits(st, B, t, dec, lo, 1) == want
+        assert dtypes == {np.dtype(fold_dtype)}
+
+    def test_verify_takes_the_rows_of_zero_from_row_0(self, monkeypatch):
+        # the rows of {0} are all [1]: verify at a huge coordinate of that
+        # color streams no more of them than at a small one
+        rows, drawn = repcount._multiset_rows, []
+
+        def counted(elements, dtype, cap):
+            for m, row in enumerate(rows(elements, dtype, cap)):
+                assert m <= 100, "streamed the rows of {0} up to its coordinate"
+                drawn.append(m)
+                yield row
+
+        st = make_tuple([[0, 2, 3], [0]])
+        res = threshold_empirical(st, 2)
+        far, near = HVec((res.threshold.coords[0], 10**9)), HVec((res.threshold.coords[0], 1))
+        monkeypatch.setattr(repcount, "_multiset_rows", counted)
+        assert verify_structure(st, 2, res, far) is True
+        assert structure._verify_box(st, make_set([0]), 2, res, far, 2) == [True] * 9
+        corrupt = StructureResult.from_json({**res.to_json(), "c": res.low_cut + 1})
+        assert (structure._verify_box(st, make_set([0]), 2, corrupt, far, 1)
+                == structure._verify_box(st, make_set([0]), 2, corrupt, near, 1))
+        assert max(drawn) <= res.threshold.coords[0] + 2
 
     def test_verify_matches_the_set_definition(self):
         # crafted results around the true shape: verify must answer exactly
