@@ -13,10 +13,12 @@ convolution of clipped inputs:
 already).  Capped tables therefore agree with clipping the exact table.
 
 Exact and capped tables run through one multiset kernel and one
-schoolbook convolution (np.convolve; no transform-based multiplication).
-Their dtype is picked once per table from a proven bound on every
-intermediate value: numpy int64 below 2^62, and dtype=object (Python
-ints in the same numpy code) above it, so the result is exact either way.
+schoolbook convolution (np.convolve; no transform-based multiplication),
+and every count (a table, the structure search's certificate sizes, the
+margin box) is folded by one entry, _box_counts.  It picks the dtype
+once from _bound, a proven bound on every intermediate value at the
+box's top corner: numpy int64 below 2^62, and dtype=object (Python ints
+in the same numpy code) above it, so the result is exact either way.
 
 * exact: a multiset row entry counts multisets from a prefix of A_i, so
   it is at most C(|A_i| + h_i - 1, h_i), and a convolution partial sum
@@ -57,12 +59,14 @@ separate, so each entry is one pair's convolution with the same
 partial sums: clipped as before, and under the bound of the count table
 at the box's top corner (_bound), which holds at every point below it.
 The gaps cost at most (L + s - 1) / L <= 2 times the useful work.  A
-one-point box, like a count table, is one unpadded np.convolve per
-color.
+count table and a certificate size are one-point boxes: one unpadded
+np.convolve per color.
 
 Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
 clipping the running sums is the same as clipping after every addition.
+The limit constants of the structure module are read off the last such
+row (_limit_side).
 
 The constructive witnesses are, per target, the t partitions into the
 sorted parts p_0 <= p_1 <= ... with fewest parts, ties in lexicographic
@@ -82,7 +86,7 @@ never exceed _GROUP_CAP or one target's partitions.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -207,16 +211,9 @@ def _dtype(bound: int):
 
 def _row_dtype(cap: int):
     """The narrowest dtype of a capped multiset row: its kernel sums stay
-    at most 2*cap.  An unsigned row convolved with an int64 start stays
-    int64, since cap < 2^31 whenever a capped table runs on int64; from
-    cap = 2^31 on the rows are uint64 and the start holds Python ints."""
+    at most 2*cap.  _box_counts copies a row whose dtype does not convert
+    safely to the fold's."""
     return np.min_scalar_type(2 * cap)
-
-
-def _capped_bound(length: int, cap: int) -> int:
-    """Largest intermediate value of a capped table over length integers:
-    2*cap in a kernel sum, short*cap^2 in a convolution."""
-    return max(2 * cap, length * cap * cap)
 
 
 def _multiset_rows(elements: tuple[int, ...], dtype, cap: int | None) -> Iterator[np.ndarray]:
@@ -244,13 +241,6 @@ def _multiset_rows(elements: tuple[int, ...], dtype, cap: int | None) -> Iterato
             if cap is not None:
                 np.minimum(cur, cap, out=cur)
             prefix[j] = below = cur
-
-
-def _indicator(B: FiniteSet, dtype) -> np.ndarray:
-    """The 0/1 table of B over [min(B), max(B)]."""
-    out = np.zeros(B.max - B.min + 1, dtype=dtype)
-    out[[b - B.min for b in B.elements]] = 1
-    return out
 
 
 def _fold(acc: np.ndarray, blocks: Iterable[np.ndarray], cap: int | None) -> np.ndarray:
@@ -292,20 +282,54 @@ def _bound(
     """A bound on every intermediate value of the counts of sum_i (h_i-multiset
     of A_i) + one element of B, clipped at cap, and the cap that can still
     clip them: None when no count exceeds it.  The bound holds at every
-    smaller h too."""
-    bound = len(B) * math.prod(math.comb(len(A) + h - 1, h) for A, h in colors)
-    if cap is not None and cap >= bound:
-        return bound, None
+    smaller h too.  A capped bound below 2^62 is returned as it is: the
+    dtype is int64 either way, and a cap no count reaches clips nothing."""
     if cap is not None:
         length = sum(h * A.max for A, h in colors) + B.max - B.min + 1
-        bound = min(bound, _capped_bound(length, cap))
-    return bound, cap
+        capped = max(2 * cap, length * cap * cap)
+        if capped < 1 << 62:
+            return capped, cap
+    bound = len(B) * math.prod(math.comb(len(A) + h - 1, h) for A, h in colors)
+    if cap is None or cap >= bound:
+        return bound, None
+    return min(bound, capped), cap
+
+
+def _box_counts(
+    sets: Sequence[FiniteSet], lo: Sequence[int], B: FiniteSet, cap: int | None,
+    blocks: Sequence[Sequence[np.ndarray]],
+) -> np.ndarray:
+    """The counts of h.A + B, clipped at cap unless it is None, at every
+    point h of the box whose color i takes the kernel rows blocks[i],
+    rows lo_i, lo_i + 1, ... (a {0} color's from any row on: they are
+    all [1]); one row per point, last coordinate fastest, each as long as
+    the top corner's.  The dtype and the cap are _bound's at the top
+    corner.  A lone row whose dtype converts safely is folded as it is;
+    other rows are copied at that dtype (uint64 rows in an int64 fold
+    would give floats)."""
+    top = [(A, c + len(rows) - 1) for A, c, rows in zip(sets, lo, blocks)]
+    bound, cap = _bound(top, B, cap)
+    dtype = _dtype(bound)
+    acc = np.zeros((1, B.max - B.min + 1), dtype=dtype)
+    for b in B.elements:
+        acc[0, b - B.min] = 1
+    stacked = []
+    for rows in blocks:
+        if len(rows) == 1 and rows[0].dtype <= dtype:  # a safe cast
+            block = rows[0][None]
+        else:
+            block = np.zeros((len(rows), len(rows[-1])), dtype=dtype)
+            for r, row in enumerate(rows):
+                block[r, : len(row)] = row
+        stacked.append(block)
+    return _fold(acc, stacked, cap)
 
 
 def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | None) -> np.ndarray:
     """Counts of sum_i (h_i-multiset of A_i) + one element of B over
-    [min(B), sum_i h_i * max(A_i) + max(B)], at the dtype of the table's
-    bound."""
+    [min(B), sum_i h_i * max(A_i) + max(B)]: the one-point box at h, each
+    color's row streamed at the dtype and cap of its own bound."""
+    rows = []
     for A, h in colors:
         if not A:
             raise EmptySetError("cannot count over an empty set")
@@ -313,13 +337,10 @@ def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | No
             raise NotNormalizedError("multiset counting requires min(A) = 0")
         if h < 0:
             raise DomainError("repetition count must be nonnegative")
-    bound, cap = _bound(colors, B, cap)
-    dtype = _dtype(bound)
-    rows = (
-        next(islice(_multiset_rows(A.elements, dtype, cap), h if A.max else 0, None))[None]
-        for A, h in colors
-    )
-    return _fold(_indicator(B, dtype)[None], rows, cap)[0]
+        bound, row_cap = _bound([(A, h)], _ZERO, cap)
+        stream = _multiset_rows(A.elements, _dtype(bound), row_cap)
+        rows.append([next(islice(stream, h if A.max else 0, None))])
+    return _box_counts([A for A, _ in colors], [h for _, h in colors], B, cap, rows)[0]
 
 
 def multiset_count_table(A: FiniteSet, h: int, cap: int | None = None) -> CountTable:
@@ -355,60 +376,50 @@ def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
     return FiniteSet(tuple(np.flatnonzero(counts >= t).tolist()))
 
 
-def _shape_test(dec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The test whether row p of a 2-D boolean mask marks exactly the
-    shape dec = (low fringe, low cut, high fringe, high cut) at the right
-    endpoint M = ends[p]: the union of the low fringe, [low cut, M - high
-    cut] and M minus the high fringe.  Column n of the mask is the
-    integer n, and no row may mark a column past its own M.  A member of
-    the shape outside [0, M] fails its row.  The test returns one boolean
-    per row."""
+def _shape_fits(dec, mask: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Whether row p of a 2-D boolean mask marks exactly the shape dec =
+    (low fringe, low cut, high fringe, high cut) at the right endpoint M =
+    ends[p]: the union of the low fringe, [low cut, M - high cut] and M
+    minus the high fringe.  Column n of the mask is the integer n, and no
+    row may mark a column past its own M.  A member of the shape outside
+    [0, M] fails its row.  One boolean per row."""
     low, cut_low, high, cut_high = dec
+    rows, width = mask.shape
     top = max((*low, *high), default=-1)
-    if min((*low, *high), default=0) < 0 or top >= 1 << 62:
-        # a member below 0, or past any mask's end
-        return lambda mask, ends: np.zeros(len(ends), dtype=bool)
-    low_at, high_at = np.array(low, dtype=np.int64), np.array(high, dtype=np.int64)
-
-    def fits(mask: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        rows, width = mask.shape
-        if top >= width:
-            return np.zeros(rows, dtype=bool)  # a fringe member past every M
-        # no fringe member past M; where one is, M - (high member) is a
-        # negative index, which marks a column of a row that fails anyway
-        ok = ends >= top
-        # (the cuts are clamped to at most width and their sum to [-1,
-        # width], which keeps every comparison inside int64 and changes
-        # none of them)
-        if min(cut_low, cut_high) < 0:
-            # a nonempty middle, cut_low + cut_high <= M, reaches below 0 or past M
-            ok &= ends < min(max(cut_low + cut_high, -1), width)
-            want = np.zeros(mask.shape, dtype=bool)
-        else:
-            cols = np.arange(width)
-            want = (cols >= min(cut_low, width)) & (cols <= ends[:, None] - min(cut_high, width))
-        want[:, low_at] = True
-        want[np.arange(rows)[:, None], ends[:, None] - high_at] = True
-        return ok & (mask == want).all(axis=1)
-
-    return fits
+    if min((*low, *high), default=0) < 0 or top >= width:
+        # a member below 0, or past every M
+        return np.zeros(rows, dtype=bool)
+    # no fringe member past M; where one is, M - (high member) is a
+    # negative index, which marks a column of a row that fails anyway
+    ok = ends >= top
+    # (the cuts are clamped to at most width and their sum to [-1,
+    # width], which keeps every comparison inside int64 and changes
+    # none of them)
+    if min(cut_low, cut_high) < 0:
+        # a nonempty middle, cut_low + cut_high <= M, reaches below 0 or past M
+        ok &= ends < min(max(cut_low + cut_high, -1), width)
+        want = np.zeros(mask.shape, dtype=bool)
+    else:
+        cols = np.arange(width)
+        want = (cols >= min(cut_low, width)) & (cols <= ends[:, None] - min(cut_high, width))
+    want[:, np.array(low, dtype=np.int64)] = True
+    want[np.arange(rows)[:, None], ends[:, None] - np.array(high, dtype=np.int64)] = True
+    return ok & (mask == want).all(axis=1)
 
 
 def _box_fits(
     dec, st: SetTuple, B: FiniteSet, t: int, lo: HVec, blocks: Sequence[Sequence[np.ndarray]]
 ) -> list[bool]:
-    """Whether the t-fold set of h.A + B is the shape dec (see _shape_test)
+    """Whether the t-fold set of h.A + B is the shape dec (see _shape_fits)
     at each point h of the box [lo, lo + margin], last coordinate varying
     fastest; blocks[i] holds color i's capped rows lo_i, ..., lo_i +
     margin.  B must have minimum 0.
 
-    Every point's counts come from one fold of B's indicator with each
-    color's rows, and one comparison tests them all.  The fold's dtype
-    and cap are _bound's at the box's top corner, as for a count table
-    there.  A box of more than _BOX_CELLS cells is split into one slab
-    per row of its first color with several rows: the slabs' folds are
-    the box's fold cut apart, in the same order, so they cost no more
-    work and hold less at once."""
+    Every point's counts come from one _box_counts fold, and one
+    comparison tests them all.  A box of more than _BOX_CELLS cells is
+    split into one slab per row of its first color with several rows:
+    the slabs' folds are the box's fold cut apart, in the same order, so
+    they cost no more work and hold less at once."""
     width = sum(len(rows[-1]) - 1 for rows in blocks) + B.max - B.min + 1
     split = next((i for i, rows in enumerate(blocks) if len(rows) > 1), None)
     if split is not None and math.prod(map(len, blocks)) * width > _BOX_CELLS:
@@ -421,18 +432,11 @@ def _box_fits(
                 [*blocks[:split], [row], *blocks[split + 1 :]],
             )
         ]
-    top = [(A, c + len(rows) - 1) for A, c, rows in zip(st.sets, lo.coords, blocks)]
-    bound, cap = _bound(top, B, t)
-    dtype = _dtype(bound)
-    stacked, ends = [], [B.max]
+    ends = [B.max]
     for rows, a, c in zip(blocks, st.maxima, lo.coords):
-        block = np.zeros((len(rows), len(rows[-1])), dtype=dtype)
-        for r, row in enumerate(rows):
-            block[r, : len(row)] = row
-        stacked.append(block)
         ends = [m + a * (c + d) for m in ends for d in range(len(rows))]
-    counts = _fold(_indicator(B, dtype)[None], stacked, cap)
-    return _shape_test(dec)(counts >= t, np.array(ends, dtype=np.int64)).tolist()
+    counts = _box_counts(st.sets, lo.coords, B, t, blocks)
+    return _shape_fits(dec, counts >= t, np.array(ends, dtype=np.int64)).tolist()
 
 
 def _streamed_box_fits(st: SetTuple, B: FiniteSet, t: int, dec, lo: HVec, margin: int) -> list[bool]:
@@ -459,7 +463,8 @@ def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
         raise DomainError("table end must be nonnegative")
     if parts and parts.min < 1:
         raise DomainError("partition parts must all be at least 1")
-    counts = _unbounded_fold([1] + [0] * n_top, parts.elements, cap)
+    for counts in _unbounded_rows([1] + [0] * n_top, parts.elements, cap):
+        pass
     return CountTable(offset=0, counts=counts, cap=cap)
 
 
@@ -479,12 +484,35 @@ def _unbounded_rows(acc: Sequence[int], parts: Iterable[int], cap: int) -> Itera
         yield out
 
 
-def _unbounded_fold(acc: Sequence[int], parts: Iterable[int], cap: int) -> list[int]:
-    """acc times 1/(1 - x^a) for each part a >= 1 (repeats allowed), over
-    the range of acc, clipped at cap; acc must already be clipped."""
-    for out in _unbounded_rows(acc, parts, cap):
-        pass
-    return out.tolist()
+def _limit_side(
+    parts: Sequence[int], shifts: Sequence[int], t: int, bound: int
+) -> tuple[tuple[int, ...], int]:
+    """(fringe, cut) of {n : Q(n) >= t}, Q(n) counting the pairs (b, partition
+    of n - b) with b in shifts and parts counted with repeats.  With p the
+    smallest part, Q(n) >= Q(n - p), so the cut is the start of the first
+    run of p counts >= t, and the fringe the smaller n with Q(n) >= t.
+    Every n at or above bound must have Q(n) >= t; the table doubles up
+    to there."""
+    run = min(parts)
+    length = min(256, bound + run)
+    while True:
+        start = np.zeros(length, dtype=np.int64)
+        start[[b for b in shifts if b < length]] = 1
+        for counts in _unbounded_rows(start, parts, t):
+            pass
+        ok = counts >= t
+        # the n with Q(n) < t, between -1 and length: a gap of more than
+        # run between two of them holds a run
+        low = np.concatenate(([-1], np.flatnonzero(~ok), [length]))
+        gaps = np.flatnonzero(np.diff(low) > run)
+        if gaps.size:
+            cut = int(low[gaps[0]]) + 1
+            return tuple(np.flatnonzero(ok[:cut]).tolist()), cut
+        if length >= bound + run:
+            raise RuntimeError(
+                f"internal invariant: no run of {run} counts >= {t} below {bound + run}"
+            )
+        length = min(2 * length, bound + run)
 
 
 def _fewest_partitions(
@@ -588,21 +616,14 @@ def inhomogeneous_count_table(
 class _TFoldSets:
     """The t-fold sets of h.A + B at any exponent vector h, without count
     tables: each color's capped rows are streamed once and kept, and the
-    counts at h are their capped convolution started from B's indicator.
-
-    The fold of B with colors 0..k-1 is kept for the last h, so a vector
-    sharing its first k coordinates with the one before convolves only the
-    colors after them."""
+    counts at h are their one-point _box_counts fold."""
 
     def __init__(self, st: SetTuple, B: FiniteSet, t: int):
         self._st = st
         self._t = t
         self._B = B
-        self._maxima = st.maxima
         self._streams = [_multiset_rows(A.elements, _row_dtype(t), t) for A in st.sets]
         self._rows: list[list[np.ndarray]] = [[] for _ in st.sets]
-        self._last: tuple[int, ...] = ()
-        self._folds: list[np.ndarray] = []
 
     def _row(self, i: int, m: int) -> np.ndarray:
         rows = self._rows[i]
@@ -612,21 +633,10 @@ class _TFoldSets:
 
     def size(self, h: HVec) -> int:
         """Number of integers with at least t representations at h."""
-        B = self._B
-        length = h.dot(self._maxima) + B.max - B.min + 1
-        dtype = _dtype(_capped_bound(length, self._t))
-        coords, folds = h.coords, self._folds
-        if folds and folds[0].dtype == dtype:
-            diff = (k for k, (a, b) in enumerate(zip(self._last, coords)) if a != b)
-            shared = next(diff, len(coords))
-        else:
-            folds[:] = [_indicator(B, dtype)[None]]
-            shared = 0
-        del folds[shared + 1 :]
-        for i in range(shared, len(coords)):
-            folds.append(_fold(folds[-1], [self._row(i, coords[i])[None]], self._t))
-        self._last = coords
-        return int(np.count_nonzero(folds[-1] >= self._t))
+        coords = h.coords
+        blocks = [[self._row(i, c)] for i, c in enumerate(coords)]
+        counts = _box_counts(self._st.sets, coords, self._B, self._t, blocks)
+        return int(np.count_nonzero(counts >= self._t))
 
     def box_fits(self, dec, lo: HVec, margin: int) -> list[bool]:
         """_box_fits over [lo, lo + margin] from the kept rows."""

@@ -35,7 +35,9 @@ with Q >= t from c on, and C holds the smaller members, all below
 c - 1.  (D, d) are read off Q' the same way.  With p the smallest part,
 Q(n) >= Q(n - p), since adding p maps the partitions of n - p into those
 of n; so once Q >= t on a run of p consecutive integers it stays so, and
-the cut is read off below the first such run.
+the cut is the start of the first such run.  repcount._limit_side reads
+the cut and the fringe off one partition table, doubled until it holds
+that run.
 The pattern at M is C U [c, M - d] U (M - D).
 
 1. Since 0 is in A_i, S_{h+e_i} contains S_h and S_h + a_i.
@@ -56,7 +58,7 @@ so cert compares sizes.  The empirical route's final box check and
 verify_structure compare the sets instead, over a whole box at once:
 repcount._box_fits folds the counts of every point of the box in one
 pass per color and tests every point's mask over [0, M] against the
-shape at its own M in one comparison (repcount._shape_test, which a
+shape at its own M in one comparison (repcount._shape_fits, which a
 member outside [0, M] fails).  verify_structure is the one-point box;
 the command line's verify checks its whole box with one fold.
 """
@@ -80,8 +82,8 @@ from .repcount import (
     _ZERO,
     _TFoldSets,
     _fewest_loads,
+    _limit_side,
     _streamed_box_fits,
-    _unbounded_fold,
 )
 
 __all__ = [
@@ -468,34 +470,6 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
 
 # ---------------------------------------------------------------------------
 # empirical search
-
-
-def _limit_side(
-    parts: list[int], shifts: list[int], t: int, bound: int
-) -> tuple[tuple[int, ...], int]:
-    """(fringe, cut) of {n : Q(n) >= t}, Q(n) counting the pairs (b, partition
-    of n - b) with b in shifts and parts counted with repeats.  Every n at
-    or above bound must have Q(n) >= t; the table doubles up to there."""
-    run = min(parts)
-    length = min(256, bound + run)
-    while True:
-        start = [0] * length
-        for b in shifts:
-            if b < length:
-                start[b] = 1
-        below = [v < t for v in _unbounded_fold(start, parts, t)]
-        streak = 0
-        for n, low in enumerate(below):
-            streak = 0 if low else streak + 1
-            if streak == run:
-                first = n - run + 1
-                cut = max((m for m in range(first) if below[m]), default=-1) + 1
-                return tuple(m for m in range(cut) if not below[m]), cut
-        if length >= bound + run:
-            raise RuntimeError(
-                f"internal invariant: no run of {run} counts >= {t} below {bound + run}"
-            )
-        length = min(2 * length, bound + run)
 
 
 def _limit_constants(st: SetTuple, B: FiniteSet, t: int):

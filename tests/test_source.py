@@ -50,30 +50,48 @@ def test_layering():
     assert [pair for pair in pairs if pair[1] in _imports(pair[0])] == []
 
 
-def test_one_convolution():
-    """np.convolve runs only in repcount._fold, which count tables, the
-    structure search and the box check share: the gaps of a packed box
-    fold are paid where they are proven harmless, and nowhere else."""
+def _places(hit) -> list[str]:
+    """module.function (the module alone at top level) of every node of
+    the library's source for which hit(node) holds."""
     found = []
 
-    class Calls(ast.NodeVisitor):
+    class Places(ast.NodeVisitor):
         def __init__(self, module: str):
             self.where = [module]
+
+        def visit(self, node):
+            if hit(node):
+                found.append(".".join(self.where))
+            return super().visit(node)
 
         def visit_FunctionDef(self, node):
             self.where.append(node.name)
             self.generic_visit(node)
             self.where.pop()
 
-        def visit_Attribute(self, node):
-            if node.attr == "convolve":
-                found.append(".".join(self.where))
-            self.generic_visit(node)
-
-        def visit_alias(self, node):
-            if node.name.split(".")[-1] == "convolve":
-                found.append(".".join(self.where))
-
     for path in sorted(Path(chromsum.__file__).parent.glob("*.py")):
-        Calls(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
+        Places(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
+def test_one_convolution():
+    """np.convolve runs only in repcount._fold, which count tables, the
+    structure search and the box check share: the gaps of a packed box
+    fold are paid where they are proven harmless, and nowhere else."""
+    found = _places(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "convolve")
+        or (isinstance(node, ast.alias) and node.name.split(".")[-1] == "convolve")
+    )
     assert set(found) == {"repcount._fold"}
+
+
+def test_one_fold_entry():
+    """repcount._fold is named only in repcount._box_counts, which picks
+    every count's dtype and cap from the one bound (repcount._bound):
+    count tables, the search's certificate sizes and the margin box
+    cannot fold at a dtype of their own."""
+    found = _places(
+        lambda node: (isinstance(node, ast.Name) and node.id == "_fold")
+        or (isinstance(node, ast.Attribute) and node.attr == "_fold")
+    )
+    assert found == ["repcount._box_counts"]

@@ -159,6 +159,18 @@ class TestFringeConstants:
                 else:
                     assert fringe(st, t) == scanned(side, t), (st.sets, t)
         assert shared >= 50
+        # both cuts lie past the first 256-entry table, which doubles
+        st = make_tuple([[0, 17, 40]])
+        assert [scanned(side, 5)[1] for side in (st, st.reflected())] == [3344, 4538]
+        assert low_fringe_constants(st, 5) == scanned(st, 5)
+        assert high_fringe_constants(st, 5) == scanned(st.reflected(), 5)
+
+    def test_no_run_below_the_bound_is_an_internal_invariant(self, monkeypatch):
+        # Q >= t at every n from the certified bound on is what ends the
+        # table's doubling; a bound of 0 breaks it: Q(0) = 1 < 2 on {0,2,3}
+        monkeypatch.setattr(structure, "certified_rep_bound", lambda st, t: 0)
+        with pytest.raises(RuntimeError, match=r"^internal invariant: no run of 2 counts >= 2 below 2$"):
+            low_fringe_constants(A023, 2)
 
 
 class TestWitnesses:
@@ -381,7 +393,7 @@ class TestThresholds:
 
     def test_failed_box_is_an_internal_invariant(self, monkeypatch):
         # the shape test reports every box point as off the shape
-        monkeypatch.setattr(repcount, "_shape_test", lambda dec: lambda mask, ends: ends < 0)
+        monkeypatch.setattr(repcount, "_shape_fits", lambda dec, mask, ends: ends < 0)
         with pytest.raises(RuntimeError, match="internal invariant"):
             threshold_empirical(A023, 1)
         # every point but the first: the error names the second point, the
@@ -389,9 +401,7 @@ class TestThresholds:
         st = make_tuple([[0, 1, 3], [0, 2, 5]])
         monkeypatch.undo()
         ht = threshold_empirical(st, 2, margin=2).threshold.coords
-        monkeypatch.setattr(
-            repcount, "_shape_test", lambda dec: lambda mask, ends: ends == ends[0]
-        )
+        monkeypatch.setattr(repcount, "_shape_fits", lambda dec, mask, ends: ends == ends[0])
         first = re.escape(str([ht[0], ht[1] + 1]))
         with pytest.raises(RuntimeError, match=f"internal invariant: .* fails at h={first}$"):
             threshold_empirical(st, 2, margin=2)
@@ -495,12 +505,13 @@ class TestThresholds:
         # 100-multisets of {0..9} count up to ~6e10 near the middle, those
         # of {0..19} up to ~1e19: t-fold intervals at t = 2^30 and 2^31,
         # from uint32 and uint64 rows.  Both capped bounds exceed 2^62,
-        # but the fold of {0..9} runs on int64, as its count table does,
-        # since no count of the box reaches 2^62; that of {0..19} runs on
-        # dtype=object
+        # but the folds of {0..9}, the box's and the search's size alike,
+        # run on int64, as its count table does, since no count of the
+        # box reaches 2^62 (its uint64 rows must not turn them into
+        # floats); those of {0..19} run on dtype=object
         st, B, lo = make_tuple([list(range(top + 1))]), make_set([0]), HVec((100,))
         assert repcount._row_dtype(t) == row_dtype
-        assert repcount._dtype(repcount._capped_bound(100 * top + 1, t)) is object
+        assert (100 * top + 1) * t * t >= 1 << 62
         fold, dtypes = repcount._fold, set()
 
         def spy(acc, blocks, cap):
@@ -512,6 +523,7 @@ class TestThresholds:
         assert members == tuple(range(members[0], members[-1] + 1)) and len(members) > 100
         exact = ((), members[0], (), 100 * top - members[-1])
         monkeypatch.setattr(repcount, "_fold", spy)
+        assert repcount._TFoldSets(st, B, t).size(lo) == len(members)
         assert repcount._streamed_box_fits(st, B, t, exact, lo, 0) == [True]
         _, cut_low, _, cut_high = exact
         for dec in [exact, ((), cut_low, (), cut_high + 1), ((), cut_low + 1, (), cut_high),
