@@ -37,9 +37,8 @@ def _support(st: SetTuple, h: HVec, t: int) -> frozenset:
     return frozenset(tfold_set(st, h, t).elements)
 
 
-def _check_monotone_inclusion(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
+def _check_monotone_inclusion(st: SetTuple, h: HVec, t: int, base: frozenset) -> LemmaCheck:
     """Raising any one exponent never removes members (0 is in every color)."""
-    base = _support(st, h, t)
     bad = [
         i
         for i in range(st.q)
@@ -81,12 +80,11 @@ def _check_union_bound(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
     )
 
 
-def _check_per_color_product(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
+def _check_per_color_product(st: SetTuple, h: HVec, t: int, target: frozenset) -> LemmaCheck:
     """Sums of per-color t_i-sets with prod t_i >= t land in the t-set.
 
     One factor carries the whole threshold in turn; the rest use t_i = 1.
     """
-    target = _support(st, h, t)
     for lead in range(st.q):
         members = {0}
         for i, (A, hi) in enumerate(zip(st.sets, h.coords)):
@@ -140,10 +138,10 @@ def _check_reflection_table(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
     )
 
 
-def _check_reflection_tfold(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
+def _check_reflection_tfold(st: SetTuple, h: HVec, t: int, base: frozenset) -> LemmaCheck:
     m = h.dot(st.maxima)
     mirrored = {m - n for n in _support(st.reflected(), h, t)}
-    ok = mirrored == _support(st, h, t)
+    ok = mirrored == base
     return LemmaCheck(
         "reflection_tfold",
         ok,
@@ -153,11 +151,12 @@ def _check_reflection_tfold(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
     )
 
 
-def _check_translation_by_set(st: SetTuple, h: HVec, t: int, B: FiniteSet) -> LemmaCheck:
+def _check_translation_by_set(
+    st: SetTuple, h: HVec, t: int, B: FiniteSet, base: frozenset
+) -> LemmaCheck:
     target = frozenset(
         inhomogeneous_count_table(st, h, B, cap=t).support_at_least(t).elements
     )
-    base = _support(st, h, t)
     ok = all(n + b in target for n in base for b in B.elements)
     return LemmaCheck(
         "translation_by_set",
@@ -197,14 +196,16 @@ def run_all(st: SetTuple, h: HVec, t: int = 1, B: FiniteSet | None = None) -> li
         B = FiniteSet((0, 1))
     if B.min != 0:
         raise DomainError("the translation set must have minimum 0")
+    # the t-fold set at h, which four of the checks compare against
+    base = _support(st, h, t)
     return [
-        _check_monotone_inclusion(st, h, t),
+        _check_monotone_inclusion(st, h, t, base),
         _check_support_bounds(st, h, t),
         _check_union_bound(st, h, t),
-        _check_per_color_product(st, h, t),
+        _check_per_color_product(st, h, t, base),
         _check_interval_sum(st, h, t),
         _check_reflection_table(st, h, t),
-        _check_reflection_tfold(st, h, t),
-        _check_translation_by_set(st, h, t, B),
+        _check_reflection_tfold(st, h, t, base),
+        _check_translation_by_set(st, h, t, B, base),
         _check_translation_by_form(st, h, t, B),
     ]

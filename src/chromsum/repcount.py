@@ -12,13 +12,21 @@ convolution of clipped inputs:
 (the second because any factor above cap forces the clipped term to cap
 already).  Capped tables therefore agree with clipping the exact table.
 
-Exact and capped tables run through one multiset kernel and one
-schoolbook convolution (np.convolve; no transform-based multiplication),
-and every count (a table, the structure search's certificate sizes, the
-margin box) is folded by one entry, _box_counts.  It picks the dtype
-once from _bound, a proven bound on every intermediate value at the
-box's top corner: numpy int64 below 2^62, and dtype=object (Python ints
-in the same numpy code) above it, so the result is exact either way.
+Exact and capped tables run through one multiset kernel (a capped row
+may come from partition folds instead, below) and one schoolbook
+convolution (np.convolve), and every count (a table, the
+structure search's certificate sizes, the margin box) is folded by one
+entry, _box_counts.  It picks the dtype once from _bound, a proven bound
+on every intermediate value at the box's top corner: float64 below
+2^53, numpy int64 below 2^62, and dtype=object (Python ints in the same
+numpy code) above it, so the result is exact either way.  A float64 fold
+is exact because every product and every partial sum it forms, in any
+order, is a nonnegative integer at most the bound (a sum of some of the
+nonnegative terms of one count), and every integer below 2^53 is a
+float64: neither the order in which np.convolve's dot product adds nor a
+fused multiply-add can round.  numpy's float64 dot runs on BLAS, several
+times the speed of its int64 loop on long rows; a count table's float
+counts are cast back to int64.
 
 * exact: a multiset row entry counts multisets from a prefix of A_i, so
   it is at most C(|A_i| + h_i - 1, h_i), and a convolution partial sum
@@ -40,6 +48,35 @@ m = 0, 1, 2, ... cost one step each and only |A| rows are live.  A
 table at fixed h takes the h-th row; the structure search keeps each
 color's stream and the rows it produced, so moving one exponent by one
 costs one row.
+
+Capped rows from two partition folds (_capped_row).  Since 0 is in A,
+an h-multiset of A is a partition of its sum into the nonzero elements
+(the parts) with at most h parts.  Let a_1 be the least part, M =
+max(A), g the gcd of the parts, and p(n) the number of partitions of n
+into the parts (the last _unbounded_rows row, clipped at cap).  Then
+row h, f(h, .), is a fringe at each end and a saturated middle, the
+shape of Nathanson's theorem on h-fold sums (Amer. Math. Monthly, 1972):
+
+* low end: for n <= h * a_1 a partition of n has at most n / a_1 <= h
+  parts, so f(h, n) = p(n);
+* high end: x -> M - x maps the h-multisets of A summing to n onto those
+  of M - A, which holds 0, summing to h * M - n; with p' and b_1 the
+  same for the reflected parts M - a (a != M), f(h, n) = p'(h * M - n)
+  for h * M - n <= h * b_1;
+* middle: adding r copies of M maps (h - r)-multisets injectively into
+  h-multisets, so f(h, n) >= f(h - r, n - r * M), which is p(n - r * M)
+  at the least r with n - r * M <= (h - r) * a_1 (and no bound where
+  n - r * M < 0); the mirrored bound from p' holds too, and where
+  either reaches cap the entry is cap;
+* every sum is a multiple of g, so every other entry is 0.
+
+If a multiple of g in the middle reaches cap by neither bound, the row
+is not proven and _capped_row returns None; the caller streams the
+kernel instead.  Two folds of h * a_1 and h * b_1 entries, one pass per
+part, replace h kernel steps over rows of up to h * M entries.  Count
+tables and the margin box take their capped rows from it; the structure
+search walks consecutive rows, one cheap kernel step each, and keeps
+streaming them.
 
 The margin box.  The structure search's final check and verify test
 the t-fold set at every point of a box [lo, lo + margin], (margin + 1)^q
@@ -65,8 +102,8 @@ np.convolve per color.
 Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
 clipping the running sums is the same as clipping after every addition.
-The limit constants of the structure module are read off the last such
-row (_limit_side).
+The limit constants of the structure module (_limit_side) and the ends
+of a capped row (_capped_row) are read off the last such row.
 
 The constructive witnesses are, per target, the t partitions into the
 sorted parts p_0 <= p_1 <= ... with fewest parts, ties in lexicographic
@@ -243,6 +280,42 @@ def _multiset_rows(elements: tuple[int, ...], dtype, cap: int | None) -> Iterato
             prefix[j] = below = cur
 
 
+def _capped_row(elements: tuple[int, ...], h: int, cap: int) -> np.ndarray | None:
+    """Row h of _multiset_rows(elements, ., cap) from one partition fold
+    per end, or None where the row's middle is not proven to saturate
+    (see the module docstring); elements must start at 0."""
+    top = elements[-1]
+    if not top:
+        return np.ones(1, dtype=np.int64)
+    parts = elements[1:]
+    width, step = h * top, math.gcd(*parts)
+    sides = []
+    for side in (parts, [top - a for a in elements[:-1]]):
+        least = min(side)
+        start = np.zeros(h * least + 1, dtype=np.int64)
+        start[0] = 1
+        for counts in _unbounded_rows(start, side, cap):
+            pass
+        sides.append((least, counts))
+    (low, p), (high, q) = sides
+    row = np.zeros(width + 1, dtype=_dtype(cap))
+    row[: len(p)] = p
+    row[width - len(q) + 1 :] = q[::-1]
+    middle = np.arange(h * low + step, width - h * high, step)
+    if middle.size:
+        proven = np.zeros(middle.size, dtype=bool)
+        for least, counts, n in ((low, p, middle), (high, q, width - middle)):
+            # r copies of top added to an (h - r)-multiset, at the least r
+            # that puts the rest, m, in the low end of row h - r
+            r = -(-(n - h * least) // (top - least))
+            m = n - r * top
+            proven |= (m >= 0) & (counts[np.maximum(m, 0)] >= cap)
+        if not proven.all():
+            return None
+        row[middle] = cap
+    return row
+
+
 def _fold(acc: np.ndarray, blocks: Iterable[np.ndarray], cap: int | None) -> np.ndarray:
     """Convolve every row of acc, a 2-D array, with every row of each
     2-D block in turn, at acc's dtype, clipped at cap when one is set.
@@ -303,13 +376,14 @@ def _box_counts(
     point h of the box whose color i takes the kernel rows blocks[i],
     rows lo_i, lo_i + 1, ... (a {0} color's from any row on: they are
     all [1]); one row per point, last coordinate fastest, each as long as
-    the top corner's.  The dtype and the cap are _bound's at the top
-    corner.  A lone row whose dtype converts safely is folded as it is;
-    other rows are copied at that dtype (uint64 rows in an int64 fold
-    would give floats)."""
+    the top corner's.  The cap is _bound's at the top corner, and the
+    dtype float64 where that bound is below 2^53 (see the module
+    docstring), else _dtype's.  A lone row whose dtype converts safely is
+    folded as it is; other rows are copied at that dtype (uint64 rows in
+    an int64 fold would give floats)."""
     top = [(A, c + len(rows) - 1) for A, c, rows in zip(sets, lo, blocks)]
     bound, cap = _bound(top, B, cap)
-    dtype = _dtype(bound)
+    dtype = np.float64 if bound < 1 << 53 else _dtype(bound)
     acc = np.zeros((1, B.max - B.min + 1), dtype=dtype)
     for b in B.elements:
         acc[0, b - B.min] = 1
@@ -328,7 +402,9 @@ def _box_counts(
 def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | None) -> np.ndarray:
     """Counts of sum_i (h_i-multiset of A_i) + one element of B over
     [min(B), sum_i h_i * max(A_i) + max(B)]: the one-point box at h, each
-    color's row streamed at the dtype and cap of its own bound."""
+    color's row at the cap of its own bound, from _capped_row where it
+    proves the row and otherwise streamed at that bound's dtype; a float
+    fold's counts come back as int64."""
     rows = []
     for A, h in colors:
         if not A:
@@ -338,9 +414,13 @@ def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | No
         if h < 0:
             raise DomainError("repetition count must be nonnegative")
         bound, row_cap = _bound([(A, h)], _ZERO, cap)
-        stream = _multiset_rows(A.elements, _dtype(bound), row_cap)
-        rows.append([next(islice(stream, h if A.max else 0, None))])
-    return _box_counts([A for A, _ in colors], [h for _, h in colors], B, cap, rows)[0]
+        row = None if row_cap is None else _capped_row(A.elements, h, row_cap)
+        if row is None:
+            stream = _multiset_rows(A.elements, _dtype(bound), row_cap)
+            row = next(islice(stream, h if A.max else 0, None))
+        rows.append([row])
+    counts = _box_counts([A for A, _ in colors], [h for _, h in colors], B, cap, rows)[0]
+    return counts if counts.dtype == object else counts.astype(np.int64, copy=False)
 
 
 def multiset_count_table(A: FiniteSet, h: int, cap: int | None = None) -> CountTable:
@@ -440,14 +520,21 @@ def _box_fits(
 
 
 def _streamed_box_fits(st: SetTuple, B: FiniteSet, t: int, dec, lo: HVec, margin: int) -> list[bool]:
-    """_box_fits over [lo, lo + margin], streaming each color's rows once
-    and keeping only the margin + 1 rows the box needs.  The rows of {0}
-    are all [1], so they are taken from row 0 on, whatever lo_i is."""
+    """_box_fits over [lo, lo + margin], each color's margin + 1 rows
+    from _capped_row, or, where it leaves one of them unproven, streamed
+    once, keeping only the rows the box needs.  _capped_row proves every
+    row of {0}, [1], whatever lo_i is."""
     blocks = []
     for A, c in zip(st.sets, lo.coords):
-        start = c if A.max else 0
-        rows = _multiset_rows(A.elements, _row_dtype(t), t)
-        blocks.append(list(islice(rows, start, start + margin + 1)))
+        rows = []
+        for h in range(c, c + margin + 1):
+            row = _capped_row(A.elements, h, t)
+            if row is None:
+                stream = _multiset_rows(A.elements, _row_dtype(t), t)
+                rows = list(islice(stream, c, c + margin + 1))
+                break
+            rows.append(row)
+        blocks.append(rows)
     return _box_fits(dec, st, B, t, lo, blocks)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -88,6 +89,66 @@ def test_narrow_capped_rows_are_clipped_exact(cap):
         exact = multiset_count_table(A, m).counts
         assert row.tolist() == [min(c, cap) for c in exact]
     assert row.max() == cap
+
+
+def _streamed_row(elements, h, cap):
+    return next(islice(repcount._multiset_rows(elements, np.int64, cap), h, None))
+
+
+@given(normalized_set, st.sampled_from([1, 2, 3]), st.integers(min_value=0, max_value=60),
+       st.sampled_from([1, 2, 8, 127, 128, 32767, 32768, 2**31]))
+@example(make_set([0, 1, 3, 4]), 3, 40, 8)  # a saturated middle, g = 3
+@example(make_set([0, 1, 2, 3]), 1, 40, 32768)  # a middle left unproven
+@example(make_set([0, 3, 5, 8]), 1, 2, 1)  # 7 = 8 - 1: no bound below 0
+def test_capped_row_is_the_streamed_row(A, g, h, cap):
+    # a proven row from the two partition folds is the capped kernel's
+    # row h, for sets whose nonzero parts share a factor g too
+    elements = tuple(g * a for a in A.elements)
+    row = repcount._capped_row(elements, h, cap)
+    if row is not None:
+        assert row.tolist() == _streamed_row(elements, h, cap).tolist()
+
+
+def test_capped_row_proves_saturation_or_returns_none():
+    # {0,3,9,12} at h=40: the ends [0, 120] and [360, 480] from the
+    # folds, every multiple of 3 between them proven to reach the cap,
+    # and zeros off the multiples of 3
+    row = repcount._capped_row((0, 3, 9, 12), 40, 8)
+    assert row.tolist() == _streamed_row((0, 3, 9, 12), 40, 8).tolist()
+    middle = row[120 + 3 : 360 : 3]
+    assert middle.size and (middle == 8).all() and not row[1::3].any()
+    # {0,1,2,3} at h=40: the middle bounds reach no count of 32768 near
+    # the ends of the middle, so the row is left to the stream
+    assert repcount._capped_row((0, 1, 2, 3), 40, 32768) is None
+    assert repcount._capped_row((0,), 10**9, 5).tolist() == [1]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 40, 1000])
+def test_capped_table_on_a_color_with_a_common_factor(cap):
+    # {0,2,4} has g = 2: its rows are 0 on every odd n, and the capped
+    # table (rows from _capped_row) is the clipped exact one (streamed)
+    st = make_tuple([[0, 2, 4], [0, 3]])
+    for h in (HVec((3, 2)), HVec((17, 5)), HVec((40, 1)), HVec((60, 30))):
+        exact = chromatic_count_table(st, h).counts
+        assert chromatic_count_table(st, h, cap=cap).counts == tuple(min(c, cap) for c in exact)
+
+
+def test_float_fold_just_below_2_53_is_exact():
+    # the exact table of 9-multisets of {0..9} and 46-multisets of
+    # {0..11} totals 0.996 * 2^53: _box_counts folds it at float64, and
+    # every count equals the same fold on Python ints
+    sets, h = [make_set(range(10)), make_set(range(12))], [9, 46]
+    bound, cap = repcount._bound(list(zip(sets, h)), make_set([0]), None)
+    assert 2**52 < bound < 2**53 and cap is None
+    rows = [[_streamed_row(A.elements, hi, None)] for A, hi in zip(sets, h)]
+    got = repcount._box_counts(sets, h, make_set([0]), None, rows)
+    assert got.dtype == np.float64
+    blocks = [row.astype(object)[None] for [row] in rows]
+    want = repcount._fold(np.ones((1, 1), dtype=object), blocks, None)
+    assert max(want[0]) > 2**45
+    assert [int(x) for x in got[0]] == want[0].tolist()
+    table = chromatic_count_table(make_tuple([range(10), range(12)]), HVec(tuple(h)))
+    assert table.counts == tuple(want[0].tolist())
 
 
 def test_one_point_fold_is_one_plain_convolution_per_color(monkeypatch):

@@ -95,3 +95,22 @@ def test_one_fold_entry():
         or (isinstance(node, ast.Attribute) and node.attr == "_fold")
     )
     assert found == ["repcount._box_counts"]
+
+
+_FLOAT_TYPES = {
+    "float64", "float_", "double", "float32", "single", "float16", "half", "longdouble", "f8", "f4",
+}
+
+
+def test_one_float_fold():
+    """A float type is named only where repcount._box_counts picks the
+    fold's dtype, float64 where its bound proves every count below 2^53:
+    no other path can count in floats, where an integer past 2^53 would
+    round."""
+    found = _places(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr in _FLOAT_TYPES)
+        or (isinstance(node, ast.Name) and node.id in _FLOAT_TYPES)
+        or (isinstance(node, ast.alias) and node.name.split(".")[-1] in _FLOAT_TYPES)
+        or (isinstance(node, ast.Constant) and node.value in _FLOAT_TYPES)
+    )
+    assert found == ["repcount._box_counts"]

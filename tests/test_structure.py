@@ -498,17 +498,19 @@ class TestThresholds:
 
     @pytest.mark.parametrize(
         "top, t, row_dtype, fold_dtype",
-        [(9, 1 << 30, np.uint32, np.int64), (9, 1 << 31, np.uint64, np.int64),
+        [(9, 1 << 30, np.uint32, np.float64), (9, 1 << 31, np.uint64, np.float64),
+         (14, 1 << 30, np.uint32, np.int64), (14, 1 << 31, np.uint64, np.int64),
          (19, 1 << 30, np.uint32, object), (19, 1 << 31, np.uint64, object)],
     )
     def test_box_fold_on_wide_counts(self, monkeypatch, top, t, row_dtype, fold_dtype):
-        # 100-multisets of {0..9} count up to ~6e10 near the middle, those
-        # of {0..19} up to ~1e19: t-fold intervals at t = 2^30 and 2^31,
-        # from uint32 and uint64 rows.  Both capped bounds exceed 2^62,
-        # but the folds of {0..9}, the box's and the search's size alike,
-        # run on int64, as its count table does, since no count of the
-        # box reaches 2^62 (its uint64 rows must not turn them into
-        # floats); those of {0..19} run on dtype=object
+        # 100-multisets of {0..9} count up to ~2e10 near the middle, those
+        # of {0..14} up to ~1e15 and those of {0..19} up to ~1e19: t-fold
+        # intervals at t = 2^30 and 2^31, from uint32 and uint64 rows.
+        # Every capped bound exceeds 2^62, so the fold's dtype comes from
+        # the box's total count, the box's and the search's size alike, as
+        # for its count table: float64 for {0..9} (every count below
+        # 2^53), int64 for {0..14} (below 2^62; its uint64 rows must not
+        # turn them into floats) and dtype=object for {0..19}
         st, B, lo = make_tuple([list(range(top + 1))]), make_set([0]), HVec((100,))
         assert repcount._row_dtype(t) == row_dtype
         assert (100 * top + 1) * t * t >= 1 << 62
@@ -538,8 +540,9 @@ class TestThresholds:
 
     def test_verify_takes_the_rows_of_zero_from_row_0(self, monkeypatch):
         # the rows of {0} are all [1]: verify at a huge coordinate of that
-        # color streams no more of them than at a small one
-        rows, drawn = repcount._multiset_rows, []
+        # color streams no more of them than at a small one, also where
+        # the other color's rows are not proven and so are streamed
+        rows, drawn, capped = repcount._multiset_rows, [], repcount._capped_row
 
         def counted(elements, dtype, cap):
             for m, row in enumerate(rows(elements, dtype, cap)):
@@ -551,6 +554,10 @@ class TestThresholds:
         res = threshold_empirical(st, 2)
         far, near = HVec((res.threshold.coords[0], 10**9)), HVec((res.threshold.coords[0], 1))
         monkeypatch.setattr(repcount, "_multiset_rows", counted)
+        monkeypatch.setattr(
+            repcount, "_capped_row",
+            lambda elements, h, cap: capped(elements, h, cap) if elements == (0,) else None,
+        )
         assert verify_structure(st, 2, res, far) is True
         assert structure._verify_box(st, make_set([0]), 2, res, far, 2) == [True] * 9
         corrupt = StructureResult.from_json({**res.to_json(), "c": res.low_cut + 1})
