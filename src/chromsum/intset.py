@@ -68,6 +68,13 @@ def _int(value, decimal: bool = False) -> int:
     return _ints((value,))[0]
 
 
+def _is_int(value) -> bool:
+    """Whether value is a Python int and not a bool: the scalar parameters
+    (t, a cap, a margin, an exponent, n, a ceiling) take nothing else, so
+    True is not read as 1 nor 2.0 as 2."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FiniteSet:
     """Immutable finite set of integers, stored strictly increasing."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, NotNormalizedError
-from .intset import FiniteSet, HVec, SetTuple, hvec_add_unit
+from .intset import FiniteSet, HVec, SetTuple, _is_int, hvec_add_unit
 from .repcount import (
     chromatic_count_table,
     inhomogeneous_count_table,
@@ -190,7 +190,7 @@ def run_all(st: SetTuple, h: HVec, t: int = 1, B: FiniteSet | None = None) -> li
         raise NotNormalizedError("lemma checks require a normalized tuple")
     if h.q != st.q:
         raise DomainError("exponent vector length does not match tuple")
-    if t < 1:
+    if not _is_int(t) or t < 1:
         raise DomainError("t must be a positive integer")
     if B is None:
         B = FiniteSet((0, 1))

@@ -12,14 +12,16 @@ convolution of clipped inputs:
 (the second because any factor above cap forces the clipped term to cap
 already).  Capped tables therefore agree with clipping the exact table.
 
-Exact and capped tables run through one multiset kernel (a capped row
-may come from partition folds instead, below) and one schoolbook
-convolution (np.convolve), and every count (a table, the
-structure search's certificate sizes, the margin box) is folded by one
-entry, _box_counts.  It picks the dtype once from _bound, a proven bound
-on every intermediate value at the box's top corner: float64 below
-2^53, numpy int64 below 2^62, and dtype=object (Python ints in the same
-numpy code) above it, so the result is exact either way.  A float64 fold
+Capped rows run through one numpy multiset kernel (or come from
+partition folds instead, below), exact rows through a packed-integer
+kernel that hands long int64 rows over to the numpy one (below), and
+every product of rows is one schoolbook convolution (np.convolve).
+Every count (a table, the structure search's certificate sizes, the
+margin box) is folded by one entry, _box_counts.  It picks the dtype
+once from _bound, a proven bound on every intermediate value at the
+box's top corner: float64 below 2^53, numpy int64 below 2^62, and
+dtype=object (Python ints in the same numpy code) above it, so the
+result is exact either way.  A float64 fold
 is exact because every product and every partial sum it forms, in any
 order, is a nonnegative integer at most the bound (a sum of some of the
 nonnegative terms of one count), and every integer below 2^53 is a
@@ -49,7 +51,55 @@ table at fixed h takes the h-th row; the structure search keeps each
 color's stream and the rows it produced, so moving one exponent by one
 costs one row.
 
-Capped rows from two partition folds (_capped_row).  Since 0 is in A,
+Exact rows on packed integers (_exact_row).  A row of the recurrence is
+a polynomial with nonnegative coefficients, so it can be held as one
+Python integer, entry n in bits [n * w, (n + 1) * w) (Kronecker
+substitution; Harvey, J. Symbolic Comput., 2009), and a step is one
+shift and one add in C:
+
+    f(j, m+1, .) = f(j-1, m+1, .) + (f(j, m, .) << a_j * w)
+
+No slot ever carries into the next.  Every entry and every partial sum
+the recurrence forms is a multiset count of one prefix at some m <= h,
+so it is at most the color's exact bound C(|A| + h - 1, h); w is that
+bound's bit length rounded up to 8, 16, 32 or 64 bits (past 64, to
+whole bytes), so every slot value is below 2^w, and Python integers are
+exact at any size.  Row h is unpacked once: 1-, 2-, 4- and 8-byte slots
+by np.frombuffer, then cast to _dtype(bound); wider slots by one
+int.from_bytes per slot into an object array.  The numpy kernel makes
+three calls of about 1 us each per (row, element), on the rows of at
+most ~1,500 entries that count tables mostly have, so call overhead,
+not arithmetic, sets its cost.  But CPython adds 30-bit digits in a
+loop, while numpy adds int64 with SIMD, so a long int64 row is faster
+on numpy.  Once a row would pass _HANDOVER = 2^11 entries, every prefix is
+unpacked and _multiset_rows finishes from that state.  The crossover,
+measured on a 2-vCPU VM (Python 3.11, numpy 2.4), best of 8-60
+interleaved runs, in ms:
+
+    row                      entries  numpy  handover at 2^10  2^11  2^12
+    {0,2,3}, h = 300             901   1.60              0.53  0.49  0.47
+    {0,3,7,11,19}, h = 200     3,801   2.74              1.97  1.93  2.28
+    {0,3,7,11,19}, h = 400     7,601   6.48              6.17  6.03  6.37
+    {0,3,7,11,19}, h = 640    12,161  10.07             10.23  9.97 11.84
+    {0,1,5,9}, h = 2000       18,001  32.59             28.61 30.55 35.91
+
+Staying packed to the end took 3.1-3.8 times numpy's time at 12,161
+entries.  A row whose bound is 2^62 or more stays packed to the end:
+numpy's object arrays run a Python loop per entry (40-multisets of
+{0..39}, bound about 2^75: 16-27 ms on object arrays, 3.6-5.4 ms
+packed).
+
+Capped rows and the folds stay on numpy.  A packed integer cannot clip
+entry by entry.  Capped rows computed exact, packed, and then clipped
+took a median of 82-263 us per row against 31-78 us for _capped_rows on
+the capped strata of the benchmark's counts workload; only at small h,
+such as lemmas.run_all's, is the packed row the faster one (7-15 us
+against 27-66 us at h = 3-16).  Multiplying
+the colors' packed rows as big integers in place of the fold took 132
+and 210 us against 51 and 75 us for the float64 fold, on two- and
+three-color exact tables of the same workload (medians).
+
+Capped rows from two partition folds (_capped_rows).  Since 0 is in A,
 an h-multiset of A is a partition of its sum into the nonzero elements
 (the parts) with at most h parts.  Let a_1 be the least part, M =
 max(A), g the gcd of the parts, and p(n) the number of partitions of n
@@ -71,9 +121,12 @@ shape of Nathanson's theorem on h-fold sums (Amer. Math. Monthly, 1972):
 * every sum is a multiple of g, so every other entry is 0.
 
 If a multiple of g in the middle reaches cap by neither bound, the row
-is not proven and _capped_row returns None; the caller streams the
+is not proven and _capped_rows returns None; the caller streams the
 kernel instead.  Two folds of h * a_1 and h * b_1 entries, one pass per
-part, replace h kernel steps over rows of up to h * M entries.  Count
+part, replace h kernel steps over rows of up to h * M entries.  A fold
+reads no entry above the one it writes, so the tables of a lower row
+are prefixes of those of a higher one: the margin box's rows h = lo_i,
+..., lo_i + margin all come from the two folds at its top row.  Count
 tables and the margin box take their capped rows from it; the structure
 search walks consecutive rows, one cheap kernel step each, and keeps
 streaming them.
@@ -103,7 +156,7 @@ Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
 clipping the running sums is the same as clipping after every addition.
 The limit constants of the structure module (_limit_side) and the ends
-of a capped row (_capped_row) are read off the last such row.
+of a capped row (_capped_rows) are read off the last such row.
 
 The constructive witnesses are, per target, the t partitions into the
 sorted parts p_0 <= p_1 <= ... with fewest parts, ties in lexicographic
@@ -135,7 +188,7 @@ from .errors import (
     EmptySetError,
     NotNormalizedError,
 )
-from .intset import FiniteSet, HVec, SetTuple, _int, _ints
+from .intset import FiniteSet, HVec, SetTuple, _int, _ints, _is_int
 
 __all__ = [
     "CountTable",
@@ -155,6 +208,10 @@ _GROUP_CAP = 1 << 16
 
 # _box_fits folds a box of more cells than this one slab at a time
 _BOX_CELLS = 1 << 20
+
+# _exact_row hands an int64 row over to the numpy kernel before it passes
+# this many entries, the measured crossover (see the module docstring)
+_HANDOVER = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -236,7 +293,7 @@ class CountTable:
 
 
 def _validate_cap(cap):
-    if cap is not None and (not isinstance(cap, int) or cap < 1):
+    if cap is not None and (not _is_int(cap) or cap < 1):
         raise DomainError("cap must be a positive integer or None")
 
 
@@ -253,16 +310,19 @@ def _row_dtype(cap: int):
     return np.min_scalar_type(2 * cap)
 
 
-def _multiset_rows(elements: tuple[int, ...], dtype, cap: int | None) -> Iterator[np.ndarray]:
+def _multiset_rows(
+    elements: tuple[int, ...], dtype, cap: int | None, start: Sequence[np.ndarray] | None = None
+) -> Iterator[np.ndarray]:
     """Rows m = 0, 1, 2, ... of the multiset DP over the increasing
-    elements, clipped at cap unless it is None.  Row m has length
-    m * max(elements) + 1; callers must not write to it.
+    elements, clipped at cap unless it is None, or rows m, m + 1, ... from
+    start, the state at some row m.  Row m has length m * max(elements) +
+    1; callers must not write to it.
 
     The state is f(j, m, .) for every prefix j, of length m * a_j + 1;
     f(j, m+1, .) adds f(j, m, .) shifted by a_j to f(j-1, m+1, .), in
     m-major order.  An element 0 can only come first, and its prefix's
     rows are all [1], so they are never recomputed."""
-    prefix = [np.ones(1, dtype=dtype)] * len(elements)
+    prefix = [np.ones(1, dtype=dtype)] * len(elements) if start is None else list(start)
     while True:
         yield prefix[-1]
         below = None
@@ -280,40 +340,81 @@ def _multiset_rows(elements: tuple[int, ...], dtype, cap: int | None) -> Iterato
             prefix[j] = below = cur
 
 
-def _capped_row(elements: tuple[int, ...], h: int, cap: int) -> np.ndarray | None:
-    """Row h of _multiset_rows(elements, ., cap) from one partition fold
-    per end, or None where the row's middle is not proven to saturate
-    (see the module docstring); elements must start at 0."""
+def _exact_row(elements: tuple[int, ...], h: int, bound: int) -> np.ndarray:
+    """Row h of _multiset_rows(elements, _dtype(bound), None), bound being
+    C(len(elements) + h - 1, h), from the recurrence on packed integers,
+    one slot per entry (see the module docstring); elements must start at
+    0.  An int64 row is handed over to _multiset_rows before it passes
+    _HANDOVER entries."""
+    top, dtype = elements[-1], _dtype(bound)
+    if not top:
+        return np.ones(1, dtype=dtype)
+    size = -(-bound.bit_length() // 8)  # bytes per slot
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    shifts = [8 * size * a for a in elements[1:]]
+    stop = h if dtype is object else min(h, (_HANDOVER - 1) // top)
+    prefix = [1] * len(elements)
+    for _ in range(stop):
+        below = 1
+        for j, shift in enumerate(shifts, 1):
+            below = prefix[j] = below + (prefix[j] << shift)
+    rows = []
+    for j in range(len(elements)) if stop < h else [-1]:
+        raw = prefix[j].to_bytes((stop * elements[j] + 1) * size, "little")
+        if size <= 8:
+            rows.append(np.frombuffer(raw, f"<u{size}").astype(dtype))
+        else:
+            slots = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+            rows.append(np.array(slots, dtype=object))
+    if stop == h:
+        return rows[0]
+    return next(islice(_multiset_rows(elements, dtype, None, rows), h - stop, None))
+
+
+def _capped_rows(elements: tuple[int, ...], hs: range, cap: int) -> list[np.ndarray] | None:
+    """Rows hs of _multiset_rows(elements, ., cap), each read off one
+    partition fold per end at the top row hs[-1], or None where some
+    row's middle is not proven to saturate (see the module docstring);
+    elements must start at 0."""
     top = elements[-1]
     if not top:
-        return np.ones(1, dtype=np.int64)
+        return [np.ones(1, dtype=np.int64)] * len(hs)
     parts = elements[1:]
-    width, step = h * top, math.gcd(*parts)
+    step = math.gcd(*parts)
     sides = []
     for side in (parts, [top - a for a in elements[:-1]]):
         least = min(side)
-        start = np.zeros(h * least + 1, dtype=np.int64)
+        start = np.zeros(hs[-1] * least + 1, dtype=np.int64)
         start[0] = 1
         for counts in _unbounded_rows(start, side, cap):
             pass
         sides.append((least, counts))
     (low, p), (high, q) = sides
-    row = np.zeros(width + 1, dtype=_dtype(cap))
-    row[: len(p)] = p
-    row[width - len(q) + 1 :] = q[::-1]
-    middle = np.arange(h * low + step, width - h * high, step)
-    if middle.size:
-        proven = np.zeros(middle.size, dtype=bool)
-        for least, counts, n in ((low, p, middle), (high, q, width - middle)):
-            # r copies of top added to an (h - r)-multiset, at the least r
-            # that puts the rest, m, in the low end of row h - r
-            r = -(-(n - h * least) // (top - least))
-            m = n - r * top
-            proven |= (m >= 0) & (counts[np.maximum(m, 0)] >= cap)
-        if not proven.all():
-            return None
-        row[middle] = cap
-    return row
+    rows = []
+    for h in hs:
+        # row h's ends are the first h * low + 1 and h * high + 1 entries
+        # of the tables: a partition fold reads no entry above the one it
+        # writes
+        width = h * top
+        row = np.zeros(width + 1, dtype=_dtype(cap))
+        row[: h * low + 1] = p[: h * low + 1]
+        row[width - h * high :] = q[h * high :: -1]
+        middle = np.arange(h * low + step, width - h * high, step)
+        if middle.size:
+            proven = np.zeros(middle.size, dtype=bool)
+            for least, counts, n in ((low, p, middle), (high, q, width - middle)):
+                # r copies of top added to an (h - r)-multiset, at the least
+                # r that puts the rest, m <= (h - r) * least, in the low end
+                # of row h - r
+                r = -(-(n - h * least) // (top - least))
+                m = n - r * top
+                proven |= (m >= 0) & (counts[np.maximum(m, 0)] >= cap)
+            if not proven.all():
+                return None
+            row[middle] = cap
+        rows.append(row)
+    return rows
 
 
 def _fold(acc: np.ndarray, blocks: Iterable[np.ndarray], cap: int | None) -> np.ndarray:
@@ -402,23 +503,26 @@ def _box_counts(
 def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | None) -> np.ndarray:
     """Counts of sum_i (h_i-multiset of A_i) + one element of B over
     [min(B), sum_i h_i * max(A_i) + max(B)]: the one-point box at h, each
-    color's row at the cap of its own bound, from _capped_row where it
-    proves the row and otherwise streamed at that bound's dtype; a float
-    fold's counts come back as int64."""
+    color's row at the cap of its own bound: packed (_exact_row) where
+    that bound leaves no cap, else from _capped_rows where it proves the
+    row and otherwise streamed at the bound's dtype; a float fold's
+    counts come back as int64."""
     rows = []
     for A, h in colors:
         if not A:
             raise EmptySetError("cannot count over an empty set")
         if A.min != 0:
             raise NotNormalizedError("multiset counting requires min(A) = 0")
-        if h < 0:
-            raise DomainError("repetition count must be nonnegative")
+        if not _is_int(h) or h < 0:
+            raise DomainError("repetition count must be a nonnegative integer")
         bound, row_cap = _bound([(A, h)], _ZERO, cap)
-        row = None if row_cap is None else _capped_row(A.elements, h, row_cap)
-        if row is None:
-            stream = _multiset_rows(A.elements, _dtype(bound), row_cap)
-            row = next(islice(stream, h if A.max else 0, None))
-        rows.append([row])
+        if row_cap is None:
+            block = [_exact_row(A.elements, h, bound)]
+        else:
+            block = _capped_rows(A.elements, range(h, h + 1), row_cap)
+            if block is None:
+                block = list(islice(_multiset_rows(A.elements, _dtype(bound), row_cap), h, h + 1))
+        rows.append(block)
     counts = _box_counts([A for A, _ in colors], [h for _, h in colors], B, cap, rows)[0]
     return counts if counts.dtype == object else counts.astype(np.int64, copy=False)
 
@@ -450,7 +554,7 @@ def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> Coun
 
 def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
     """The set of integers with at least t colored representations."""
-    if t < 1:
+    if not _is_int(t) or t < 1:
         raise DomainError("t must be a positive integer")
     counts = _counts(_colors(st, h), _ZERO, t)
     return FiniteSet(tuple(np.flatnonzero(counts >= t).tolist()))
@@ -521,19 +625,15 @@ def _box_fits(
 
 def _streamed_box_fits(st: SetTuple, B: FiniteSet, t: int, dec, lo: HVec, margin: int) -> list[bool]:
     """_box_fits over [lo, lo + margin], each color's margin + 1 rows
-    from _capped_row, or, where it leaves one of them unproven, streamed
-    once, keeping only the rows the box needs.  _capped_row proves every
-    row of {0}, [1], whatever lo_i is."""
+    from _capped_rows, two partition folds at the top row, or, where it
+    leaves one of them unproven, streamed once, keeping only the rows the
+    box needs.  _capped_rows proves every row of {0}, [1], whatever lo_i
+    is."""
     blocks = []
     for A, c in zip(st.sets, lo.coords):
-        rows = []
-        for h in range(c, c + margin + 1):
-            row = _capped_row(A.elements, h, t)
-            if row is None:
-                stream = _multiset_rows(A.elements, _row_dtype(t), t)
-                rows = list(islice(stream, c, c + margin + 1))
-                break
-            rows.append(row)
+        rows = _capped_rows(A.elements, range(c, c + margin + 1), t)
+        if rows is None:
+            rows = list(islice(_multiset_rows(A.elements, _row_dtype(t), t), c, c + margin + 1))
         blocks.append(rows)
     return _box_fits(dec, st, B, t, lo, blocks)
 
@@ -544,10 +644,10 @@ def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
     The empty multiset represents 0, so the count at 0 is 1.  Parts must
     all be at least 1; callers strip 0 from their alphabets first.
     """
-    if not isinstance(cap, int) or cap < 1:
+    if not _is_int(cap) or cap < 1:
         raise DomainError("cap must be a positive integer")
-    if n_top < 0:
-        raise DomainError("table end must be nonnegative")
+    if not _is_int(n_top) or n_top < 0:
+        raise DomainError("table end must be a nonnegative integer")
     if parts and parts.min < 1:
         raise DomainError("partition parts must all be at least 1")
     for counts in _unbounded_rows([1] + [0] * n_top, parts.elements, cap):

@@ -77,7 +77,7 @@ from .errors import (
     NotNormalizedError,
     SearchExhaustedError,
 )
-from .intset import FiniteSet, HVec, SetTuple, _int, hvec_add_unit, hvec_leq, hvec_sup
+from .intset import FiniteSet, HVec, SetTuple, _int, _is_int, hvec_add_unit, hvec_leq, hvec_sup
 from .repcount import (
     _ZERO,
     _TFoldSets,
@@ -234,8 +234,13 @@ def _require_normalized(st: SetTuple) -> None:
 
 
 def _require_t(t: int) -> None:
-    if not isinstance(t, int) or t < 1:
+    if not _is_int(t) or t < 1:
         raise DomainError("t must be a positive integer")
+
+
+def _require_margin(margin: int) -> None:
+    if not _is_int(margin) or margin < 1:
+        raise DomainError("margin must be a positive integer")
 
 
 def _box_points(lo: HVec, margin: int):
@@ -348,6 +353,8 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
     """
     _require_normalized(st)
     _require_t(t)
+    if not _is_int(n):
+        raise DomainError("n must be an integer")
     if t >= 2 and _counts_are_bounded(st):
         raise DegenerateAlphabetError(
             "only one nonzero element: distinct representations cannot exist"
@@ -625,8 +632,7 @@ def structure_constants(
     strategy also checks that box exactly."""
     _require_normalized(st)
     _require_t(t)
-    if margin < 1:
-        raise DomainError("margin must be a positive integer")
+    _require_margin(margin)
     if strategy == "empirical":
         return threshold_empirical(st, t, margin=margin)
     if strategy != "constructive":
@@ -655,8 +661,9 @@ def structure_constants_inhomogeneous(
     max(B).  With B = {0} this is exactly the homogeneous search."""
     _require_normalized(st)
     _require_t(t)
-    if margin < 1:
-        raise DomainError("margin must be a positive integer")
+    _require_margin(margin)
+    if ceiling is not None and not _is_int(ceiling):
+        raise DomainError("ceiling must be an integer or None")
     if B.min != 0:
         raise DomainError("the translation set must have minimum 0")
     _require_nondegenerate(st, B, t)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from chromsum import lemmas
 from chromsum.errors import DomainError, NotNormalizedError
 from chromsum.intset import HVec, make_set, make_tuple
 from chromsum.lemmas import run_all
@@ -58,3 +59,11 @@ def test_validation():
         run_all(make_tuple([[0, 1]]), HVec((1,)), t=0)
     with pytest.raises(DomainError):
         run_all(make_tuple([[0, 1]]), HVec((1,)), B=make_set([2, 3]))
+
+
+@pytest.mark.parametrize("t", [True, 2.0])
+def test_t_refuses_bools_and_floats(monkeypatch, t):
+    # True is not read as t = 1 nor 2.0 as 2, and no check runs first
+    monkeypatch.setattr(lemmas, "_support", lambda *_: pytest.fail("checked before refusing"))
+    with pytest.raises(DomainError):
+        run_all(make_tuple([[0, 1]]), HVec((2,)), t)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from itertools import islice
@@ -45,6 +46,34 @@ def test_multiset_validation():
         multiset_count_table(make_set([1, 2]), 2)
     with pytest.raises(DomainError):
         multiset_count_table(make_set([0, 1]), -1)
+
+
+_A013, _T013 = make_set([0, 1, 3]), make_tuple([[0, 1, 3]])
+
+
+@pytest.mark.parametrize("call, args", [
+    (tfold_set, (_T013, HVec((2,)), True)),
+    (tfold_set, (_T013, HVec((2,)), 2.0)),
+    (multiset_count_table, (_A013, True)),
+    (multiset_count_table, (_A013, 2.0)),
+    (multiset_count_table, (_A013, 4, True)),
+    (multiset_count_table, (_A013, 4, 2.0)),
+    (chromatic_count_table, (_T013, HVec((2,)), True)),
+    (inhomogeneous_count_table, (_T013, HVec((2,)), make_set([0, 1]), True)),
+    (partition_count_table, (make_set([2, 3]), 5, True)),
+    (partition_count_table, (make_set([2, 3]), 5, 3.0)),
+    (partition_count_table, (make_set([2, 3]), 5.0, 3)),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_scalar_parameters_refuse_bools_and_floats(monkeypatch, call, args):
+    # True is not read as 1 nor 2.0 as 2: the typed error comes before
+    # any row or fold is computed
+    def work(*_):
+        raise AssertionError("counted before refusing")
+
+    for name in ("_box_counts", "_unbounded_rows", "_exact_row", "_multiset_rows"):
+        monkeypatch.setattr(repcount, name, work)
+    with pytest.raises(DomainError):
+        call(*args)
 
 
 @given(normalized_set, st.integers(min_value=0, max_value=6))
@@ -104,29 +133,66 @@ def test_capped_row_is_the_streamed_row(A, g, h, cap):
     # a proven row from the two partition folds is the capped kernel's
     # row h, for sets whose nonzero parts share a factor g too
     elements = tuple(g * a for a in A.elements)
-    row = repcount._capped_row(elements, h, cap)
-    if row is not None:
-        assert row.tolist() == _streamed_row(elements, h, cap).tolist()
+    rows = repcount._capped_rows(elements, range(h, h + 1), cap)
+    if rows is not None:
+        assert rows[0].tolist() == _streamed_row(elements, h, cap).tolist()
+
+
+def _least_h(k, bits):
+    """The least h at which C(k + h - 1, h), the largest count of
+    h-multisets of a k-set, reaches 2^bits."""
+    return next(h for h in itertools.count() if math.comb(k + h - 1, h) >> bits)
+
+
+def _edge_examples(test):
+    # h just below and at each slot-width and dtype edge of a k-set's
+    # bound (1-, 2-, 4- and 8-byte slots, the int64 and object tiers,
+    # slots wider than 8 bytes); rows of (0, 1) and of (0, 7, 9) * 2,
+    # before, at and past the handover; a {0} color and h = 0
+    edges = ((2, 8), (3, 16), (6, 32), (20, 62), (20, 64))
+    cases = [(make_set(range(k)), 1, h) for k, bits in edges
+             for h in (_least_h(k, bits) - 1, _least_h(k, bits))]
+    cases += [(make_set([0, 1]), 1, h) for h in (2046, 2047, 2048)]
+    cases += [(make_set([0, 7, 9]), 2, h) for h in (112, 113, 114, 300)]
+    cases += [(make_set([0]), 1, 7), (make_set([0, 3]), 3, 0), (make_set(range(40)), 1, 40)]
+    for case in cases:
+        test = example(*case)(test)
+    return test
+
+
+@_edge_examples
+@given(normalized_set, st.sampled_from([1, 2, 3]), st.integers(min_value=0, max_value=80))
+def test_exact_row_is_the_streamed_row(A, g, h):
+    # the packed kernel's row is the numpy kernel's, both at the dtype of
+    # the bound, so for sets scaled by g too
+    elements = tuple(g * a for a in A.elements)
+    bound = math.comb(len(elements) + h - 1, h)
+    dtype = repcount._dtype(bound)
+    row = repcount._exact_row(elements, h, bound)
+    assert row.dtype == np.dtype(dtype)
+    stream = repcount._multiset_rows(elements, dtype, None)
+    assert row.tolist() == next(islice(stream, h, None)).tolist()
 
 
 def test_capped_row_proves_saturation_or_returns_none():
     # {0,3,9,12} at h=40: the ends [0, 120] and [360, 480] from the
     # folds, every multiple of 3 between them proven to reach the cap,
     # and zeros off the multiples of 3
-    row = repcount._capped_row((0, 3, 9, 12), 40, 8)
+    [row] = repcount._capped_rows((0, 3, 9, 12), range(40, 41), 8)
     assert row.tolist() == _streamed_row((0, 3, 9, 12), 40, 8).tolist()
     middle = row[120 + 3 : 360 : 3]
     assert middle.size and (middle == 8).all() and not row[1::3].any()
     # {0,1,2,3} at h=40: the middle bounds reach no count of 32768 near
     # the ends of the middle, so the row is left to the stream
-    assert repcount._capped_row((0, 1, 2, 3), 40, 32768) is None
-    assert repcount._capped_row((0,), 10**9, 5).tolist() == [1]
+    assert repcount._capped_rows((0, 1, 2, 3), range(40, 41), 32768) is None
+    rows = repcount._capped_rows((0,), range(10**9, 10**9 + 2), 5)
+    assert [row.tolist() for row in rows] == [[1]] * 2
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5, 40, 1000])
 def test_capped_table_on_a_color_with_a_common_factor(cap):
     # {0,2,4} has g = 2: its rows are 0 on every odd n, and the capped
-    # table (rows from _capped_row) is the clipped exact one (streamed)
+    # table (rows from _capped_rows) is the clipped exact one (streamed)
     st = make_tuple([[0, 2, 4], [0, 3]])
     for h in (HVec((3, 2)), HVec((17, 5)), HVec((40, 1)), HVec((60, 30))):
         exact = chromatic_count_table(st, h).counts

@@ -114,3 +114,13 @@ def test_one_float_fold():
         or (isinstance(node, ast.Constant) and node.value in _FLOAT_TYPES)
     )
     assert found == ["repcount._box_counts"]
+
+
+def test_one_packed_kernel():
+    """Integers are packed into bytes and back only in
+    repcount._exact_row, where each slot is proven wider than every count
+    it can hold: no other path can read a slot that a carry has reached."""
+    found = _places(
+        lambda node: isinstance(node, ast.Attribute) and node.attr in {"to_bytes", "from_bytes"}
+    )
+    assert set(found) == {"repcount._exact_row"}

@@ -373,6 +373,34 @@ class TestThresholds:
         with pytest.raises(DomainError):
             threshold_empirical(A023, 1, margin=0)
 
+    @pytest.mark.parametrize("call, args, kwargs", [
+        (structure_constants, (A023, True), {}),
+        (structure_constants, (A023, 2.0), {}),
+        (structure_constants, (A023, 2), {"margin": True}),
+        (structure_constants, (A023, 2), {"margin": 2.0}),
+        (structure_constants, (A023, True), {"strategy": "constructive"}),
+        (structure_constants_inhomogeneous, (A023, make_set([0, 1]), True), {}),
+        (structure_constants_inhomogeneous, (A023, make_set([0, 1]), 2), {"margin": True}),
+        (threshold_empirical, (A023, 2), {"margin": True}),
+        (threshold_constructive, (A023, True), {}),
+        (certified_rep_bound, (A023, True), {}),
+        (witness_representations, (A023, 20, True), {}),
+        (witness_representations, (A023, 20, 2.0), {}),
+        (witness_representations, (A023, 20.0, 1), {}),
+        (threshold_empirical, (A023, 2), {"ceiling": True}),
+        (threshold_empirical, (A023, 2), {"ceiling": 2.5}),
+    ], ids=lambda x: getattr(x, "__name__", None) if callable(x) else None)
+    def test_scalar_parameters_refuse_bools_and_floats(self, monkeypatch, call, args, kwargs):
+        # True is not read as 1 nor 2.0 as 2: the typed error comes before
+        # the search, the constructive route or a witness starts
+        def work(*_):
+            raise AssertionError("computed before refusing")
+
+        for name in ("_stabilize", "_limit_constants", "_ext_gcd"):
+            monkeypatch.setattr(structure, name, work)
+        with pytest.raises(DomainError):
+            call(*args, **kwargs)
+
     def test_search_ceiling_is_enforced(self):
         with pytest.raises(SearchExhaustedError):
             threshold_empirical(A023, 3, ceiling=0)
@@ -542,7 +570,7 @@ class TestThresholds:
         # the rows of {0} are all [1]: verify at a huge coordinate of that
         # color streams no more of them than at a small one, also where
         # the other color's rows are not proven and so are streamed
-        rows, drawn, capped = repcount._multiset_rows, [], repcount._capped_row
+        rows, drawn, capped = repcount._multiset_rows, [], repcount._capped_rows
 
         def counted(elements, dtype, cap):
             for m, row in enumerate(rows(elements, dtype, cap)):
@@ -555,8 +583,8 @@ class TestThresholds:
         far, near = HVec((res.threshold.coords[0], 10**9)), HVec((res.threshold.coords[0], 1))
         monkeypatch.setattr(repcount, "_multiset_rows", counted)
         monkeypatch.setattr(
-            repcount, "_capped_row",
-            lambda elements, h, cap: capped(elements, h, cap) if elements == (0,) else None,
+            repcount, "_capped_rows",
+            lambda elements, hs, cap: capped(elements, hs, cap) if elements == (0,) else None,
         )
         assert verify_structure(st, 2, res, far) is True
         assert structure._verify_box(st, make_set([0]), 2, res, far, 2) == [True] * 9
@@ -564,6 +592,25 @@ class TestThresholds:
         assert (structure._verify_box(st, make_set([0]), 2, corrupt, far, 1)
                 == structure._verify_box(st, make_set([0]), 2, corrupt, near, 1))
         assert max(drawn) <= res.threshold.coords[0] + 2
+
+    def test_margin_box_folds_each_partition_table_once(self, monkeypatch):
+        # a margin-3 box of [[0,17,40]] reads its 4 rows off one partition
+        # fold per end at the top row: 2 folds, not 2 per row, and the
+        # same answers as verifying each point on its own
+        st, t = make_tuple([[0, 17, 40]]), 5
+        res = structure_constants(st, t)
+        lo = HVec((res.threshold.coords[0] + 4,))
+        want = [verify_structure(st, t, res, h) for h in structure._box_points(lo, 3)]
+        assert repcount._capped_rows((0, 17, 40), range(lo.coords[0], lo.coords[0] + 4), t)
+        folds, unbounded = [], repcount._unbounded_rows
+
+        def spy(acc, parts, cap):
+            folds.append(len(acc))
+            return unbounded(acc, parts, cap)
+
+        monkeypatch.setattr(repcount, "_unbounded_rows", spy)
+        assert structure._verify_box(st, make_set([0]), t, res, lo, 3) == want == [True] * 4
+        assert len(folds) == 2
 
     def test_verify_matches_the_set_definition(self):
         # crafted results around the true shape: verify must answer exactly
