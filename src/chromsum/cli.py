@@ -69,8 +69,11 @@ def _parse_ints(value, what: str) -> list[int]:
         if text.startswith("["):
             value = _loads(text, what)
         else:
+            items = text.split(",")
+            if any(not p.strip() for p in items):
+                raise UsageError(f"{what} expects integers, got an empty item in {value!r}")
             try:
-                value = [int(p) for p in text.split(",") if p.strip() != ""]
+                value = [int(p) for p in items]
             except ValueError as exc:
                 raise UsageError(f"{what} expects integers: {exc}") from exc
     if not isinstance(value, list) or not all(

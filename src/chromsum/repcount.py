@@ -12,10 +12,11 @@ convolution of clipped inputs:
 (the second because any factor above cap forces the clipped term to cap
 already).  Capped tables therefore agree with clipping the exact table.
 
-Capped rows run through one numpy multiset kernel (or come from
-partition folds instead, below), exact rows through a packed-integer
-kernel that hands long int64 rows over to the numpy one (below), and
-every product of rows is one schoolbook convolution (np.convolve).
+Exact rows run through a packed-integer kernel that hands long int64
+rows over to one numpy multiset kernel (below).  Capped rows come from
+one entry, _capped_block: short ones from the packed kernel, clipped
+once, long ones from partition folds or the numpy kernel (below).  Every
+product of rows is one schoolbook convolution (np.convolve).
 Every count (a table, the structure search's certificate sizes, the
 margin box) is folded by one entry, _box_counts.  It picks the dtype
 once from _bound, a proven bound on every intermediate value at the
@@ -89,14 +90,40 @@ numpy's object arrays run a Python loop per entry (40-multisets of
 {0..39}, bound about 2^75: 16-27 ms on object arrays, 3.6-5.4 ms
 packed).
 
-Capped rows and the folds stay on numpy.  A packed integer cannot clip
-entry by entry.  Capped rows computed exact, packed, and then clipped
-took a median of 82-263 us per row against 31-78 us for _capped_rows on
-the capped strata of the benchmark's counts workload; only at small h,
-such as lemmas.run_all's, is the packed row the faster one (7-15 us
-against 27-66 us at h = 3-16).  Multiplying
-the colors' packed rows as big integers in place of the fold took 132
-and 210 us against 51 and 75 us for the float64 fold, on two- and
+Short capped rows are packed too (_capped_block).  A packed integer
+cannot clip entry by entry, and need not: by the identities above the
+capped row is min(exact row, cap), so _exact_row computes the exact rows
+and clips each once as it unpacks it.  An exact row costs more than a
+capped one where rows are long, so only a color whose top row costs at
+most _PACKED_CELLS = 2^15 cells, |A| * h * (h * max(A) + 1), is packed;
+longer capped rows take the proof of _capped_rows (below), and the numpy
+kernel where it leaves a row unproven.  One row at cap 3, measured on a
+2-vCPU VM (Python 3.11, numpy 2.4), best of 3 interleaved sets of 10-40
+runs, in us (* not proven, so the folds' time includes the stream's):
+
+    row                       cells  packed  folds
+    {0,2,5}, h = 2               66     7.4   28.5
+    {0,1,9,12}, h = 2           200     7.8   70.4 *
+    {0,3,7,11,19}, h = 8      6,120    14.2  220.4 *
+    {0,17,40}, h = 8          7,704     8.6   24.2
+    {0,2,5}, h = 32          15,456    19.8   19.9
+    {0,3,7,11,19}, h = 16    24,400    24.3  204.3 *
+    {0,17,40}, h = 16        30,768    14.9   26.1
+    {0,1,9,12}, h = 32       49,280    31.4  275.8 *
+    {0,2,5}, h = 64          61,632    42.2   24.2
+    {0,3,7,11,19}, h = 32    97,440    43.2   59.4
+    {0,17,40}, h = 32       122,976    50.1   31.0
+    {0,1,9,12}, h = 64      196,864    87.1   57.7
+    {0,3,7,11,19}, h = 64   389,440   209.3   73.5
+
+Of 48 rows (sets of 3-5 elements, max 5-40, h 2-64) the packed one won
+every row up to 49,280 cells and lost every row from 196,864 on; in
+between the set decides, and 2^15 stays below every loss.  So the
+tables of lemmas.run_all in the benchmark's counts workload (h = 3-7)
+are packed, while its capped strata (about 400,000 cells) and large
+margin boxes keep the folds.  The folds stay on numpy: multiplying the
+colors' packed rows as big integers in place of the fold took 132 and
+210 us against 51 and 75 us for the float64 fold, on two- and
 three-color exact tables of the same workload (medians).
 
 Capped rows from two partition folds (_capped_rows).  Since 0 is in A,
@@ -121,15 +148,14 @@ shape of Nathanson's theorem on h-fold sums (Amer. Math. Monthly, 1972):
 * every sum is a multiple of g, so every other entry is 0.
 
 If a multiple of g in the middle reaches cap by neither bound, the row
-is not proven and _capped_rows returns None; the caller streams the
+is not proven and _capped_rows returns None; _capped_block streams the
 kernel instead.  Two folds of h * a_1 and h * b_1 entries, one pass per
 part, replace h kernel steps over rows of up to h * M entries.  A fold
 reads no entry above the one it writes, so the tables of a lower row
 are prefixes of those of a higher one: the margin box's rows h = lo_i,
-..., lo_i + margin all come from the two folds at its top row.  Count
-tables and the margin box take their capped rows from it; the structure
-search walks consecutive rows, one cheap kernel step each, and keeps
-streaming them.
+..., lo_i + margin all come from the two folds at its top row.  The
+structure search walks consecutive rows, one cheap kernel step each,
+and keeps streaming them.
 
 The margin box.  The structure search's final check and verify test
 the t-fold set at every point of a box [lo, lo + margin], (margin + 1)^q
@@ -212,6 +238,11 @@ _BOX_CELLS = 1 << 20
 # _exact_row hands an int64 row over to the numpy kernel before it passes
 # this many entries, the measured crossover (see the module docstring)
 _HANDOVER = 1 << 11
+
+# _capped_block packs a capped row whose top row costs at most this many
+# cells, |A| * h * (h * max(A) + 1), the measured crossover (see the module
+# docstring)
+_PACKED_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -340,36 +371,71 @@ def _multiset_rows(
             prefix[j] = below = cur
 
 
-def _exact_row(elements: tuple[int, ...], h: int, bound: int) -> np.ndarray:
-    """Row h of _multiset_rows(elements, _dtype(bound), None), bound being
-    C(len(elements) + h - 1, h), from the recurrence on packed integers,
-    one slot per entry (see the module docstring); elements must start at
-    0.  An int64 row is handed over to _multiset_rows before it passes
-    _HANDOVER entries."""
-    top, dtype = elements[-1], _dtype(bound)
+def _exact_row(
+    elements: tuple[int, ...], hs: range, bound: int, cap: int | None = None
+) -> list[np.ndarray]:
+    """Rows hs of _multiset_rows(elements, _dtype(bound), cap), bound being
+    C(len(elements) + hs[-1] - 1, hs[-1]), from the recurrence on packed
+    integers, one slot per entry (see the module docstring); elements must
+    start at 0.  Where cap is below bound, each row is clipped at it once,
+    as it is unpacked, and comes at _dtype(cap).  An int64 row is handed
+    over to _multiset_rows before it passes _HANDOVER entries."""
+    top, h = elements[-1], hs[-1]
+    clip = cap if cap is not None and cap < bound else None
+    dtype = _dtype(bound if clip is None else clip)
     if not top:
-        return np.ones(1, dtype=dtype)
+        return [np.ones(1, dtype=dtype)] * len(hs)
     size = -(-bound.bit_length() // 8)  # bytes per slot
     if size <= 8:
         size = 1 << (size - 1).bit_length()
     shifts = [8 * size * a for a in elements[1:]]
-    stop = h if dtype is object else min(h, (_HANDOVER - 1) // top)
+    stop = h if _dtype(bound) is object else min(h, (_HANDOVER - 1) // top)
+    # (packed row, its length) to unpack: the rows of hs up to the
+    # handover, then every prefix at it
+    packed = []
     prefix = [1] * len(elements)
-    for _ in range(stop):
-        below = 1
-        for j, shift in enumerate(shifts, 1):
-            below = prefix[j] = below + (prefix[j] << shift)
+    for m in range(stop + 1):
+        if m in hs:
+            packed.append((prefix[-1], m * top + 1))
+        if m < stop:
+            below = 1
+            for j, shift in enumerate(shifts, 1):
+                below = prefix[j] = below + (prefix[j] << shift)
+    if stop < h:
+        packed += [(prefix[j], stop * a + 1) for j, a in enumerate(elements)]
     rows = []
-    for j in range(len(elements)) if stop < h else [-1]:
-        raw = prefix[j].to_bytes((stop * elements[j] + 1) * size, "little")
+    for value, length in packed:
+        raw = value.to_bytes(length * size, "little")
         if size <= 8:
-            rows.append(np.frombuffer(raw, f"<u{size}").astype(dtype))
+            row = np.frombuffer(raw, f"<u{size}")
         else:
             slots = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-            rows.append(np.array(slots, dtype=object))
+            row = np.array(slots, dtype=object)
+        if clip is not None:
+            row = np.minimum(row, clip)
+        rows.append(row.astype(dtype, copy=False))
     if stop == h:
-        return rows[0]
-    return next(islice(_multiset_rows(elements, dtype, None, rows), h - stop, None))
+        return rows
+    # the clipped state streams on clipped: min(x + y, cap) is the same
+    # from clipped x and y
+    rows, start = rows[: -len(elements)], rows[-len(elements) :]
+    stream = _multiset_rows(elements, dtype, clip, start)
+    return rows + list(islice(stream, max(hs[0] - stop, 1), h - stop + 1))
+
+
+def _capped_block(elements: tuple[int, ...], hs: range, cap: int) -> list[np.ndarray]:
+    """Rows hs of _multiset_rows(elements, ., cap), the one source of
+    capped rows for count tables and the margin box: packed and clipped
+    once (_exact_row) where the top row hs[-1] costs at most
+    _PACKED_CELLS cells, else from _capped_rows where it proves them, else
+    streamed at _dtype(cap); elements must start at 0."""
+    h = hs[-1]
+    if len(elements) * h * (h * elements[-1] + 1) <= _PACKED_CELLS:
+        return _exact_row(elements, hs, math.comb(len(elements) + h - 1, h), cap)
+    rows = _capped_rows(elements, hs, cap)
+    if rows is None:
+        rows = list(islice(_multiset_rows(elements, _dtype(cap), cap), hs[0], h + 1))
+    return rows
 
 
 def _capped_rows(elements: tuple[int, ...], hs: range, cap: int) -> list[np.ndarray] | None:
@@ -504,8 +570,7 @@ def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | No
     """Counts of sum_i (h_i-multiset of A_i) + one element of B over
     [min(B), sum_i h_i * max(A_i) + max(B)]: the one-point box at h, each
     color's row at the cap of its own bound: packed (_exact_row) where
-    that bound leaves no cap, else from _capped_rows where it proves the
-    row and otherwise streamed at the bound's dtype; a float fold's
+    that bound leaves no cap, else from _capped_block; a float fold's
     counts come back as int64."""
     rows = []
     for A, h in colors:
@@ -517,12 +582,9 @@ def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | No
             raise DomainError("repetition count must be a nonnegative integer")
         bound, row_cap = _bound([(A, h)], _ZERO, cap)
         if row_cap is None:
-            block = [_exact_row(A.elements, h, bound)]
+            rows.append(_exact_row(A.elements, range(h, h + 1), bound))
         else:
-            block = _capped_rows(A.elements, range(h, h + 1), row_cap)
-            if block is None:
-                block = list(islice(_multiset_rows(A.elements, _dtype(bound), row_cap), h, h + 1))
-        rows.append(block)
+            rows.append(_capped_block(A.elements, range(h, h + 1), row_cap))
     counts = _box_counts([A for A, _ in colors], [h for _, h in colors], B, cap, rows)[0]
     return counts if counts.dtype == object else counts.astype(np.int64, copy=False)
 
@@ -624,17 +686,13 @@ def _box_fits(
 
 
 def _streamed_box_fits(st: SetTuple, B: FiniteSet, t: int, dec, lo: HVec, margin: int) -> list[bool]:
-    """_box_fits over [lo, lo + margin], each color's margin + 1 rows
-    from _capped_rows, two partition folds at the top row, or, where it
-    leaves one of them unproven, streamed once, keeping only the rows the
-    box needs.  _capped_rows proves every row of {0}, [1], whatever lo_i
-    is."""
-    blocks = []
-    for A, c in zip(st.sets, lo.coords):
-        rows = _capped_rows(A.elements, range(c, c + margin + 1), t)
-        if rows is None:
-            rows = list(islice(_multiset_rows(A.elements, _row_dtype(t), t), c, c + margin + 1))
-        blocks.append(rows)
+    """_box_fits over [lo, lo + margin], each color's margin + 1 rows from
+    _capped_block, computed once at the top row, keeping only the rows
+    the box needs.  Every row of {0} is [1], whatever lo_i is, and costs
+    no step."""
+    blocks = [
+        _capped_block(A.elements, range(c, c + margin + 1), t) for A, c in zip(st.sets, lo.coords)
+    ]
     return _box_fits(dec, st, B, t, lo, blocks)
 
 

@@ -148,3 +148,17 @@ def test_verify_refuses_a_result_with_a_bad_vector(monkeypatch, field, value):
 def test_abbreviated_flags_are_usage_errors(monkeypatch, argv):
     code, out, _ = call(monkeypatch, *argv)
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "--sets", "[[0,2,3],[0,1]]", "--h", "1,,2"],
+    ["counts", "--sets", "[[0,2,3],[0,1]]", "--h", "1,2,"],
+    ["counts", "--sets", "[[0,2,3],[0,1]]", "--h", ",1,2"],
+    ["counts", "--sets", "[[0,2,3]]", "--h", "2", "--B", "0,,2"],
+    ["counts", "--sets", "[[0,2,3]]", "--h", "2", "--B", "0, ,2"],
+])
+def test_an_empty_list_item_is_a_usage_error(monkeypatch, argv):
+    # an empty item is refused, not dropped: "1,,2" is not the vector [1, 2]
+    code, out, err = call(monkeypatch, *argv)
+    assert (code, out) == (2, "")
+    assert "empty item" in err

@@ -67,3 +67,14 @@ def test_t_refuses_bools_and_floats(monkeypatch, t):
     monkeypatch.setattr(lemmas, "_support", lambda *_: pytest.fail("checked before refusing"))
     with pytest.raises(DomainError):
         run_all(make_tuple([[0, 1]]), HVec((2,)), t)
+
+
+def test_lemma_tables_are_packed(monkeypatch):
+    # the counts workload's lemma shape builds every capped table from
+    # packed rows: no partition fold and no numpy kernel stream
+    from chromsum import repcount
+
+    for name in ("_capped_rows", "_multiset_rows"):
+        monkeypatch.setattr(repcount, name, lambda *_, name=name: pytest.fail(f"called {name}"))
+    checks = run_all(make_tuple([[0, 2, 5], [0, 3, 9]]), HVec((3, 4)), t=2, B=make_set([0, 1, 3]))
+    assert all(c.ok for c in checks), [c for c in checks if not c.ok]

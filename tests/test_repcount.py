@@ -163,15 +163,85 @@ def _edge_examples(test):
 @_edge_examples
 @given(normalized_set, st.sampled_from([1, 2, 3]), st.integers(min_value=0, max_value=80))
 def test_exact_row_is_the_streamed_row(A, g, h):
-    # the packed kernel's row is the numpy kernel's, both at the dtype of
-    # the bound, so for sets scaled by g too
+    # the packed kernel's rows are the numpy kernel's, all at the dtype of
+    # the top row's bound, so for sets scaled by g too; the rows below the
+    # top one come packed or streamed on either side of the handover
     elements = tuple(g * a for a in A.elements)
     bound = math.comb(len(elements) + h - 1, h)
     dtype = repcount._dtype(bound)
-    row = repcount._exact_row(elements, h, bound)
-    assert row.dtype == np.dtype(dtype)
+    hs = range(max(h - 2, 0), h + 1)
+    rows = repcount._exact_row(elements, hs, bound)
+    assert [row.dtype for row in rows] == [np.dtype(dtype)] * len(hs)
     stream = repcount._multiset_rows(elements, dtype, None)
-    assert row.tolist() == next(islice(stream, h, None)).tolist()
+    assert [row.tolist() for row in rows] == [row.tolist() for row in islice(stream, hs[0], h + 1)]
+
+
+def _packed_top(elements):
+    """The largest top row h whose capped rows _capped_block packs: the
+    cells k * h * (h * max + 1) of a k-set are at most _PACKED_CELLS."""
+    k, top = len(elements), elements[-1]
+    return next(h for h in itertools.count() if k * (h + 1) * ((h + 1) * top + 1) > repcount._PACKED_CELLS)
+
+
+def _crossover_examples(test):
+    # top rows just below and just above the crossover, with and without a
+    # margin, for sets scaled by g; a color whose row passes the handover
+    # while packed; a {0} color at h = 10^9
+    for A, g, margin, cap in ((make_set([0, 1, 5, 9]), 1, 0, 3), (make_set([0, 2, 3]), 2, 3, 2),
+                              (make_set([0, 1, 2, 3]), 3, 1, 32768)):
+        top = _packed_top(tuple(g * a for a in A.elements))
+        for h in (top - margin, top + 1 - margin):
+            test = example(A, g, h, margin, cap)(test)
+    test = example(make_set([0, 1, 2500]), 1, 1, 1, 2)(test)
+    return example(make_set([0]), 1, 10**9, 3, 5)(test)
+
+
+@_crossover_examples
+@given(normalized_set, st.sampled_from([1, 2, 3]), st.integers(min_value=0, max_value=60),
+       st.integers(min_value=0, max_value=3), st.sampled_from([1, 2, 127, 128, 32767, 32768]))
+def test_capped_block_is_the_streamed_rows(A, g, h, margin, cap):
+    # rows h..h + margin of the one capped-row entry, packed and clipped,
+    # proven or streamed, are the capped kernel's rows, at the dtype that
+    # _capped_rows gives the cap
+    elements = tuple(g * a for a in A.elements)
+    hs = range(h, h + margin + 1)
+    rows = repcount._capped_block(elements, hs, cap)
+    dtype = repcount._dtype(cap)
+    stream = repcount._multiset_rows(elements, dtype, cap)
+    if elements == (0,):
+        # every row of {0} is [1], so row 0 stands for row 10^9
+        want = [next(stream)] * len(hs)
+        assert [row.tolist() for row in islice(stream, 3)] == [[1]] * 3
+    else:
+        want = list(islice(stream, h, h + margin + 1))
+    assert [row.dtype for row in rows] == [np.dtype(dtype)] * len(hs)
+    assert [row.tolist() for row in rows] == [row.tolist() for row in want]
+
+
+@pytest.mark.parametrize("elements", [(0, 1, 5, 9), (0, 4, 6), (0, 3, 7, 11, 19)])
+def test_capped_block_packs_up_to_the_crossover(monkeypatch, elements):
+    # at most _PACKED_CELLS cells at the top row are packed; one row more
+    # goes to the two partition folds
+    calls = []
+    for name in ("_exact_row", "_capped_rows"):
+        monkeypatch.setattr(repcount, name, lambda *args, name=name, real=getattr(repcount, name):
+                            calls.append(name) or real(*args))
+    top = _packed_top(elements)
+    repcount._capped_block(elements, range(top - 1, top + 1), 3)
+    repcount._capped_block(elements, range(top, top + 2), 3)
+    assert calls == ["_exact_row", "_capped_rows"]
+
+
+def test_capped_anchor_takes_the_partition_folds(monkeypatch):
+    # the counts workload's capped anchor, {0,3,7,11,19} at h = 400 and
+    # cap 2 (15.2 million cells), is read off the two partition folds
+    calls, capped = [], repcount._capped_rows
+    monkeypatch.setattr(repcount, "_capped_rows",
+                        lambda *args: calls.append(args[1]) or capped(*args))
+    monkeypatch.setattr(repcount, "_exact_row", lambda *_: pytest.fail("packed a capped anchor row"))
+    table = multiset_count_table(make_set([0, 3, 7, 11, 19]), 400, cap=2)
+    assert calls == [range(400, 401)]
+    assert table.counts == tuple(_streamed_row((0, 3, 7, 11, 19), 400, 2).tolist())
 
 
 def test_capped_row_proves_saturation_or_returns_none():

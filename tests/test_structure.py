@@ -568,20 +568,28 @@ class TestThresholds:
 
     def test_verify_takes_the_rows_of_zero_from_row_0(self, monkeypatch):
         # the rows of {0} are all [1]: verify at a huge coordinate of that
-        # color streams no more of them than at a small one, also where
-        # the other color's rows are not proven and so are streamed
+        # color computes no more rows than at a small one, whether they are
+        # packed or streamed, also where no capped row is proven
         rows, drawn, capped = repcount._multiset_rows, [], repcount._capped_rows
+        exact = repcount._exact_row
 
-        def counted(elements, dtype, cap):
-            for m, row in enumerate(rows(elements, dtype, cap)):
+        def counted(elements, dtype, cap, start=None):
+            for m, row in enumerate(rows(elements, dtype, cap, start)):
                 assert m <= 100, "streamed the rows of {0} up to its coordinate"
                 drawn.append(m)
                 yield row
+
+        def packed(elements, hs, bound, cap=None):
+            # one packed step per row up to the top one
+            assert hs[-1] <= 100, "packed the rows of {0} up to its coordinate"
+            drawn.append(hs[-1])
+            return exact(elements, hs, bound, cap)
 
         st = make_tuple([[0, 2, 3], [0]])
         res = threshold_empirical(st, 2)
         far, near = HVec((res.threshold.coords[0], 10**9)), HVec((res.threshold.coords[0], 1))
         monkeypatch.setattr(repcount, "_multiset_rows", counted)
+        monkeypatch.setattr(repcount, "_exact_row", packed)
         monkeypatch.setattr(
             repcount, "_capped_rows",
             lambda elements, hs, cap: capped(elements, hs, cap) if elements == (0,) else None,
