@@ -14,7 +14,6 @@ from .errors import (
     BoundError,
     BudgetError,
     ChromsumError,
-    ConstructiveMismatchError,
     DegenerateAlphabetError,
     DegenerateTupleError,
     DimensionError,
@@ -70,9 +69,8 @@ from .structure import (
     structure_constants,
     structure_constants_inhomogeneous,
     threshold_constructive,
-    threshold_empirical,
+    verify_box,
     verify_structure,
-    verify_structure_inhomogeneous,
     witness_representations,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "BudgetError",
     "ChromsumError",
     "ColoredRep",
-    "ConstructiveMismatchError",
     "CountTable",
     "DEFAULT_BUDGET",
     "DegenerateAlphabetError",
@@ -129,10 +126,9 @@ __all__ = [
     "structure_constants_inhomogeneous",
     "tfold_set",
     "threshold_constructive",
-    "threshold_empirical",
     "tuple_from_json",
     "tuple_to_json",
+    "verify_box",
     "verify_structure",
-    "verify_structure_inhomogeneous",
     "witness_representations",
 ]

@@ -31,10 +31,8 @@ from .repcount import inhomogeneous_count_table, tfold_set
 from .structure import (
     DEFAULT_MARGIN,
     StructureResult,
-    _box_points,
-    _verify_box,
     structure_constants,
-    structure_constants_inhomogeneous,
+    verify_box,
     witness_representations,
 )
 
@@ -195,15 +193,9 @@ def _cmd_sumset(req: dict):
 
 
 def _cmd_structure(req: dict):
-    res = structure_constants(req["sets"], req["t"], strategy=req["strategy"], margin=req["margin"])
+    res = structure_constants(req["sets"], req["t"], strategy=req["strategy"],
+                              margin=req["margin"], B=req["B"])
     return res.to_json(), _fmt_result(res)
-
-
-def _cmd_threshold(req: dict):
-    """The threshold fields of the structure result and its last text line."""
-    full, text = _cmd_structure(req)
-    payload = {key: full[key] for key in ("h_t", "verified_box", "strategy")}
-    return payload, text.split("\n")[-1]
 
 
 def _cmd_verify(req: dict):
@@ -218,25 +210,17 @@ def _cmd_verify(req: dict):
         result = StructureResult.from_json(raw)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # the plain t-fold sets are the translated ones with B = {0}
-    B = req["B"] or make_set([0])
-    lo, margin = req["h"] or result.threshold, req["margin"]
-    oks = _verify_box(st, B, t, result, lo, margin)
-    rows = [{"h": list(h.coords), "ok": ok} for h, ok in zip(_box_points(lo, margin), oks)]
+    box = verify_box(st, t, result, req["h"], req["B"], req["margin"])
+    rows = [{"h": list(h.coords), "ok": ok} for h, ok in box]
     payload = {
         "t": t,
         "h_t": list(result.threshold.coords),
         "results": rows,
-        "all_ok": all(oks),
+        "all_ok": all(ok for _, ok in box),
     }
     lines = [f"h={r['h']} {'ok' if r['ok'] else 'MISMATCH'}" for r in rows]
     lines.append("all ok" if payload["all_ok"] else "MISMATCH found")
     return payload, "\n".join(lines)
-
-
-def _cmd_inhom(req: dict):
-    res = structure_constants_inhomogeneous(req["sets"], req["B"], req["t"], margin=req["margin"])
-    return res.to_json(), _fmt_result(res)
 
 
 def _cmd_witness(req: dict):
@@ -275,13 +259,9 @@ _COMMANDS = {
     "sumset": _Command(_cmd_sumset, "members with at least t representations",
         ("sets", "h"), ("t",)),
     "structure": _Command(_cmd_structure, "fringe constants, cuts, and threshold vector",
-        ("sets",), ("t", "strategy", "margin")),
-    "threshold": _Command(_cmd_threshold, "threshold vector and its verification box",
-        ("sets",), ("t", "strategy", "margin")),
+        ("sets",), ("t", "B", "strategy", "margin")),
     "verify": _Command(_cmd_verify, "check a structure result (JSON on stdin) over an exponent box",
         ("sets",), ("t", "h", "B", "margin"), ("result",)),
-    "inhom": _Command(_cmd_inhom, "structure constants of the translated form",
-        ("sets", "B"), ("t", "margin")),
     "witness": _Command(_cmd_witness, "explicit t distinct representations of n",
         ("sets", "n"), ("t",)),
     "lemmas": _Command(_cmd_lemmas, "run the self-check suite on one instance",

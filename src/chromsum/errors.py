@@ -51,10 +51,3 @@ class BudgetError(DomainError):
 class SearchExhaustedError(ChromsumError):
     """The stabilization search hit its ceiling without settling on a pattern."""
 
-
-class ConstructiveMismatchError(DomainError):
-    """No longer raised; kept as a public name so that code catching it
-    still imports.  The constructive strategy takes the same colored limit
-    constants as the empirical one and proves its threshold vector with
-    the same certificate, so it has nothing to refuse.
-    """

@@ -9,7 +9,8 @@ the shape
 with M = sum_i h_i * max(A_i): a fixed sporadic set near 0, a solid
 middle interval, and a fixed sporadic set hanging off the right
 endpoint.  This module computes those four constants together with an
-exponent vector past which the shape holds, by two routes:
+exponent vector past which the shape holds, by two routes of one entry,
+structure_constants:
 
 * empirical: the constants are the large-h limit, and the threshold is
   a minimal exponent vector at which the certificate below proves the
@@ -55,12 +56,13 @@ and a {0} color never needs a step.  cert(h) holds exactly when the
 pattern holds at every h' >= h: the certified vectors form an up-set.
 By 2, S_h is the pattern exactly when both have |C| + L + |D| members,
 so cert compares sizes.  The empirical route's final box check and
-verify_structure compare the sets instead, over a whole box at once:
+verify_box compare the sets instead, over a whole box at once:
 repcount._box_fits folds the counts of every point of the box in one
 pass per color and tests every point's mask over [0, M] against the
 shape at its own M in one comparison (repcount._shape_fits, which a
-member outside [0, M] fails).  verify_structure is the one-point box;
-the command line's verify checks its whole box with one fold.
+member outside [0, M] fails).  verify_box is the one public box check,
+the command line's verify included; verify_structure is its one-point
+case.
 """
 
 from __future__ import annotations
@@ -96,9 +98,8 @@ __all__ = [
     "closed_form_threshold",
     "witness_representations",
     "threshold_constructive",
-    "threshold_empirical",
+    "verify_box",
     "verify_structure",
-    "verify_structure_inhomogeneous",
     "structure_constants",
     "structure_constants_inhomogeneous",
 ]
@@ -241,6 +242,15 @@ def _require_t(t: int) -> None:
 def _require_margin(margin: int) -> None:
     if not _is_int(margin) or margin < 1:
         raise DomainError("margin must be a positive integer")
+
+
+def _translation(B: FiniteSet | None) -> FiniteSet:
+    """The translation set, {0} for None; its minimum must be 0."""
+    if B is None:
+        return _ZERO
+    if B.min != 0:
+        raise DomainError("the translation set must have minimum 0")
+    return B
 
 
 def _box_points(lo: HVec, margin: int):
@@ -578,65 +588,39 @@ def _stabilize(
     return _result(dec, ht, "empirical", margin)
 
 
-def threshold_empirical(
-    st: SetTuple, t: int, margin: int = DEFAULT_MARGIN, ceiling: int | None = None
-) -> StructureResult:
-    """The limit constants and a minimal certified vector: the pattern
-    holds at every exponent vector at or above it (see the module
-    docstring), and the margin box above it is checked.  This is the
-    translated search with B = {0}."""
-    return structure_constants_inhomogeneous(st, _ZERO, t, margin=margin, ceiling=ceiling)
-
-
-def verify_structure(st: SetTuple, t: int, result: StructureResult, h: HVec) -> bool:
-    """Exact check: does the t-fold set at h equal the predicted shape?"""
-    return verify_structure_inhomogeneous(st, _ZERO, t, result, h)
-
-
-def verify_structure_inhomogeneous(
-    st: SetTuple, B: FiniteSet, t: int, result: StructureResult, h: HVec
-) -> bool:
-    """Exact check for the translated form, right endpoint shifted by max(B)."""
-    return _verify_box(st, B, t, result, h, 0)[0]
-
-
-def _verify_box(
-    st: SetTuple, B: FiniteSet, t: int, result: StructureResult, lo: HVec, margin: int
-) -> list[bool]:
-    """verify_structure_inhomogeneous at every point of the box [lo, lo +
-    margin], in the order of _box_points, from one box fold (repcount).
-    Every check on a point holds at every point of the box once it holds
-    at lo, the least one."""
-    _require_normalized(st)
-    _require_t(t)
-    if B.min != 0:
-        raise DomainError("the translation set must have minimum 0")
-    if lo.q != st.q or result.threshold.q != st.q:
-        raise DimensionError("exponent vector length does not match tuple")
-    if not hvec_leq(result.threshold, lo):
-        raise DomainError("h lies below the result's threshold vector")
-    m = lo.dot(st.maxima) + B.max
-    if result.low_cut + result.high_cut > m:
-        raise DomainError("malformed interval: the cuts overlap at this h")
-    dec = (result.low_fringe.elements, result.low_cut,
-           result.high_fringe.elements, result.high_cut)
-    return _streamed_box_fits(st, B, t, dec, lo, margin)
-
-
 def structure_constants(
-    st: SetTuple, t: int, strategy: str = "empirical", margin: int = DEFAULT_MARGIN
+    st: SetTuple,
+    t: int,
+    strategy: str = "empirical",
+    margin: int = DEFAULT_MARGIN,
+    *,
+    B: FiniteSet | None = None,
+    ceiling: int | None = None,
 ) -> StructureResult:
-    """Compute the four limit constants and a threshold vector at which the
-    certificate of the module docstring proves the shape for every larger
-    vector, so over the whole margin box verified_box; the empirical
-    strategy also checks that box exactly."""
+    """Compute the four limit constants of the t-fold sets of h.A + B
+    (B = None is {0}, the plain t-fold sets; the right endpoint shifts
+    by max(B)) and a threshold vector at which the certificate of the
+    module docstring proves the shape for every larger vector, so over
+    the whole margin box verified_box.
+
+    The empirical strategy returns a minimal certified vector, searched
+    up the diagonal to ceiling (default: four times the union's closed
+    form), and also checks that box exactly.  The constructive strategy
+    builds its vector from witnesses; it takes neither a translation nor
+    a ceiling."""
     _require_normalized(st)
     _require_t(t)
     _require_margin(margin)
+    if ceiling is not None and (not _is_int(ceiling) or ceiling < 0):
+        raise DomainError("ceiling must be a nonnegative integer or None")
+    B = _translation(B)
     if strategy == "empirical":
-        return threshold_empirical(st, t, margin=margin)
+        _require_nondegenerate(st, B, t)
+        return _stabilize(st, B, t, margin, ceiling)
     if strategy != "constructive":
         raise DomainError(f"unknown strategy {strategy!r}")
+    if B != _ZERO or ceiling is not None:
+        raise DomainError("the constructive strategy takes no translation set and no ceiling")
 
     dec, ht = _constructive(st, t)
     if dec[1] + dec[3] > ht.dot(st.maxima):
@@ -656,15 +640,47 @@ def structure_constants_inhomogeneous(
     margin: int = DEFAULT_MARGIN,
     ceiling: int | None = None,
 ) -> StructureResult:
-    """Limit constants and a minimal certified vector for the translated
-    form (sum plus one element of B); the right endpoint is shifted by
-    max(B).  With B = {0} this is exactly the homogeneous search."""
+    """structure_constants(st, t, margin=margin, B=B, ceiling=ceiling),
+    kept under this name for the benchmark's op of the same name."""
+    return structure_constants(st, t, margin=margin, B=B, ceiling=ceiling)
+
+
+def verify_structure(
+    st: SetTuple, t: int, result: StructureResult, h: HVec, B: FiniteSet | None = None
+) -> bool:
+    """Exact check: is the t-fold set of h.A + B at h the predicted shape?
+    The one-point case of verify_box."""
+    return verify_box(st, t, result, h, B, 0)[0][1]
+
+
+def verify_box(
+    st: SetTuple,
+    t: int,
+    result: StructureResult,
+    lo: HVec | None = None,
+    B: FiniteSet | None = None,
+    margin: int = DEFAULT_MARGIN,
+) -> list[tuple[HVec, bool]]:
+    """Exact check of the result at every point h of the box [lo, lo +
+    margin] (lo defaults to the result's threshold; B = None is {0}):
+    (h, whether the t-fold set of h.A + B at h is the predicted shape),
+    the last coordinate varying fastest, from one box fold (repcount).
+    Every check on a point holds at every point of the box once it holds
+    at lo, the least one."""
     _require_normalized(st)
     _require_t(t)
-    _require_margin(margin)
-    if ceiling is not None and not _is_int(ceiling):
-        raise DomainError("ceiling must be an integer or None")
-    if B.min != 0:
-        raise DomainError("the translation set must have minimum 0")
-    _require_nondegenerate(st, B, t)
-    return _stabilize(st, B, t, margin, ceiling)
+    if not _is_int(margin) or margin < 0:
+        raise DomainError("margin must be a nonnegative integer")
+    B = _translation(B)
+    if lo is None:
+        lo = result.threshold
+    if lo.q != st.q or result.threshold.q != st.q:
+        raise DimensionError("exponent vector length does not match tuple")
+    if not hvec_leq(result.threshold, lo):
+        raise DomainError("h lies below the result's threshold vector")
+    m = lo.dot(st.maxima) + B.max
+    if result.low_cut + result.high_cut > m:
+        raise DomainError("malformed interval: the cuts overlap at this h")
+    dec = (result.low_fringe.elements, result.low_cut,
+           result.high_fringe.elements, result.high_cut)
+    return list(zip(_box_points(lo, margin), _streamed_box_fits(st, B, t, dec, lo, margin)))

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from chromsum.errors import ConstructiveMismatchError, DegenerateAlphabetError
+from chromsum.errors import DegenerateAlphabetError
 from chromsum.intset import FiniteSet, HVec, make_set, make_tuple
 from chromsum.oracle import (
     enumerate_representations,
@@ -26,10 +26,7 @@ from chromsum.structure import (
     closed_form_threshold,
     low_fringe_constants,
     structure_constants,
-    structure_constants_inhomogeneous,
-    threshold_empirical,
     verify_structure,
-    verify_structure_inhomogeneous,
     witness_representations,
 )
 
@@ -116,7 +113,7 @@ def test_criterion_3_single_color_closed_form(capsys):
         ht = closed_form_threshold(A, t)
         try:
             result = structure_constants(st, t, strategy="constructive")
-        except (DegenerateAlphabetError, ConstructiveMismatchError) as exc:
+        except DegenerateAlphabetError as exc:
             failures.append((elements, t, repr(exc)))
             continue
         for h in range(ht, ht + 4):
@@ -140,7 +137,7 @@ def test_criterion_4_multi_color_stabilization(capsys):
         st = random_normalized_tuple(rng, q_min=2, q_max=3)
         t = (done % 3) + 1
         try:
-            result = threshold_empirical(st, t, margin=3)
+            result = structure_constants(st, t, margin=3)
         except DegenerateAlphabetError:
             continue
         done += 1
@@ -245,15 +242,15 @@ def test_criterion_8_inhomogeneous(capsys):
         if bounded and t > len(B):
             continue
         done += 1
-        result = structure_constants_inhomogeneous(st, B, t)
+        result = structure_constants(st, t, B=B)
         lo, hi = result.verified_box
         for point in _box_points(lo, hi):
-            if not verify_structure_inhomogeneous(st, B, t, result, point):
+            if not verify_structure(st, t, result, point, B):
                 failures.append((st, B.elements, t, point.coords))
         if not (bounded and t >= 2):
             reductions += 1
             plain = structure_constants(st, t, strategy="empirical")
-            reduced = structure_constants_inhomogeneous(st, make_set([0]), t)
+            reduced = structure_constants(st, t, B=make_set([0]))
             if (
                 (reduced.low_fringe, reduced.low_cut, reduced.high_fringe,
                  reduced.high_cut, reduced.threshold)

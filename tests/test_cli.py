@@ -62,8 +62,8 @@ def test_structure_verify_pipeline():
     assert all(row["ok"] for row in report["results"])
 
 
-def test_threshold_reports_box():
-    proc = run_cli("threshold", "--sets", "[[0,2,3]]", "--t", "1",
+def test_structure_reports_threshold_box():
+    proc = run_cli("structure", "--sets", "[[0,2,3]]", "--t", "1",
                    "--strategy", "constructive")
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -83,8 +83,8 @@ def test_witness_payload():
         assert total == 30
 
 
-def test_inhom_command():
-    proc = run_cli("inhom", "--sets", "[[0,2,3]]", "--B", "0,1", "--t", "1")
+def test_structure_with_translation_set():
+    proc = run_cli("structure", "--sets", "[[0,2,3]]", "--B", "0,1", "--t", "1")
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["C"] == [] and payload["c"] == 0

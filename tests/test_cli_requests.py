@@ -18,10 +18,8 @@ RESULT = {"C": [6], "c": 8, "D": [], "d": 3, "h_t": [4], "strategy": "empirical"
 REQUESTS = {
     "counts": {"sets": [[0, 2, 3], [0, 1]], "h": [2, 1], "B": [0, 2], "cap": 2},
     "sumset": {"sets": [[0, 1], [0, 2]], "h": [1, 1], "t": 1},
-    "structure": {"sets": [[0, 2, 3]], "t": 2, "strategy": "constructive", "margin": 2},
-    "threshold": {"sets": [[0, 2, 3]], "t": 2, "strategy": "empirical", "margin": 1},
+    "structure": {"sets": [[0, 2, 3]], "t": 2, "B": [0], "strategy": "constructive", "margin": 2},
     "verify": {"sets": [[0, 2, 3]], "t": 2, "h": [5], "B": [0], "margin": 1},
-    "inhom": {"sets": [[0, 2, 3]], "B": [0, 1], "t": 2, "margin": 1},
     "witness": {"sets": [[0, 2, 3]], "n": 30, "t": 2},
     "lemmas": {"sets": [[0, 2], [0, 3]], "h": [2, 1], "t": 1, "B": [0, 1]},
 }
@@ -162,3 +160,24 @@ def test_an_empty_list_item_is_a_usage_error(monkeypatch, argv):
     code, out, err = call(monkeypatch, *argv)
     assert (code, out) == (2, "")
     assert "empty item" in err
+
+
+@pytest.mark.parametrize("command", ["inhom", "threshold"])
+def test_removed_commands_are_unknown(monkeypatch, command):
+    # structure --B replaces inhom, and structure's payload holds threshold's
+    code, out, err = call(monkeypatch, command, "--sets", "[[0,2,3]]")
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
+
+
+def test_help_lists_the_six_commands(monkeypatch):
+    code, out, _ = call(monkeypatch, "--help")
+    assert code == 0
+    assert "{counts,sumset,structure,verify,witness,lemmas}" in out
+
+
+def test_constructive_structure_refuses_a_translation(monkeypatch):
+    argv = ["structure", "--sets", "[[0,2,3]]", "--t", "2", "--strategy", "constructive"]
+    code, out, err = call(monkeypatch, *argv, "--B", "0,1")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "DomainError"

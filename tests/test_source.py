@@ -124,3 +124,36 @@ def test_one_packed_kernel():
         lambda node: isinstance(node, ast.Attribute) and node.attr in {"to_bytes", "from_bytes"}
     )
     assert set(found) == {"repcount._exact_row"}
+
+
+def test_cli_imports_only_public_names():
+    """The command line is a client of the library's public surface: it
+    imports no _-prefixed name from a chromsum module."""
+    path = Path(chromsum.__file__).parent / "cli.py"
+    found = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("chromsum"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_every_error_is_raised():
+    """Every ChromsumError leaf class in errors.py appears in some raise of
+    the library's source: a documented failure that never happens is a
+    stale promise."""
+    leaves = {
+        name for name, cls in vars(chromsum.errors).items()
+        if isinstance(cls, type) and issubclass(cls, chromsum.errors.ChromsumError)
+        and not cls.__subclasses__()
+    }
+    raised = set()
+    for path in sorted(Path(chromsum.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert leaves and sorted(leaves - raised) == []

@@ -3,7 +3,7 @@ import random
 import re
 import subprocess
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +42,8 @@ from chromsum.structure import (
     structure_constants,
     structure_constants_inhomogeneous,
     threshold_constructive,
-    threshold_empirical,
+    verify_box,
     verify_structure,
-    verify_structure_inhomogeneous,
     witness_representations,
 )
 
@@ -53,6 +52,13 @@ from conftest import random_normalized_tuple
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 A023 = make_tuple([[0, 2, 3]])
+
+
+def box(lo: HVec, margin: int) -> list[HVec]:
+    """The points of the box [lo, lo + margin], the last coordinate
+    varying fastest."""
+    return [HVec(tuple(c + d for c, d in zip(lo.coords, deltas)))
+            for deltas in product(range(margin + 1), repeat=lo.q)]
 
 
 def colored_partition_counts(st, top, t):
@@ -118,7 +124,7 @@ class TestFringeConstants:
             low_fringe_constants(make_tuple([[0, 1]]), 2)
         # two colors of 1 give n + 1 colored partitions of n
         pair = make_tuple([[0, 1], [0, 1]])
-        res = threshold_empirical(pair, 3)
+        res = structure_constants(pair, 3)
         assert low_fringe_constants(pair, 3) == (res.low_fringe, res.low_cut) == (
             FiniteSet.empty(), 2)
 
@@ -348,30 +354,30 @@ class TestThresholds:
         assert ht.coords[0] <= closed_form_threshold(make_set([0, 2, 3]), 1)
 
     def test_empirical_full_interval(self):
-        res = threshold_empirical(make_tuple([[0, 1]]), 1)
+        res = structure_constants(make_tuple([[0, 1]]), 1)
         assert (res.low_fringe.elements, res.low_cut) == ((), 0)
         assert (res.high_fringe.elements, res.high_cut) == ((), 0)
 
     def test_empirical_worked_instance(self):
-        res = threshold_empirical(A023, 1)
+        res = structure_constants(A023, 1)
         assert (res.low_fringe.elements, res.low_cut) == ((0,), 2)
         assert (res.high_fringe.elements, res.high_cut) == ((), 0)
         assert res.strategy == "empirical"
 
     def test_empirical_degenerate_pair_still_works(self):
-        res = threshold_empirical(make_tuple([[0, 1], [0, 1]]), 2)
+        res = structure_constants(make_tuple([[0, 1], [0, 1]]), 2)
         assert (res.low_fringe.elements, res.low_cut) == ((), 1)
         assert (res.high_fringe.elements, res.high_cut) == ((), 1)
 
     def test_empirical_refuses_eventually_empty(self):
         with pytest.raises(DegenerateAlphabetError):
-            threshold_empirical(make_tuple([[0, 1]]), 2)
+            structure_constants(make_tuple([[0, 1]]), 2)
         with pytest.raises(DegenerateAlphabetError):
-            threshold_empirical(make_tuple([[0, 1], [0]]), 2)
+            structure_constants(make_tuple([[0, 1], [0]]), 2)
 
     def test_empirical_margin_validation(self):
         with pytest.raises(DomainError):
-            threshold_empirical(A023, 1, margin=0)
+            structure_constants(A023, 1, margin=0)
 
     @pytest.mark.parametrize("call, args, kwargs", [
         (structure_constants, (A023, True), {}),
@@ -381,18 +387,23 @@ class TestThresholds:
         (structure_constants, (A023, True), {"strategy": "constructive"}),
         (structure_constants_inhomogeneous, (A023, make_set([0, 1]), True), {}),
         (structure_constants_inhomogeneous, (A023, make_set([0, 1]), 2), {"margin": True}),
-        (threshold_empirical, (A023, 2), {"margin": True}),
+        (structure_constants, (A023, 2), {"B": make_set([0, 1]), "margin": True}),
         (threshold_constructive, (A023, True), {}),
         (certified_rep_bound, (A023, True), {}),
         (witness_representations, (A023, 20, True), {}),
         (witness_representations, (A023, 20, 2.0), {}),
         (witness_representations, (A023, 20.0, 1), {}),
-        (threshold_empirical, (A023, 2), {"ceiling": True}),
-        (threshold_empirical, (A023, 2), {"ceiling": 2.5}),
+        (structure_constants, (A023, 2), {"ceiling": True}),
+        (structure_constants, (A023, 2), {"ceiling": 2.5}),
+        (structure_constants, (A023, 2), {"ceiling": -1}),
+        (structure_constants, (A023, 2), {"strategy": "constructive", "B": make_set([0, 1])}),
+        (structure_constants, (A023, 2), {"strategy": "constructive", "ceiling": 10}),
     ], ids=lambda x: getattr(x, "__name__", None) if callable(x) else None)
     def test_scalar_parameters_refuse_bools_and_floats(self, monkeypatch, call, args, kwargs):
         # True is not read as 1 nor 2.0 as 2: the typed error comes before
-        # the search, the constructive route or a witness starts
+        # the search, the constructive route or a witness starts; so does
+        # the refusal of a negative ceiling, and of a translation set or a
+        # ceiling on the constructive route
         def work(*_):
             raise AssertionError("computed before refusing")
 
@@ -403,7 +414,7 @@ class TestThresholds:
 
     def test_search_ceiling_is_enforced(self):
         with pytest.raises(SearchExhaustedError):
-            threshold_empirical(A023, 3, ceiling=0)
+            structure_constants(A023, 3, ceiling=0)
 
     def test_empirical_constants_are_the_limit(self):
         # a shape read off one t-fold set and checked on a margin box gave
@@ -414,7 +425,7 @@ class TestThresholds:
             ([[0, 5, 13, 14]], 5, ((70, 75), 78, (), 23)),
         ]
         for sets, t, want in cases:
-            res = threshold_empirical(make_tuple(sets), t)
+            res = structure_constants(make_tuple(sets), t)
             got = (res.low_fringe.elements, res.low_cut,
                    res.high_fringe.elements, res.high_cut)
             assert got == want, sets
@@ -423,16 +434,16 @@ class TestThresholds:
         # the shape test reports every box point as off the shape
         monkeypatch.setattr(repcount, "_shape_fits", lambda dec, mask, ends: ends < 0)
         with pytest.raises(RuntimeError, match="internal invariant"):
-            threshold_empirical(A023, 1)
+            structure_constants(A023, 1)
         # every point but the first: the error names the second point, the
         # last coordinate varying fastest
         st = make_tuple([[0, 1, 3], [0, 2, 5]])
         monkeypatch.undo()
-        ht = threshold_empirical(st, 2, margin=2).threshold.coords
+        ht = structure_constants(st, 2, margin=2).threshold.coords
         monkeypatch.setattr(repcount, "_shape_fits", lambda dec, mask, ends: ends == ends[0])
         first = re.escape(str([ht[0], ht[1] + 1]))
         with pytest.raises(RuntimeError, match=f"internal invariant: .* fails at h={first}$"):
-            threshold_empirical(st, 2, margin=2)
+            structure_constants(st, 2, margin=2)
 
     def test_uncertified_constructive_vector_is_an_internal_invariant(self, monkeypatch):
         monkeypatch.setattr(structure, "_certifier", lambda st, B, dec, sets: lambda h: False)
@@ -459,14 +470,17 @@ class TestThresholds:
             if lo.dot(st.maxima) + B.max + 1 < cut_low + cut_high:
                 continue
             want = next(
-                (h for h in structure._box_points(lo, 2)
+                (h for h in box(lo, 2)
                  if inhomogeneous_count_table(st, h, B, cap=t).support_at_least(t).elements
                  != structure._pattern_members(dec, h.dot(st.maxima) + B.max)),
                 None,
             )
             fits = repcount._TFoldSets(st, B, t).box_fits(dec, lo, 2)
-            got = next((h for h, ok in zip(structure._box_points(lo, 2), fits) if not ok), None)
+            got = next((h for h, ok in zip(box(lo, 2), fits) if not ok), None)
             assert got == want, (st.sets, B.elements, t, dec, lo)
+            checked = verify_box(st, t, structure._result(dec, lo, "empirical", 0), lo, B, 2)
+            assert [h for h, _ in checked] == box(lo, 2)
+            assert next((h for h, ok in checked if not ok), None) == want
 
     def test_box_fold_matches_the_member_comparison_at_every_point(self, monkeypatch):
         # corrupted limit shapes over random boxes: at every point, both
@@ -510,11 +524,14 @@ class TestThresholds:
             want = [
                 inhomogeneous_count_table(st, h, B, cap=t).support_at_least(t).elements
                 == structure._pattern_members(dec, h.dot(st.maxima) + B.max)
-                for h in structure._box_points(lo, margin)
+                for h in box(lo, margin)
             ]
             args = (st.sets, B.elements, t, dec, lo.coords, margin)
             assert repcount._TFoldSets(st, B, t).box_fits(dec, lo, margin) == want, args
             assert repcount._streamed_box_fits(st, B, t, dec, lo, margin) == want, args
+            if cut_low + cut_high <= end:
+                checked = verify_box(st, t, structure._result(dec, lo, "empirical", 0), lo, B, margin)
+                assert checked == list(zip(box(lo, margin), want)), args
             with monkeypatch.context() as patch:
                 patch.setattr(repcount, "_BOX_CELLS", rng.choice([0, 40, 400]))
                 assert repcount._streamed_box_fits(st, B, t, dec, lo, margin) == want, args
@@ -586,7 +603,7 @@ class TestThresholds:
             return exact(elements, hs, bound, cap)
 
         st = make_tuple([[0, 2, 3], [0]])
-        res = threshold_empirical(st, 2)
+        res = structure_constants(st, 2)
         far, near = HVec((res.threshold.coords[0], 10**9)), HVec((res.threshold.coords[0], 1))
         monkeypatch.setattr(repcount, "_multiset_rows", counted)
         monkeypatch.setattr(repcount, "_exact_row", packed)
@@ -595,10 +612,10 @@ class TestThresholds:
             lambda elements, hs, cap: capped(elements, hs, cap) if elements == (0,) else None,
         )
         assert verify_structure(st, 2, res, far) is True
-        assert structure._verify_box(st, make_set([0]), 2, res, far, 2) == [True] * 9
+        assert verify_box(st, 2, res, far, margin=2) == [(h, True) for h in box(far, 2)]
         corrupt = StructureResult.from_json({**res.to_json(), "c": res.low_cut + 1})
-        assert (structure._verify_box(st, make_set([0]), 2, corrupt, far, 1)
-                == structure._verify_box(st, make_set([0]), 2, corrupt, near, 1))
+        assert ([ok for _, ok in verify_box(st, 2, corrupt, far, margin=1)]
+                == [ok for _, ok in verify_box(st, 2, corrupt, near, margin=1)])
         assert max(drawn) <= res.threshold.coords[0] + 2
 
     def test_margin_box_folds_each_partition_table_once(self, monkeypatch):
@@ -608,7 +625,7 @@ class TestThresholds:
         st, t = make_tuple([[0, 17, 40]]), 5
         res = structure_constants(st, t)
         lo = HVec((res.threshold.coords[0] + 4,))
-        want = [verify_structure(st, t, res, h) for h in structure._box_points(lo, 3)]
+        want = [verify_structure(st, t, res, h) for h in box(lo, 3)]
         assert repcount._capped_rows((0, 17, 40), range(lo.coords[0], lo.coords[0] + 4), t)
         folds, unbounded = [], repcount._unbounded_rows
 
@@ -617,7 +634,8 @@ class TestThresholds:
             return unbounded(acc, parts, cap)
 
         monkeypatch.setattr(repcount, "_unbounded_rows", spy)
-        assert structure._verify_box(st, make_set([0]), t, res, lo, 3) == want == [True] * 4
+        assert verify_box(st, t, res, lo, margin=3) == list(zip(box(lo, 3), want))
+        assert want == [True] * 4
         assert len(folds) == 2
 
     def test_verify_matches_the_set_definition(self):
@@ -634,7 +652,7 @@ class TestThresholds:
             t = rng.randint(1, 3)
             if structure._counts_are_bounded(st) and t > len(B):
                 continue
-            true = structure_constants_inhomogeneous(st, B, t, margin=1)
+            true = structure_constants(st, t, margin=1, B=B)
             h = HVec(tuple(max(0, c + rng.randint(-1, 2)) for c in true.threshold.coords))
             m = h.dot(st.maxima) + B.max
             low, cut_low = set(true.low_fringe.elements), true.low_cut
@@ -659,11 +677,11 @@ class TestThresholds:
             )
             if cut_low + cut_high > m:
                 with pytest.raises(DomainError):
-                    verify_structure_inhomogeneous(st, B, t, result, h)
+                    verify_structure(st, t, result, h, B)
                 continue
             want = result.pattern_set(m) == inhomogeneous_count_table(
                 st, h, B, cap=t).support_at_least(t)
-            got = verify_structure_inhomogeneous(st, B, t, result, h)
+            got = verify_structure(st, t, result, h, B)
             assert got == want, (st.sets, B.elements, t, result, h)
             seen[kind][want] += 1
             cases += 1
@@ -686,8 +704,8 @@ class TestThresholds:
         assert singles >= 20
 
     def test_zero_color_needs_no_exponent(self):
-        plain = threshold_empirical(make_tuple([[0, 8], [0, 5]]), 3)
-        padded = threshold_empirical(make_tuple([[0], [0, 8], [0, 5]]), 3)
+        plain = structure_constants(make_tuple([[0, 8], [0, 5]]), 3)
+        padded = structure_constants(make_tuple([[0], [0, 8], [0, 5]]), 3)
         assert (padded.low_fringe, padded.low_cut, padded.high_fringe, padded.high_cut) == (
             plain.low_fringe, plain.low_cut, plain.high_fringe, plain.high_cut)
         assert padded.threshold.coords == (0,) + plain.threshold.coords
@@ -735,6 +753,19 @@ class TestVerify:
         with pytest.raises(DomainError):
             verify_structure(A023, 1, bad, HVec((2,)))
 
+    def test_box_defaults_to_the_verified_box(self):
+        res = structure_constants(A023, 2)
+        lo, hi = res.verified_box
+        assert verify_box(A023, 2, res) == [
+            (HVec((h,)), True) for h in range(lo.coords[0], hi.coords[0] + 1)]
+        assert verify_box(A023, 2, res, margin=0) == [(res.threshold, True)]
+
+    def test_box_margin_validation(self):
+        res = structure_constants(A023, 2)
+        for margin in (-1, True, 1.0):
+            with pytest.raises(DomainError):
+                verify_box(A023, 2, res, margin=margin)
+
 
 class TestStructureConstants:
     def test_worked_instance_both_strategies(self):
@@ -767,7 +798,7 @@ class TestStructureConstants:
         for sets in ([[0, 1, 2], [0, 1, 2]], [[0, 3, 5], [0, 2, 7]]):
             st = make_tuple(sets)
             res = structure_constants(st, 2, strategy="constructive")
-            emp = threshold_empirical(st, 2)
+            emp = structure_constants(st, 2)
             assert (res.low_fringe, res.low_cut, res.high_fringe, res.high_cut) == (
                 emp.low_fringe, emp.low_cut, emp.high_fringe, emp.high_cut)
             lo, hi = res.verified_box
@@ -826,37 +857,45 @@ class TestInhomogeneous:
     def test_b_zero_reduces_to_plain(self):
         st = make_tuple([[0, 2, 3], [0, 1]])
         plain = structure_constants(st, 2, strategy="empirical")
-        shifted = structure_constants_inhomogeneous(st, make_set([0]), 2)
+        shifted = structure_constants(st, 2, B=make_set([0]))
         assert (shifted.low_fringe, shifted.low_cut) == (plain.low_fringe, plain.low_cut)
         assert (shifted.high_fringe, shifted.high_cut) == (plain.high_fringe, plain.high_cut)
         assert shifted.threshold == plain.threshold
 
     def test_parity_gap_fills(self):
-        res = structure_constants_inhomogeneous(A023, make_set([0, 1]), 1)
+        res = structure_constants(A023, 1, B=make_set([0, 1]))
         assert (res.low_fringe.elements, res.low_cut) == ((), 0)
         assert (res.high_fringe.elements, res.high_cut) == ((), 0)
         for h in (4, 5, 6):
-            assert verify_structure_inhomogeneous(
-                A023, make_set([0, 1]), 1, res, HVec((h,)))
+            assert verify_structure(A023, 1, res, HVec((h,)), make_set([0, 1]))
 
     def test_translation_revives_bounded_tuple(self):
         # counts are capped at 1 but |B| = 2 lifts the ceiling to 2
-        res = structure_constants_inhomogeneous(make_tuple([[0, 1]]),
-                                                make_set([0, 1]), 2)
+        res = structure_constants(make_tuple([[0, 1]]), 2, B=make_set([0, 1]))
         assert (res.low_fringe.elements, res.low_cut) == ((), 1)
         assert (res.high_fringe.elements, res.high_cut) == ((), 1)
 
     def test_degenerate_when_t_exceeds_B(self):
         with pytest.raises(DegenerateAlphabetError):
-            structure_constants_inhomogeneous(make_tuple([[0, 1]]),
-                                              make_set([0, 1]), 3)
+            structure_constants(make_tuple([[0, 1]]), 3, B=make_set([0, 1]))
 
     def test_min_B_must_be_zero(self):
         with pytest.raises(DomainError):
-            structure_constants_inhomogeneous(A023, make_set([1, 2]), 1)
+            structure_constants(A023, 1, B=make_set([1, 2]))
         res = structure_constants(A023, 1, strategy="empirical")
         with pytest.raises(DomainError):
-            verify_structure_inhomogeneous(A023, make_set([1]), 1, res, HVec((3,)))
+            verify_structure(A023, 1, res, HVec((3,)), make_set([1]))
+        with pytest.raises(DomainError):
+            verify_box(A023, 1, res, B=make_set([1]))
+
+    def test_delegate_is_the_entry(self):
+        # the benchmark's op keeps the old name: the same result, and the
+        # same refusal of a ceiling too low for the search
+        st, B = make_tuple([[0, 2, 3], [0, 1]]), make_set([0, 2])
+        assert (structure_constants_inhomogeneous(st, B, 2, margin=1)
+                == structure_constants(st, 2, margin=1, B=B))
+        with pytest.raises(SearchExhaustedError):
+            structure_constants_inhomogeneous(st, B, 2, ceiling=0)
 
 
 small_color = hst.sets(hst.integers(1, 5), max_size=2).map(lambda xs: [0, *sorted(xs)])
@@ -872,7 +911,7 @@ def _certified(request):
     st = make_tuple(sets)
     assume(st.normalized)
     try:
-        return st, t, B, structure_constants_inhomogeneous(st, B, t)
+        return st, t, B, structure_constants(st, t, B=B)
     except DegenerateAlphabetError:
         assume(False)
 
