@@ -208,7 +208,12 @@ class SetTuple:
         return len(self.sets)
 
     def reflected(self) -> "SetTuple":
-        return SetTuple(tuple(reflect(A) for A in self.sets))
+        # cached in __dict__ on first use, as FiniteSet._member_set
+        cached = self.__dict__.get("_reflected")
+        if cached is None:
+            cached = SetTuple(tuple(reflect(A) for A in self.sets))
+            self.__dict__["_reflected"] = cached
+        return cached
 
 
 def make_tuple(sets: Iterable[Iterable[int]]) -> SetTuple:

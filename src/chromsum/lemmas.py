@@ -5,6 +5,14 @@ optional translation set) and returns a pass/fail record with a short
 human-readable detail.  They are deliberately independent of the main
 code paths where possible: set-level identities are recomputed from
 supports, not from the formulas under test.
+
+One run_all call runs every check inside one row scope
+(repcount._shared_rows): each multiset row is built once, and the cap-t
+and cap-1 chromatic tables are built once and shared by the checks that
+need them.  Sharing changes no value; each check still compares
+supports computed on its own: the cap-t table's t-set against the
+bumped, reflected and translated t-sets and the per-color sums, and the
+cap-1 support against the pooled sumset and the translated form.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ from dataclasses import dataclass
 from .errors import DomainError, NotNormalizedError
 from .intset import FiniteSet, HVec, SetTuple, _is_int, hvec_add_unit
 from .repcount import (
+    CountTable,
+    _shared_rows,
     chromatic_count_table,
     inhomogeneous_count_table,
     multiset_count_table,
@@ -53,8 +63,7 @@ def _check_monotone_inclusion(st: SetTuple, h: HVec, t: int, base: frozenset) ->
     )
 
 
-def _check_support_bounds(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
-    table = chromatic_count_table(st, h, cap=t)
+def _check_support_bounds(st: SetTuple, h: HVec, table: CountTable) -> LemmaCheck:
     m = h.dot(st.maxima)
     sup = table.support()
     ok = all(0 <= n <= m for n in sup)
@@ -65,12 +74,12 @@ def _check_support_bounds(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
     )
 
 
-def _check_union_bound(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
-    lhs = frozenset(chromatic_count_table(st, h, cap=1).support().elements)
+def _check_union_bound(st: SetTuple, h: HVec, sumset: frozenset) -> LemmaCheck:
+    """The colored sumset sits inside the pooled |h|-fold sumset."""
     rhs = frozenset(
         multiset_count_table(st.union, h.norm, cap=1).support().elements
     )
-    ok = lhs <= rhs
+    ok = sumset <= rhs
     return LemmaCheck(
         "union_bound",
         ok,
@@ -106,14 +115,19 @@ def _check_per_color_product(st: SetTuple, h: HVec, t: int, target: frozenset) -
 
 def _check_interval_sum(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
     """[c, c+m-1] + A = [c, c+m-1+max(A)] once m >= max(A), per color and
-    for the union, at a few representative anchors."""
+    for the union, at a few representative anchors.  Each set is a
+    Python-int bit mask, integer n at bit n + 4 (-4 is the least anchor,
+    and every element is at least 0)."""
     sets = list(st.sets) + [st.union]
     for A in sets:
         a_star = A.max
         for c in (0, 1, -4, 17):
             for m in (max(a_star, 1), a_star + 3):
-                got = {c + i + a for i in range(m) for a in A.elements}
-                want = set(range(c, c + m + a_star))
+                interval = ((1 << m) - 1) << (c + 4)
+                got = 0
+                for a in A.elements:
+                    got |= interval << a
+                want = ((1 << (m + a_star)) - 1) << (c + 4)
                 if got != want:
                     return LemmaCheck(
                         "interval_sum",
@@ -167,13 +181,15 @@ def _check_translation_by_set(
     )
 
 
-def _check_translation_by_form(st: SetTuple, h: HVec, t: int, B: FiniteSet) -> LemmaCheck:
-    """At threshold 1 the shifted sumset is exactly the union of translates."""
+def _check_translation_by_form(
+    st: SetTuple, h: HVec, B: FiniteSet, sumset: frozenset
+) -> LemmaCheck:
+    """At threshold 1 the shifted sumset is exactly the union of translates
+    of the colored sumset."""
     got = frozenset(
         inhomogeneous_count_table(st, h, B, cap=1).support_at_least(1).elements
     )
-    base = _support(st, h, 1)
-    want = frozenset(n + b for n in base for b in B.elements)
+    want = frozenset(n + b for n in sumset for b in B.elements)
     ok = got == want
     return LemmaCheck(
         "translation_by_form",
@@ -196,16 +212,20 @@ def run_all(st: SetTuple, h: HVec, t: int = 1, B: FiniteSet | None = None) -> li
         B = FiniteSet((0, 1))
     if B.min != 0:
         raise DomainError("the translation set must have minimum 0")
-    # the t-fold set at h, which four of the checks compare against
-    base = _support(st, h, t)
-    return [
-        _check_monotone_inclusion(st, h, t, base),
-        _check_support_bounds(st, h, t),
-        _check_union_bound(st, h, t),
-        _check_per_color_product(st, h, t, base),
-        _check_interval_sum(st, h, t),
-        _check_reflection_table(st, h, t),
-        _check_reflection_tfold(st, h, t, base),
-        _check_translation_by_set(st, h, t, B, base),
-        _check_translation_by_form(st, h, t, B),
-    ]
+    with _shared_rows():
+        # the cap-t table and its t-fold set at h, which four of the checks
+        # compare against, and the colored sumset, which two do
+        table = chromatic_count_table(st, h, cap=t)
+        base = frozenset(table.support_at_least(t).elements)
+        sumset = frozenset(chromatic_count_table(st, h, cap=1).support().elements)
+        return [
+            _check_monotone_inclusion(st, h, t, base),
+            _check_support_bounds(st, h, table),
+            _check_union_bound(st, h, sumset),
+            _check_per_color_product(st, h, t, base),
+            _check_interval_sum(st, h, t),
+            _check_reflection_table(st, h, t),
+            _check_reflection_tfold(st, h, t, base),
+            _check_translation_by_set(st, h, t, B, base),
+            _check_translation_by_form(st, h, B, sumset),
+        ]

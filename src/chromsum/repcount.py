@@ -160,7 +160,8 @@ and keeps streaming them.
 The margin box.  The structure search's final check and verify test
 the t-fold set at every point of a box [lo, lo + margin], (margin + 1)^q
 points, with one fold (_box_fits): B's indicator is convolved with each
-color's block of rows lo_i, ..., lo_i + margin in turn, every block
+color's block of rows lo_i, ..., lo_i + margin in turn (a one-element B
+is the identity, so the fold starts from the first block), every block
 zero-padded to its longest row, so the accumulator holds one row per
 box point so far, and the box holds (margin + 1)^q * (M + 1) cells, M
 the right endpoint of the top corner (a box of more than _BOX_CELLS
@@ -177,6 +178,16 @@ at the box's top corner (_bound), which holds at every point below it.
 The gaps cost at most (L + s - 1) / L <= 2 times the useful work.  A
 count table and a certificate size are one-point boxes: one unpadded
 np.convolve per color.
+
+The row scope.  Inside a _shared_rows() block (lemmas.run_all runs its
+checks in one), _counts keeps each color's row by (A.elements, h, row
+cap) and hands it to every later table with the same key.  Sharing is
+exact: the row cap is the one _bound gives for that color alone, and
+with A and h it fixes the whole row (_exact_row's or _capped_block's,
+dtype included), whatever table asks for it; the fold's dtype and cap
+are chosen per table afterwards.  Kept rows are marked read-only, and
+no fold writes into a row.  Outside a scope nothing is kept, so no row
+outlives the call that built it.
 
 Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
@@ -201,6 +212,8 @@ never exceed _GROUP_CAP or one target's partitions.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -243,6 +256,10 @@ _HANDOVER = 1 << 11
 # cells, |A| * h * (h * max(A) + 1), the measured crossover (see the module
 # docstring)
 _PACKED_CELLS = 1 << 15
+
+# inside a _shared_rows() scope, the rows _counts built, by (A.elements, h,
+# row cap); None outside one
+_ROWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_ROWS", default=None)
 
 
 @dataclass(frozen=True)
@@ -551,9 +568,6 @@ def _box_counts(
     top = [(A, c + len(rows) - 1) for A, c, rows in zip(sets, lo, blocks)]
     bound, cap = _bound(top, B, cap)
     dtype = np.float64 if bound < 1 << 53 else _dtype(bound)
-    acc = np.zeros((1, B.max - B.min + 1), dtype=dtype)
-    for b in B.elements:
-        acc[0, b - B.min] = 1
     stacked = []
     for rows in blocks:
         if len(rows) == 1 and rows[0].dtype <= dtype:  # a safe cast
@@ -563,15 +577,40 @@ def _box_counts(
             for r, row in enumerate(rows):
                 block[r, : len(row)] = row
         stacked.append(block)
+    if len(B) > 1:
+        acc = np.zeros((1, B.max - B.min + 1), dtype=dtype)
+        for b in B.elements:
+            acc[0, b - B.min] = 1
+    else:
+        # a one-element B is the fold's identity: start from the first
+        # block at the fold's dtype, and clip it into a new array where no
+        # block follows, so no fold writes into a row
+        acc = stacked.pop(0).astype(dtype, copy=False)
+        if cap is not None and not stacked:
+            acc = np.minimum(acc, cap)
     return _fold(acc, stacked, cap)
+
+
+@contextlib.contextmanager
+def _shared_rows() -> Iterator[None]:
+    """A row scope: within it _counts builds each color's row once and
+    hands the same read-only row to every later table (see the module
+    docstring); the rows are dropped when the scope ends."""
+    token = _ROWS.set({})
+    try:
+        yield
+    finally:
+        _ROWS.reset(token)
 
 
 def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | None) -> np.ndarray:
     """Counts of sum_i (h_i-multiset of A_i) + one element of B over
     [min(B), sum_i h_i * max(A_i) + max(B)]: the one-point box at h, each
     color's row at the cap of its own bound: packed (_exact_row) where
-    that bound leaves no cap, else from _capped_block; a float fold's
+    that bound leaves no cap, else from _capped_block, or the row already
+    built for the same key inside a _shared_rows() scope; a float fold's
     counts come back as int64."""
+    shared = _ROWS.get()
     rows = []
     for A, h in colors:
         if not A:
@@ -581,10 +620,17 @@ def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | No
         if not _is_int(h) or h < 0:
             raise DomainError("repetition count must be a nonnegative integer")
         bound, row_cap = _bound([(A, h)], _ZERO, cap)
-        if row_cap is None:
-            rows.append(_exact_row(A.elements, range(h, h + 1), bound))
-        else:
-            rows.append(_capped_block(A.elements, range(h, h + 1), row_cap))
+        key = (A.elements, h, row_cap)
+        row = None if shared is None else shared.get(key)
+        if row is None:
+            if row_cap is None:
+                row = _exact_row(A.elements, range(h, h + 1), bound)
+            else:
+                row = _capped_block(A.elements, range(h, h + 1), row_cap)
+            if shared is not None:
+                row[0].flags.writeable = False
+                shared[key] = row
+        rows.append(row)
     counts = _box_counts([A for A, _ in colors], [h for _, h in colors], B, cap, rows)[0]
     return counts if counts.dtype == object else counts.astype(np.int64, copy=False)
 

@@ -99,6 +99,13 @@ def test_lemmas_command():
     assert len(payload["checks"]) == 9
 
 
+def test_lemmas_translate_by_0_and_1_by_default():
+    # the README's one exception to the default B = {0}
+    proc = run_cli("lemmas", "--sets", "[[0,2,3]]", "--h", "3", "--output", "text")
+    assert proc.returncode == 0
+    assert "translated by each of {0, 1}" in proc.stdout
+
+
 def test_text_output():
     proc = run_cli("structure", "--sets", "[[0,2,3]]", "--t", "1",
                    "--output", "text")

@@ -145,6 +145,13 @@ class TestSetTuple:
         assert t.reflected().sets[0].elements == (0, 1, 3)
         assert t.reflected().sets[1].elements == (0, 1)
 
+    def test_reflected_is_cached_and_an_involution(self):
+        t = make_tuple([[0, 2, 3], [0, 1, 5]])
+        assert t.reflected() is t.reflected()
+        assert t.reflected().reflected() == t
+        assert t.reflected() != t
+        assert t.reflected() == make_tuple([[0, 1, 3], [0, 4, 5]])
+
 
 class TestHVec:
     def test_validation(self):

@@ -4,8 +4,10 @@ import pytest
 
 from chromsum import lemmas
 from chromsum.errors import DomainError, NotNormalizedError
+from chromsum import repcount
 from chromsum.intset import HVec, make_set, make_tuple
 from chromsum.lemmas import run_all
+from chromsum.repcount import CountTable, chromatic_count_table
 
 from conftest import random_normalized_tuple
 
@@ -64,7 +66,9 @@ def test_validation():
 @pytest.mark.parametrize("t", [True, 2.0])
 def test_t_refuses_bools_and_floats(monkeypatch, t):
     # True is not read as t = 1 nor 2.0 as 2, and no check runs first
-    monkeypatch.setattr(lemmas, "_support", lambda *_: pytest.fail("checked before refusing"))
+    monkeypatch.setattr(
+        lemmas, "chromatic_count_table", lambda *_, **__: pytest.fail("checked before refusing")
+    )
     with pytest.raises(DomainError):
         run_all(make_tuple([[0, 1]]), HVec((2,)), t)
 
@@ -72,9 +76,68 @@ def test_t_refuses_bools_and_floats(monkeypatch, t):
 def test_lemma_tables_are_packed(monkeypatch):
     # the counts workload's lemma shape builds every capped table from
     # packed rows: no partition fold and no numpy kernel stream
-    from chromsum import repcount
-
     for name in ("_capped_rows", "_multiset_rows"):
         monkeypatch.setattr(repcount, name, lambda *_, name=name: pytest.fail(f"called {name}"))
     checks = run_all(make_tuple([[0, 2, 5], [0, 3, 9]]), HVec((3, 4)), t=2, B=make_set([0, 1, 3]))
     assert all(c.ok for c in checks), [c for c in checks if not c.ok]
+
+
+def test_one_run_builds_each_row_once(monkeypatch):
+    # 27 row requests, 13 distinct (A, h, row cap): each is built once per
+    # run, and nothing is kept between runs or outside them
+    exact_row, calls = repcount._exact_row, []
+    monkeypatch.setattr(repcount, "_exact_row", lambda *a: calls.append(a) or exact_row(*a))
+    st, h, B = make_tuple([[0, 1, 7], [0, 3, 8]]), HVec((3, 4)), make_set([0, 3, 4])
+    first = run_all(st, h, 2, B)
+    assert all(c.ok for c in first)
+    assert len(calls) == 13
+    assert len({(a[0], a[1][-1], a[3] if len(a) > 3 else None) for a in calls}) == 13
+    assert run_all(st, h, 2, B) == first
+    assert len(calls) == 26
+    assert repcount._ROWS.get() is None
+    chromatic_count_table(st, h)
+    chromatic_count_table(st, h)
+    assert len(calls) == 30
+
+
+def _instance():
+    st, h, t = make_tuple([[0, 2, 3], [0, 1]]), HVec((3, 2)), 2
+    sumset = frozenset(chromatic_count_table(st, h, cap=1).support().elements)
+    return st, h, t, sumset
+
+
+def test_interval_sum_reports_a_gap():
+    check = lemmas._check_interval_sum(make_tuple([[1, 9]]), HVec((2,)), 1)
+    assert not check.ok
+    assert check.detail == "[0,8] + {1, 9} misses the full interval"
+
+
+def test_support_bounds_reports_an_escape():
+    st, h, t, _ = _instance()
+    table = chromatic_count_table(st, h, cap=t)
+    assert lemmas._check_support_bounds(st, h, table).ok
+    m = h.dot(st.maxima)
+    for escaped in (
+        CountTable(offset=-1, counts=(1,) + table.counts, cap=t),
+        CountTable(offset=0, counts=table.counts + (0, 1), cap=t),
+    ):
+        check = lemmas._check_support_bounds(st, h, escaped)
+        assert not check.ok
+        assert check.detail == f"support escapes [0, {m}]"
+
+
+def test_union_bound_reports_an_added_member():
+    st, h, _, sumset = _instance()
+    assert lemmas._check_union_bound(st, h, sumset).ok
+    beyond = h.norm * st.union.max + 1
+    assert not lemmas._check_union_bound(st, h, sumset | {beyond}).ok
+
+
+def test_translation_by_form_reports_an_added_or_removed_member():
+    st, h, _, sumset = _instance()
+    B = make_set([0, 1])
+    assert lemmas._check_translation_by_form(st, h, B, sumset).ok
+    for wrong in (sumset | {max(sumset) + 5}, sumset - {0}):
+        check = lemmas._check_translation_by_form(st, h, B, wrong)
+        assert not check.ok
+        assert check.detail == "shifted sumset differs from the union of translates"

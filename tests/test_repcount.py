@@ -313,6 +313,81 @@ def test_one_point_fold_is_one_plain_convolution_per_color(monkeypatch):
         assert calls == want
 
 
+def test_one_element_B_starts_from_the_first_block(monkeypatch):
+    # a one-element B is the fold's identity: q colors take q - 1
+    # convolutions, a lone color none, and the counts do not change
+    convolve, calls = np.convolve, []
+    monkeypatch.setattr(np, "convolve", lambda a, v: calls.append(1) or convolve(a, v))
+    st, h = make_tuple([[0, 2, 3], [0, 1, 5], [0, 4]]), HVec((3, 2, 4))
+    for B in (make_set([0]), make_set([2])):
+        calls.clear()
+        got = inhomogeneous_count_table(st, h, B, cap=3)
+        assert len(calls) == 2
+        assert got.offset == B.min
+        assert got.counts == tuple(min(c, 3) for c in oracle_count_table(st, h).counts)
+    calls.clear()
+    table = multiset_count_table(make_set([0, 2, 3]), 4)
+    assert list(table.counts) == _streamed_row((0, 2, 3), 4, None).tolist()
+    assert calls == []
+
+
+def _row_spy(monkeypatch):
+    """The rows each _box_counts call folds, one list of rows per call."""
+    box_counts, seen = repcount._box_counts, []
+
+    def spy(sets, lo, B, cap, blocks):
+        seen.append([rows[0] for rows in blocks])
+        return box_counts(sets, lo, B, cap, blocks)
+
+    monkeypatch.setattr(repcount, "_box_counts", spy)
+    return seen
+
+
+def test_shared_rows_are_built_once_and_read_only(monkeypatch):
+    seen = _row_spy(monkeypatch)
+    st, h = make_tuple([[0, 2, 3], [0, 1, 5]]), HVec((3, 2))
+    for cap in (None, 2):
+        seen.clear()
+        with repcount._shared_rows():
+            first = chromatic_count_table(st, h, cap=cap)
+            second = chromatic_count_table(st, h, cap=cap)
+        assert first == second == chromatic_count_table(st, h, cap=cap)
+        shared, again, fresh = seen
+        assert all(a is b for a, b in zip(shared, again))
+        assert not any(a is b for a, b in zip(shared, fresh))
+        assert not any(row.flags.writeable for row in shared)
+
+
+def test_identity_fold_leaves_the_shared_row_unchanged(monkeypatch):
+    # an int64 row in an int64 fold: the identity fold starts from the row
+    # itself, and the cap goes into a new array
+    seen = _row_spy(monkeypatch)
+    A, h, cap = make_set([0, 1, 2]), 3, 1 << 27
+    bound, row_cap = repcount._bound([(A, h)], make_set([0]), cap)
+    assert 1 << 53 <= bound < 1 << 62 and row_cap == cap
+    with repcount._shared_rows():
+        table = multiset_count_table(A, h, cap=cap)
+        [[row]] = seen
+        assert row.dtype == np.int64 and not row.flags.writeable
+        assert row.tolist() == list(table.counts) == _streamed_row(A.elements, h, None).tolist()
+        assert multiset_count_table(A, h, cap=cap) == table
+    assert row.tolist() == list(table.counts)
+
+
+def test_no_row_is_kept_outside_a_scope(monkeypatch):
+    exact_row, calls = repcount._exact_row, []
+    monkeypatch.setattr(repcount, "_exact_row", lambda *a: calls.append(1) or exact_row(*a))
+    st, h = make_tuple([[0, 2, 3], [0, 1, 5]]), HVec((3, 2))
+    with repcount._shared_rows():
+        chromatic_count_table(st, h)
+        chromatic_count_table(st, h)
+    assert len(calls) == 2
+    assert repcount._ROWS.get() is None
+    chromatic_count_table(st, h)
+    chromatic_count_table(st, h)
+    assert len(calls) == 6
+
+
 def test_chromatic_examples():
     t = make_tuple([[0, 1], [0, 2]])
     assert chromatic_count_table(t, HVec((1, 1))).counts == (1, 1, 1, 1)
