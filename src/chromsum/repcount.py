@@ -154,12 +154,12 @@ part, replace h kernel steps over rows of up to h * M entries.  A fold
 reads no entry above the one it writes, so the tables of a lower row
 are prefixes of those of a higher one: the margin box's rows h = lo_i,
 ..., lo_i + margin all come from the two folds at its top row.  The
-structure search walks consecutive rows, one cheap kernel step each,
-and keeps streaming them.
+structure search streams consecutive rows, one cheap kernel step each,
+and keeps them.
 
-The margin box.  The structure search's final check and verify test
-the t-fold set at every point of a box [lo, lo + margin], (margin + 1)^q
-points, with one fold (_box_fits): B's indicator is convolved with each
+The margin box.  verify tests the t-fold set at every point of a box
+[lo, lo + margin], (margin + 1)^q points, with one fold (_box_fits),
+from rows _capped_block gives: B's indicator is convolved with each
 color's block of rows lo_i, ..., lo_i + margin in turn (a one-element B
 is the identity, so the fold starts from the first block), every block
 zero-padded to its longest row, so the accumulator holds one row per
@@ -928,8 +928,3 @@ class _TFoldSets:
         blocks = [[self._row(i, c)] for i, c in enumerate(coords)]
         counts = _box_counts(self._st.sets, coords, self._B, self._t, blocks)
         return int(np.count_nonzero(counts >= self._t))
-
-    def box_fits(self, dec, lo: HVec, margin: int) -> list[bool]:
-        """_box_fits over [lo, lo + margin] from the kept rows."""
-        blocks = [[self._row(i, c + d) for d in range(margin + 1)] for i, c in enumerate(lo.coords)]
-        return _box_fits(dec, self._st, self._B, self._t, lo, blocks)

@@ -15,9 +15,7 @@ structure_constants:
 * empirical: the constants are the large-h limit, and the threshold is
   a minimal exponent vector at which the certificate below proves the
   shape for every larger vector.  The search runs on the translated
-  form h.A + B; the plain t-fold sets are the case B = {0}.  The margin
-  box above the vector is checked once more before returning: the full
-  t-fold set at every point, nothing inferred from the certificate.
+  form h.A + B; the plain t-fold sets are the case B = {0}.
 
 * constructive: the same limit constants (B = {0}), and a threshold
   vector from explicit witness representations: the t colored
@@ -55,14 +53,23 @@ every i with a_i > L.  Along e_i, L grows by a_i, so the recursion ends,
 and a {0} color never needs a step.  cert(h) holds exactly when the
 pattern holds at every h' >= h: the certified vectors form an up-set.
 By 2, S_h is the pattern exactly when both have |C| + L + |D| members,
-so cert compares sizes.  The empirical route's final box check and
-verify_box compare the sets instead, over a whole box at once:
+so cert compares sizes.  On both routes the certificate at the
+threshold proves the shape over the margin box verified_box; verify_box
+re-checks it on request, comparing the sets over a whole box at once:
 repcount._box_fits folds the counts of every point of the box in one
 pass per color and tests every point's mask over [0, M] against the
 shape at its own M in one comparison (repcount._shape_fits, which a
 member outside [0, M] fails).  verify_box is the one public box check,
 the command line's verify included; verify_structure is its one-point
 case.
+
+The search.  As the certified vectors form an up-set, cert is monotone
+along the diagonal and along each coordinate, so each walk gallops
+(Bentley and Yao's unbounded search): the ascent probes the diagonal at
+first, first + 1, first + 3, first + 7, ... up to the ceiling (first the
+least m with L >= 1), then bisects the last gap; each coordinate c in
+turn probes c - 1, c - 2, c - 4, ... down to 0, then bisects.  That finds
+what a walk of one step at a time finds, in O(log) cert calls per walk.
 """
 
 from __future__ import annotations
@@ -114,8 +121,7 @@ class StructureResult:
     low_fringe lives in [0, low_cut - 2]; high_fringe holds offsets from
     the right endpoint and lives in [0, high_cut - 2].  verified_box is
     the closed box [threshold, threshold + margin]; the certificate at
-    the threshold proves the shape at every vector of it, and the
-    empirical route also checks each of them exactly.
+    the threshold proves the shape at every vector of it.
     """
 
     low_fringe: FiniteSet
@@ -550,42 +556,49 @@ def _search_ceiling(st: SetTuple, t: int) -> int:
     return 4 * ((len(u) - 1) * (t * a_u - 1) * a_u + 1)
 
 
+def _gallop(pred, lo: int, hi: int) -> int:
+    """The least k in [lo, hi] with pred(k), or hi + 1 if there is none,
+    for pred monotone there (false, then true): pred is probed at lo,
+    lo + 1, lo + 3, lo + 7, ... up to hi, then the last gap is bisected."""
+    below, step = lo - 1, 1
+    while below < hi:
+        k = min(lo + step - 1, hi)
+        if pred(k):
+            while k - below > 1:
+                mid = (below + k) // 2
+                below, k = (below, mid) if pred(mid) else (mid, k)
+            return k
+        below, step = k, 2 * step
+    return hi + 1
+
+
 def _stabilize(
     st: SetTuple, B: FiniteSet, t: int, margin: int, ceiling: int | None
 ) -> StructureResult:
     """The limit constants of h.A + B and a minimal certified vector: the
-    first certified point of the diagonal, shrunk greedily on cert."""
+    first certified point of the diagonal, shrunk greedily on cert, both
+    walks galloping (see the module docstring)."""
     q = st.q
     if ceiling is None:
         ceiling = _search_ceiling(st, t)
     dec = _limit_constants(st, B, t)
     _, cut_low, _, cut_high = dec
-    sets = _TFoldSets(st, B, t)
-    cert = _certifier(st, B, dec, sets)
+    cert = _certifier(st, B, dec, _TFoldSets(st, B, t))
 
     # the middle is nonempty from the first m with m * sum(maxima) + max(B) >= c + d
     first = max(0, -(-(cut_low + cut_high - B.max) // sum(st.maxima)))
-    ht = next((h for h in (HVec((m,) * q) for m in range(first, ceiling + 1)) if cert(h)), None)
-    if ht is None:
+    m = _gallop(lambda m: cert(HVec((m,) * q)), first, ceiling)
+    if m > ceiling:
         raise SearchExhaustedError(
             f"no certified t-fold shape up to the diagonal ceiling {ceiling}"
         )
     # certified vectors form an up-set, so one pass reaches a minimal one
+    c = (m,) * q
     for i in range(q):
-        while ht.coords[i] > 0:
-            c = ht.coords
-            cand = HVec(c[:i] + (c[i] - 1,) + c[i + 1 :])
-            if not cert(cand):
-                break
-            ht = cand
-
-    fits = sets.box_fits(dec, ht, margin)
-    if not all(fits):
-        h = list(_box_points(ht, margin))[fits.index(False)]
-        raise RuntimeError(
-            f"internal invariant: the certified shape fails at h={list(h.coords)}"
-        )
-    return _result(dec, ht, "empirical", margin)
+        # the least k >= 1 at which c_i - k is no longer certified
+        k = _gallop(lambda k: not cert(HVec(c[:i] + (c[i] - k,) + c[i + 1 :])), 1, c[i])
+        c = c[:i] + (c[i] - k + 1,) + c[i + 1 :]
+    return _result(dec, HVec(c), "empirical", margin)
 
 
 def structure_constants(
@@ -605,9 +618,8 @@ def structure_constants(
 
     The empirical strategy returns a minimal certified vector, searched
     up the diagonal to ceiling (default: four times the union's closed
-    form), and also checks that box exactly.  The constructive strategy
-    builds its vector from witnesses; it takes neither a translation nor
-    a ceiling."""
+    form).  The constructive strategy builds its vector from witnesses;
+    it takes neither a translation nor a ceiling."""
     _require_normalized(st)
     _require_t(t)
     _require_margin(margin)

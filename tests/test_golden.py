@@ -14,7 +14,12 @@ import pytest
 
 from chromsum.errors import ChromsumError
 from chromsum.intset import make_set, make_tuple
-from chromsum.structure import structure_constants, structure_constants_inhomogeneous
+from chromsum.structure import (
+    StructureResult,
+    structure_constants,
+    structure_constants_inhomogeneous,
+    verify_box,
+)
 
 from conftest import random_normalized_tuple
 
@@ -69,6 +74,24 @@ def test_fixture_covers_the_seeded_requests():
 def test_routes_match_fixture(index):
     case = _CASES[index]
     assert _dump([run_routes(case["request"])]) == _dump([case["outcomes"]])
+
+
+def test_pinned_boxes_verify():
+    """The certificate proves each pinned empirical and translated result
+    over its verified box; verify_box checks every point of it exactly."""
+    checked_results = 0
+    for case in _CASES:
+        st, t = make_tuple(case["request"]["sets"]), case["request"]["t"]
+        for route, B in (("empirical", None), ("translated", make_set(case["request"]["B"]))):
+            if isinstance(case["outcomes"][route], str):
+                continue
+            res = StructureResult.from_json(case["outcomes"][route])
+            lo, hi = res.verified_box
+            checked = verify_box(st, t, res, lo, B, hi.coords[0] - lo.coords[0])
+            assert len(checked) == 4 ** st.q, (case["request"], route)
+            assert all(ok for _, ok in checked), (case["request"], route)
+            checked_results += 1
+    assert checked_results == 112
 
 
 if __name__ == "__main__":

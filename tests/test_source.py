@@ -97,6 +97,17 @@ def test_one_fold_entry():
     assert found == ["repcount._box_counts"]
 
 
+def test_one_box_check():
+    """repcount._box_fits is named only in itself (its slabs) and in
+    repcount._streamed_box_fits, which verify_box calls: the structure
+    search proves the margin box with its certificate and folds no box."""
+    found = _places(
+        lambda node: (isinstance(node, ast.Name) and node.id == "_box_fits")
+        or (isinstance(node, ast.Attribute) and node.attr == "_box_fits")
+    )
+    assert found == ["repcount._box_fits", "repcount._streamed_box_fits"]
+
+
 _FLOAT_TYPES = {
     "float64", "float_", "double", "float32", "single", "float16", "half", "longdouble", "f8", "f4",
 }

@@ -1,6 +1,5 @@
 import os
 import random
-import re
 import subprocess
 import sys
 from itertools import combinations_with_replacement, product
@@ -416,6 +415,50 @@ class TestThresholds:
         with pytest.raises(SearchExhaustedError):
             structure_constants(A023, 3, ceiling=0)
 
+    @pytest.mark.parametrize("sets, t", [([[0, 1, 3], [0, 2, 5]], 2), ([[0, 3, 10], [0, 7, 9]], 3)])
+    def test_search_ceiling_is_the_first_certified_diagonal_point(self, sets, t):
+        # the galloping ascent probes the ceiling itself: a ceiling at the
+        # first certified diagonal point m* is enough, one below it is not
+        st = make_tuple(sets)
+        first, m_star = _linear_walk(st, t, make_set([0]))[:2]
+        assert first < m_star
+        assert structure_constants(st, t, ceiling=m_star) == structure_constants(st, t)
+        with pytest.raises(SearchExhaustedError):
+            structure_constants(st, t, ceiling=m_star - 1)
+        # so is a ceiling below the first point with a nonempty middle
+        with pytest.raises(SearchExhaustedError):
+            structure_constants(st, t, ceiling=first - 1)
+
+    def test_search_size_calls_are_pinned(self, monkeypatch):
+        # one certificate size fold per cert point the galloping walks
+        # visit; a walk of one step at a time made 88 here
+        size, calls = repcount._TFoldSets.size, []
+
+        def spy(sets, h):
+            calls.append(h)
+            return size(sets, h)
+
+        monkeypatch.setattr(repcount._TFoldSets, "size", spy)
+        res = structure_constants(make_tuple([[0, 3, 100], [0, 7, 99]]), 20)
+        assert res.threshold == HVec((63, 28))
+        assert len(calls) == 25 and len(set(calls)) == 25
+
+    def test_search_makes_no_box_check(self, monkeypatch):
+        # the certificate proves the margin box; only verify_box folds it
+        box_fits, calls = repcount._box_fits, []
+
+        def spy(*args):
+            calls.append(args)
+            return box_fits(*args)
+
+        monkeypatch.setattr(repcount, "_box_fits", spy)
+        for sets, t, B in [([[0, 2, 3]], 1, None), ([[0, 1, 3], [0, 2, 5]], 2, make_set([0, 2])),
+                           ([[0, 1, 7], [0, 2], [0, 3]], 2, None)]:
+            res = structure_constants(make_tuple(sets), t, margin=5, B=B)
+        assert calls == []
+        assert all(ok for _, ok in verify_box(make_tuple(sets), t, res, B=B, margin=5))
+        assert len(calls) == 1
+
     def test_empirical_constants_are_the_limit(self):
         # a shape read off one t-fold set and checked on a margin box gave
         # c=14, c=11 and d=27 here
@@ -429,21 +472,6 @@ class TestThresholds:
             got = (res.low_fringe.elements, res.low_cut,
                    res.high_fringe.elements, res.high_cut)
             assert got == want, sets
-
-    def test_failed_box_is_an_internal_invariant(self, monkeypatch):
-        # the shape test reports every box point as off the shape
-        monkeypatch.setattr(repcount, "_shape_fits", lambda dec, mask, ends: ends < 0)
-        with pytest.raises(RuntimeError, match="internal invariant"):
-            structure_constants(A023, 1)
-        # every point but the first: the error names the second point, the
-        # last coordinate varying fastest
-        st = make_tuple([[0, 1, 3], [0, 2, 5]])
-        monkeypatch.undo()
-        ht = structure_constants(st, 2, margin=2).threshold.coords
-        monkeypatch.setattr(repcount, "_shape_fits", lambda dec, mask, ends: ends == ends[0])
-        first = re.escape(str([ht[0], ht[1] + 1]))
-        with pytest.raises(RuntimeError, match=f"internal invariant: .* fails at h={first}$"):
-            structure_constants(st, 2, margin=2)
 
     def test_uncertified_constructive_vector_is_an_internal_invariant(self, monkeypatch):
         monkeypatch.setattr(structure, "_certifier", lambda st, B, dec, sets: lambda h: False)
@@ -475,7 +503,7 @@ class TestThresholds:
                  != structure._pattern_members(dec, h.dot(st.maxima) + B.max)),
                 None,
             )
-            fits = repcount._TFoldSets(st, B, t).box_fits(dec, lo, 2)
+            fits = repcount._streamed_box_fits(st, B, t, dec, lo, 2)
             got = next((h for h, ok in zip(box(lo, 2), fits) if not ok), None)
             assert got == want, (st.sets, B.elements, t, dec, lo)
             checked = verify_box(st, t, structure._result(dec, lo, "empirical", 0), lo, B, 2)
@@ -483,10 +511,9 @@ class TestThresholds:
             assert next((h for h, ok in checked if not ok), None) == want
 
     def test_box_fold_matches_the_member_comparison_at_every_point(self, monkeypatch):
-        # corrupted limit shapes over random boxes: at every point, both
-        # box folds (kept and streamed rows), and the streamed one split
-        # into slabs, must answer whether the t-fold set is exactly the
-        # shape's members
+        # corrupted limit shapes over random boxes: at every point, the box
+        # fold, whole and split into slabs, must answer whether the t-fold
+        # set is exactly the shape's members
         rng = random.Random(89)
         kinds = ["none", "flip_low", "flip_high", "move_low_cut", "move_high_cut",
                  "above_end", "negative", "huge_cut"]
@@ -527,7 +554,6 @@ class TestThresholds:
                 for h in box(lo, margin)
             ]
             args = (st.sets, B.elements, t, dec, lo.coords, margin)
-            assert repcount._TFoldSets(st, B, t).box_fits(dec, lo, margin) == want, args
             assert repcount._streamed_box_fits(st, B, t, dec, lo, margin) == want, args
             if cut_low + cut_high <= end:
                 checked = verify_box(st, t, structure._result(dec, lo, "empirical", 0), lo, B, margin)
@@ -911,9 +937,41 @@ def _certified(request):
     st = make_tuple(sets)
     assume(st.normalized)
     try:
-        return st, t, B, structure_constants(st, t, B=B)
+        res = structure_constants(st, t, B=B)
     except DegenerateAlphabetError:
         assume(False)
+    # the certificate proves the shape over the result's own box
+    lo, hi = res.verified_box
+    assert all(ok for _, ok in verify_box(st, t, res, lo, B, hi.coords[0] - lo.coords[0]))
+    return st, t, B, res
+
+
+def _linear_walk(st, t, B):
+    """The search one step at a time, on the search's own cert: (first
+    diagonal point with a nonempty middle, first certified diagonal
+    point, the vector after lowering each coordinate in turn while cert
+    holds, cert)."""
+    dec = structure._limit_constants(st, B, t)
+    cert = structure._certifier(st, B, dec, repcount._TFoldSets(st, B, t))
+    first = max(0, -(-(dec[1] + dec[3] - B.max) // sum(st.maxima)))
+    ceiling = structure._search_ceiling(st, t)
+    m_star = next(m for m in range(first, ceiling + 1) if cert(HVec((m,) * st.q)))
+    c = [m_star] * st.q
+    for i in range(st.q):
+        while c[i] > 0 and cert(HVec(tuple(c[:i] + [c[i] - 1] + c[i + 1:]))):
+            c[i] -= 1
+    return first, m_star, HVec(tuple(c)), cert
+
+
+@given(small_request)
+def test_galloping_walks_find_the_linear_walk_vector(request):
+    st, t, B, res = _certified(request)
+    _, _, ht, cert = _linear_walk(st, t, B)
+    assert res.threshold == ht
+    # minimal: no positive coordinate can be lowered
+    c = ht.coords
+    assert cert(ht)
+    assert not any(cert(HVec(c[:i] + (c[i] - 1,) + c[i + 1:])) for i in range(st.q) if c[i])
 
 
 def _oracle_tfold(st, h, B, t) -> set[int]:
