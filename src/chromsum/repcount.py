@@ -197,17 +197,68 @@ of a capped row (_capped_rows) are read off the last such row.
 
 The constructive witnesses are, per target, the t partitions into the
 sorted parts p_0 <= p_1 <= ... with fewest parts, ties in lexicographic
-order of their non-decreasing index tuples.  _fewest_partitions lists a
-partition as its multiplicities (m_0, m_1, ...), choosing m_j from
-floor(rem / p_j) down to 0 at level j, and only where the later parts can
-still reach the remainder (the same fold, one pass per part from the
-last).  Among tuples of one length, the one with more copies of the
-first index where they differ comes first, so descending multiplicities
-list each target's partitions of every size in lexicographic order; a
-stable sort by (target, size) then puts the wanted t first.  Targets
-are enumerated in consecutive groups whose partition counts, capped at
-_GROUP_CAP, sum to at most it, so the rows a request holds at once
-never exceed _GROUP_CAP or one target's partitions.
+order of their non-decreasing index tuples; the threshold needs only
+each color's largest load among them (_fewest_loads).  Two routes give
+the same loads.
+
+The t-best DP (_dp_loads; Huang and Chiang, Better k-best parsing, IWPT
+2005; Eppstein, SIAM J. Comput., 1998).  Let best_j[n] be the first t
+partitions of n into parts[j:] in that order.  A partition that holds
+part j has the index tuple (j,) + (a partition of n - p_j into
+parts[j:]), and prefixing j keeps the order and adds one to the size;
+one that does not is a partition of n into parts[j + 1:], whose indices
+all exceed j.  So
+
+    best_j[n] = the first t of merge(best_j[n - p_j] + part j, best_{j+1}[n])
+
+with ties to the first list: of two tuples of one size, the one that
+starts with j comes first (the empty tuple has size 0 and ties nothing
+that holds part j).  The first t of a union are among the first t of
+each side, so keeping t per cell loses nothing.  Two columns of top + 1
+lists run j from the last part down, and an entry is the partition's
+size and per-color loads packed into one integer (tuples of loads took
+2.6 times as long on the benchmark stream's calls).
+
+The enumeration (_fewest_partitions) lists a partition as its
+multiplicities (m_0, m_1, ...), choosing m_j from floor(rem / p_j) down
+to 0 at level j, and only where the later parts can still reach the
+remainder (the same fold, one pass per part from the last).  Among
+tuples of one length, the one with more copies of the first index where
+they differ comes first, so descending multiplicities list each
+target's partitions of every size in lexicographic order; a stable sort
+by (target, size) then puts the wanted t first.  Targets are enumerated
+in consecutive groups whose partition counts, capped at _GROUP_CAP, sum
+to at most it, so the rows a request holds at once never exceed
+_GROUP_CAP or one target's partitions.
+
+The DP costs about (top + 1) * len(parts) * t cells of Python steps, and
+the enumeration about the partitions it lists, each at most once per
+level, plus a dozen numpy calls per level.  Cells alone cannot choose:
+each added small part multiplies the partitions about sixfold but the
+cells barely move, while two large parts give few partitions of a long
+table.  So the DP runs at once on at most _DP_CELLS = 2^13 cells; past
+it, the suffix counts the enumeration needs anyway are built, and the DP
+runs only where they list (capped per target at _GROUP_CAP) more than
+one partition per _CELLS_PER_PARTITION = 8 cells.  Measured on a 2-vCPU
+VM (Python 3.11, numpy 2.4), best of 3 sets of 1-5 runs, in ms:
+
+    parts                      t   top      cells      listed      DP   listing
+    {5,5,8,11}                 2    33        272          90   0.052     0.196
+    {1,2,3,4,5,200}            2   201      2,424   7,546,655   0.638  3,851.7
+    {1,1,3,5,7,8,10,15,70}    12    70      8,208   1,423,724   0.659    339.7
+    {13,38,39}                 5   638      9,585       2,379   0.751     0.658
+    {35,58,60}                 4 1,137     13,656       1,314   1.217     0.555
+    {16,37}                    5 2,944     29,450       1,535   2.802     0.496
+    {23,40}                    5 4,577     45,780       2,345   2.555     0.434
+    {195,...,200}              2 8,001     96,024   9,366,689   8.784    868.1
+    {3,4}                    256 3,069  1,571,840       1,792  25.662     0.167
+
+The first row is the median call of the benchmark's constructive stream.
+Over 1,970 calls (that stream's, those of 400 random tuples with maxima
+up to 80 and t up to 40, and those of six heavy ones) the rule took
+253 ms in all, against 245 ms for the faster route of every call and
+371 ms for the DP alone, and no call took more than 2.6 times its faster
+route or 0.4 ms more.
 """
 
 from __future__ import annotations
@@ -244,6 +295,13 @@ _ZERO = FiniteSet((0,))
 # _fewest_partitions caps its suffix counts here and holds at most this
 # many partitions at once, unless one target alone has more
 _GROUP_CAP = 1 << 16
+
+# _fewest_loads runs the t-best DP, without counting partitions, on at most
+# this many cells, (top + 1) * len(parts) * t; past it, only where the
+# enumeration would list more than one partition per _CELLS_PER_PARTITION
+# cells: the measured crossovers (see the module docstring)
+_DP_CELLS = 1 << 13
+_CELLS_PER_PARTITION = 8
 
 # _box_fits folds a box of more cells than this one slab at a time
 _BOX_CELLS = 1 << 20
@@ -806,8 +864,16 @@ def _limit_side(
         length = min(2 * length, bound + run)
 
 
+def _suffix_counts(parts: Sequence[int], top: int) -> list[np.ndarray]:
+    """Row j counts the partitions of 0..top into parts[j:], capped at
+    _GROUP_CAP; the last row counts only the empty partition of 0."""
+    start = np.zeros(top + 1, dtype=np.int64)
+    start[0] = 1
+    return list(_unbounded_rows(start, reversed(parts), _GROUP_CAP))[::-1]
+
+
 def _fewest_partitions(
-    parts: Sequence[int], targets: Sequence[int], t: int
+    parts: Sequence[int], targets: Sequence[int], t: int, suffix: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(owner, mult): for each target, the t multisets of indices into the
     increasing parts whose parts sum to it, with fewest parts, ties in
@@ -816,15 +882,12 @@ def _fewest_partitions(
     owner[k] the position in targets of its target; the rows run in order
     of target position, then in the order above.
 
-    Suffix row j counts the partitions of r into parts[j:], capped at
-    _GROUP_CAP.  Level j extends each row by the multiplicities of
+    suffix is _suffix_counts(parts, max(targets)): row j counts the
+    partitions of r into parts[j:], capped at _GROUP_CAP.  Level j extends each row by the multiplicities of
     parts[j] whose remainder row j + 1 can still finish, in descending
     order (the last part takes what is left), and a stable sort by
     (target, size) puts the wanted t first; see the module docstring."""
     top = max(targets, default=0)
-    start = np.zeros(top + 1, dtype=np.int64)
-    start[0] = 1
-    suffix = list(_unbounded_rows(start, reversed(parts), _GROUP_CAP))[::-1]
     # per level j, the remainders parts[j + 1:] reach as keys ordered by
     # residue class mod parts[j], then by value: the remainders a row r
     # can leave are the keys of its class up to r, one slice
@@ -880,14 +943,93 @@ def _fewest_loads(
     parts: Sequence[int], colors: Sequence[int], q: int, targets: Sequence[int], t: int
 ) -> list[int]:
     """Per color, the most parts of that color in any of the t fewest-part
-    partitions of any target (see _fewest_partitions); colors[j] is the
-    color of parts[j]."""
-    owner, mult = _fewest_partitions(parts, targets, t)
+    partitions of any target, ties in lexicographic order of the index
+    tuples; colors[j] is the color of parts[j].  The t-best DP on at most
+    _DP_CELLS cells, (max(targets) + 1) * len(parts) * t, or where the
+    enumeration would list more than one partition per
+    _CELLS_PER_PARTITION cells; else the enumeration of _fewest_partitions
+    (see the module docstring)."""
+    top = max(targets, default=0)
+    cells = (top + 1) * len(parts) * t
+    if cells > _DP_CELLS:
+        suffix = _suffix_counts(parts, top)
+        if int(suffix[0][list(targets)].sum()) * _CELLS_PER_PARTITION <= cells:
+            return _enumerated_loads(parts, colors, q, targets, t, suffix)
+    return _dp_loads(parts, colors, q, targets, t)
+
+
+def _too_few(n: int, t: int) -> RuntimeError:
+    return RuntimeError(f"internal invariant: n={n} has fewer than {t} colored representations")
+
+
+def _dp_loads(
+    parts: Sequence[int], colors: Sequence[int], q: int, targets: Sequence[int], t: int
+) -> list[int]:
+    """_fewest_loads by the t-best DP over the suffixes parts[j:], from the
+    last part down (see the module docstring).
+
+    An entry packs one partition of n as the integer size << (q * w) plus
+    the sum of load_c << (c * w) over the colors c, with w = max(1,
+    top.bit_length()).  Every load is at most the partition's size, which
+    is at most n / min(parts) <= top < 2^w (parts are at least 1), so no
+    slot carries into the next, and adding one part j adds
+    (1 << q * w) + (1 << colors[j] * w).  Sizes compare on the high bits:
+    size(x) < size(y) exactly when x | (2^(q*w) - 1) < y."""
+    top = max(targets, default=0)
+    w = max(1, top.bit_length())
+    shift = q * w
+    low = (1 << shift) - 1
+    # col[n]: up to t entries for n over parts[j:] in (size, index tuple)
+    # order, starting from no parts, where only 0 has a partition
+    col: list[list[int]] = [[0]] + [[] for _ in range(top)]
+    for j in range(len(parts) - 1, -1, -1):
+        p = parts[j]
+        inc = (1 << shift) + (1 << colors[j] * w)
+        new = col[:p]
+        for n in range(p, top + 1):
+            # with part j (new[n - p] plus one j) or without it (col[n]);
+            # on equal sizes, the index tuples with j come first
+            a, b = new[n - p], col[n]
+            if not a:
+                new.append(b)
+            elif not b:
+                new.append([e + inc for e in a])
+            else:
+                out = []
+                i = k = 0
+                while len(out) < t:
+                    if i < len(a) and (k == len(b) or a[i] + inc <= b[k] | low):
+                        out.append(a[i] + inc)
+                        i += 1
+                    elif k < len(b):
+                        out.append(b[k])
+                        k += 1
+                    else:
+                        break
+                new.append(out)
+        col = new
+    best = []
+    for n in targets:
+        if len(col[n]) < t:
+            raise _too_few(n, t)
+        best += col[n]
+    mask = (1 << w) - 1
+    return [max([e >> s & mask for e in best], default=0) for s in range(0, shift, w)]
+
+
+def _enumerated_loads(
+    parts: Sequence[int],
+    colors: Sequence[int],
+    q: int,
+    targets: Sequence[int],
+    t: int,
+    suffix: list[np.ndarray],
+) -> list[int]:
+    """_fewest_loads from the partitions _fewest_partitions lists."""
+    owner, mult = _fewest_partitions(parts, targets, t, suffix)
     short = np.flatnonzero(np.bincount(owner, minlength=len(targets)) < t)
     if short.size:
-        raise RuntimeError(
-            f"internal invariant: n={targets[short[0]]} has fewer than {t} colored representations"
-        )
+        raise _too_few(targets[short[0]], t)
     onehot = np.zeros((len(parts), q), dtype=np.int64)
     onehot[np.arange(len(parts)), list(colors)] = 1
     return (mult @ onehot).max(axis=0, initial=0).tolist()

@@ -19,9 +19,10 @@ structure_constants:
 
 * constructive: the same limit constants (B = {0}), and a threshold
   vector from explicit witness representations: the t colored
-  partitions of each target with fewest parts, from one enumeration over
-  all of a side's targets (repcount).  The certificate below then proves
-  the shape at that vector, and so at every larger one.
+  partitions of each target with fewest parts, from one t-best DP over
+  all of a side's targets, or from one enumeration where a long table
+  has few partitions (repcount).  The certificate below then proves the
+  shape at that vector, and so at every larger one.
 
 The certificate.  Write S_h for the t-fold set of h.A + B, a_i for
 max(A_i) and M = M(h) = sum_i h_i a_i + max(B) for its right endpoint.
@@ -426,8 +427,11 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
 def _one_sided_threshold(st: SetTuple, t: int, sporadic: tuple[int, ...], cut: int) -> HVec:
     """Per-color part counts sufficient for t distinct colored
     representations of every target (the sporadic set plus one full
-    window [cut, cut + a - 1]): the fewest-part partitions over the
-    sorted nonzero (element, color) parts.
+    window [cut, cut + a - 1]): the t fewest-part partitions over the
+    sorted nonzero (element, color) parts, all targets in one call of
+    repcount._fewest_loads, which takes its t-best DP or its enumeration,
+    whichever the measured crossover says is cheaper; both give the same
+    loads.
 
     Every target lies below certified_rep_bound k(ta - 1)a, where the
     residue-window construction of witness_representations starts, so
@@ -481,12 +485,12 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
     in the witnesses of its targets: the low fringe and one window of
     max(A) integers from the low cut on, so that the middle interval can
     chain upward.  The witnesses are each target's t colored partitions
-    with fewest parts, all targets in one enumeration.  The high side
-    mirrors this on the reflection; the result is the
-    componentwise sup, enlarged minimally until the two solid intervals
-    meet, and for a single set at most closed_form_threshold.
-    structure_constants then proves the shape at it with the certificate
-    of the module docstring.
+    with fewest parts, all targets in one t-best DP over the parts (or one
+    enumeration, where that is cheaper).  The high side mirrors this on
+    the reflection; the result is the componentwise sup, enlarged
+    minimally until the two solid intervals meet, and for a single set at
+    most closed_form_threshold.  structure_constants then proves the shape
+    at it with the certificate of the module docstring.
     """
     return _constructive(st, t)[1]
 

@@ -27,6 +27,7 @@ from chromsum.oracle import (
 )
 from chromsum.repcount import (
     _fewest_partitions,
+    _suffix_counts,
     inhomogeneous_count_table,
     partition_count_table,
 )
@@ -242,7 +243,7 @@ class TestWitnesses:
 
 def _fewest(parts, n, t):
     """The selected multiplicity rows of n, as non-decreasing index tuples."""
-    owner, mult = _fewest_partitions(parts, [n], t)
+    owner, mult = _fewest_partitions(parts, [n], t, _suffix_counts(parts, n))
     assert (owner == 0).all()
     return [tuple(j for j, m in enumerate(row) for _ in range(m)) for row in mult.tolist()]
 
@@ -272,14 +273,86 @@ def test_fewest_partitions_match_oracle():
         assert _fewest(parts, n, t) == want, (parts, n, t)
 
 
+def _enumerate_only(monkeypatch):
+    """Send every _fewest_loads call to the enumeration."""
+    monkeypatch.setattr(repcount, "_DP_CELLS", 0)
+    monkeypatch.setattr(repcount, "_CELLS_PER_PARTITION", 0)
+
+
 def test_missing_partitions_are_an_internal_invariant(monkeypatch):
-    def none_found(parts, targets, t):
+    # the DP: 3 has no partition into 2s
+    with pytest.raises(RuntimeError, match="internal invariant: n=3 has fewer than 2 colored"):
+        repcount._fewest_loads([2], [0], 1, [3], 2)
+
+    # the enumeration, told that no target has a partition
+    def none_found(parts, targets, t, suffix):
         return np.zeros(0, dtype=np.int64), np.zeros((0, len(parts)), dtype=np.int64)
 
+    _enumerate_only(monkeypatch)
     monkeypatch.setattr(repcount, "_fewest_partitions", none_found)
     # 6 is the low fringe of {0, 2, 3} at t = 2, the first target
     with pytest.raises(RuntimeError, match="internal invariant: n=6 has fewer than 2 colored"):
         structure_constants(A023, 2, strategy="constructive")
+
+
+def _listed_loads(parts, colors, q, targets, t):
+    """Per color, the most parts of that color in the rows
+    _fewest_partitions lists, or the shortfall error's text."""
+    owner, mult = _fewest_partitions(parts, targets, t, _suffix_counts(parts, max(targets)))
+    short = [n for k, n in enumerate(targets) if np.count_nonzero(owner == k) < t]
+    if short:
+        return f"n={short[0]} has fewer than {t}"
+    onehot = np.zeros((len(parts), q), dtype=np.int64)
+    onehot[np.arange(len(parts)), colors] = 1
+    return (mult @ onehot).max(axis=0, initial=0).tolist()
+
+
+def test_dp_loads_match_the_enumeration(monkeypatch):
+    rng = random.Random(29)
+    cases = []
+    for _ in range(300):
+        q = rng.randint(1, 3)
+        # equal parts of different colors: the tie order picks the loads
+        base = rng.sample(range(1, 10), rng.randint(1, 4))
+        parts = sorted(base + rng.choices(base, k=rng.randint(0, 2)))
+        colors = [rng.randrange(q) for _ in parts]
+        # about a third of the cases have a target short of t partitions
+        targets = rng.sample(range(20, 90), rng.randint(1, 4))
+        cases.append((parts, colors, q, targets, rng.randint(1, 6)))
+    # past _DP_CELLS: few partitions (the enumeration), and many (the DP)
+    cases += [
+        ([23, 40], [0, 0], 1, list(range(4538, 4578)), 5),
+        ([5, 5, 8, 9], [0, 1, 0, 1], 2, list(range(1000, 1009)), 6),
+        ([1, 1, 3], [0, 1, 0], 2, [698, 699, 700], 6),
+    ]
+    dp = repcount._dp_loads
+    routes = []
+
+    def spy(name):
+        route = getattr(repcount, name)
+
+        def run(*args):
+            routes.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(repcount, name, run)
+
+    spy("_dp_loads")
+    spy("_enumerated_loads")
+    for parts, colors, q, targets, t in cases:
+        want = _listed_loads(parts, colors, q, targets, t)
+        for route in (dp, repcount._fewest_loads):
+            if isinstance(want, str):
+                with pytest.raises(RuntimeError, match=want):
+                    route(parts, colors, q, targets, t)
+            else:
+                assert route(parts, colors, q, targets, t) == want, (parts, colors, targets, t)
+    # _fewest_loads took the DP on both sides of _DP_CELLS, and past it
+    # also the enumeration
+    cells = [(max(c[3]) + 1) * len(c[0]) * c[4] for c in cases]
+    taken = {(r, n > repcount._DP_CELLS) for r, n in zip(routes, cells)}
+    assert len(routes) == len(cases)
+    assert taken == {("_dp_loads", False), ("_dp_loads", True), ("_enumerated_loads", True)}
 
 
 def test_fewest_partitions_need_no_recursion():
@@ -292,7 +365,13 @@ def test_fewest_partitions_need_no_recursion():
 
 @pytest.mark.parametrize(
     "sets, t, cut, ht",
-    [([[0, 17, 40]], 5, 3344, (199,)), ([[0, 2, 3]], 1000, 5996, (2999,))],
+    [
+        ([[0, 17, 40]], 5, 3344, (199,)),
+        ([[0, 2, 3]], 1000, 5996, (2999,)),
+        # many small parts: the enumeration listed 27.7 M partitions here
+        ([[0, 1, 2, 3, 4, 200]], 2, 2, (51,)),
+        ([[0, 1, 2, 3, 4, 5, 200]], 2, 2, (41,)),
+    ],
 )
 def test_large_constructive_answers(sets, t, cut, ht):
     res = structure_constants(make_tuple(sets), t, strategy="constructive")
@@ -311,7 +390,10 @@ def test_fewest_partitions_group_size_changes_nothing(monkeypatch):
     def results():
         return [structure_constants(st, t, strategy="constructive") for st, t in cases]
 
+    mixed = results()
+    _enumerate_only(monkeypatch)
     want = results()
+    assert want == mixed
     for cap in (1, 3):
         monkeypatch.setattr(repcount, "_GROUP_CAP", cap)
         assert results() == want, cap
