@@ -70,8 +70,9 @@ def _int(value, decimal: bool = False) -> int:
 
 def _is_int(value) -> bool:
     """Whether value is a Python int and not a bool: the scalar parameters
-    (t, a cap, a margin, an exponent, n, a ceiling) take nothing else, so
-    True is not read as 1 nor 2.0 as 2."""
+    (t, a cap, a margin, an exponent, n, a ceiling, a budget, a dilation
+    factor, a coordinate index, an interval end, a translation) take
+    nothing else, so True is not read as 1 nor 2.0 as 2."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -95,6 +96,8 @@ class FiniteSet:
     @classmethod
     def interval(cls, lo: int, hi: int) -> "FiniteSet":
         """The integers from lo to hi inclusive; empty when lo > hi."""
+        if not (_is_int(lo) and _is_int(hi)):
+            raise DomainError("interval ends must be integers")
         return cls(tuple(range(lo, hi + 1)))
 
     def __len__(self) -> int:
@@ -144,6 +147,8 @@ class FiniteSet:
         return FiniteSet(tuple(sorted(sums)))
 
     def translate(self, c: int) -> "FiniteSet":
+        if not _is_int(c):
+            raise DomainError("translation must be an integer")
         return FiniteSet(tuple(a + c for a in self.elements))
 
 
@@ -171,7 +176,7 @@ def reflect(A: FiniteSet) -> FiniteSet:
 
 def dilate(d: int, A: FiniteSet) -> FiniteSet:
     """The dilated set {d * a : a in A} for positive d."""
-    if d < 1:
+    if not _is_int(d) or d < 1:
         raise DomainError("dilation factor must be a positive integer")
     return FiniteSet(tuple(d * a for a in A.elements))
 
@@ -279,6 +284,8 @@ def hvec_sup(hs: Sequence[HVec]) -> HVec:
 
 def hvec_add_unit(h: HVec, i: int) -> HVec:
     """h with coordinate i incremented by one."""
+    if not _is_int(i):
+        raise DomainError("coordinate index must be an integer")
     if not 0 <= i < h.q:
         raise DimensionError(f"coordinate index {i} out of range for q={h.q}")
     coords = list(h.coords)

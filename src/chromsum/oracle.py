@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 from .errors import BudgetError, DomainError
-from .intset import FiniteSet, HVec, SetTuple
+from .intset import FiniteSet, HVec, SetTuple, _is_int
 from .repcount import CountTable
 
 __all__ = [
@@ -51,6 +51,8 @@ def enumeration_size(st: SetTuple, h: HVec) -> int:
 
 
 def _check_budget(st: SetTuple, h: HVec, budget: int | None) -> None:
+    if budget is not None and not _is_int(budget):
+        raise DomainError("budget must be an integer or None")
     limit = DEFAULT_BUDGET if budget is None else budget
     size = enumeration_size(st, h)
     if size > limit:
@@ -64,6 +66,8 @@ def enumerate_representations(
 ) -> list[Representation]:
     """All colored representations of n at exponents h, in lexicographic
     order over the q-tuples of per-color non-decreasing tuples."""
+    if not _is_int(n):
+        raise DomainError("n must be an integer")
     _check_budget(st, h, budget)
     pools = [
         list(combinations_with_replacement(A.elements, hi))
@@ -99,6 +103,8 @@ def oracle_partitions(parts: FiniteSet, n: int) -> list[tuple[int, ...]]:
     lexicographic order.  n = 0 yields the single empty partition."""
     if parts and parts.min < 1:
         raise DomainError("partition parts must all be at least 1")
+    if not _is_int(n):
+        raise DomainError("n must be an integer")
     if n < 0:
         return []
     elems = parts.elements

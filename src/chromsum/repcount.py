@@ -16,11 +16,12 @@ Exact rows run through a packed-integer kernel that hands long int64
 rows over to one numpy multiset kernel (below).  Capped rows come from
 one entry, _capped_block: short ones from the packed kernel, clipped
 once, long ones from partition folds or the numpy kernel (below).  Every
-product of rows is one schoolbook convolution (np.convolve).
-Every count (a table, the structure search's certificate sizes, the
-margin box) is folded by one entry, _box_counts.  It picks the dtype
-once from _bound, a proven bound on every intermediate value at the
-box's top corner: float64 below 2^53, numpy int64 below 2^62, and
+product of two rows is one schoolbook convolution (np.convolve, in
+_fold).  Every count (a table, the structure search's certificate sizes,
+the margin box) is made by one entry, _box_counts, which walks a box of
+exponent vectors one color at a time.  It picks the dtype once from
+_bound, a proven bound on every intermediate value at the box's top
+corner: float64 below 2^53, numpy int64 below 2^62, and
 dtype=object (Python ints in the same numpy code) above it, so the
 result is exact either way.  A float64 fold
 is exact because every product and every partial sum it forms, in any
@@ -158,26 +159,23 @@ structure search streams consecutive rows, one cheap kernel step each,
 and keeps them.
 
 The margin box.  verify tests the t-fold set at every point of a box
-[lo, lo + margin], (margin + 1)^q points, with one fold (_box_fits),
-from rows _capped_block gives: B's indicator is convolved with each
-color's block of rows lo_i, ..., lo_i + margin in turn (a one-element B
-is the identity, so the fold starts from the first block), every block
-zero-padded to its longest row, so the accumulator holds one row per
-box point so far, and the box holds (margin + 1)^q * (M + 1) cells, M
-the right endpoint of the top corner (a box of more than _BOX_CELLS
-cells is folded one slab at a time).  Zeros past a row's end change no
-product.  Within one color's step, the operand with the longer rows
-(length L) is laid out as one array, its rows end to end with s - 1
-zeros between them, s the other operand's row length; np.convolve of
-that array with one row of the other operand gives all its products at
-once.  An output entry sums s consecutive entries of the array times
-the row, and no s consecutive entries reach two rows that s - 1 zeros
-separate, so each entry is one pair's convolution with the same
-partial sums: clipped as before, and under the bound of the count table
-at the box's top corner (_bound), which holds at every point below it.
-The gaps cost at most (L + s - 1) / L <= 2 times the useful work.  A
-count table and a certificate size are one-point boxes: one unpadded
-np.convolve per color.
+[lo, lo + margin], (margin + 1)^q points, from the rows lo_i, ...,
+lo_i + margin that _capped_block gives each color (_streamed_box_fits).
+_box_counts walks the box one color at a time, last coordinate fastest.
+The partial product at a point of the first i colors, B's indicator
+times one row of each (a one-element B is the identity, so it starts
+from the first color's row), is kept while the walk runs through the
+later colors, so each is formed once, by one np.convolve: in all
+(margin + 1)^2 + ... + (margin + 1)^q of them for a one-element B.  Per
+point of the first q - 1 colors, the last color's margin + 1 products
+come as one group, zero-padded to its longest row (zeros past a row's
+end are no members), and one comparison tests the group.  Every product
+is clipped as before and stays under the bound of the count table at
+the box's top corner (_bound), which holds at every point below it.  The
+walk holds one group and q partial products, so its memory grows with
+the rows it reads, not with the box.  A count table and a certificate
+size are one-point boxes: q - 1 np.convolve calls for a one-element B,
+q for a larger one.
 
 The row scope.  Inside a _shared_rows() block (lemmas.run_all runs its
 checks in one), _counts keeps each color's row by (A.elements, h, row
@@ -302,9 +300,6 @@ _GROUP_CAP = 1 << 16
 # cells: the measured crossovers (see the module docstring)
 _DP_CELLS = 1 << 13
 _CELLS_PER_PARTITION = 8
-
-# _box_fits folds a box of more cells than this one slab at a time
-_BOX_CELLS = 1 << 20
 
 # _exact_row hands an int64 row over to the numpy kernel before it passes
 # this many entries, the measured crossover (see the module docstring)
@@ -558,37 +553,14 @@ def _capped_rows(elements: tuple[int, ...], hs: range, cap: int) -> list[np.ndar
     return rows
 
 
-def _fold(acc: np.ndarray, blocks: Iterable[np.ndarray], cap: int | None) -> np.ndarray:
-    """Convolve every row of acc, a 2-D array, with every row of each
-    2-D block in turn, at acc's dtype, clipped at cap when one is set.
-    Row p * len(block) + r of the result is row p of acc times row r of
-    the block: the last block's row varies fastest.
-
-    The operand with the longer rows is laid out as one array, its rows
-    end to end with (shorter row length - 1) zeros between them, and one
-    np.convolve per row of the other operand gives all its products (see
-    the module docstring).  One row on each side is one unpadded
-    np.convolve, without the packing: on the search's short rows the
-    stacking and reshapes cost about as much as the convolution, and the
-    search's size folds one row per color hundreds of times a request."""
-    for block in blocks:
-        if len(acc) == len(block) == 1:
-            acc = np.convolve(acc[0], block[0])[None]
-        else:
-            flip = block.shape[1] > acc.shape[1]
-            long, short = (block, acc) if flip else (acc, block)
-            span = acc.shape[1] + block.shape[1] - 1
-            line = long[0]
-            if len(long) > 1:
-                line = np.zeros((len(long), span), dtype=long.dtype)
-                line[:, : long.shape[1]] = long
-                line = line.ravel()[: line.size - short.shape[1] + 1]
-            out = np.stack([np.convolve(line, row) for row in short])
-            out = out.reshape(len(short), len(long), span)
-            acc = (out if flip else out.transpose(1, 0, 2)).reshape(-1, span)
-        if cap is not None:
-            np.minimum(acc, cap, out=acc)
-    return acc
+def _fold(acc: np.ndarray, row: np.ndarray, cap: int | None) -> np.ndarray:
+    """The product of the 1-D rows acc and row, one np.convolve at acc's
+    dtype (row's must convert safely to it), clipped at cap when one is
+    set, in a new array."""
+    out = np.convolve(acc, row)
+    if cap is not None:
+        np.minimum(out, cap, out=out)
+    return out
 
 
 def _bound(
@@ -613,40 +585,63 @@ def _bound(
 def _box_counts(
     sets: Sequence[FiniteSet], lo: Sequence[int], B: FiniteSet, cap: int | None,
     blocks: Sequence[Sequence[np.ndarray]],
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """The counts of h.A + B, clipped at cap unless it is None, at every
     point h of the box whose color i takes the kernel rows blocks[i],
     rows lo_i, lo_i + 1, ... (a {0} color's from any row on: they are
-    all [1]); one row per point, last coordinate fastest, each as long as
-    the top corner's.  The cap is _bound's at the top corner, and the
-    dtype float64 where that bound is below 2^53 (see the module
-    docstring), else _dtype's.  A lone row whose dtype converts safely is
-    folded as it is; other rows are copied at that dtype (uint64 rows in
-    an int64 fold would give floats)."""
+    all [1]), each already at most cap.  The walk goes one color at a
+    time, last coordinate fastest, and keeps one partial product per
+    color; per point of the other colors it yields one 2-D group, the
+    last color's rows times that point's product, zero-padded to the
+    longest.  The cap is _bound's at the top corner, and the dtype
+    float64 where that bound is below 2^53 (see the module docstring),
+    else _dtype's.  A row whose dtype converts safely is folded as it is;
+    other rows are copied at that dtype (uint64 rows in an int64 fold
+    would give floats)."""
     top = [(A, c + len(rows) - 1) for A, c, rows in zip(sets, lo, blocks)]
     bound, cap = _bound(top, B, cap)
     dtype = np.float64 if bound < 1 << 53 else _dtype(bound)
-    stacked = []
-    for rows in blocks:
-        if len(rows) == 1 and rows[0].dtype <= dtype:  # a safe cast
-            block = rows[0][None]
-        else:
-            block = np.zeros((len(rows), len(rows[-1])), dtype=dtype)
-            for r, row in enumerate(rows):
-                block[r, : len(row)] = row
-        stacked.append(block)
+
+    def times(acc, row, clip):
+        if acc is None:  # a one-element B is the identity
+            return row.astype(dtype, copy=False)
+        return _fold(acc, row if row.dtype <= dtype else row.astype(dtype), clip)
+
+    # partial[i]: B times the current row of each color below i (None
+    # for a one-element B); point: the current row of each color but the
+    # last, from whose k-th color on the partial products are stale
+    partial = [None]
     if len(B) > 1:
-        acc = np.zeros((1, B.max - B.min + 1), dtype=dtype)
-        for b in B.elements:
-            acc[0, b - B.min] = 1
-    else:
-        # a one-element B is the fold's identity: start from the first
-        # block at the fold's dtype, and clip it into a new array where no
-        # block follows, so no fold writes into a row
-        acc = stacked.pop(0).astype(dtype, copy=False)
-        if cap is not None and not stacked:
-            acc = np.minimum(acc, cap)
-    return _fold(acc, stacked, cap)
+        partial[0] = np.zeros(B.max - B.min + 1, dtype=dtype)
+        partial[0][[b - B.min for b in B.elements]] = 1
+    *heads, rows = blocks
+    point, k = [0] * len(heads), 0
+    while True:
+        del partial[k + 1 :]
+        for i in range(k, len(heads)):
+            partial.append(times(partial[i], heads[i][point[i]], cap))
+        acc = partial[-1]
+        if len(rows) == 1:  # a lone product needs no copy into a group
+            yield times(acc, rows[0], cap)[None]
+        else:
+            # a group is clipped once, as a whole
+            width = len(rows[-1]) + (0 if acc is None else len(acc) - 1)
+            group = np.zeros((len(rows), width), dtype=dtype)
+            for r, row in enumerate(rows):
+                out = times(acc, row, None)
+                group[r, : len(out)] = out
+            if cap is not None:
+                np.minimum(group, cap, out=group)
+            yield group
+        # the next point: the last color not at its last row moves on one
+        # row, and every later color starts again
+        k = len(heads) - 1
+        while k >= 0 and point[k] == len(heads[k]) - 1:
+            point[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        point[k] += 1
 
 
 @contextlib.contextmanager
@@ -689,7 +684,7 @@ def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | No
                 row[0].flags.writeable = False
                 shared[key] = row
         rows.append(row)
-    counts = _box_counts([A for A, _ in colors], [h for _, h in colors], B, cap, rows)[0]
+    counts = next(_box_counts([A for A, _ in colors], [h for _, h in colors], B, cap, rows))[0]
     return counts if counts.dtype == object else counts.astype(np.int64, copy=False)
 
 
@@ -757,47 +752,27 @@ def _shape_fits(dec, mask: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return ok & (mask == want).all(axis=1)
 
 
-def _box_fits(
-    dec, st: SetTuple, B: FiniteSet, t: int, lo: HVec, blocks: Sequence[Sequence[np.ndarray]]
-) -> list[bool]:
+def _streamed_box_fits(st: SetTuple, B: FiniteSet, t: int, dec, lo: HVec, margin: int) -> list[bool]:
     """Whether the t-fold set of h.A + B is the shape dec (see _shape_fits)
     at each point h of the box [lo, lo + margin], last coordinate varying
-    fastest; blocks[i] holds color i's capped rows lo_i, ..., lo_i +
-    margin.  B must have minimum 0.
+    fastest.  B must have minimum 0.
 
-    Every point's counts come from one _box_counts fold, and one
-    comparison tests them all.  A box of more than _BOX_CELLS cells is
-    split into one slab per row of its first color with several rows:
-    the slabs' folds are the box's fold cut apart, in the same order, so
-    they cost no more work and hold less at once."""
-    width = sum(len(rows[-1]) - 1 for rows in blocks) + B.max - B.min + 1
-    split = next((i for i, rows in enumerate(blocks) if len(rows) > 1), None)
-    if split is not None and math.prod(map(len, blocks)) * width > _BOX_CELLS:
-        c = lo.coords
-        return [
-            fit
-            for r, row in enumerate(blocks[split])
-            for fit in _box_fits(
-                dec, st, B, t, HVec(c[:split] + (c[split] + r,) + c[split + 1 :]),
-                [*blocks[:split], [row], *blocks[split + 1 :]],
-            )
-        ]
-    ends = [B.max]
-    for rows, a, c in zip(blocks, st.maxima, lo.coords):
-        ends = [m + a * (c + d) for m in ends for d in range(len(rows))]
-    counts = _box_counts(st.sets, lo.coords, B, t, blocks)
-    return _shape_fits(dec, counts >= t, np.array(ends, dtype=np.int64)).tolist()
-
-
-def _streamed_box_fits(st: SetTuple, B: FiniteSet, t: int, dec, lo: HVec, margin: int) -> list[bool]:
-    """_box_fits over [lo, lo + margin], each color's margin + 1 rows from
-    _capped_block, computed once at the top row, keeping only the rows
-    the box needs.  Every row of {0} is [1], whatever lo_i is, and costs
-    no step."""
+    Each color's margin + 1 rows come from _capped_block, computed once
+    at the top row, keeping only the rows the box needs; every row of {0}
+    is [1], whatever lo_i is, and costs no step.  _box_counts walks the
+    box, and one comparison tests each group of points it yields."""
     blocks = [
         _capped_block(A.elements, range(c, c + margin + 1), t) for A, c in zip(st.sets, lo.coords)
     ]
-    return _box_fits(dec, st, B, t, lo, blocks)
+    ends = [B.max]
+    for a, c in zip(st.maxima, lo.coords):
+        ends = [m + a * (c + d) for m in ends for d in range(margin + 1)]
+    groups = _box_counts(st.sets, lo.coords, B, t, blocks)
+    return [
+        fit
+        for counts, group_ends in zip(groups, np.array(ends, dtype=np.int64).reshape(-1, margin + 1))
+        for fit in _shape_fits(dec, counts >= t, group_ends).tolist()
+    ]
 
 
 def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
@@ -1068,5 +1043,5 @@ class _TFoldSets:
         """Number of integers with at least t representations at h."""
         coords = h.coords
         blocks = [[self._row(i, c)] for i, c in enumerate(coords)]
-        counts = _box_counts(self._st.sets, coords, self._B, self._t, blocks)
+        counts = next(_box_counts(self._st.sets, coords, self._B, self._t, blocks))
         return int(np.count_nonzero(counts >= self._t))

@@ -56,13 +56,13 @@ pattern holds at every h' >= h: the certified vectors form an up-set.
 By 2, S_h is the pattern exactly when both have |C| + L + |D| members,
 so cert compares sizes.  On both routes the certificate at the
 threshold proves the shape over the margin box verified_box; verify_box
-re-checks it on request, comparing the sets over a whole box at once:
-repcount._box_fits folds the counts of every point of the box in one
-pass per color and tests every point's mask over [0, M] against the
-shape at its own M in one comparison (repcount._shape_fits, which a
-member outside [0, M] fails).  verify_box is the one public box check,
-the command line's verify included; verify_structure is its one-point
-case.
+re-checks it on request, comparing the sets over a whole box:
+repcount._box_counts walks the box one color at a time, keeping one
+partial product per color, and one comparison tests each group of
+points it yields, every point's mask over [0, M] against the shape at
+its own M (repcount._shape_fits, which a member outside [0, M] fails).
+verify_box is the one public box check, the command line's verify
+included; verify_structure is its one-point case.
 
 The search.  As the certified vectors form an up-set, cert is monotone
 along the diagonal and along each coordinate, so each walk gallops
@@ -680,9 +680,9 @@ def verify_box(
     """Exact check of the result at every point h of the box [lo, lo +
     margin] (lo defaults to the result's threshold; B = None is {0}):
     (h, whether the t-fold set of h.A + B at h is the predicted shape),
-    the last coordinate varying fastest, from one box fold (repcount).
-    Every check on a point holds at every point of the box once it holds
-    at lo, the least one."""
+    the last coordinate varying fastest, from one walk of the box
+    (repcount).  Every check on a point holds at every point of the box
+    once it holds at lo, the least one."""
     _require_normalized(st)
     _require_t(t)
     if not _is_int(margin) or margin < 0:

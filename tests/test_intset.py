@@ -29,6 +29,12 @@ from chromsum.intset import (
     tuple_from_json,
     tuple_to_json,
 )
+from chromsum.oracle import (
+    enumerate_representations,
+    oracle_count_table,
+    oracle_partition_count,
+    oracle_partitions,
+)
 
 sets_strategy = st.lists(
     st.integers(min_value=-30, max_value=30), min_size=1, max_size=6
@@ -180,6 +186,37 @@ class TestHVec:
         assert hvec_add_unit(HVec((1, 1)), 1).coords == (1, 2)
         with pytest.raises(DimensionError):
             hvec_add_unit(HVec((1,)), 3)
+
+
+_A013, _T02 = make_set([0, 1, 3]), make_tuple([[0, 1, 3], [0, 2]])
+
+
+@pytest.mark.parametrize("call, args", [
+    (dilate, (True, _A013)),
+    (dilate, (2.0, _A013)),
+    (hvec_add_unit, (HVec((1, 2)), True)),
+    (hvec_add_unit, (HVec((1, 2)), 1.0)),
+    (FiniteSet.interval, (True, 3)),
+    (FiniteSet.interval, (0, 3.0)),
+    (_A013.translate, (True,)),
+    (_A013.translate, (1.5,)),
+    (oracle_partitions, (make_set([2, 3]), True)),
+    (oracle_partitions, (make_set([2, 3]), 2.5)),
+    (oracle_partition_count, (make_set([2, 3]), 6.0)),
+    (enumerate_representations, (_T02, HVec((2, 1)), True)),
+    (enumerate_representations, (_T02, HVec((2, 1)), 6.0)),
+    (enumerate_representations, (_T02, HVec((2, 1)), 6, True)),
+    (enumerate_representations, (_T02, HVec((2, 1)), 6, 100.5)),
+    (oracle_count_table, (_T02, HVec((2, 1)), True)),
+    (oracle_count_table, (_T02, HVec((2, 1)), 100.5)),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_scalar_parameters_refuse_bools_and_floats(call, args):
+    # True is not read as 1 nor 2.0 as 2, here as in every other scalar
+    # parameter of the library; a budget is refused as a value, not
+    # compared with the enumeration's size (BudgetError)
+    with pytest.raises(DomainError) as refused:
+        call(*args)
+    assert refused.type is DomainError
 
 
 class TestNormalization:

@@ -277,14 +277,13 @@ def test_float_fold_just_below_2_53_is_exact():
     bound, cap = repcount._bound(list(zip(sets, h)), make_set([0]), None)
     assert 2**52 < bound < 2**53 and cap is None
     rows = [[_streamed_row(A.elements, hi, None)] for A, hi in zip(sets, h)]
-    got = repcount._box_counts(sets, h, make_set([0]), None, rows)
+    [got] = repcount._box_counts(sets, h, make_set([0]), None, rows)
     assert got.dtype == np.float64
-    blocks = [row.astype(object)[None] for [row] in rows]
-    want = repcount._fold(np.ones((1, 1), dtype=object), blocks, None)
-    assert max(want[0]) > 2**45
-    assert [int(x) for x in got[0]] == want[0].tolist()
+    want = repcount._fold(*(row.astype(object) for [row] in rows), None)
+    assert max(want) > 2**45
+    assert [int(x) for x in got[0]] == want.tolist()
     table = chromatic_count_table(make_tuple([range(10), range(12)]), HVec(tuple(h)))
-    assert table.counts == tuple(want[0].tolist())
+    assert table.counts == tuple(want.tolist())
 
 
 def test_one_point_fold_is_one_plain_convolution_per_color(monkeypatch):

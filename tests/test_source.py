@@ -1,6 +1,7 @@
 """Rules that the library's own source keeps."""
 
 import ast
+import re
 from pathlib import Path
 
 import chromsum
@@ -75,9 +76,8 @@ def _places(hit) -> list[str]:
 
 
 def test_one_convolution():
-    """np.convolve runs only in repcount._fold, which count tables, the
-    structure search and the box check share: the gaps of a packed box
-    fold are paid where they are proven harmless, and nowhere else."""
+    """np.convolve runs only in repcount._fold, the one pairwise product
+    that count tables, the structure search and the box check share."""
     found = _places(
         lambda node: (isinstance(node, ast.Attribute) and node.attr == "convolve")
         or (isinstance(node, ast.alias) and node.name.split(".")[-1] == "convolve")
@@ -86,26 +86,64 @@ def test_one_convolution():
 
 
 def test_one_fold_entry():
-    """repcount._fold is named only in repcount._box_counts, which picks
-    every count's dtype and cap from the one bound (repcount._bound):
-    count tables, the search's certificate sizes and the margin box
-    cannot fold at a dtype of their own."""
+    """repcount._fold is named only inside repcount._box_counts (its walk
+    included), which picks every count's dtype and cap from the one bound
+    (repcount._bound): count tables, the search's certificate sizes and
+    the margin box cannot fold at a dtype of their own."""
     found = _places(
         lambda node: (isinstance(node, ast.Name) and node.id == "_fold")
         or (isinstance(node, ast.Attribute) and node.attr == "_fold")
     )
-    assert found == ["repcount._box_counts"]
+    assert found
+    assert all(f == "repcount._box_counts" or f.startswith("repcount._box_counts.") for f in found)
 
 
 def test_one_box_check():
-    """repcount._box_fits is named only in itself (its slabs) and in
-    repcount._streamed_box_fits, which verify_box calls: the structure
-    search proves the margin box with its certificate and folds no box."""
+    """repcount._shape_fits is named only in repcount._streamed_box_fits,
+    which verify_box calls: the structure search proves the margin box
+    with its certificate and checks no box."""
     found = _places(
-        lambda node: (isinstance(node, ast.Name) and node.id == "_box_fits")
-        or (isinstance(node, ast.Attribute) and node.attr == "_box_fits")
+        lambda node: (isinstance(node, ast.Name) and node.id == "_shape_fits")
+        or (isinstance(node, ast.Attribute) and node.attr == "_shape_fits")
     )
-    assert found == ["repcount._box_fits", "repcount._streamed_box_fits"]
+    assert found == ["repcount._streamed_box_fits"]
+    found = _places(
+        lambda node: (isinstance(node, ast.Name) and node.id == "_streamed_box_fits")
+        or (isinstance(node, ast.Attribute) and node.attr == "_streamed_box_fits")
+    )
+    assert found == ["structure.verify_box"]
+
+
+def test_every_constant_is_read():
+    """Every module-level UPPER_CASE constant of the library is read
+    somewhere in it besides its own assignment, so a deleted path cannot
+    leave its constant behind."""
+    trees = [
+        ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(Path(chromsum.__file__).parent.glob("*.py"))
+    ]
+    assigned = [
+        target
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    names = [
+        name.id
+        for target in assigned
+        for name in (target.elts if isinstance(target, ast.Tuple) else [target])
+        if isinstance(name, ast.Name)
+    ]
+    constants = {name for name in names if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert constants, "no constant found"
+    assert sorted(constants - read) == []
 
 
 _FLOAT_TYPES = {

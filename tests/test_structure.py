@@ -417,6 +417,29 @@ print(res.low_cut, *res.threshold.coords)
 """
 
 
+_WIDE_BOX = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+from chromsum.intset import make_tuple
+from chromsum.structure import structure_constants, verify_box
+st = make_tuple([[0, 2, 3], [0, 1], [0, 3]])
+checked = verify_box(st, 2, structure_constants(st, 2), margin=40)
+print(len(checked), all(ok for _, ok in checked))
+"""
+
+
+def test_wide_box_fits_in_400_mb():
+    # 41^3 points: the walk holds one group of 41 rows and three partial
+    # products, not the whole box
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", _WIDE_BOX], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["68921", "True"]
+
+
 def test_heavy_constructive_request_fits_in_one_gib():
     # one target alone has more partitions than a group may hold
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -526,20 +549,36 @@ class TestThresholds:
         assert len(calls) == 25 and len(set(calls)) == 25
 
     def test_search_makes_no_box_check(self, monkeypatch):
-        # the certificate proves the margin box; only verify_box folds it
-        box_fits, calls = repcount._box_fits, []
+        # the certificate proves the margin box; only verify_box walks it
+        box_fits, calls = repcount._streamed_box_fits, []
 
         def spy(*args):
             calls.append(args)
             return box_fits(*args)
 
-        monkeypatch.setattr(repcount, "_box_fits", spy)
+        monkeypatch.setattr(structure, "_streamed_box_fits", spy)
         for sets, t, B in [([[0, 2, 3]], 1, None), ([[0, 1, 3], [0, 2, 5]], 2, make_set([0, 2])),
                            ([[0, 1, 7], [0, 2], [0, 3]], 2, None)]:
             res = structure_constants(make_tuple(sets), t, margin=5, B=B)
         assert calls == []
         assert all(ok for _, ok in verify_box(make_tuple(sets), t, res, B=B, margin=5))
         assert len(calls) == 1
+
+    def test_box_walk_convolution_count_is_pinned(self, monkeypatch):
+        # the walk keeps one partial product per color: at margin 3, two
+        # colors take the last color's 4 rows times each of the first's 4,
+        # 16 products, and three colors add 16 partial products of the
+        # first two to 64 last-color products, 80; folding each point's
+        # whole prefix again would take 2 per point, 128
+        convolve, calls = np.convolve, []
+        monkeypatch.setattr(np, "convolve", lambda a, v: calls.append(1) or convolve(a, v))
+        for sets, want in [([[0, 2, 3], [0, 1, 5]], 16), ([[0, 2, 3], [0, 1, 5], [0, 4, 7]], 80)]:
+            st = make_tuple(sets)
+            res = structure_constants(st, 2)
+            calls.clear()
+            checked = verify_box(st, 2, res, margin=3)
+            assert len(checked) == 4 ** st.q and all(ok for _, ok in checked)
+            assert len(calls) == want, sets
 
     def test_empirical_constants_are_the_limit(self):
         # a shape read off one t-fold set and checked on a margin box gave
@@ -592,10 +631,10 @@ class TestThresholds:
             assert [h for h, _ in checked] == box(lo, 2)
             assert next((h for h, ok in checked if not ok), None) == want
 
-    def test_box_fold_matches_the_member_comparison_at_every_point(self, monkeypatch):
-        # corrupted limit shapes over random boxes: at every point, the box
-        # fold, whole and split into slabs, must answer whether the t-fold
-        # set is exactly the shape's members
+    def test_box_fold_matches_the_member_comparison_at_every_point(self):
+        # corrupted limit shapes over random boxes: at every point, the
+        # box walk must answer whether the t-fold set is exactly the
+        # shape's members
         rng = random.Random(89)
         kinds = ["none", "flip_low", "flip_high", "move_low_cut", "move_high_cut",
                  "above_end", "negative", "huge_cut"]
@@ -640,9 +679,6 @@ class TestThresholds:
             if cut_low + cut_high <= end:
                 checked = verify_box(st, t, structure._result(dec, lo, "empirical", 0), lo, B, margin)
                 assert checked == list(zip(box(lo, margin), want)), args
-            with monkeypatch.context() as patch:
-                patch.setattr(repcount, "_BOX_CELLS", rng.choice([0, 40, 400]))
-                assert repcount._streamed_box_fits(st, B, t, dec, lo, margin) == want, args
             verdicts[kind].update(want)
             cases += 1
         assert cases >= 300
@@ -667,17 +703,17 @@ class TestThresholds:
         st, B, lo = make_tuple([list(range(top + 1))]), make_set([0]), HVec((100,))
         assert repcount._row_dtype(t) == row_dtype
         assert (100 * top + 1) * t * t >= 1 << 62
-        fold, dtypes = repcount._fold, set()
+        box_counts, dtypes = repcount._box_counts, set()
 
-        def spy(acc, blocks, cap):
-            out = fold(acc, blocks, cap)
-            dtypes.add(out.dtype)
-            return out
+        def spy(*args):
+            for group in box_counts(*args):
+                dtypes.add(group.dtype)
+                yield group
 
         members = inhomogeneous_count_table(st, lo, B, cap=t).support_at_least(t).elements
         assert members == tuple(range(members[0], members[-1] + 1)) and len(members) > 100
         exact = ((), members[0], (), 100 * top - members[-1])
-        monkeypatch.setattr(repcount, "_fold", spy)
+        monkeypatch.setattr(repcount, "_box_counts", spy)
         assert repcount._TFoldSets(st, B, t).size(lo) == len(members)
         assert repcount._streamed_box_fits(st, B, t, exact, lo, 0) == [True]
         _, cut_low, _, cut_high = exact
