@@ -14,8 +14,8 @@ already).  Capped tables therefore agree with clipping the exact table.
 
 Exact rows run through a packed-integer kernel that hands long int64
 rows over to one numpy multiset kernel (below).  Capped rows come from
-one entry, _capped_block: short ones from the packed kernel, clipped
-once, long ones from partition folds or the numpy kernel (below).  Every
+one entry, _capped_block: from partition folds where they prove a long
+row, else from the packed kernel, clipped once (below).  Every
 product of two rows is one schoolbook convolution (np.convolve, in
 _fold).  Every count (a table, the structure search's certificate sizes,
 the margin box) is made by one entry, _box_counts, which walks a box of
@@ -49,9 +49,8 @@ where f(j, m, n) counts non-decreasing m-tuples from the first j
 elements summing to n.  The kernel streams it over m: row m+1 of every
 element prefix comes from row m of the same prefix, so rows
 m = 0, 1, 2, ... cost one step each and only |A| rows are live.  A
-table at fixed h takes the h-th row; the structure search keeps each
-color's stream and the rows it produced, so moving one exponent by one
-costs one row.
+table at fixed h, and each point of the structure search's certificate,
+takes the h-th row.
 
 Exact rows on packed integers (_exact_row).  A row of the recurrence is
 a polynomial with nonnegative coefficients, so it can be held as one
@@ -73,8 +72,10 @@ three calls of about 1 us each per (row, element), on the rows of at
 most ~1,500 entries that count tables mostly have, so call overhead,
 not arithmetic, sets its cost.  But CPython adds 30-bit digits in a
 loop, while numpy adds int64 with SIMD, so a long int64 row is faster
-on numpy.  Once a row would pass _HANDOVER = 2^11 entries, every prefix is
-unpacked and _multiset_rows finishes from that state.  The crossover,
+on numpy.  Once an int64 row (one clipped below 2^62 is, whatever its
+exact bound) would pass _HANDOVER = 2^11 entries, every prefix is
+unpacked, clipped where the row is, and _multiset_rows finishes from
+that state.  The crossover,
 measured on a 2-vCPU VM (Python 3.11, numpy 2.4), best of 8-60
 interleaved runs, in ms:
 
@@ -86,9 +87,9 @@ interleaved runs, in ms:
     {0,1,5,9}, h = 2000       18,001  32.59             28.61 30.55 35.91
 
 Staying packed to the end took 3.1-3.8 times numpy's time at 12,161
-entries.  A row whose bound is 2^62 or more stays packed to the end:
-numpy's object arrays run a Python loop per entry (40-multisets of
-{0..39}, bound about 2^75: 16-27 ms on object arrays, 3.6-5.4 ms
+entries.  An exact row whose bound is 2^62 or more stays packed to the
+end: numpy's object arrays run a Python loop per entry (40-multisets
+of {0..39}, bound about 2^75: 16-27 ms on object arrays, 3.6-5.4 ms
 packed).
 
 Short capped rows are packed too (_capped_block).  A packed integer
@@ -97,10 +98,11 @@ capped row is min(exact row, cap), so _exact_row computes the exact rows
 and clips each once as it unpacks it.  An exact row costs more than a
 capped one where rows are long, so only a color whose top row costs at
 most _PACKED_CELLS = 2^15 cells, |A| * h * (h * max(A) + 1), is packed;
-longer capped rows take the proof of _capped_rows (below), and the numpy
-kernel where it leaves a row unproven.  One row at cap 3, measured on a
+longer capped rows take the proof of _capped_rows (below), and are
+packed where it leaves a row unproven.  One row at cap 3, measured on a
 2-vCPU VM (Python 3.11, numpy 2.4), best of 3 interleaved sets of 10-40
-runs, in us (* not proven, so the folds' time includes the stream's):
+runs, in us (* not proven, so the folds' time includes the fallback's,
+then a stream from row 0):
 
     row                       cells  packed  folds
     {0,2,5}, h = 2               66     7.4   28.5
@@ -149,14 +151,15 @@ shape of Nathanson's theorem on h-fold sums (Amer. Math. Monthly, 1972):
 * every sum is a multiple of g, so every other entry is 0.
 
 If a multiple of g in the middle reaches cap by neither bound, the row
-is not proven and _capped_rows returns None; _capped_block streams the
-kernel instead.  Two folds of h * a_1 and h * b_1 entries, one pass per
+is not proven and _capped_rows returns None; _capped_block packs the row
+instead.  Two folds of h * a_1 and h * b_1 entries, one pass per
 part, replace h kernel steps over rows of up to h * M entries.  A fold
 reads no entry above the one it writes, so the tables of a lower row
 are prefixes of those of a higher one: the margin box's rows h = lo_i,
 ..., lo_i + margin all come from the two folds at its top row.  The
-structure search streams consecutive rows, one cheap kernel step each,
-and keeps them.
+structure search's certificate keeps the row of each (color, h) it
+visits (_TFoldSets): two folds near h, not h kernel steps, where they
+prove it; an unproven long row is rebuilt from row 0 at each new h.
 
 The margin box.  verify tests the t-fold set at every point of a box
 [lo, lo + margin], (margin + 1)^q points, from the rows lo_i, ...,
@@ -404,13 +407,6 @@ def _dtype(bound: int):
     return np.int64 if bound < (1 << 62) else object
 
 
-def _row_dtype(cap: int):
-    """The narrowest dtype of a capped multiset row: its kernel sums stay
-    at most 2*cap.  _box_counts copies a row whose dtype does not convert
-    safely to the fold's."""
-    return np.min_scalar_type(2 * cap)
-
-
 def _multiset_rows(
     elements: tuple[int, ...], dtype, cap: int | None, start: Sequence[np.ndarray] | None = None
 ) -> Iterator[np.ndarray]:
@@ -448,8 +444,8 @@ def _exact_row(
     C(len(elements) + hs[-1] - 1, hs[-1]), from the recurrence on packed
     integers, one slot per entry (see the module docstring); elements must
     start at 0.  Where cap is below bound, each row is clipped at it once,
-    as it is unpacked, and comes at _dtype(cap).  An int64 row is handed
-    over to _multiset_rows before it passes _HANDOVER entries."""
+    as it is unpacked, and comes at _dtype(cap).  An int64 row, exact or
+    clipped, is handed over to _multiset_rows before _HANDOVER entries."""
     top, h = elements[-1], hs[-1]
     clip = cap if cap is not None and cap < bound else None
     dtype = _dtype(bound if clip is None else clip)
@@ -459,7 +455,7 @@ def _exact_row(
     if size <= 8:
         size = 1 << (size - 1).bit_length()
     shifts = [8 * size * a for a in elements[1:]]
-    stop = h if _dtype(bound) is object else min(h, (_HANDOVER - 1) // top)
+    stop = h if dtype is object else min(h, (_HANDOVER - 1) // top)
     # (packed row, its length) to unpack: the rows of hs up to the
     # handover, then every prefix at it
     packed = []
@@ -494,22 +490,20 @@ def _exact_row(
 
 
 def _capped_block(elements: tuple[int, ...], hs: range, cap: int) -> list[np.ndarray]:
-    """Rows hs of _multiset_rows(elements, ., cap), the one source of
-    capped rows for count tables and the margin box: packed and clipped
-    once (_exact_row) where the top row hs[-1] costs at most
-    _PACKED_CELLS cells, else from _capped_rows where it proves them, else
-    streamed at _dtype(cap); elements must start at 0."""
+    """Rows hs of the multiset DP clipped at cap, the one source of
+    capped rows: from _capped_rows where the top row hs[-1] costs more
+    than _PACKED_CELLS cells and it proves them, else packed and clipped
+    once (_exact_row); elements must start at 0."""
     h = hs[-1]
-    if len(elements) * h * (h * elements[-1] + 1) <= _PACKED_CELLS:
-        return _exact_row(elements, hs, math.comb(len(elements) + h - 1, h), cap)
-    rows = _capped_rows(elements, hs, cap)
-    if rows is None:
-        rows = list(islice(_multiset_rows(elements, _dtype(cap), cap), hs[0], h + 1))
-    return rows
+    if len(elements) * h * (h * elements[-1] + 1) > _PACKED_CELLS:
+        rows = _capped_rows(elements, hs, cap)
+        if rows is not None:
+            return rows
+    return _exact_row(elements, hs, math.comb(len(elements) + h - 1, h), cap)
 
 
 def _capped_rows(elements: tuple[int, ...], hs: range, cap: int) -> list[np.ndarray] | None:
-    """Rows hs of _multiset_rows(elements, ., cap), each read off one
+    """Rows hs of the multiset DP clipped at cap, each read off one
     partition fold per end at the top row hs[-1], or None where some
     row's middle is not proven to saturate (see the module docstring);
     elements must start at 0."""
@@ -596,8 +590,7 @@ def _box_counts(
     longest.  The cap is _bound's at the top corner, and the dtype
     float64 where that bound is below 2^53 (see the module docstring),
     else _dtype's.  A row whose dtype converts safely is folded as it is;
-    other rows are copied at that dtype (uint64 rows in an int64 fold
-    would give floats)."""
+    an object row, under a cap no count reaches, is copied at that dtype."""
     top = [(A, c + len(rows) - 1) for A, c, rows in zip(sets, lo, blocks)]
     bound, cap = _bound(top, B, cap)
     dtype = np.float64 if bound < 1 << 53 else _dtype(bound)
@@ -1023,21 +1016,19 @@ def inhomogeneous_count_table(
 
 class _TFoldSets:
     """The t-fold sets of h.A + B at any exponent vector h, without count
-    tables: each color's capped rows are streamed once and kept, and the
-    counts at h are their one-point _box_counts fold."""
+    tables: row m of color i comes from _capped_block once and is kept by
+    (i, m), and the counts at h are their one-point _box_counts fold."""
 
     def __init__(self, st: SetTuple, B: FiniteSet, t: int):
         self._st = st
         self._t = t
         self._B = B
-        self._streams = [_multiset_rows(A.elements, _row_dtype(t), t) for A in st.sets]
-        self._rows: list[list[np.ndarray]] = [[] for _ in st.sets]
+        self._rows: dict[tuple[int, int], np.ndarray] = {}
 
     def _row(self, i: int, m: int) -> np.ndarray:
-        rows = self._rows[i]
-        while len(rows) <= m:
-            rows.append(next(self._streams[i]))
-        return rows[m]
+        if (i, m) not in self._rows:
+            [self._rows[i, m]] = _capped_block(self._st.sets[i].elements, range(m, m + 1), self._t)
+        return self._rows[i, m]
 
     def size(self, h: HVec) -> int:
         """Number of integers with at least t representations at h."""

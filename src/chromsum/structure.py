@@ -135,6 +135,8 @@ class StructureResult:
 
     def pattern_set(self, m: int) -> FiniteSet:
         """The predicted set for right endpoint m."""
+        if not _is_int(m):
+            raise DomainError("right endpoint must be an integer")
         dec = (self.low_fringe.elements, self.low_cut,
                self.high_fringe.elements, self.high_cut)
         return FiniteSet(_pattern_members(dec, m))

@@ -1,8 +1,10 @@
 import math
 import random
 
+import pytest
 from hypothesis import HealthCheck, settings
 
+from chromsum import repcount
 from chromsum.intset import HVec, SetTuple, make_tuple
 from chromsum.oracle import enumeration_size
 
@@ -62,3 +64,29 @@ def binom_mass(sizes, coords) -> int:
     for k, h in zip(sizes, coords):
         out *= math.comb(k + h - 1, h)
     return out
+
+
+# each routing forces repcount's route choices to one extreme: every
+# capped row proven, else packed (or every one packed), every exact row
+# handed over to the numpy kernel at once (or never), the constructive
+# loads from the DP alone (or the enumeration alone, also in groups of
+# one partition), and every count on Python ints; all of them must give
+# the same outputs as the default routes
+ROUTINGS = {
+    "proof-first": {"_PACKED_CELLS": -1},
+    "packed-always": {"_PACKED_CELLS": 10**18},
+    "handover-at-once": {"_HANDOVER": 2},
+    "handover-never": {"_HANDOVER": 10**18},
+    "dp-only": {"_DP_CELLS": 0, "_CELLS_PER_PARTITION": 10**18},
+    "enumeration-only": {"_DP_CELLS": 0, "_CELLS_PER_PARTITION": 0},
+    "groups-of-one": {"_DP_CELLS": 0, "_CELLS_PER_PARTITION": 0, "_GROUP_CAP": 1},
+    "object-counts": {"_dtype": lambda bound: object},
+}
+
+
+@pytest.fixture(params=sorted(ROUTINGS))
+def routing(request, monkeypatch):
+    """One forced routing of ROUTINGS for the test, by name."""
+    for name, value in ROUTINGS[request.param].items():
+        monkeypatch.setattr(repcount, name, value)
+    return request.param

@@ -76,6 +76,13 @@ def test_routes_match_fixture(index):
     assert _dump([run_routes(case["request"])]) == _dump([case["outcomes"]])
 
 
+def test_every_routing_matches_fixture(routing):
+    """Every forced routing (conftest.ROUTINGS) gives every pinned outcome."""
+    wrong = [case["request"] for case in _CASES
+             if _dump([run_routes(case["request"])]) != _dump([case["outcomes"]])]
+    assert _CASES and wrong == []
+
+
 def test_pinned_boxes_verify():
     """The certificate proves each pinned empirical and translated result
     over its verified box; verify_box checks every point of it exactly."""

@@ -26,6 +26,8 @@ from chromsum.repcount import (
     tfold_set,
 )
 
+from conftest import random_oracle_instance
+
 normalized_set = st.lists(
     st.integers(min_value=1, max_value=9), min_size=1, max_size=4
 ).map(lambda xs: make_set([0] + xs))
@@ -106,15 +108,14 @@ def test_capped_rows_are_clipped_exact(A, h, cap, dtype):
 
 @pytest.mark.parametrize("cap", [127, 128, 32767, 32768])
 def test_narrow_capped_rows_are_clipped_exact(cap):
-    # caps at the edges of uint8, uint16 and uint32 rows; the counts of
-    # 20-multisets of {0..9} peak near 185,000, above every 2*cap
-    dtype = repcount._row_dtype(cap)
-    assert np.iinfo(dtype).max >= 2 * cap
+    # caps at the edges of the uint8, uint16 and uint32 ranges; the counts
+    # of 20-multisets of {0..9} peak near 185,000, above every 2*cap.  The
+    # one capped-row entry gives them packed, then proven or packed past
+    # the crossover, all int64
     A = make_set(list(range(10)))
-    sets = repcount._TFoldSets(make_tuple([A.elements]), make_set([0]), cap)
     for m in range(21):
-        row = sets._row(0, m)
-        assert row.dtype == dtype
+        [row] = repcount._capped_block(A.elements, range(m, m + 1), cap)
+        assert row.dtype == np.int64
         exact = multiset_count_table(A, m).counts
         assert row.tolist() == [min(c, cap) for c in exact]
     assert row.max() == cap
@@ -193,6 +194,9 @@ def _crossover_examples(test):
         for h in (top - margin, top + 1 - margin):
             test = example(A, g, h, margin, cap)(test)
     test = example(make_set([0, 1, 2500]), 1, 1, 1, 2)(test)
+    # an unproven row past the crossover whose exact bound needs object
+    # slots, handed over at int64 by its cap
+    test = example(make_set(range(30)), 1, 80, 0, 2**31)(test)
     return example(make_set([0]), 1, 10**9, 3, 5)(test)
 
 
@@ -200,8 +204,8 @@ def _crossover_examples(test):
 @given(normalized_set, st.sampled_from([1, 2, 3]), st.integers(min_value=0, max_value=60),
        st.integers(min_value=0, max_value=3), st.sampled_from([1, 2, 127, 128, 32767, 32768]))
 def test_capped_block_is_the_streamed_rows(A, g, h, margin, cap):
-    # rows h..h + margin of the one capped-row entry, packed and clipped,
-    # proven or streamed, are the capped kernel's rows, at the dtype that
+    # rows h..h + margin of the one capped-row entry, proven, or packed
+    # and clipped, are the capped kernel's rows, at the dtype that
     # _capped_rows gives the cap
     elements = tuple(g * a for a in A.elements)
     hs = range(h, h + margin + 1)
@@ -310,6 +314,26 @@ def test_one_point_fold_is_one_plain_convolution_per_color(monkeypatch):
         calls.clear()
         run()
         assert calls == want
+
+
+def test_count_tables_match_the_oracle_under_every_routing(routing):
+    # exact and capped tables against brute force, with repcount's route
+    # choices forced one way (conftest.ROUTINGS)
+    rng = random.Random(47)
+    for _ in range(25):
+        st, h = random_oracle_instance(rng, size_cap=20_000)
+        exact = oracle_count_table(st, h).counts
+        assert chromatic_count_table(st, h).counts == exact, (st, h)
+        cap = rng.choice([1, 2, 3, 7, 2**40])
+        capped = chromatic_count_table(st, h, cap=cap).counts
+        assert capped == tuple(min(c, cap) for c in exact), (st, h, cap)
+    # rows too long for the oracle, with a middle proven to saturate or
+    # not, against the same routing's exact tables
+    for sets, h, cap in (([[0, 1, 3, 4]], (40,), 8), ([[0, 3, 9, 12], [0, 1, 2, 7]], (40, 9), 3),
+                         ([[0, 1, 2, 3]], (40,), 32768), ([[0, 2, 5]], (64,), 2)):
+        st, h = make_tuple(sets), HVec(h)
+        exact = chromatic_count_table(st, h).counts
+        assert chromatic_count_table(st, h, cap=cap).counts == tuple(min(c, cap) for c in exact)
 
 
 def test_one_element_B_starts_from_the_first_block(monkeypatch):

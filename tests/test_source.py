@@ -6,6 +6,8 @@ from pathlib import Path
 
 import chromsum
 
+from conftest import ROUTINGS
+
 
 def test_library_has_no_assert():
     """python -O strips assert statements, so an internal invariant must
@@ -114,14 +116,15 @@ def test_one_box_check():
     assert found == ["structure.verify_box"]
 
 
-def test_every_constant_is_read():
-    """Every module-level UPPER_CASE constant of the library is read
-    somewhere in it besides its own assignment, so a deleted path cannot
-    leave its constant behind."""
-    trees = [
+def _trees() -> list[ast.Module]:
+    return [
         ast.parse(path.read_text(), filename=str(path))
         for path in sorted(Path(chromsum.__file__).parent.glob("*.py"))
     ]
+
+
+def _constants(trees: list[ast.Module]) -> set[str]:
+    """The module-level UPPER_CASE names the library assigns."""
     assigned = [
         target
         for tree in trees
@@ -135,7 +138,15 @@ def test_every_constant_is_read():
         for name in (target.elts if isinstance(target, ast.Tuple) else [target])
         if isinstance(name, ast.Name)
     ]
-    constants = {name for name in names if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)}
+    return {name for name in names if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)}
+
+
+def test_every_constant_is_read():
+    """Every module-level UPPER_CASE constant of the library is read
+    somewhere in it besides its own assignment, so a deleted path cannot
+    leave its constant behind."""
+    trees = _trees()
+    constants = _constants(trees)
     read = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
@@ -144,6 +155,30 @@ def test_every_constant_is_read():
     }
     assert constants, "no constant found"
     assert sorted(constants - read) == []
+
+
+# the library's constants that choose no route, and what each is
+_NOT_ROUTING = {
+    "_ZERO": "the translation set {0} of the plain tables",
+    "_ROWS": "the row scope's shared rows",
+    "DEFAULT_BUDGET": "the oracle's default refusal size",
+    "DEFAULT_MARGIN": "the default margin of a result's box",
+    "_FIELDS": "the command line's request fields",
+    "_COMMANDS": "the command line's subcommands",
+}
+
+
+def test_every_routing_constant_is_forced():
+    """Every constant of the library is forced by some routing of the
+    tests' routing fixture (conftest.ROUTINGS), under which the golden
+    fixture and oracle tables are checked, or named in _NOT_ROUTING as
+    choosing no route: a new crossover cannot land with a route that no
+    test takes."""
+    forced = {name for routing in ROUTINGS.values() for name in routing}
+    constants = _constants(_trees())
+    assert sorted(constants - forced - set(_NOT_ROUTING)) == []
+    assert sorted(set(_NOT_ROUTING) - constants) == []
+    assert sorted(forced - constants - {"_dtype"}) == []
 
 
 _FLOAT_TYPES = {

@@ -52,6 +52,8 @@ from conftest import random_normalized_tuple
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 A023 = make_tuple([[0, 2, 3]])
+# the empirical result of A023 at t = 1
+R023 = structure._result(((0,), 2, (), 0), HVec((1,)), "empirical", 3)
 
 
 def box(lo: HVec, margin: int) -> list[HVec]:
@@ -451,6 +453,37 @@ def test_heavy_constructive_request_fits_in_one_gib():
     assert out.stdout.split() == ["1", "34", "49"]
 
 
+_LONG_CERTIFICATE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from chromsum.intset import make_tuple
+from chromsum.structure import structure_constants
+res = structure_constants(make_tuple([[0, 1, 1000]]), 10, strategy="constructive")
+print(*res.threshold.coords)
+"""
+
+
+def test_long_constructive_certificate_fits_in_one_gib():
+    # the certificate reads rows of about 10^7 entries near h = 10,000,
+    # and keeps only those of the points it visits
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", _LONG_CERTIFICATE], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["9999"]
+
+
+@pytest.mark.parametrize("strategy, ht", [("empirical", (2998,)), ("constructive", (2999,))])
+def test_certificate_rows_take_no_stream_from_row_0(monkeypatch, strategy, ht):
+    # the certificate's rows near h = 3,000 come from the partition folds,
+    # not from thousands of numpy kernel steps
+    monkeypatch.setattr(repcount, "_multiset_rows", lambda *_: pytest.fail("streamed rows"))
+    assert structure_constants(A023, 1000, strategy=strategy).threshold.coords == ht
+
+
 class TestThresholds:
     def test_constructive_stays_below_closed_form(self):
         ht = threshold_constructive(A023, 1)
@@ -502,12 +535,15 @@ class TestThresholds:
         (structure_constants, (A023, 2), {"ceiling": -1}),
         (structure_constants, (A023, 2), {"strategy": "constructive", "B": make_set([0, 1])}),
         (structure_constants, (A023, 2), {"strategy": "constructive", "ceiling": 10}),
+        (StructureResult.pattern_set, (R023, True), {}),
+        (StructureResult.pattern_set, (R023, 10.0), {}),
     ], ids=lambda x: getattr(x, "__name__", None) if callable(x) else None)
     def test_scalar_parameters_refuse_bools_and_floats(self, monkeypatch, call, args, kwargs):
         # True is not read as 1 nor 2.0 as 2: the typed error comes before
         # the search, the constructive route or a witness starts; so does
         # the refusal of a negative ceiling, and of a translation set or a
-        # ceiling on the constructive route
+        # ceiling on the constructive route; a pattern's right endpoint is
+        # refused the same way
         def work(*_):
             raise AssertionError("computed before refusing")
 
@@ -686,22 +722,20 @@ class TestThresholds:
         assert all(verdicts[kind] == {False, True} for kind in kinds[:-2]), verdicts
 
     @pytest.mark.parametrize(
-        "top, t, row_dtype, fold_dtype",
-        [(9, 1 << 30, np.uint32, np.float64), (9, 1 << 31, np.uint64, np.float64),
-         (14, 1 << 30, np.uint32, np.int64), (14, 1 << 31, np.uint64, np.int64),
-         (19, 1 << 30, np.uint32, object), (19, 1 << 31, np.uint64, object)],
+        "top, t, fold_dtype",
+        [(9, 1 << 30, np.float64), (9, 1 << 31, np.float64),
+         (14, 1 << 30, np.int64), (14, 1 << 31, np.int64),
+         (19, 1 << 30, object), (19, 1 << 31, object)],
     )
-    def test_box_fold_on_wide_counts(self, monkeypatch, top, t, row_dtype, fold_dtype):
+    def test_box_fold_on_wide_counts(self, monkeypatch, top, t, fold_dtype):
         # 100-multisets of {0..9} count up to ~2e10 near the middle, those
         # of {0..14} up to ~1e15 and those of {0..19} up to ~1e19: t-fold
-        # intervals at t = 2^30 and 2^31, from uint32 and uint64 rows.
-        # Every capped bound exceeds 2^62, so the fold's dtype comes from
-        # the box's total count, the box's and the search's size alike, as
-        # for its count table: float64 for {0..9} (every count below
-        # 2^53), int64 for {0..14} (below 2^62; its uint64 rows must not
-        # turn them into floats) and dtype=object for {0..19}
+        # intervals at t = 2^30 and 2^31.  Every capped bound exceeds
+        # 2^62, so the fold's dtype comes from the box's total count, the
+        # box's and the search's size alike, as for its count table:
+        # float64 for {0..9} (every count below 2^53), int64 for {0..14}
+        # (below 2^62) and dtype=object for {0..19}
         st, B, lo = make_tuple([list(range(top + 1))]), make_set([0]), HVec((100,))
-        assert repcount._row_dtype(t) == row_dtype
         assert (100 * top + 1) * t * t >= 1 << 62
         box_counts, dtypes = repcount._box_counts, set()
 
@@ -994,6 +1028,7 @@ class TestStructureConstants:
 
     def test_pattern_set(self):
         res = structure_constants(A023, 1, strategy="empirical")
+        assert res == R023
         assert res.pattern_set(9).elements == (0, 2, 3, 4, 5, 6, 7, 8, 9)
 
 
