@@ -193,8 +193,55 @@ outlives the call that built it.
 Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
 clipping the running sums is the same as clipping after every addition.
-The limit constants of the structure module (_limit_side) and the ends
-of a capped row (_capped_rows) are read off the last such row.
+The ends of a capped row (_capped_rows) are read off the last such row.
+
+The limit constants of the structure module (_limit_side).  Let Q(n)
+count the pairs (b, partition of n - b) with b a shift and the k parts
+counted with repeats, and p the least part.  Two routes give the same
+(fringe, cut):
+
+* the table: the partition fold over at least 256 entries, doubled
+  until it holds a run of p counts >= t; time and memory grow with the
+  cut;
+* the residue walk (_residue_side; Nijenhuis, Amer. Math. Monthly, 1979,
+  for t = 1; Boecker and Liptak, Algorithmica, 2007).  With rest the
+  parts less one copy of p, Q(n) sums R(n), R(n - p), R(n - 2p), ...,
+  where R counts b plus a partition into rest.  So Q(n) >= t exactly
+  when n >= tau_r, r = n mod p, tau_r the t-th smallest value congruent
+  to r of b plus a partition into rest, with multiplicity; the cut is
+  max(0, max_r tau_r - p + 1) and the fringe the union of the ranges
+  tau_r, tau_r + p, ... below it.  The walk keeps the t smallest values
+  of each class, from the shifts on, and folds each part a of rest in
+  with one heap: a popped v joins its class if that holds fewer than t,
+  and v + a is pushed; otherwise v is dropped, for the t values <= v of
+  its class give t values <= v + a in the next.  That is about
+  (k - 1) * p * t heap steps, whatever the cut.
+
+The table pays for the cut and the walk for p * t, so the table's
+passes, len(parts) * (length + _PART_CELLS) cells each, run while their
+sum fits _STEP_CELLS cells for each of the walk's ((k - 1) * t + 1) * p
+estimated steps, and past that the walk answers: by the estimate, the
+failed passes cost at most what the walk does.  Measured on a 2-vCPU VM
+(Python 3.11, numpy 2.4), best of 11 interleaved runs (one for the last
+row), in ms, with the route the rule takes and its time where that
+differs from the route's own:
+
+    parts                  t        cut    steps   table    walk  rule
+    {2,3,5}                2          5       10   0.027   0.007  walk
+    {2,3,4,5,7}            3          6       26   0.036   0.011  walk
+    {1,2,3}            32768        625   65,537   0.098  19.6    table
+    {92,97,99,100}        20      2,303    5,612   0.287   1.45   table
+    {197,199,199,200}      3     13,402    1,970   0.865   1.11   table
+    {17,40}                5      3,344      102   0.175   0.035  2 passes, walk: 0.084
+    {999,1000}            10  9,988,002   10,989   2,070  44.6    11 passes, walk: 73.7
+
+The first two rows are typical of the benchmark's structure streams,
+where the walk takes 5,590 of the 6,082 calls of the first 1,600
+seed-101 requests of each.  From 50 to 200 cells per step, the rule's
+total time came within 1.0-1.15 times that of the faster route of each
+call on those calls, and within 1.3-1.6 times on a sweep of 36,186
+random ones (k 1-8, p 1-40, t 1-1,000); 150 keeps the table on
+{197,199,199,200}, which needs 194,448 cells of it.
 
 The constructive witnesses are, per target, the t partitions into the
 sorted parts p_0 <= p_1 <= ... with fewest parts, ties in lexicographic
@@ -266,6 +313,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import heapq
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -312,6 +360,13 @@ _HANDOVER = 1 << 11
 # cells, |A| * h * (h * max(A) + 1), the measured crossover (see the module
 # docstring)
 _PACKED_CELLS = 1 << 15
+
+# _limit_side's table passes cost len(parts) * (length + _PART_CELLS)
+# cells each, and its residue walk _STEP_CELLS cells per step, of
+# ((len(parts) - 1) * t + 1) * p steps; passes run while their sum fits
+# the walk's cost, the measured crossover (see the module docstring)
+_STEP_CELLS = 150
+_PART_CELLS = 2300
 
 # inside a _shared_rows() scope, the rows _counts built, by (A.elements, h,
 # row cap); None outside one
@@ -809,10 +864,16 @@ def _limit_side(
     smallest part, Q(n) >= Q(n - p), so the cut is the start of the first
     run of p counts >= t, and the fringe the smaller n with Q(n) >= t.
     Every n at or above bound must have Q(n) >= t; the table doubles up
-    to there."""
+    to there, while its passes fit the residue walk's estimated cost
+    (_STEP_CELLS, _PART_CELLS), and the walk (_residue_side) answers past
+    it."""
     run = min(parts)
+    budget = _STEP_CELLS * ((len(parts) - 1) * t + 1) * run
     length = min(256, bound + run)
     while True:
+        budget -= len(parts) * (length + _PART_CELLS)
+        if budget < 0:
+            return _residue_side(parts, shifts, t)
         start = np.zeros(length, dtype=np.int64)
         start[[b for b in shifts if b < length]] = 1
         for counts in _unbounded_rows(start, parts, t):
@@ -830,6 +891,51 @@ def _limit_side(
                 f"internal invariant: no run of {run} counts >= {t} below {bound + run}"
             )
         length = min(2 * length, bound + run)
+
+
+def _residue_side(
+    parts: Sequence[int], shifts: Sequence[int], t: int
+) -> tuple[tuple[int, ...], int]:
+    """_limit_side's (fringe, cut) from the t smallest values of each
+    residue class mod the smallest part p: Q(n) >= t exactly when n is at
+    least tau_(n mod p), the t-th smallest value congruent to n of b plus
+    a partition into the other parts (see the module docstring)."""
+    p = min(parts)
+    rest = list(parts)
+    rest.remove(p)
+    kept: list[list[int]] = [[] for _ in range(p)]
+    for b in sorted(shifts):
+        if len(kept[b % p]) < t:
+            kept[b % p].append(b)
+    for a in rest:
+        heap = [v for row in kept for v in row]
+        heapq.heapify(heap)
+        kept = [[] for _ in range(p)]
+        short = p
+        while short and heap:
+            v = heap[0]
+            row = kept[v % p]
+            if len(row) < t:
+                row.append(v)
+                if len(row) == t:
+                    short -= 1
+                heapq.heapreplace(heap, v + a)
+            else:
+                # the class of v holds t values <= v, which put t values
+                # <= v + a into the class of v + a
+                heapq.heappop(heap)
+    missing = [r for r, row in enumerate(kept) if len(row) < t]
+    if missing:
+        raise RuntimeError(
+            f"internal invariant: fewer than {t} values in class {missing[0]} mod {p}"
+        )
+    taus = [row[-1] for row in kept]
+    cut = max(0, max(taus) - p + 1)
+    fringe: list[int] = []
+    for tau in taus:
+        fringe.extend(range(tau, cut, p))
+    fringe.sort()
+    return tuple(fringe), cut
 
 
 def _suffix_counts(parts: Sequence[int], top: int) -> list[np.ndarray]:

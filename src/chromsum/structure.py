@@ -36,8 +36,13 @@ c - 1.  (D, d) are read off Q' the same way.  With p the smallest part,
 Q(n) >= Q(n - p), since adding p maps the partitions of n - p into those
 of n; so once Q >= t on a run of p consecutive integers it stays so, and
 the cut is the start of the first such run.  repcount._limit_side reads
-the cut and the fringe off one partition table, doubled until it holds
-that run.
+the cut and the fringe off a partition table, doubled until it holds
+that run, while that is cheaper than the other route, and otherwise off
+the t smallest values in each residue class mod p: Q(n) >= t exactly
+when n is at least the t-th smallest value congruent to n of b plus a
+partition into the other parts (repcount's docstring measures the
+crossover).  Both give the same constants, and each side is computed on
+its own (_limit_fringe).
 The pattern at M is C U [c, M - d] U (M - D).
 
 1. Since 0 is in A_i, S_{h+e_i} contains S_h and S_h + a_i.
@@ -315,7 +320,7 @@ def low_fringe_constants(st: SetTuple, t: int) -> tuple[FiniteSet, int]:
     _require_normalized(st)
     _require_t(t)
     _require_nondegenerate(st, _ZERO, t)
-    low, cut, _, _ = _limit_constants(st, _ZERO, t)
+    low, cut = _limit_fringe(st, _ZERO, t, high=False)
     return FiniteSet(low), cut
 
 
@@ -503,16 +508,24 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
 
 def _limit_constants(st: SetTuple, B: FiniteSet, t: int):
     """(C, c, D, d) of the large-h limit of the t-fold sets of h.A + B."""
+    return (*_limit_fringe(st, B, t, high=False), *_limit_fringe(st, B, t, high=True))
+
+
+def _limit_fringe(st: SetTuple, B: FiniteSet, t: int, *, high: bool) -> tuple[tuple[int, ...], int]:
+    """(C, c) of the large-h limit of the t-fold sets of h.A + B, or with
+    high (D, d): the same read off the reflections of every A_i and of B."""
     # past the certified bound, which the reflected tuple shares, the
     # witness construction gives t colored partitions, and 0 is in B and in
     # its reflection; a lone part 1 gives one partition, but then |B| >= t
     # (or the tuple was refused), so every n >= max(B) has t pairs
     bound = max(certified_rep_bound(st, t), B.max)
-    low = [a for A in st.sets for a in A.elements if a]
-    high = [A.max - a for A in st.sets for a in A.elements if a != A.max]
-    C, c = _limit_side(low, list(B.elements), t, bound)
-    D, d = _limit_side(high, [B.max - b for b in B.elements], t, bound)
-    return C, c, D, d
+    if high:
+        parts = [A.max - a for A in st.sets for a in A.elements if a != A.max]
+        shifts = [B.max - b for b in B.elements]
+    else:
+        parts = [a for A in st.sets for a in A.elements if a]
+        shifts = list(B.elements)
+    return _limit_side(parts, shifts, t, bound)
 
 
 def _counts_are_bounded(st: SetTuple) -> bool:

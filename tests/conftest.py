@@ -70,8 +70,9 @@ def binom_mass(sizes, coords) -> int:
 # capped row proven, else packed (or every one packed), every exact row
 # handed over to the numpy kernel at once (or never), the constructive
 # loads from the DP alone (or the enumeration alone, also in groups of
-# one partition), and every count on Python ints; all of them must give
-# the same outputs as the default routes
+# one partition), every count on Python ints, and the limit constants
+# from the residue walk alone (or the partition table alone); all of them
+# must give the same outputs as the default routes
 ROUTINGS = {
     "proof-first": {"_PACKED_CELLS": -1},
     "packed-always": {"_PACKED_CELLS": 10**18},
@@ -81,6 +82,8 @@ ROUTINGS = {
     "enumeration-only": {"_DP_CELLS": 0, "_CELLS_PER_PARTITION": 0},
     "groups-of-one": {"_DP_CELLS": 0, "_CELLS_PER_PARTITION": 0, "_GROUP_CAP": 1},
     "object-counts": {"_dtype": lambda bound: object},
+    "residue-always": {"_STEP_CELLS": 0, "_PART_CELLS": 10**18},
+    "table-always": {"_STEP_CELLS": 10**18, "_PART_CELLS": 0},
 }
 
 

@@ -1,7 +1,9 @@
+import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
@@ -47,7 +49,7 @@ from chromsum.structure import (
     witness_representations,
 )
 
-from conftest import random_normalized_tuple
+from conftest import ROUTINGS, random_normalized_tuple
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -144,7 +146,8 @@ class TestFringeConstants:
                 assert table[c - 1] < t
             assert all(n <= c - 2 and table[n] >= t for n in C.elements)
 
-    def test_match_the_table_scanned_from_the_certified_bound(self):
+    @pytest.mark.parametrize("routing", ["residue-always", "table-always"], indirect=True)
+    def test_match_the_table_scanned_from_the_certified_bound(self, routing):
         def scanned(st, t):
             bound = certified_rep_bound(st, t)
             table = colored_partition_counts(st, bound, t)
@@ -176,9 +179,78 @@ class TestFringeConstants:
     def test_no_run_below_the_bound_is_an_internal_invariant(self, monkeypatch):
         # Q >= t at every n from the certified bound on is what ends the
         # table's doubling; a bound of 0 breaks it: Q(0) = 1 < 2 on {0,2,3}
+        # (the residue walk reads no bound, so the table is forced)
+        for name, value in ROUTINGS["table-always"].items():
+            monkeypatch.setattr(repcount, name, value)
         monkeypatch.setattr(structure, "certified_rep_bound", lambda st, t: 0)
         with pytest.raises(RuntimeError, match=r"^internal invariant: no run of 2 counts >= 2 below 2$"):
             low_fringe_constants(A023, 2)
+
+    def test_a_class_short_of_t_values_is_an_internal_invariant(self, monkeypatch):
+        # the residue walk needs t values in every class mod the least
+        # part; parts with gcd 2 never reach the odd class
+        for name, value in ROUTINGS["residue-always"].items():
+            monkeypatch.setattr(repcount, name, value)
+        with pytest.raises(RuntimeError, match=r"^internal invariant: fewer than 2 values in class 1 mod 2$"):
+            repcount._limit_side([2, 4], [0], 2, 100)
+
+    def test_long_cut_constants_stay_small(self):
+        # d = 9,988,002: a table up to the cut took 2 s and 625 MB, and
+        # each public call builds only its own side
+        st = make_tuple([[0, 1, 1000]])
+        tracemalloc.start()
+        try:
+            C, c = low_fringe_constants(st, 10)
+            low_peak = tracemalloc.get_traced_memory()[1]
+            D, d = high_fringe_constants(st, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (C.elements, c) == ((), 9000)
+        # the least member of D is the 10th multiple of 1000 in the class
+        # of 0 mod 999: 8,991 * 1000
+        assert (len(D), D.min, d) == (498_501, 8_991_000, 9_988_002)
+        assert low_peak < 1 << 20
+        assert peak < 64 << 20
+
+
+def _scanned_limit_side(parts, shifts, t, bound):
+    """(fringe, cut) of {n : Q(n) >= t} by one pass of Python additions over
+    [0, bound + min(parts)], Q(n) counting the pairs (b, partition of
+    n - b), clipped at t; every n >= bound must have Q(n) >= t."""
+    top = bound + min(parts)
+    q = [0] * (top + 1)
+    for b in shifts:
+        q[b] += 1
+    for a in parts:
+        for n in range(a, top + 1):
+            q[n] = min(q[n] + q[n - a], t)
+    cut = next((n + 1 for n in range(top, -1, -1) if q[n] < t), 0)
+    return tuple(n for n in range(cut) if q[n] >= t), cut
+
+
+@given(
+    hst.lists(hst.integers(1, 9), min_size=1, max_size=5),
+    hst.integers(0, 2),
+    hst.sets(hst.integers(1, 12), max_size=3),
+    hst.integers(1, 50),
+)
+def test_both_limit_routes_match_the_scanned_table(parts, repeats, shifts, t):
+    # the residue walk and the table, each forced, on parts that may
+    # repeat the least one or hold 1, shifts that hold 0, and t up to 50
+    parts = sorted(parts + [min(parts)] * repeats)
+    shifts = sorted({0} | shifts)
+    assume(math.gcd(*parts) == 1 and (len(parts) > 1 or t <= len(shifts)))
+    a = max(parts)
+    bound = max(len(parts) * (t * a - 1) * a, max(shifts))
+    assume(len(parts) * bound <= 200_000)
+    got = {}
+    for name in ("residue-always", "table-always"):
+        with pytest.MonkeyPatch.context() as mp:
+            for constant, value in ROUTINGS[name].items():
+                mp.setattr(repcount, constant, value)
+            got[name] = repcount._limit_side(parts, shifts, t, bound)
+    assert got["residue-always"] == got["table-always"] == _scanned_limit_side(parts, shifts, t, bound)
 
 
 class TestWitnesses:
