@@ -12,14 +12,15 @@ convolution of clipped inputs:
 (the second because any factor above cap forces the clipped term to cap
 already).  Capped tables therefore agree with clipping the exact table.
 
-Exact rows run through a packed-integer kernel that hands long int64
-rows over to one numpy multiset kernel (below).  Capped rows come from
-one entry, _capped_block: from partition folds where they prove a long
-row, else from the packed kernel, clipped once (below).  Every
-product of two rows is one schoolbook convolution (np.convolve, in
-_fold).  Every count (a table, the structure search's certificate sizes,
-the margin box) is made by one entry, _box_counts, which walks a box of
-exponent vectors one color at a time.  It picks the dtype once from
+Every row comes from one entry, _rows.  Exact rows run through a
+packed-integer kernel that hands long int64 rows over to one numpy
+multiset kernel (below); capped rows come from partition folds where
+they prove a long row, else from the packed kernel, clipped once
+(below).  Every product of two rows is one schoolbook convolution
+(np.convolve, in _fold).  Every count (a table, the structure search's
+certificate sizes, the margin box) is made by one entry, _box_counts,
+which reads its rows from _rows and walks a box of exponent vectors one
+color at a time.  It picks the dtype once from
 _bound, a proven bound on every intermediate value at the box's top
 corner: float64 below 2^53, numpy int64 below 2^62, and
 dtype=object (Python ints in the same numpy code) above it, so the
@@ -92,7 +93,7 @@ end: numpy's object arrays run a Python loop per entry (40-multisets
 of {0..39}, bound about 2^75: 16-27 ms on object arrays, 3.6-5.4 ms
 packed).
 
-Short capped rows are packed too (_capped_block).  A packed integer
+Short capped rows are packed too (_rows).  A packed integer
 cannot clip entry by entry, and need not: by the identities above the
 capped row is min(exact row, cap), so _exact_row computes the exact rows
 and clips each once as it unpacks it.  An exact row costs more than a
@@ -151,19 +152,20 @@ shape of Nathanson's theorem on h-fold sums (Amer. Math. Monthly, 1972):
 * every sum is a multiple of g, so every other entry is 0.
 
 If a multiple of g in the middle reaches cap by neither bound, the row
-is not proven and _capped_rows returns None; _capped_block packs the row
+is not proven and _capped_rows returns None; _rows packs the row
 instead.  Two folds of h * a_1 and h * b_1 entries, one pass per
 part, replace h kernel steps over rows of up to h * M entries.  A fold
 reads no entry above the one it writes, so the tables of a lower row
 are prefixes of those of a higher one: the margin box's rows h = lo_i,
 ..., lo_i + margin all come from the two folds at its top row.  The
-structure search's certificate keeps the row of each (color, h) it
-visits (_TFoldSets): two folds near h, not h kernel steps, where they
-prove it; an unproven long row is rebuilt from row 0 at each new h.
+structure search's certificate runs in a row scope (below), so it
+builds the row of each (set, h) it visits once: two folds near h, not h
+kernel steps, where they prove it; an unproven long row is rebuilt from
+row 0 at each new h.
 
 The margin box.  verify tests the t-fold set at every point of a box
 [lo, lo + margin], (margin + 1)^q points, from the rows lo_i, ...,
-lo_i + margin that _capped_block gives each color (_streamed_box_fits).
+lo_i + margin that _rows gives each color (_streamed_box_fits).
 _box_counts walks the box one color at a time, last coordinate fastest.
 The partial product at a point of the first i colors, B's indicator
 times one row of each (a one-element B is the identity, so it starts
@@ -180,15 +182,16 @@ the rows it reads, not with the box.  A count table and a certificate
 size are one-point boxes: q - 1 np.convolve calls for a one-element B,
 q for a larger one.
 
-The row scope.  Inside a _shared_rows() block (lemmas.run_all runs its
-checks in one), _counts keeps each color's row by (A.elements, h, row
-cap) and hands it to every later table with the same key.  Sharing is
-exact: the row cap is the one _bound gives for that color alone, and
-with A and h it fixes the whole row (_exact_row's or _capped_block's,
-dtype included), whatever table asks for it; the fold's dtype and cap
-are chosen per table afterwards.  Kept rows are marked read-only, and
-no fold writes into a row.  Outside a scope nothing is kept, so no row
-outlives the call that built it.
+The row scope.  Inside a _shared_rows() block, _rows keeps each single
+row it builds by (A's elements, h, cap) and hands it to every later
+request with the same key, whatever table, certificate point or color
+asks: lemmas.run_all runs its checks in one scope, and
+structure_constants each route's certificate, so two colors with equal
+sets share their rows.  Sharing is exact: the key fixes the whole row
+(_exact_row's or _capped_rows', dtype included), and the fold's dtype
+and cap are chosen per walk afterwards.  Kept rows are marked
+read-only, and no fold writes into a row.  Outside a scope nothing is
+kept, so no row outlives the call that built it.
 
 Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
@@ -311,7 +314,6 @@ route or 0.4 ms more.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import heapq
 import math
@@ -356,7 +358,7 @@ _CELLS_PER_PARTITION = 8
 # this many entries, the measured crossover (see the module docstring)
 _HANDOVER = 1 << 11
 
-# _capped_block packs a capped row whose top row costs at most this many
+# _rows packs a capped row whose top row costs at most this many
 # cells, |A| * h * (h * max(A) + 1), the measured crossover (see the module
 # docstring)
 _PACKED_CELLS = 1 << 15
@@ -368,8 +370,8 @@ _PACKED_CELLS = 1 << 15
 _STEP_CELLS = 150
 _PART_CELLS = 2300
 
-# inside a _shared_rows() scope, the rows _counts built, by (A.elements, h,
-# row cap); None outside one
+# inside a _shared_rows() scope, the single rows _rows built, by (elements,
+# h, cap); None outside one
 _ROWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_ROWS", default=None)
 
 
@@ -544,17 +546,35 @@ def _exact_row(
     return rows + list(islice(stream, max(hs[0] - stop, 1), h - stop + 1))
 
 
-def _capped_block(elements: tuple[int, ...], hs: range, cap: int) -> list[np.ndarray]:
-    """Rows hs of the multiset DP clipped at cap, the one source of
-    capped rows: from _capped_rows where the top row hs[-1] costs more
-    than _PACKED_CELLS cells and it proves them, else packed and clipped
-    once (_exact_row); elements must start at 0."""
+def _rows(elements: tuple[int, ...], hs: range, cap: int | None) -> list[np.ndarray]:
+    """Rows hs of the multiset DP over elements, clipped at cap unless it is
+    None, the one source of rows: every row of {0} is [1]; rows whose cap
+    is below the color's bound C(|A| + h - 1, h) at the top row h = hs[-1]
+    come from _capped_rows where that row costs more than _PACKED_CELLS
+    cells and it proves them; every other row is packed (_exact_row),
+    and clipped once where the cap is below the bound.  Inside a
+    _shared_rows() scope a single row is kept, read-only, by (elements, h,
+    cap), and a later request for that key gets the same row; elements
+    must start at 0."""
     h = hs[-1]
-    if len(elements) * h * (h * elements[-1] + 1) > _PACKED_CELLS:
-        rows = _capped_rows(elements, hs, cap)
+    shared = _ROWS.get() if len(hs) == 1 else None
+    if shared is not None:
+        rows = shared.get((elements, h, cap))
         if rows is not None:
             return rows
-    return _exact_row(elements, hs, math.comb(len(elements) + h - 1, h), cap)
+    top = elements[-1]
+    if not top:
+        return [np.ones(1, dtype=np.int64)] * len(hs)
+    bound = math.comb(len(elements) + h - 1, h)
+    rows = None
+    if cap is not None and cap < bound and len(elements) * h * (h * top + 1) > _PACKED_CELLS:
+        rows = _capped_rows(elements, hs, cap)
+    if rows is None:
+        rows = _exact_row(elements, hs, bound, cap)
+    if shared is not None:
+        rows[0].setflags(write=False)
+        shared[elements, h, cap] = rows
+    return rows
 
 
 def _capped_rows(elements: tuple[int, ...], hs: range, cap: int) -> list[np.ndarray] | None:
@@ -632,23 +652,21 @@ def _bound(
 
 
 def _box_counts(
-    sets: Sequence[FiniteSet], lo: Sequence[int], B: FiniteSet, cap: int | None,
-    blocks: Sequence[Sequence[np.ndarray]],
+    sets: Sequence[FiniteSet], lo: Sequence[int], width: int, B: FiniteSet, cap: int | None
 ) -> Iterator[np.ndarray]:
     """The counts of h.A + B, clipped at cap unless it is None, at every
-    point h of the box whose color i takes the kernel rows blocks[i],
-    rows lo_i, lo_i + 1, ... (a {0} color's from any row on: they are
-    all [1]), each already at most cap.  The walk goes one color at a
-    time, last coordinate fastest, and keeps one partial product per
-    color; per point of the other colors it yields one 2-D group, the
-    last color's rows times that point's product, zero-padded to the
-    longest.  The cap is _bound's at the top corner, and the dtype
+    point h of the box [lo, lo + width - 1], each color's rows lo_i, ...,
+    lo_i + width - 1 taken from _rows at the fold's cap.  The walk goes
+    one color at a time, last coordinate fastest, and keeps one partial
+    product per color; per point of the other colors it yields one 2-D
+    group, the last color's rows times that point's product, zero-padded
+    to the longest.  The cap is _bound's at the top corner, and the dtype
     float64 where that bound is below 2^53 (see the module docstring),
     else _dtype's.  A row whose dtype converts safely is folded as it is;
     an object row, under a cap no count reaches, is copied at that dtype."""
-    top = [(A, c + len(rows) - 1) for A, c, rows in zip(sets, lo, blocks)]
-    bound, cap = _bound(top, B, cap)
+    bound, cap = _bound([(A, c + width - 1) for A, c in zip(sets, lo)], B, cap)
     dtype = np.float64 if bound < 1 << 53 else _dtype(bound)
+    *heads, rows = [_rows(A.elements, range(c, c + width), cap) for A, c in zip(sets, lo)]
 
     def times(acc, row, clip):
         if acc is None:  # a one-element B is the identity
@@ -662,19 +680,18 @@ def _box_counts(
     if len(B) > 1:
         partial[0] = np.zeros(B.max - B.min + 1, dtype=dtype)
         partial[0][[b - B.min for b in B.elements]] = 1
-    *heads, rows = blocks
     point, k = [0] * len(heads), 0
     while True:
         del partial[k + 1 :]
         for i in range(k, len(heads)):
             partial.append(times(partial[i], heads[i][point[i]], cap))
         acc = partial[-1]
-        if len(rows) == 1:  # a lone product needs no copy into a group
+        if width == 1:  # a lone product needs no copy into a group
             yield times(acc, rows[0], cap)[None]
         else:
             # a group is clipped once, as a whole
-            width = len(rows[-1]) + (0 if acc is None else len(acc) - 1)
-            group = np.zeros((len(rows), width), dtype=dtype)
+            longest = len(rows[-1]) + (0 if acc is None else len(acc) - 1)
+            group = np.zeros((len(rows), longest), dtype=dtype)
             for r, row in enumerate(rows):
                 out = times(acc, row, None)
                 group[r, : len(out)] = out
@@ -684,7 +701,7 @@ def _box_counts(
         # the next point: the last color not at its last row moves on one
         # row, and every later color starts again
         k = len(heads) - 1
-        while k >= 0 and point[k] == len(heads[k]) - 1:
+        while k >= 0 and point[k] == width - 1:
             point[k] = 0
             k -= 1
         if k < 0:
@@ -692,62 +709,46 @@ def _box_counts(
         point[k] += 1
 
 
-@contextlib.contextmanager
-def _shared_rows() -> Iterator[None]:
-    """A row scope: within it _counts builds each color's row once and
-    hands the same read-only row to every later table (see the module
-    docstring); the rows are dropped when the scope ends."""
-    token = _ROWS.set({})
-    try:
-        yield
-    finally:
-        _ROWS.reset(token)
+class _shared_rows:
+    """A row scope: within it _rows keeps each single row it builds and
+    hands that read-only row to every later request for its key (see the
+    module docstring); the rows are dropped when the scope ends."""
+
+    def __enter__(self) -> None:
+        self._token = _ROWS.set({})
+
+    def __exit__(self, *exc) -> None:
+        _ROWS.reset(self._token)
 
 
-def _counts(colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | None) -> np.ndarray:
-    """Counts of sum_i (h_i-multiset of A_i) + one element of B over
-    [min(B), sum_i h_i * max(A_i) + max(B)]: the one-point box at h, each
-    color's row at the cap of its own bound: packed (_exact_row) where
-    that bound leaves no cap, else from _capped_block, or the row already
-    built for the same key inside a _shared_rows() scope; a float fold's
-    counts come back as int64."""
-    shared = _ROWS.get()
-    rows = []
-    for A, h in colors:
-        if not A:
-            raise EmptySetError("cannot count over an empty set")
-        if A.min != 0:
-            raise NotNormalizedError("multiset counting requires min(A) = 0")
-        if not _is_int(h) or h < 0:
-            raise DomainError("repetition count must be a nonnegative integer")
-        bound, row_cap = _bound([(A, h)], _ZERO, cap)
-        key = (A.elements, h, row_cap)
-        row = None if shared is None else shared.get(key)
-        if row is None:
-            if row_cap is None:
-                row = _exact_row(A.elements, range(h, h + 1), bound)
-            else:
-                row = _capped_block(A.elements, range(h, h + 1), row_cap)
-            if shared is not None:
-                row[0].flags.writeable = False
-                shared[key] = row
-        rows.append(row)
-    counts = next(_box_counts([A for A, _ in colors], [h for _, h in colors], B, cap, rows))[0]
+def _counts(sets: Sequence[FiniteSet], hs: Sequence[int], B: FiniteSet, cap: int | None) -> np.ndarray:
+    """Counts of sum_i (hs_i-multiset of sets_i) + one element of B over
+    [min(B), sum_i hs_i * max(sets_i) + max(B)], the one-point box at hs;
+    a float fold's counts come back as int64.  Every set must be nonempty
+    with minimum 0, and every hs_i a nonnegative integer."""
+    counts = next(_box_counts(sets, hs, 1, B, cap))[0]
     return counts if counts.dtype == object else counts.astype(np.int64, copy=False)
 
 
 def multiset_count_table(A: FiniteSet, h: int, cap: int | None = None) -> CountTable:
     """Counts of non-decreasing h-tuples from A by their sum, over [0, h*max(A)]."""
     _validate_cap(cap)
-    return CountTable(offset=0, counts=_counts([(A, h)], _ZERO, cap), cap=cap)
+    if not A:
+        raise EmptySetError("cannot count over an empty set")
+    if A.min != 0:
+        raise NotNormalizedError("multiset counting requires min(A) = 0")
+    if not _is_int(h) or h < 0:
+        raise DomainError("repetition count must be a nonnegative integer")
+    return CountTable(offset=0, counts=_counts([A], [h], _ZERO, cap), cap=cap)
 
 
-def _colors(st: SetTuple, h: HVec) -> list[tuple[FiniteSet, int]]:
+def _colors(st: SetTuple, h: HVec) -> tuple[tuple[FiniteSet, ...], tuple[int, ...]]:
+    """The sets and the exponents of a chromatic count, checked."""
     if h.q != st.q:
         raise DimensionError("exponent vector length does not match tuple")
     if not st.normalized:
         raise NotNormalizedError("chromatic counting requires a normalized tuple")
-    return list(zip(st.sets, h.coords))
+    return st.sets, h.coords
 
 
 def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> CountTable:
@@ -758,14 +759,14 @@ def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> Coun
     the table is the convolution of the per-color tables.
     """
     _validate_cap(cap)
-    return CountTable(offset=0, counts=_counts(_colors(st, h), _ZERO, cap), cap=cap)
+    return CountTable(offset=0, counts=_counts(*_colors(st, h), _ZERO, cap), cap=cap)
 
 
 def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
     """The set of integers with at least t colored representations."""
     if not _is_int(t) or t < 1:
         raise DomainError("t must be a positive integer")
-    counts = _counts(_colors(st, h), _ZERO, t)
+    counts = _counts(*_colors(st, h), _ZERO, t)
     return FiniteSet(tuple(np.flatnonzero(counts >= t).tolist()))
 
 
@@ -805,17 +806,14 @@ def _streamed_box_fits(st: SetTuple, B: FiniteSet, t: int, dec, lo: HVec, margin
     at each point h of the box [lo, lo + margin], last coordinate varying
     fastest.  B must have minimum 0.
 
-    Each color's margin + 1 rows come from _capped_block, computed once
-    at the top row, keeping only the rows the box needs; every row of {0}
-    is [1], whatever lo_i is, and costs no step.  _box_counts walks the
-    box, and one comparison tests each group of points it yields."""
-    blocks = [
-        _capped_block(A.elements, range(c, c + margin + 1), t) for A, c in zip(st.sets, lo.coords)
-    ]
+    Each color's margin + 1 rows come from _rows, computed once at the
+    top row; every row of {0} is [1], whatever lo_i is, and costs no
+    step.  _box_counts walks the box, and one comparison tests each group
+    of points it yields."""
     ends = [B.max]
     for a, c in zip(st.maxima, lo.coords):
         ends = [m + a * (c + d) for m in ends for d in range(margin + 1)]
-    groups = _box_counts(st.sets, lo.coords, B, t, blocks)
+    groups = _box_counts(st.sets, lo.coords, margin + 1, B, t)
     return [
         fit
         for counts, group_ends in zip(groups, np.array(ends, dtype=np.int64).reshape(-1, margin + 1))
@@ -1117,28 +1115,11 @@ def inhomogeneous_count_table(
     _validate_cap(cap)
     if not B:
         raise EmptySetError("translation set B must be nonempty")
-    return CountTable(offset=B.min, counts=_counts(_colors(st, h), B, cap), cap=cap)
+    return CountTable(offset=B.min, counts=_counts(*_colors(st, h), B, cap), cap=cap)
 
 
-class _TFoldSets:
-    """The t-fold sets of h.A + B at any exponent vector h, without count
-    tables: row m of color i comes from _capped_block once and is kept by
-    (i, m), and the counts at h are their one-point _box_counts fold."""
-
-    def __init__(self, st: SetTuple, B: FiniteSet, t: int):
-        self._st = st
-        self._t = t
-        self._B = B
-        self._rows: dict[tuple[int, int], np.ndarray] = {}
-
-    def _row(self, i: int, m: int) -> np.ndarray:
-        if (i, m) not in self._rows:
-            [self._rows[i, m]] = _capped_block(self._st.sets[i].elements, range(m, m + 1), self._t)
-        return self._rows[i, m]
-
-    def size(self, h: HVec) -> int:
-        """Number of integers with at least t representations at h."""
-        coords = h.coords
-        blocks = [[self._row(i, c)] for i, c in enumerate(coords)]
-        counts = next(_box_counts(self._st.sets, coords, self._B, self._t, blocks))
-        return int(np.count_nonzero(counts >= self._t))
+def _tfold_size(st: SetTuple, B: FiniteSet, t: int, h: HVec) -> int:
+    """Number of integers with at least t representations in h.A + B, from
+    one one-point _box_counts walk."""
+    counts = next(_box_counts(st.sets, h.coords, 1, B, t))
+    return int(np.count_nonzero(counts >= t))

@@ -59,9 +59,13 @@ every i with a_i > L.  Along e_i, L grows by a_i, so the recursion ends,
 and a {0} color never needs a step.  cert(h) holds exactly when the
 pattern holds at every h' >= h: the certified vectors form an up-set.
 By 2, S_h is the pattern exactly when both have |C| + L + |D| members,
-so cert compares sizes.  On both routes the certificate at the
-threshold proves the shape over the margin box verified_box; verify_box
-re-checks it on request, comparing the sets over a whole box:
+so cert compares sizes, each one count over a one-point walk of
+repcount._box_counts (repcount._tfold_size).  structure_constants runs
+each route's certificate in one row scope (repcount._shared_rows), so
+the row of each (set, h) it visits is built once, whichever color asks
+for it.  On both routes the certificate at the threshold proves the
+shape over the margin box verified_box; verify_box re-checks it on
+request, comparing the sets over a whole box:
 repcount._box_counts walks the box one color at a time, keeping one
 partial product per color, and one comparison tests each group of
 points it yields, every point's mask over [0, M] against the shape at
@@ -95,10 +99,11 @@ from .errors import (
 from .intset import FiniteSet, HVec, SetTuple, _int, _is_int, hvec_add_unit, hvec_leq, hvec_sup
 from .repcount import (
     _ZERO,
-    _TFoldSets,
     _fewest_loads,
     _limit_side,
+    _shared_rows,
     _streamed_box_fits,
+    _tfold_size,
 )
 
 __all__ = [
@@ -545,9 +550,9 @@ def _require_nondegenerate(st: SetTuple, B: FiniteSet, t: int) -> None:
         )
 
 
-def _certifier(st: SetTuple, B: FiniteSet, dec, sets: _TFoldSets):
+def _certifier(st: SetTuple, B: FiniteSet, dec, t: int):
     """cert of the module docstring for the limit shape dec = (C, c, D, d)
-    of h.A + B, memoized; sets holds the t-fold sets of h.A + B."""
+    of the t-fold sets of h.A + B, memoized."""
     q, maxima = st.q, st.maxima
     low, cut_low, high, cut_high = dec
     # middle length L at h is h.maxima + shift
@@ -560,7 +565,7 @@ def _certifier(st: SetTuple, B: FiniteSet, dec, sets: _TFoldSets):
             middle = h.dot(maxima) + shift
             got = (
                 middle >= 1
-                and sets.size(h) == len(low) + middle + len(high)
+                and _tfold_size(st, B, t, h) == len(low) + middle + len(high)
                 and all(cert(hvec_add_unit(h, i)) for i in range(q) if maxima[i] > middle)
             )
             known[h] = got
@@ -570,9 +575,7 @@ def _certifier(st: SetTuple, B: FiniteSet, dec, sets: _TFoldSets):
 
 
 def _search_ceiling(st: SetTuple, t: int) -> int:
-    u = st.union
-    a_u = u.max
-    return 4 * ((len(u) - 1) * (t * a_u - 1) * a_u + 1)
+    return 4 * closed_form_threshold(st.union, t)
 
 
 def _gallop(pred, lo: int, hi: int) -> int:
@@ -602,7 +605,7 @@ def _stabilize(
         ceiling = _search_ceiling(st, t)
     dec = _limit_constants(st, B, t)
     _, cut_low, _, cut_high = dec
-    cert = _certifier(st, B, dec, _TFoldSets(st, B, t))
+    cert = _certifier(st, B, dec, t)
 
     # the middle is nonempty from the first m with m * sum(maxima) + max(B) >= c + d
     first = max(0, -(-(cut_low + cut_high - B.max) // sum(st.maxima)))
@@ -647,16 +650,17 @@ def structure_constants(
     B = _translation(B)
     if strategy == "empirical":
         _require_nondegenerate(st, B, t)
-        return _stabilize(st, B, t, margin, ceiling)
+        with _shared_rows():
+            return _stabilize(st, B, t, margin, ceiling)
     if strategy != "constructive":
         raise DomainError(f"unknown strategy {strategy!r}")
     if B != _ZERO or ceiling is not None:
         raise DomainError("the constructive strategy takes no translation set and no ceiling")
 
     dec, ht = _constructive(st, t)
-    if dec[1] + dec[3] > ht.dot(st.maxima):
-        raise DomainError("malformed interval: the cuts overlap at this h")
-    if not _certifier(st, _ZERO, dec, _TFoldSets(st, _ZERO, t))(ht):
+    with _shared_rows():
+        certified = _certifier(st, _ZERO, dec, t)(ht)
+    if not certified:
         raise RuntimeError(
             f"internal invariant: the constructive threshold h={list(ht.coords)} "
             "is not certified"

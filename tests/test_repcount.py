@@ -15,7 +15,7 @@ from chromsum.errors import (
     EmptySetError,
     NotNormalizedError,
 )
-from chromsum.intset import HVec, make_set, make_tuple
+from chromsum.intset import FiniteSet, HVec, make_set, make_tuple
 from chromsum.oracle import oracle_count_table
 from chromsum.repcount import (
     CountTable,
@@ -44,6 +44,9 @@ def test_multiset_h_zero():
 
 
 def test_multiset_validation():
+    # the one public entry that takes a bare set and h checks both itself
+    with pytest.raises(EmptySetError):
+        multiset_count_table(FiniteSet.empty(), 2)
     with pytest.raises(NotNormalizedError):
         multiset_count_table(make_set([1, 2]), 2)
     with pytest.raises(DomainError):
@@ -114,7 +117,7 @@ def test_narrow_capped_rows_are_clipped_exact(cap):
     # the crossover, all int64
     A = make_set(list(range(10)))
     for m in range(21):
-        [row] = repcount._capped_block(A.elements, range(m, m + 1), cap)
+        [row] = repcount._rows(A.elements, range(m, m + 1), cap)
         assert row.dtype == np.int64
         exact = multiset_count_table(A, m).counts
         assert row.tolist() == [min(c, cap) for c in exact]
@@ -178,7 +181,7 @@ def test_exact_row_is_the_streamed_row(A, g, h):
 
 
 def _packed_top(elements):
-    """The largest top row h whose capped rows _capped_block packs: the
+    """The largest top row h whose capped rows _rows packs: the
     cells k * h * (h * max + 1) of a k-set are at most _PACKED_CELLS."""
     k, top = len(elements), elements[-1]
     return next(h for h in itertools.count() if k * (h + 1) * ((h + 1) * top + 1) > repcount._PACKED_CELLS)
@@ -209,7 +212,7 @@ def test_capped_block_is_the_streamed_rows(A, g, h, margin, cap):
     # _capped_rows gives the cap
     elements = tuple(g * a for a in A.elements)
     hs = range(h, h + margin + 1)
-    rows = repcount._capped_block(elements, hs, cap)
+    rows = repcount._rows(elements, hs, cap)
     dtype = repcount._dtype(cap)
     stream = repcount._multiset_rows(elements, dtype, cap)
     if elements == (0,):
@@ -231,8 +234,8 @@ def test_capped_block_packs_up_to_the_crossover(monkeypatch, elements):
         monkeypatch.setattr(repcount, name, lambda *args, name=name, real=getattr(repcount, name):
                             calls.append(name) or real(*args))
     top = _packed_top(elements)
-    repcount._capped_block(elements, range(top - 1, top + 1), 3)
-    repcount._capped_block(elements, range(top, top + 2), 3)
+    repcount._rows(elements, range(top - 1, top + 1), 3)
+    repcount._rows(elements, range(top, top + 2), 3)
     assert calls == ["_exact_row", "_capped_rows"]
 
 
@@ -281,7 +284,7 @@ def test_float_fold_just_below_2_53_is_exact():
     bound, cap = repcount._bound(list(zip(sets, h)), make_set([0]), None)
     assert 2**52 < bound < 2**53 and cap is None
     rows = [[_streamed_row(A.elements, hi, None)] for A, hi in zip(sets, h)]
-    [got] = repcount._box_counts(sets, h, make_set([0]), None, rows)
+    [got] = repcount._box_counts(sets, h, 1, make_set([0]), None)
     assert got.dtype == np.float64
     want = repcount._fold(*(row.astype(object) for [row] in rows), None)
     assert max(want) > 2**45
@@ -308,7 +311,7 @@ def test_one_point_fold_is_one_plain_convolution_per_color(monkeypatch):
     dec = ((), 0, (), 0)
     for run in (
         lambda: inhomogeneous_count_table(st, h, B, cap=t),
-        lambda: repcount._TFoldSets(st, B, t).size(h),
+        lambda: repcount._tfold_size(st, B, t, h),
         lambda: repcount._streamed_box_fits(st, B, t, dec, h, 0),
     ):
         calls.clear()
@@ -356,13 +359,19 @@ def test_one_element_B_starts_from_the_first_block(monkeypatch):
 
 def _row_spy(monkeypatch):
     """The rows each _box_counts call folds, one list of rows per call."""
-    box_counts, seen = repcount._box_counts, []
+    box_counts, rows, seen = repcount._box_counts, repcount._rows, []
 
-    def spy(sets, lo, B, cap, blocks):
-        seen.append([rows[0] for rows in blocks])
-        return box_counts(sets, lo, B, cap, blocks)
+    def spy(*args):
+        seen.append([])
+        return box_counts(*args)
+
+    def fetched(*args):
+        got = rows(*args)
+        seen[-1].append(got[0])
+        return got
 
     monkeypatch.setattr(repcount, "_box_counts", spy)
+    monkeypatch.setattr(repcount, "_rows", fetched)
     return seen
 
 

@@ -72,6 +72,8 @@ def _places(hit) -> list[str]:
             self.generic_visit(node)
             self.where.pop()
 
+        visit_ClassDef = visit_FunctionDef
+
     for path in sorted(Path(chromsum.__file__).parent.glob("*.py")):
         Places(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
     return found
@@ -98,6 +100,23 @@ def test_one_fold_entry():
     )
     assert found
     assert all(f == "repcount._box_counts" or f.startswith("repcount._box_counts.") for f in found)
+
+
+def test_one_row_source():
+    """repcount._exact_row and repcount._capped_rows are named only inside
+    repcount._rows, the one entry every fold reads its rows from, and the
+    row scope's memo (repcount._ROWS) is read only there and in
+    repcount._shared_rows: no caller keeps rows of its own."""
+    for name in ("_exact_row", "_capped_rows"):
+        found = _places(lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None)))
+        assert set(found) == {"repcount._rows"}, name
+    found = _places(
+        lambda node: isinstance(node, ast.Name) and node.id == "_ROWS" and isinstance(node.ctx, ast.Load)
+    )
+    assert found and all(f == "repcount._rows" or f.startswith("repcount._shared_rows.") for f in found)
+    # no definition, import or use of the per-search row keeper
+    named = ("id", "attr", "name")
+    assert _places(lambda node: "_TFoldSets" in (getattr(node, key, None) for key in named)) == []
 
 
 def test_one_box_check():

@@ -556,6 +556,50 @@ def test_certificate_rows_take_no_stream_from_row_0(monkeypatch, strategy, ht):
     assert structure_constants(A023, 1000, strategy=strategy).threshold.coords == ht
 
 
+def _row_builds(monkeypatch):
+    """(elements, h) of every row built: packed, or proven by the
+    partition folds."""
+    built, exact, capped = [], repcount._exact_row, repcount._capped_rows
+
+    def packed(elements, hs, *rest):
+        built.append((elements, hs[-1]))
+        return exact(elements, hs, *rest)
+
+    def proven(elements, hs, cap):
+        rows = capped(elements, hs, cap)
+        if rows is not None:
+            built.append((elements, hs[-1]))
+        return rows
+
+    monkeypatch.setattr(repcount, "_exact_row", packed)
+    monkeypatch.setattr(repcount, "_capped_rows", proven)
+    return built
+
+
+@pytest.mark.parametrize("sets, ht, builds", [
+    ([[0, 1, 2, 3]] * 3, (1, 1, 1), 2),
+    ([[0, 5, 13, 14], [0, 5, 13, 14], [0, 1]], (2, 2, 7), 15),
+])
+def test_equal_colors_share_their_rows(monkeypatch, sets, ht, builds):
+    # the search's certificate builds each (set, h) row once, whichever
+    # colors ask for it: 2 and 15 rows, where one row per (color, h) made
+    # 6 and 24
+    built = _row_builds(monkeypatch)
+    assert structure_constants(make_tuple(sets), 5).threshold == HVec(ht)
+    assert len(built) == len(set(built)) == builds
+    assert repcount._ROWS.get() is None
+
+
+def test_no_row_outlives_a_structure_call():
+    # the row scope ends with the call, whether it returns or raises
+    for strategy in ("empirical", "constructive"):
+        structure_constants(A023, 3, strategy=strategy)
+        assert repcount._ROWS.get() is None
+    with pytest.raises(SearchExhaustedError):
+        structure_constants(A023, 3, ceiling=0)
+    assert repcount._ROWS.get() is None
+
+
 class TestThresholds:
     def test_constructive_stays_below_closed_form(self):
         ht = threshold_constructive(A023, 1)
@@ -645,13 +689,13 @@ class TestThresholds:
     def test_search_size_calls_are_pinned(self, monkeypatch):
         # one certificate size fold per cert point the galloping walks
         # visit; a walk of one step at a time made 88 here
-        size, calls = repcount._TFoldSets.size, []
+        size, calls = structure._tfold_size, []
 
-        def spy(sets, h):
+        def spy(st, B, t, h):
             calls.append(h)
-            return size(sets, h)
+            return size(st, B, t, h)
 
-        monkeypatch.setattr(repcount._TFoldSets, "size", spy)
+        monkeypatch.setattr(structure, "_tfold_size", spy)
         res = structure_constants(make_tuple([[0, 3, 100], [0, 7, 99]]), 20)
         assert res.threshold == HVec((63, 28))
         assert len(calls) == 25 and len(set(calls)) == 25
@@ -820,7 +864,7 @@ class TestThresholds:
         assert members == tuple(range(members[0], members[-1] + 1)) and len(members) > 100
         exact = ((), members[0], (), 100 * top - members[-1])
         monkeypatch.setattr(repcount, "_box_counts", spy)
-        assert repcount._TFoldSets(st, B, t).size(lo) == len(members)
+        assert repcount._tfold_size(st, B, t, lo) == len(members)
         assert repcount._streamed_box_fits(st, B, t, exact, lo, 0) == [True]
         _, cut_low, _, cut_high = exact
         for dec in [exact, ((), cut_low, (), cut_high + 1), ((), cut_low + 1, (), cut_high),
@@ -1003,6 +1047,17 @@ class TestVerify:
         with pytest.raises(DomainError):
             verify_structure(A023, 1, bad, HVec((2,)))
 
+    def test_overlapping_constructive_cuts_are_an_internal_fault(self, monkeypatch):
+        # cuts that overlap at the constructive vector (c + d > M) are a
+        # fault of the library, not a refusal: the certificate at that
+        # vector fails, and the call raises the internal invariant
+        st, t = make_tuple([[0, 2, 3]]), 2
+        (low, _, high, cut_high), ht = structure._constructive(st, t)
+        overlap = (low, ht.dot(st.maxima) - cut_high + 1, high, cut_high)
+        monkeypatch.setattr(structure, "_constructive", lambda *_: (overlap, ht))
+        with pytest.raises(RuntimeError, match="internal invariant"):
+            structure_constants(st, t, strategy="constructive")
+
     def test_box_defaults_to_the_verified_box(self):
         res = structure_constants(A023, 2)
         lo, hi = res.verified_box
@@ -1177,7 +1232,7 @@ def _linear_walk(st, t, B):
     point, the vector after lowering each coordinate in turn while cert
     holds, cert)."""
     dec = structure._limit_constants(st, B, t)
-    cert = structure._certifier(st, B, dec, repcount._TFoldSets(st, B, t))
+    cert = structure._certifier(st, B, dec, t)
     first = max(0, -(-(dec[1] + dec[3] - B.max) // sum(st.maxima)))
     ceiling = structure._search_ceiling(st, t)
     m_star = next(m for m in range(first, ceiling + 1) if cert(HVec((m,) * st.q)))
