@@ -16,11 +16,13 @@ Every row comes from one entry, _rows.  Exact rows run through a
 packed-integer kernel that hands long int64 rows over to one numpy
 multiset kernel (below); capped rows come from partition folds where
 they prove a long row, else from the packed kernel, clipped once
-(below).  Every product of two rows is one schoolbook convolution
-(np.convolve, in _fold).  Every count (a table, the structure search's
-certificate sizes, the margin box) is made by one entry, _box_counts,
-which reads its rows from _rows and walks a box of exponent vectors one
-color at a time.  It picks the dtype once from
+(below).  Every count (a table, the structure search's certificate
+sizes, the margin box) is made by one entry, _box_counts, which reads
+its rows from _rows.  A short one-point count is one product of the
+colors' packed rows as Python integers (below); every other count walks
+a box of exponent vectors one color at a time, and every product of two
+rows on that walk is one schoolbook convolution (np.convolve, in
+_fold).  The walk picks the dtype once from
 _bound, a proven bound on every intermediate value at the box's top
 corner: float64 below 2^53, numpy int64 below 2^62, and
 dtype=object (Python ints in the same numpy code) above it, so the
@@ -57,7 +59,7 @@ Exact rows on packed integers (_exact_row).  A row of the recurrence is
 a polynomial with nonnegative coefficients, so it can be held as one
 Python integer, entry n in bits [n * w, (n + 1) * w) (Kronecker
 substitution; Harvey, J. Symbolic Comput., 2009), and a step is one
-shift and one add in C:
+shift and one add in C (_packed_steps, the one stepping loop):
 
     f(j, m+1, .) = f(j-1, m+1, .) + (f(j, m, .) << a_j * w)
 
@@ -65,9 +67,10 @@ No slot ever carries into the next.  Every entry and every partial sum
 the recurrence forms is a multiset count of one prefix at some m <= h,
 so it is at most the color's exact bound C(|A| + h - 1, h); w is that
 bound's bit length rounded up to 8, 16, 32 or 64 bits (past 64, to
-whole bytes), so every slot value is below 2^w, and Python integers are
-exact at any size.  Row h is unpacked once: 1-, 2-, 4- and 8-byte slots
-by np.frombuffer, then cast to _dtype(bound); wider slots by one
+whole bytes; _slot_size), or that of any larger bound, so every slot
+value is below 2^w, and Python integers are exact at any size.  Row h
+is unpacked once (_unpack): 1-, 2-, 4- and 8-byte slots by
+np.frombuffer, then cast to _dtype(bound); wider slots by one
 int.from_bytes per slot into an object array.  The numpy kernel makes
 three calls of about 1 us each per (row, element), on the rows of at
 most ~1,500 entries that count tables mostly have, so call overhead,
@@ -125,10 +128,57 @@ every row up to 49,280 cells and lost every row from 196,864 on; in
 between the set decides, and 2^15 stays below every loss.  So the
 tables of lemmas.run_all in the benchmark's counts workload (h = 3-7)
 are packed, while its capped strata (about 400,000 cells) and large
-margin boxes keep the folds.  The folds stay on numpy: multiplying the
-colors' packed rows as big integers in place of the fold took 132 and
-210 us against 51 and 75 us for the float64 fold, on two- and
-three-color exact tables of the same workload (medians).
+margin boxes keep the folds.
+
+Short one-point counts as one packed product (_box_counts).  A count
+table, a certificate size and a one-point box check are one-point
+boxes, and most are short: a structure result's certificate visits a
+median of 1 and at most 6 points, nearly all below h = 16.  The count
+is B's indicator times one row per color, all polynomials with
+nonnegative coefficients, so it is one product of packed integers:
+sum_b 2^(w * (b - min B)) times each color's row h_i at slots of w
+bits, unpacked once at int64 and clipped once where the cap is below
+the exact total T = |B| * prod_i C(|A_i| + h_i - 1, h_i).  Every
+coefficient of the product is a count, at most T, and w is T's bit
+length rounded up to 8, 16, 32 or 64 bits, so no slot carries; one clip
+is exact by the identities above.  On such rows call overhead, not
+arithmetic, sets the walk's cost, and the product makes one
+multiplication per color and one unpack.  Past about 2^14 product bits
+the walk wins (below), so the product runs only where T < 2^62 and it
+holds at most _PRODUCT_BITS = 2^14 bits, its length times w; every
+other box, wider ones included, walks.  With w >= 8 such a product has
+at most 2^11 = _HANDOVER entries, so no row it reads is one the packed
+kernel would have handed over to numpy.  Every one-point _box_counts
+call of the first 1,200 requests of each seed-101 stream of the
+benchmark (structure-search, structure-constructive, counts), each
+timed both ways from fresh rows, best of 3, on a 2-vCPU VM (Python
+3.11, numpy 2.4); mean us per call over up to 300 sampled calls per
+bucket of product bits:
+
+    product bits   calls   product   walk
+    <= 2^8         1,988      11.0   28.4
+    <= 2^9         3,864      11.0   26.7
+    <= 2^10        2,424      12.6   27.7
+    <= 2^11        3,033      14.6   31.2
+    <= 2^12        2,173      18.3   30.8
+    <= 2^13          224      26.7   52.9
+    <= 2^14          276      51.9   65.1
+    <= 2^15          143     237.0  123.4
+    <= 2^16          524     564.1  222.9
+    <= 2^17          121   2,631.7  340.1
+    <= 2^18           19   3,464.8  591.0
+
+On all those calls the rule took 184, 20 and 223 ms on the three
+streams, against 416, 43 and 255 ms for the walk alone and 184, 20 and
+222 ms for the faster route of each call: 10,788 of 10,792, 1,080 of
+1,081 and 2,114 of 2,916 calls are products, while the counts
+workload's capped strata and anchors walk.  Slots of one fixed 8 bytes
+would let every product share a single packed row per (set, h), where
+now a row scope builds a row again at each width its products need
+(339 of 3,180 builds over 300 seed-104/106/108 structure-search
+requests), but they made each product hold up to 8 times the bits: the
+first 700 requests of seed 104, replayed in-process, took a p50 of
+0.33-0.37 ms against 0.29-0.31 ms (3 alternating runs each).
 
 Capped rows from two partition folds (_capped_rows).  Since 0 is in A,
 an h-multiset of A is a partition of its sum into the nonzero elements
@@ -178,20 +228,22 @@ end are no members), and one comparison tests the group.  Every product
 is clipped as before and stays under the bound of the count table at
 the box's top corner (_bound), which holds at every point below it.  The
 walk holds one group and q partial products, so its memory grows with
-the rows it reads, not with the box.  A count table and a certificate
-size are one-point boxes: q - 1 np.convolve calls for a one-element B,
-q for a larger one.
+the rows it reads, not with the box.  A one-point box past the product's
+crossover walks with q - 1 np.convolve calls for a one-element B, q for
+a larger one.
 
 The row scope.  Inside a _shared_rows() block, _rows keeps each single
-row it builds by (A's elements, h, cap) and hands it to every later
-request with the same key, whatever table, certificate point or color
-asks: lemmas.run_all runs its checks in one scope, and
+row it builds by (A's elements, h, cap, slot bytes) and hands it to
+every later request with the same key, whatever table, certificate
+point or color asks: lemmas.run_all runs its checks in one scope, and
 structure_constants each route's certificate, so two colors with equal
 sets share their rows.  Sharing is exact: the key fixes the whole row
-(_exact_row's or _capped_rows', dtype included), and the fold's dtype
-and cap are chosen per walk afterwards.  Kept rows are marked
-read-only, and no fold writes into a row.  Outside a scope nothing is
-kept, so no row outlives the call that built it.
+(_exact_row's or _capped_rows' array, dtype included, or the packed
+integer at its slot width), and the fold's dtype and cap are chosen per
+walk afterwards.  Kept arrays are marked read-only, and no fold writes
+into a row; packed rows are Python ints, which nothing can write.
+Outside a scope nothing is kept, so no row outlives the call that built
+it.
 
 Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
@@ -358,6 +410,11 @@ _CELLS_PER_PARTITION = 8
 # this many entries, the measured crossover (see the module docstring)
 _HANDOVER = 1 << 11
 
+# _box_counts multiplies a one-point box's packed rows as Python integers
+# while the product's length times its slot bits is at most this, the
+# measured crossover (see the module docstring)
+_PRODUCT_BITS = 1 << 14
+
 # _rows packs a capped row whose top row costs at most this many
 # cells, |A| * h * (h * max(A) + 1), the measured crossover (see the module
 # docstring)
@@ -494,46 +551,66 @@ def _multiset_rows(
             prefix[j] = below = cur
 
 
+def _slot_size(bound: int) -> int:
+    """Bytes per slot of a packed row whose every entry and partial sum is
+    at most bound >= 1: its bit length rounded up to 1, 2, 4 or 8 bytes,
+    past 8 bytes to whole bytes."""
+    size = -(-bound.bit_length() // 8)
+    return 1 << (size - 1).bit_length() if size <= 8 else size
+
+
+def _packed_steps(elements: tuple[int, ...], size: int) -> Iterator[list[int]]:
+    """The packed rows f(j, m, .) of every element prefix j, for m = 0, 1,
+    2, ..., entry n in slot n of size bytes (see the module docstring); one
+    list, updated in place by each step.  elements must start at 0, and
+    every entry and partial sum up to the last m asked for must fit a
+    slot."""
+    prefix = [1] * len(elements)
+    shifts = [8 * size * a for a in elements[1:]]
+    while True:
+        yield prefix
+        below = 1
+        for j, shift in enumerate(shifts, 1):
+            below = prefix[j] = below + (prefix[j] << shift)
+
+
+def _unpack(value: int, length: int, size: int) -> np.ndarray:
+    """The first length slots of size bytes of a packed integer, read-only:
+    unsigned integers for slots of at most 8 bytes, else Python ints in an
+    object array."""
+    raw = value.to_bytes(length * size, "little")
+    if size <= 8:
+        return np.frombuffer(raw, f"<u{size}")
+    slots = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    return np.array(slots, dtype=object)
+
+
 def _exact_row(
     elements: tuple[int, ...], hs: range, bound: int, cap: int | None = None
 ) -> list[np.ndarray]:
     """Rows hs of _multiset_rows(elements, _dtype(bound), cap), bound being
-    C(len(elements) + hs[-1] - 1, hs[-1]), from the recurrence on packed
-    integers, one slot per entry (see the module docstring); elements must
-    start at 0.  Where cap is below bound, each row is clipped at it once,
-    as it is unpacked, and comes at _dtype(cap).  An int64 row, exact or
-    clipped, is handed over to _multiset_rows before _HANDOVER entries."""
+    C(len(elements) + hs[-1] - 1, hs[-1]), from _packed_steps at the slots
+    of bound (see the module docstring); elements must start at 0 and hold
+    a nonzero element.  Where cap is below bound, each row is clipped at it
+    once, as it is unpacked, and comes at _dtype(cap).  An int64 row, exact
+    or clipped, is handed over to _multiset_rows before _HANDOVER
+    entries."""
     top, h = elements[-1], hs[-1]
     clip = cap if cap is not None and cap < bound else None
     dtype = _dtype(bound if clip is None else clip)
-    if not top:
-        return [np.ones(1, dtype=dtype)] * len(hs)
-    size = -(-bound.bit_length() // 8)  # bytes per slot
-    if size <= 8:
-        size = 1 << (size - 1).bit_length()
-    shifts = [8 * size * a for a in elements[1:]]
+    size = _slot_size(bound)
     stop = h if dtype is object else min(h, (_HANDOVER - 1) // top)
     # (packed row, its length) to unpack: the rows of hs up to the
     # handover, then every prefix at it
     packed = []
-    prefix = [1] * len(elements)
-    for m in range(stop + 1):
+    for m, prefix in zip(range(stop + 1), _packed_steps(elements, size)):
         if m in hs:
             packed.append((prefix[-1], m * top + 1))
-        if m < stop:
-            below = 1
-            for j, shift in enumerate(shifts, 1):
-                below = prefix[j] = below + (prefix[j] << shift)
     if stop < h:
         packed += [(prefix[j], stop * a + 1) for j, a in enumerate(elements)]
     rows = []
     for value, length in packed:
-        raw = value.to_bytes(length * size, "little")
-        if size <= 8:
-            row = np.frombuffer(raw, f"<u{size}")
-        else:
-            slots = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-            row = np.array(slots, dtype=object)
+        row = _unpack(value, length, size)
         if clip is not None:
             row = np.minimum(row, clip)
         rows.append(row.astype(dtype, copy=False))
@@ -546,34 +623,46 @@ def _exact_row(
     return rows + list(islice(stream, max(hs[0] - stop, 1), h - stop + 1))
 
 
-def _rows(elements: tuple[int, ...], hs: range, cap: int | None) -> list[np.ndarray]:
+def _rows(
+    elements: tuple[int, ...], hs: range, cap: int | None, size: int = 0
+) -> list[np.ndarray] | list[int]:
     """Rows hs of the multiset DP over elements, clipped at cap unless it is
     None, the one source of rows: every row of {0} is [1]; rows whose cap
     is below the color's bound C(|A| + h - 1, h) at the top row h = hs[-1]
     come from _capped_rows where that row costs more than _PACKED_CELLS
     cells and it proves them; every other row is packed (_exact_row),
-    and clipped once where the cap is below the bound.  Inside a
-    _shared_rows() scope a single row is kept, read-only, by (elements, h,
-    cap), and a later request for that key gets the same row; elements
-    must start at 0."""
+    and clipped once where the cap is below the bound.  With size, the
+    one row h comes exact and still packed, one integer of size-byte slots
+    (_packed_steps; cap must be None), which the caller proves wide enough.
+    Inside a _shared_rows() scope a single row is kept by (elements, h,
+    cap, size), an array read-only, and a later request for that key gets
+    the same row; elements must start at 0.  The slot width is in the key
+    because each product reads its rows at the slots of its own total
+    (see the module docstring), and packed rows come from here, not from
+    an entry of their own, so that _ROWS has one reader."""
     h = hs[-1]
     shared = _ROWS.get() if len(hs) == 1 else None
+    key = (elements, h, cap, size)
     if shared is not None:
-        rows = shared.get((elements, h, cap))
+        rows = shared.get(key)
         if rows is not None:
             return rows
     top = elements[-1]
     if not top:
-        return [np.ones(1, dtype=np.int64)] * len(hs)
-    bound = math.comb(len(elements) + h - 1, h)
-    rows = None
-    if cap is not None and cap < bound and len(elements) * h * (h * top + 1) > _PACKED_CELLS:
-        rows = _capped_rows(elements, hs, cap)
-    if rows is None:
-        rows = _exact_row(elements, hs, bound, cap)
+        return [1] if size else [np.ones(1, dtype=np.int64)] * len(hs)
+    if size:
+        rows = [next(islice(_packed_steps(elements, size), h, None))[-1]]
+    else:
+        bound = math.comb(len(elements) + h - 1, h)
+        rows = None
+        if cap is not None and cap < bound and len(elements) * h * (h * top + 1) > _PACKED_CELLS:
+            rows = _capped_rows(elements, hs, cap)
+        if rows is None:
+            rows = _exact_row(elements, hs, bound, cap)
+        if shared is not None:
+            rows[0].setflags(write=False)
     if shared is not None:
-        rows[0].setflags(write=False)
-        shared[elements, h, cap] = rows
+        shared[key] = rows
     return rows
 
 
@@ -581,10 +670,8 @@ def _capped_rows(elements: tuple[int, ...], hs: range, cap: int) -> list[np.ndar
     """Rows hs of the multiset DP clipped at cap, each read off one
     partition fold per end at the top row hs[-1], or None where some
     row's middle is not proven to saturate (see the module docstring);
-    elements must start at 0."""
+    elements must start at 0 and hold a nonzero element."""
     top = elements[-1]
-    if not top:
-        return [np.ones(1, dtype=np.int64)] * len(hs)
     parts = elements[1:]
     step = math.gcd(*parts)
     sides = []
@@ -663,7 +750,35 @@ def _box_counts(
     to the longest.  The cap is _bound's at the top corner, and the dtype
     float64 where that bound is below 2^53 (see the module docstring),
     else _dtype's.  A row whose dtype converts safely is folded as it is;
-    an object row, under a cap no count reaches, is copied at that dtype."""
+    an object row, under a cap no count reaches, is copied at that dtype.
+
+    A one-point box whose exact total T = |B| * prod_i C(|A_i| + h_i - 1,
+    h_i) is below 2^62, and whose product, at slots wide enough for T,
+    holds at most _PRODUCT_BITS bits, is one product of Python integers
+    instead: B's packed indicator times each color's packed row, unpacked
+    once at int64 and clipped once where the cap is below T (see the
+    module docstring)."""
+    if width == 1:
+        base = B.elements[0]
+        total, length = len(B.elements), B.elements[-1] - base + 1
+        for A, h in zip(sets, lo):
+            total *= math.comb(len(A.elements) + h - 1, h)
+            length += h * A.elements[-1]
+        size = _slot_size(total)
+        if total < 1 << 62 and length * 8 * size <= _PRODUCT_BITS:
+            # every coefficient is a count, at most T < 2^(8 * size), so no
+            # slot carries
+            product = 0
+            for b in B.elements:
+                product += 1 << 8 * size * (b - base)
+            for A, h in zip(sets, lo):
+                [row] = _rows(A.elements, range(h, h + 1), None, size)
+                product *= row
+            counts = _unpack(product, length, size).astype(np.int64)
+            if cap is not None and cap < total:
+                np.minimum(counts, cap, out=counts)
+            yield counts[None]
+            return
     bound, cap = _bound([(A, c + width - 1) for A, c in zip(sets, lo)], B, cap)
     dtype = np.float64 if bound < 1 << 53 else _dtype(bound)
     *heads, rows = [_rows(A.elements, range(c, c + width), cap) for A, c in zip(sets, lo)]
@@ -711,8 +826,9 @@ def _box_counts(
 
 class _shared_rows:
     """A row scope: within it _rows keeps each single row it builds and
-    hands that read-only row to every later request for its key (see the
-    module docstring); the rows are dropped when the scope ends."""
+    hands that row (an array read-only, or a packed integer) to every later
+    request for its key (see the module docstring); the rows are dropped
+    when the scope ends."""
 
     def __enter__(self) -> None:
         self._token = _ROWS.set({})
@@ -1120,6 +1236,6 @@ def inhomogeneous_count_table(
 
 def _tfold_size(st: SetTuple, B: FiniteSet, t: int, h: HVec) -> int:
     """Number of integers with at least t representations in h.A + B, from
-    one one-point _box_counts walk."""
+    one one-point _box_counts count."""
     counts = next(_box_counts(st.sets, h.coords, 1, B, t))
     return int(np.count_nonzero(counts >= t))

@@ -59,12 +59,14 @@ every i with a_i > L.  Along e_i, L grows by a_i, so the recursion ends,
 and a {0} color never needs a step.  cert(h) holds exactly when the
 pattern holds at every h' >= h: the certified vectors form an up-set.
 By 2, S_h is the pattern exactly when both have |C| + L + |D| members,
-so cert compares sizes, each one count over a one-point walk of
-repcount._box_counts (repcount._tfold_size).  structure_constants runs
-each route's certificate in one row scope (repcount._shared_rows), so
-the row of each (set, h) it visits is built once, whichever color asks
-for it.  On both routes the certificate at the threshold proves the
-shape over the margin box verified_box; verify_box re-checks it on
+so cert compares sizes.  Each size is the count of repcount._box_counts
+at one point (repcount._tfold_size): where it is short, one product of
+the colors' packed rows as Python integers, and past the crossover that
+repcount's docstring measures, a one-point walk.  structure_constants
+runs each route's certificate in one row scope (repcount._shared_rows),
+so each row it visits is built once per slot width, whichever color
+asks for it.  On both routes the certificate at the threshold proves
+the shape over the margin box verified_box; verify_box re-checks it on
 request, comparing the sets over a whole box:
 repcount._box_counts walks the box one color at a time, keeping one
 partial product per color, and one comparison tests each group of

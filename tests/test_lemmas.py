@@ -9,7 +9,7 @@ from chromsum.intset import HVec, make_set, make_tuple
 from chromsum.lemmas import run_all
 from chromsum.repcount import CountTable, chromatic_count_table
 
-from conftest import random_normalized_tuple
+from conftest import random_normalized_tuple, row_builds
 
 EXPECTED_NAMES = [
     "monotone_inclusion",
@@ -83,21 +83,24 @@ def test_lemma_tables_are_packed(monkeypatch):
 
 
 def test_one_run_builds_each_row_once(monkeypatch):
-    # 27 row requests, 13 distinct (A, h, row cap): each is built once per
-    # run, and nothing is kept between runs or outside them
-    exact_row, calls = repcount._exact_row, []
-    monkeypatch.setattr(repcount, "_exact_row", lambda *a: calls.append(a) or exact_row(*a))
+    # each distinct row key is built once per run, and nothing is kept
+    # between runs or outside them: 9 packed rows (by set, h and slot
+    # width) where the tables' products run, 13 unpacked ones (27 requests,
+    # 13 distinct (A, h, row cap)) on the numpy walk
+    built = row_builds(monkeypatch)
     st, h, B = make_tuple([[0, 1, 7], [0, 3, 8]]), HVec((3, 4)), make_set([0, 3, 4])
-    first = run_all(st, h, 2, B)
-    assert all(c.ok for c in first)
-    assert len(calls) == 13
-    assert len({(a[0], a[1][-1], a[3] if len(a) > 3 else None) for a in calls}) == 13
-    assert run_all(st, h, 2, B) == first
-    assert len(calls) == 26
-    assert repcount._ROWS.get() is None
-    chromatic_count_table(st, h)
-    chromatic_count_table(st, h)
-    assert len(calls) == 30
+    for bits, rows in ((repcount._PRODUCT_BITS, 9), (-1, 13)):
+        monkeypatch.setattr(repcount, "_PRODUCT_BITS", bits)
+        built.clear()
+        first = run_all(st, h, 2, B)
+        assert all(c.ok for c in first)
+        assert len(built) == len(set(built)) == rows
+        assert run_all(st, h, 2, B) == first
+        assert len(built) == 2 * rows
+        assert repcount._ROWS.get() is None
+        chromatic_count_table(st, h)
+        chromatic_count_table(st, h)
+        assert len(built) == 2 * rows + 4
 
 
 def _instance():

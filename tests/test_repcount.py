@@ -26,7 +26,7 @@ from chromsum.repcount import (
     tfold_set,
 )
 
-from conftest import random_oracle_instance
+from conftest import ROUTINGS, random_oracle_instance, row_builds
 
 normalized_set = st.lists(
     st.integers(min_value=1, max_value=9), min_size=1, max_size=4
@@ -169,12 +169,13 @@ def _edge_examples(test):
 def test_exact_row_is_the_streamed_row(A, g, h):
     # the packed kernel's rows are the numpy kernel's, all at the dtype of
     # the top row's bound, so for sets scaled by g too; the rows below the
-    # top one come packed or streamed on either side of the handover
+    # top one come packed or streamed on either side of the handover.  The
+    # exact rows come through the one row source, which answers {0} itself
     elements = tuple(g * a for a in A.elements)
     bound = math.comb(len(elements) + h - 1, h)
     dtype = repcount._dtype(bound)
     hs = range(max(h - 2, 0), h + 1)
-    rows = repcount._exact_row(elements, hs, bound)
+    rows = repcount._rows(elements, hs, None)
     assert [row.dtype for row in rows] == [np.dtype(dtype)] * len(hs)
     stream = repcount._multiset_rows(elements, dtype, None)
     assert [row.tolist() for row in rows] == [row.tolist() for row in islice(stream, hs[0], h + 1)]
@@ -262,7 +263,7 @@ def test_capped_row_proves_saturation_or_returns_none():
     # {0,1,2,3} at h=40: the middle bounds reach no count of 32768 near
     # the ends of the middle, so the row is left to the stream
     assert repcount._capped_rows((0, 1, 2, 3), range(40, 41), 32768) is None
-    rows = repcount._capped_rows((0,), range(10**9, 10**9 + 2), 5)
+    rows = repcount._rows((0,), range(10**9, 10**9 + 2), 5)
     assert [row.tolist() for row in rows] == [[1]] * 2
 
 
@@ -294,9 +295,10 @@ def test_float_fold_just_below_2_53_is_exact():
 
 
 def test_one_point_fold_is_one_plain_convolution_per_color(monkeypatch):
-    # a count table, the search's size and a one-point box check fold one
-    # row per color into one running row: one np.convolve each, with no
-    # gaps or padding in either operand
+    # on the numpy walk, a count table, the search's size and a one-point
+    # box check fold one row per color into one running row: one
+    # np.convolve each, with no gaps or padding in either operand; below
+    # the crossover, the packed product makes none
     convolve, calls = np.convolve, []
 
     def spy(a, v):
@@ -309,14 +311,87 @@ def test_one_point_fold_is_one_plain_convolution_per_color(monkeypatch):
     rows = [h_i * a + 1 for h_i, a in zip(h.coords, st.maxima)]
     want = [sorted((B.max - B.min + 1 + sum(r - 1 for r in rows[:i]), rows[i])) for i in range(3)]
     dec = ((), 0, (), 0)
-    for run in (
-        lambda: inhomogeneous_count_table(st, h, B, cap=t),
-        lambda: repcount._tfold_size(st, B, t, h),
-        lambda: repcount._streamed_box_fits(st, B, t, dec, h, 0),
-    ):
-        calls.clear()
-        run()
-        assert calls == want
+    for bits, convolutions in ((repcount._PRODUCT_BITS, []), (-1, want)):
+        monkeypatch.setattr(repcount, "_PRODUCT_BITS", bits)
+        for run in (
+            lambda: inhomogeneous_count_table(st, h, B, cap=t),
+            lambda: repcount._tfold_size(st, B, t, h),
+            lambda: repcount._streamed_box_fits(st, B, t, dec, h, 0),
+        ):
+            calls.clear()
+            run()
+            assert calls == convolutions
+
+
+def _one_point(sets, lo, B, cap, routing):
+    """The one-point box's counts under a routing of conftest.ROUTINGS, and
+    the slot bytes of every packed row it read (none on the numpy walk)."""
+    sizes = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in ROUTINGS[routing].items():
+            mp.setattr(repcount, name, value)
+        rows = repcount._rows
+        mp.setattr(repcount, "_rows", lambda *args: sizes.extend(args[3:]) or rows(*args))
+        [counts] = next(repcount._box_counts(sets, lo, 1, B, cap))
+    return counts, sizes
+
+
+one_point_set = st.lists(st.integers(min_value=1, max_value=9), max_size=3).map(
+    lambda xs: make_set([0] + xs))
+
+
+@given(st.lists(st.tuples(one_point_set, st.integers(min_value=0, max_value=6)), min_size=1, max_size=3),
+       st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=3).map(make_set),
+       st.sampled_from([None, 1, 2, 3, "T - 1", "T", "T + 1", 2**63]))
+def test_packed_product_is_the_numpy_walk(colors, B, cap):
+    # a one-point box as one product of packed rows gives the numpy walk's
+    # counts, {0} colors and h = 0 included, at caps below T, at T - 1, T
+    # and T + 1, and far above it
+    sets, lo = [A for A, _ in colors], [h for _, h in colors]
+    total = len(B) * math.prod(math.comb(len(A) + h - 1, h) for A, h in colors)
+    if isinstance(cap, str):
+        cap = max(total + {"T - 1": -1, "T": 0, "T + 1": 1}[cap], 1)
+    product, sizes = _one_point(sets, lo, B, cap, "product-always")
+    walk, none = _one_point(sets, lo, B, cap, "product-never")
+    assert set(sizes) == {repcount._slot_size(total)} and none == []
+    assert product.dtype == np.int64
+    assert product.tolist() == [int(c) for c in walk]
+
+
+# (total T, |B|, factors): |B| times one {0, 1} color at h = f - 1 per
+# factor f, whose row h has h + 1 entries of 1.  2^32 - 1 = 3 * 5 * 17 *
+# 257 * 65537 needs a row of 65,537 entries, so 2^32 - 2^16 (also 32 bits)
+# stands below 2^32
+_EDGES = {
+    "2^8 - 1": (2**8 - 1, 3, (5, 17)),
+    "2^8": (2**8, 4, (4, 4, 4)),
+    "2^16 - 1": (2**16 - 1, 3, (5, 17, 257)),
+    "2^16": (2**16, 4, (4,) * 7),
+    "2^32 - 2^16": (2**32 - 2**16, 3, (5, 17, 257) + (4,) * 8),
+    "2^32": (2**32, 4, (4,) * 15),
+    "2^62 - 2^32": (2**62 - 2**32, 9, (7, 11, 31, 151, 331) + (4,) * 16),
+    "2^62": (2**62, 4, (4,) * 30),
+}
+
+
+@pytest.mark.parametrize("edge, size", [
+    ("2^8 - 1", 1), ("2^8", 2), ("2^16 - 1", 2), ("2^16", 4), ("2^32 - 2^16", 4), ("2^32", 8),
+    ("2^62 - 2^32", 8), ("2^62", None),
+])
+def test_product_slots_at_the_edges(edge, size):
+    # T just below and at each slot width's edge: the packed product reads
+    # every row at T's slots and gives the numpy walk's counts; from 2^62
+    # on, the numpy walk runs even where every product is allowed
+    total, b, factors = _EDGES[edge]
+    assert b * math.prod(factors) == total
+    sets, lo = [make_set([0, 1])] * len(factors), [f - 1 for f in factors]
+    B = make_set(range(0, 3 * b, 3))
+    for cap in (None, 2, total - 1):
+        product, sizes = _one_point(sets, lo, B, cap, "product-always")
+        walk, _ = _one_point(sets, lo, B, cap, "product-never")
+        assert set(sizes) == ({size} if size else set())
+        assert [int(c) for c in product] == [int(c) for c in walk]
+    assert max(int(c) for c in walk) > 1
 
 
 def test_count_tables_match_the_oracle_under_every_routing(routing):
@@ -340,21 +415,24 @@ def test_count_tables_match_the_oracle_under_every_routing(routing):
 
 
 def test_one_element_B_starts_from_the_first_block(monkeypatch):
-    # a one-element B is the fold's identity: q colors take q - 1
-    # convolutions, a lone color none, and the counts do not change
+    # a one-element B is the fold's identity: on the numpy walk q colors
+    # take q - 1 convolutions, a lone color none, and the counts do not
+    # change; the packed product takes none, its indicator of B being 1
     convolve, calls = np.convolve, []
     monkeypatch.setattr(np, "convolve", lambda a, v: calls.append(1) or convolve(a, v))
     st, h = make_tuple([[0, 2, 3], [0, 1, 5], [0, 4]]), HVec((3, 2, 4))
-    for B in (make_set([0]), make_set([2])):
+    for bits, convolutions in ((repcount._PRODUCT_BITS, 0), (-1, 2)):
+        monkeypatch.setattr(repcount, "_PRODUCT_BITS", bits)
+        for B in (make_set([0]), make_set([2])):
+            calls.clear()
+            got = inhomogeneous_count_table(st, h, B, cap=3)
+            assert len(calls) == convolutions
+            assert got.offset == B.min
+            assert got.counts == tuple(min(c, 3) for c in oracle_count_table(st, h).counts)
         calls.clear()
-        got = inhomogeneous_count_table(st, h, B, cap=3)
-        assert len(calls) == 2
-        assert got.offset == B.min
-        assert got.counts == tuple(min(c, 3) for c in oracle_count_table(st, h).counts)
-    calls.clear()
-    table = multiset_count_table(make_set([0, 2, 3]), 4)
-    assert list(table.counts) == _streamed_row((0, 2, 3), 4, None).tolist()
-    assert calls == []
+        table = multiset_count_table(make_set([0, 2, 3]), 4)
+        assert list(table.counts) == _streamed_row((0, 2, 3), 4, None).tolist()
+        assert calls == []
 
 
 def _row_spy(monkeypatch):
@@ -376,23 +454,29 @@ def _row_spy(monkeypatch):
 
 
 def test_shared_rows_are_built_once_and_read_only(monkeypatch):
+    # packed rows (the default route here) are immutable integers, and
+    # the numpy walk's rows are arrays marked read-only
     seen = _row_spy(monkeypatch)
     st, h = make_tuple([[0, 2, 3], [0, 1, 5]]), HVec((3, 2))
-    for cap in (None, 2):
-        seen.clear()
-        with repcount._shared_rows():
-            first = chromatic_count_table(st, h, cap=cap)
-            second = chromatic_count_table(st, h, cap=cap)
-        assert first == second == chromatic_count_table(st, h, cap=cap)
-        shared, again, fresh = seen
-        assert all(a is b for a, b in zip(shared, again))
-        assert not any(a is b for a, b in zip(shared, fresh))
-        assert not any(row.flags.writeable for row in shared)
+    for bits, kind in ((repcount._PRODUCT_BITS, int), (-1, np.ndarray)):
+        monkeypatch.setattr(repcount, "_PRODUCT_BITS", bits)
+        for cap in (None, 2):
+            seen.clear()
+            with repcount._shared_rows():
+                first = chromatic_count_table(st, h, cap=cap)
+                second = chromatic_count_table(st, h, cap=cap)
+            assert first == second == chromatic_count_table(st, h, cap=cap)
+            shared, again, fresh = seen
+            assert all(isinstance(row, kind) for row in shared)
+            assert all(a is b for a, b in zip(shared, again))
+            assert not any(a is b for a, b in zip(shared, fresh))
+            assert not any(isinstance(row, np.ndarray) and row.flags.writeable for row in shared)
 
 
 def test_identity_fold_leaves_the_shared_row_unchanged(monkeypatch):
-    # an int64 row in an int64 fold: the identity fold starts from the row
-    # itself, and the cap goes into a new array
+    # an int64 row in an int64 fold of the numpy walk: the identity fold
+    # starts from the row itself, and the cap goes into a new array
+    monkeypatch.setattr(repcount, "_PRODUCT_BITS", -1)
     seen = _row_spy(monkeypatch)
     A, h, cap = make_set([0, 1, 2]), 3, 1 << 27
     bound, row_cap = repcount._bound([(A, h)], make_set([0]), cap)
@@ -407,17 +491,21 @@ def test_identity_fold_leaves_the_shared_row_unchanged(monkeypatch):
 
 
 def test_no_row_is_kept_outside_a_scope(monkeypatch):
-    exact_row, calls = repcount._exact_row, []
-    monkeypatch.setattr(repcount, "_exact_row", lambda *a: calls.append(1) or exact_row(*a))
+    # packed for the product, or unpacked for the numpy walk, each of the
+    # two rows is built once in a scope and once per table outside it
+    built = row_builds(monkeypatch)
     st, h = make_tuple([[0, 2, 3], [0, 1, 5]]), HVec((3, 2))
-    with repcount._shared_rows():
+    for bits in (repcount._PRODUCT_BITS, -1):
+        monkeypatch.setattr(repcount, "_PRODUCT_BITS", bits)
+        built.clear()
+        with repcount._shared_rows():
+            chromatic_count_table(st, h)
+            chromatic_count_table(st, h)
+        assert len(built) == 2
+        assert repcount._ROWS.get() is None
         chromatic_count_table(st, h)
         chromatic_count_table(st, h)
-    assert len(calls) == 2
-    assert repcount._ROWS.get() is None
-    chromatic_count_table(st, h)
-    chromatic_count_table(st, h)
-    assert len(calls) == 6
+        assert len(built) == 6
 
 
 def test_chromatic_examples():

@@ -92,24 +92,32 @@ def test_one_convolution():
 def test_one_fold_entry():
     """repcount._fold is named only inside repcount._box_counts (its walk
     included), which picks every count's dtype and cap from the one bound
-    (repcount._bound): count tables, the search's certificate sizes and
-    the margin box cannot fold at a dtype of their own."""
-    found = _places(
-        lambda node: (isinstance(node, ast.Name) and node.id == "_fold")
-        or (isinstance(node, ast.Attribute) and node.attr == "_fold")
-    )
-    assert found
-    assert all(f == "repcount._box_counts" or f.startswith("repcount._box_counts.") for f in found)
+    (repcount._bound), and its crossover repcount._PRODUCT_BITS is read
+    only there, where a one-point count's exact total proves the packed
+    product's slots wide enough: count tables, the search's certificate
+    sizes and the margin box cannot fold at a dtype or slot width of their
+    own."""
+    for name in ("_fold", "_PRODUCT_BITS"):
+        found = _places(
+            lambda node: isinstance(node, (ast.Name, ast.Attribute))
+            and name in (getattr(node, "id", None), getattr(node, "attr", None))
+            and isinstance(node.ctx, ast.Load)
+        )
+        assert found, name
+        assert all(f == "repcount._box_counts" or f.startswith("repcount._box_counts.") for f in found), name
 
 
 def test_one_row_source():
     """repcount._exact_row and repcount._capped_rows are named only inside
-    repcount._rows, the one entry every fold reads its rows from, and the
-    row scope's memo (repcount._ROWS) is read only there and in
-    repcount._shared_rows: no caller keeps rows of its own."""
-    for name in ("_exact_row", "_capped_rows"):
+    repcount._rows, the one entry every fold and every packed product
+    reads its rows from, and the packed steps only there and in
+    repcount._exact_row; the row scope's memo (repcount._ROWS) is read
+    only in repcount._rows and repcount._shared_rows: no caller builds or
+    keeps rows of its own."""
+    for name, places in (("_exact_row", {"repcount._rows"}), ("_capped_rows", {"repcount._rows"}),
+                         ("_packed_steps", {"repcount._rows", "repcount._exact_row"})):
         found = _places(lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None)))
-        assert set(found) == {"repcount._rows"}, name
+        assert set(found) == places, name
     found = _places(
         lambda node: isinstance(node, ast.Name) and node.id == "_ROWS" and isinstance(node.ctx, ast.Load)
     )
@@ -220,13 +228,19 @@ def test_one_float_fold():
 
 
 def test_one_packed_kernel():
-    """Integers are packed into bytes and back only in
-    repcount._exact_row, where each slot is proven wider than every count
-    it can hold: no other path can read a slot that a carry has reached."""
+    """Packed integers are stepped only in repcount._packed_steps (the
+    module's one loop that shifts a row by an element's slots) and read
+    back into slots only in repcount._unpack, which only
+    repcount._exact_row and repcount._box_counts call, each with slots
+    proven wider than every count they can hold: no other path can read a
+    slot that a carry has reached."""
     found = _places(
-        lambda node: isinstance(node, ast.Attribute) and node.attr in {"to_bytes", "from_bytes"}
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in {"to_bytes", "from_bytes", "frombuffer"}
     )
-    assert set(found) == {"repcount._exact_row"}
+    assert set(found) == {"repcount._unpack"}
+    found = _places(lambda node: isinstance(node, ast.Name) and node.id == "_unpack")
+    assert set(found) == {"repcount._exact_row", "repcount._box_counts"}
 
 
 def test_cli_imports_only_public_names():

@@ -49,7 +49,7 @@ from chromsum.structure import (
     witness_representations,
 )
 
-from conftest import ROUTINGS, random_normalized_tuple
+from conftest import ROUTINGS, random_normalized_tuple, row_builds
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -556,35 +556,30 @@ def test_certificate_rows_take_no_stream_from_row_0(monkeypatch, strategy, ht):
     assert structure_constants(A023, 1000, strategy=strategy).threshold.coords == ht
 
 
-def _row_builds(monkeypatch):
-    """(elements, h) of every row built: packed, or proven by the
-    partition folds."""
-    built, exact, capped = [], repcount._exact_row, repcount._capped_rows
-
-    def packed(elements, hs, *rest):
-        built.append((elements, hs[-1]))
-        return exact(elements, hs, *rest)
-
-    def proven(elements, hs, cap):
-        rows = capped(elements, hs, cap)
-        if rows is not None:
-            built.append((elements, hs[-1]))
-        return rows
-
-    monkeypatch.setattr(repcount, "_exact_row", packed)
-    monkeypatch.setattr(repcount, "_capped_rows", proven)
-    return built
-
-
 @pytest.mark.parametrize("sets, ht, builds", [
     ([[0, 1, 2, 3]] * 3, (1, 1, 1), 2),
     ([[0, 5, 13, 14], [0, 5, 13, 14], [0, 1]], (2, 2, 7), 15),
 ])
 def test_equal_colors_share_their_rows(monkeypatch, sets, ht, builds):
-    # the search's certificate builds each (set, h) row once, whichever
-    # colors ask for it: 2 and 15 rows, where one row per (color, h) made
-    # 6 and 24
-    built = _row_builds(monkeypatch)
+    # on the numpy walk, the search's certificate builds each (set, h) row
+    # once, whichever colors ask for it: 2 and 15 rows, where one row per
+    # (color, h) made 6 and 24
+    monkeypatch.setattr(repcount, "_PRODUCT_BITS", -1)
+    built = row_builds(monkeypatch)
+    assert structure_constants(make_tuple(sets), 5).threshold == HVec(ht)
+    assert len(built) == len(set(built)) == builds
+    assert repcount._ROWS.get() is None
+
+
+@pytest.mark.parametrize("sets, ht, builds", [
+    ([[0, 1, 2, 3]] * 3, (1, 1, 1), 2),
+    ([[0, 5, 13, 14], [0, 5, 13, 14], [0, 1]], (2, 2, 7), 22),
+])
+def test_equal_colors_share_their_packed_rows(monkeypatch, sets, ht, builds):
+    # as packed products, the certificate builds each (set, h, slot width)
+    # row once, whichever colors ask for it: 2 and 22 rows, where one row
+    # per color would make 6 and 31
+    built = row_builds(monkeypatch)
     assert structure_constants(make_tuple(sets), 5).threshold == HVec(ht)
     assert len(built) == len(set(built)) == builds
     assert repcount._ROWS.get() is None
