@@ -105,8 +105,8 @@ most _PACKED_CELLS = 2^15 cells, |A| * h * (h * max(A) + 1), is packed;
 longer capped rows take the proof of _capped_rows (below), and are
 packed where it leaves a row unproven.  One row at cap 3, measured on a
 2-vCPU VM (Python 3.11, numpy 2.4), best of 3 interleaved sets of 10-40
-runs, in us (* not proven, so the folds' time includes the fallback's,
-then a stream from row 0):
+runs, in us (* not proven: the folds' time includes the fallback as it
+was measured, a stream from row 0; such a row is now packed by _exact_row):
 
     row                       cells  packed  folds
     {0,2,5}, h = 2               66     7.4   28.5
@@ -638,8 +638,12 @@ def _rows(
     cap, size), an array read-only, and a later request for that key gets
     the same row; elements must start at 0.  The slot width is in the key
     because each product reads its rows at the slots of its own total
-    (see the module docstring), and packed rows come from here, not from
-    an entry of their own, so that _ROWS has one reader."""
+    (see the module docstring).  Keeping a packed row once at its own
+    width and re-slotting it for each product made the search slower (700
+    structure-search requests in-process on a 2-vCPU VM: 0.197 s became
+    0.222 s), and packing a kept int64 row on each use slower still.
+    Packed rows come from here, not from an entry of their own, so that
+    _ROWS keeps one reader and one memo for both kinds of row."""
     h = hs[-1]
     shared = _ROWS.get() if len(hs) == 1 else None
     key = (elements, h, cap, size)
@@ -917,7 +921,9 @@ def _shape_fits(dec, mask: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return ok & (mask == want).all(axis=1)
 
 
-def _streamed_box_fits(st: SetTuple, B: FiniteSet, t: int, dec, lo: HVec, margin: int) -> list[bool]:
+def _streamed_box_fits(
+    st: SetTuple, B: FiniteSet, t: int, dec, lo: tuple[int, ...], margin: int
+) -> list[bool]:
     """Whether the t-fold set of h.A + B is the shape dec (see _shape_fits)
     at each point h of the box [lo, lo + margin], last coordinate varying
     fastest.  B must have minimum 0.
@@ -927,9 +933,9 @@ def _streamed_box_fits(st: SetTuple, B: FiniteSet, t: int, dec, lo: HVec, margin
     step.  _box_counts walks the box, and one comparison tests each group
     of points it yields."""
     ends = [B.max]
-    for a, c in zip(st.maxima, lo.coords):
+    for a, c in zip(st.maxima, lo):
         ends = [m + a * (c + d) for m in ends for d in range(margin + 1)]
-    groups = _box_counts(st.sets, lo.coords, margin + 1, B, t)
+    groups = _box_counts(st.sets, lo, margin + 1, B, t)
     return [
         fit
         for counts, group_ends in zip(groups, np.array(ends, dtype=np.int64).reshape(-1, margin + 1))
@@ -1234,8 +1240,8 @@ def inhomogeneous_count_table(
     return CountTable(offset=B.min, counts=_counts(*_colors(st, h), B, cap), cap=cap)
 
 
-def _tfold_size(st: SetTuple, B: FiniteSet, t: int, h: HVec) -> int:
-    """Number of integers with at least t representations in h.A + B, from
-    one one-point _box_counts count."""
-    counts = next(_box_counts(st.sets, h.coords, 1, B, t))
+def _tfold_size(st: SetTuple, B: FiniteSet, t: int, h: tuple[int, ...]) -> int:
+    """Number of integers with at least t representations in h.A + B at the
+    coordinates h, from one one-point _box_counts count."""
+    counts = next(_box_counts(st.sets, h, 1, B, t))
     return int(np.count_nonzero(counts >= t))

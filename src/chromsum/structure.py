@@ -88,6 +88,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .errors import (
     BoundError,
@@ -98,7 +99,7 @@ from .errors import (
     NotNormalizedError,
     SearchExhaustedError,
 )
-from .intset import FiniteSet, HVec, SetTuple, _int, _is_int, hvec_add_unit, hvec_leq, hvec_sup
+from .intset import FiniteSet, HVec, SetTuple, _int, _is_int, hvec_leq
 from .repcount import (
     _ZERO,
     _fewest_loads,
@@ -275,15 +276,17 @@ def _translation(B: FiniteSet | None) -> FiniteSet:
 
 
 def _box_points(lo: HVec, margin: int):
-    """The exponent vectors of the closed box [lo, lo + margin]."""
-    for deltas in product(range(margin + 1), repeat=lo.q):
-        yield HVec(tuple(c + d for c, d in zip(lo.coords, deltas)))
+    """The exponent vectors of the closed box [lo, lo + margin], the last
+    coordinate varying fastest."""
+    for p in product(*(range(c, c + margin + 1) for c in lo.coords)):
+        yield HVec(p)
 
 
-def _result(dec, ht: HVec, strategy: str, margin: int) -> StructureResult:
+def _result(dec, coords: tuple[int, ...], strategy: str, margin: int) -> StructureResult:
     """The structure result of the shape dec = (C, c, D, d) at the
-    threshold ht, over the box [ht, ht + margin]."""
+    threshold coords, over the box [coords, coords + margin]."""
     low, cut_low, high, cut_high = dec
+    ht = HVec(coords)
     return StructureResult(
         low_fringe=FiniteSet(low),
         low_cut=cut_low,
@@ -291,7 +294,7 @@ def _result(dec, ht: HVec, strategy: str, margin: int) -> StructureResult:
         high_cut=cut_high,
         threshold=ht,
         strategy=strategy,
-        verified_box=(ht, HVec(tuple(c + margin for c in ht.coords))),
+        verified_box=(ht, HVec(tuple(c + margin for c in coords))),
     )
 
 
@@ -327,7 +330,7 @@ def low_fringe_constants(st: SetTuple, t: int) -> tuple[FiniteSet, int]:
     _require_normalized(st)
     _require_t(t)
     _require_nondegenerate(st, _ZERO, t)
-    low, cut = _limit_fringe(st, _ZERO, t, high=False)
+    low, cut = _limit_fringe(st, _ZERO, t, certified_rep_bound(st, t), False)
     return FiniteSet(low), cut
 
 
@@ -366,9 +369,13 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _flat_nonzero(st: SetTuple) -> list[tuple[int, int]]:
-    """Nonzero elements flattened in (color, element) order."""
-    return [(i, a) for i, A in enumerate(st.sets) for a in A.elements if a != 0]
+def _parts(st: SetTuple, high: bool) -> list[tuple[int, int]]:
+    """A side's nonzero parts as (part, color) pairs, color by color: the
+    nonzero elements of each A_i, or with high their reflections max(A_i)
+    - a for each a != max(A_i), the parts of the reflected tuple."""
+    if high:
+        return [(A.max - a, i) for i, A in enumerate(st.sets) for a in A.elements if a != A.max]
+    return [(a, i) for i, A in enumerate(st.sets) for a in A.elements if a]
 
 
 def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
@@ -396,13 +403,13 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
             f"n={n} is below the certified bound {bound}; the construction "
             "could produce a negative coefficient"
         )
-    flat = _flat_nonzero(st)
-    a_star = max(a for _, a in flat)
-    dist = max(idx for idx, (_, a) in enumerate(flat) if a == a_star)
+    flat = _parts(st, False)
+    a_star = max(a for a, _ in flat)
+    dist = max(idx for idx, (a, _) in enumerate(flat) if a == a_star)
 
-    g = flat[0][1]
+    g = flat[0][0]
     coeffs = [1]
-    for _, e in flat[1:]:
+    for e, _ in flat[1:]:
         g2, u, v = _ext_gcd(g, e)
         coeffs = [c * u for c in coeffs] + [v]
         g = g2
@@ -414,7 +421,7 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
     for s in range(1, t + 1):
         entries: dict[tuple[int, int], int] = {}
         used = 0
-        for idx, (color, a) in enumerate(flat):
+        for idx, (a, color) in enumerate(flat):
             if idx == dist:
                 continue
             val = (s - 1) * a_star + (solved[idx] % a_star)
@@ -429,7 +436,7 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
             )
         dist_mult = residual // a_star
         if dist_mult:
-            entries[flat[dist]] = dist_mult
+            entries[(flat[dist][1], a_star)] = dist_mult
         reps.append(
             ColoredRep(entries=tuple(sorted((c, a, m) for (c, a), m in entries.items())))
         )
@@ -438,14 +445,15 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
     return WitnessSet(n=n, reps=tuple(reps))
 
 
-def _one_sided_threshold(st: SetTuple, t: int, sporadic: tuple[int, ...], cut: int) -> HVec:
+def _one_sided_threshold(st: SetTuple, t: int, dec, high: bool) -> tuple[int, ...]:
     """Per-color part counts sufficient for t distinct colored
-    representations of every target (the sporadic set plus one full
-    window [cut, cut + a - 1]): the t fewest-part partitions over the
-    sorted nonzero (element, color) parts, all targets in one call of
-    repcount._fewest_loads, which takes its t-best DP or its enumeration,
-    whichever the measured crossover says is cheaper; both give the same
-    loads.
+    representations of every target of one side of the limit shape dec =
+    (C, c, D, d), the low side's (C, c) or with high the high side's (D,
+    d): the sporadic set plus one full window [cut, cut + a - 1].  They
+    are the t fewest-part partitions over the side's (part, color) pairs
+    (_parts), sorted, all targets in one call of repcount._fewest_loads,
+    which takes its t-best DP or its enumeration, whichever the measured
+    crossover says is cheaper; both give the same loads.
 
     Every target lies below certified_rep_bound k(ta - 1)a, where the
     residue-window construction of witness_representations starts, so
@@ -455,40 +463,37 @@ def _one_sided_threshold(st: SetTuple, t: int, sporadic: tuple[int, ...], cut: i
     nonnegative multiple of a.  So cut <= (k - 1)(ta - 1)a, and the top
     target cut + a - 1 is below k(ta - 1)a whenever ta >= 2; when ta = 1
     the only target is n = 0, whose one partition is empty."""
+    sporadic, cut = dec[2:] if high else dec[:2]
     a_star = max(st.maxima)
-    flat = sorted((a, i) for i, A in enumerate(st.sets) for a in A.elements if a)
+    flat = sorted(_parts(st, high))
     targets = list(sporadic) + list(range(cut, cut + a_star))
-    return HVec(tuple(_fewest_loads([a for a, _ in flat], [i for _, i in flat], st.q, targets, t)))
+    return tuple(_fewest_loads([a for a, _ in flat], [i for _, i in flat], st.q, targets, t))
 
 
 def _constructive(st: SetTuple, t: int):
     """The limit constants (C, c, D, d) of the t-fold sets and the
-    constructive threshold vector (see threshold_constructive)."""
-    _require_normalized(st)
-    _require_t(t)
-    _require_nondegenerate(st, _ZERO, t)
+    constructive threshold vector's coordinates (see
+    threshold_constructive), for a tuple and a t its callers checked."""
     dec = _limit_constants(st, _ZERO, t)
-    low, cut_low, high, cut_high = dec
-    a_star = max(st.maxima)
+    _, cut_low, _, cut_high = dec
     maxima = st.maxima
+    a_star = max(maxima)
 
-    h_low = _one_sided_threshold(st, t, low, cut_low)
-    h_high = _one_sided_threshold(st.reflected(), t, high, cut_high)
+    h_low, h_high = (_one_sided_threshold(st, t, dec, high) for high in (False, True))
 
-    gap_high = h_low.dot(maxima) - (cut_low + a_star - 1)
-    gap_low = h_high.dot(maxima) - (cut_high + a_star - 1)
+    gap_high = sum(map(mul, h_low, maxima)) - (cut_low + a_star - 1)
+    gap_low = sum(map(mul, h_high, maxima)) - (cut_high + a_star - 1)
 
-    ht = hvec_sup([h_low, h_high])
+    coords = list(map(max, h_low, h_high))
     # the two intervals must overlap: low side is solid up to M - gap_high,
     # high side from gap_low on; each step on the largest maximum adds a_star
     bump = maxima.index(a_star)
-    short = gap_low + gap_high - ht.dot(maxima)
-    coords = list(ht.coords)
+    short = gap_low + gap_high - sum(map(mul, coords, maxima))
     coords[bump] += max(0, -(-short // a_star))
     if st.q == 1:
         # the closed form is sufficient for a single set; never exceed it
         coords[0] = min(coords[0], closed_form_threshold(st.sets[0], t))
-    return dec, HVec(tuple(coords))
+    return dec, tuple(coords)
 
 
 def threshold_constructive(st: SetTuple, t: int) -> HVec:
@@ -506,7 +511,10 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
     most closed_form_threshold.  structure_constants then proves the shape
     at it with the certificate of the module docstring.
     """
-    return _constructive(st, t)[1]
+    _require_normalized(st)
+    _require_t(t)
+    _require_nondegenerate(st, _ZERO, t)
+    return HVec(_constructive(st, t)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -515,31 +523,28 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
 
 def _limit_constants(st: SetTuple, B: FiniteSet, t: int):
     """(C, c, D, d) of the large-h limit of the t-fold sets of h.A + B."""
-    return (*_limit_fringe(st, B, t, high=False), *_limit_fringe(st, B, t, high=True))
+    # the reflected tuple shares the certified bound
+    bound = certified_rep_bound(st, t)
+    return (*_limit_fringe(st, B, t, bound, False), *_limit_fringe(st, B, t, bound, True))
 
 
-def _limit_fringe(st: SetTuple, B: FiniteSet, t: int, *, high: bool) -> tuple[tuple[int, ...], int]:
+def _limit_fringe(st: SetTuple, B: FiniteSet, t: int, bound: int, high: bool):
     """(C, c) of the large-h limit of the t-fold sets of h.A + B, or with
-    high (D, d): the same read off the reflections of every A_i and of B."""
-    # past the certified bound, which the reflected tuple shares, the
-    # witness construction gives t colored partitions, and 0 is in B and in
-    # its reflection; a lone part 1 gives one partition, but then |B| >= t
-    # (or the tuple was refused), so every n >= max(B) has t pairs
-    bound = max(certified_rep_bound(st, t), B.max)
-    if high:
-        parts = [A.max - a for A in st.sets for a in A.elements if a != A.max]
-        shifts = [B.max - b for b in B.elements]
-    else:
-        parts = [a for A in st.sets for a in A.elements if a]
-        shifts = list(B.elements)
-    return _limit_side(parts, shifts, t, bound)
+    high (D, d): the same read off the reflections of every A_i and of B;
+    bound is certified_rep_bound of the tuple."""
+    # past the certified bound, the witness construction gives t colored
+    # partitions, and 0 is in B and in its reflection; a lone part 1 gives
+    # one partition, but then |B| >= t (or the tuple was refused), so every
+    # n >= max(B) has t pairs
+    shifts = [B.max - b for b in B.elements] if high else list(B.elements)
+    return _limit_side([a for a, _ in _parts(st, high)], shifts, t, max(bound, B.max))
 
 
 def _counts_are_bounded(st: SetTuple) -> bool:
     """True when colored counts stay at most 1 for every exponent vector:
     on a normalized tuple, exactly when a single (color, element) pair is
     nonzero (that element is then 1)."""
-    return len(_flat_nonzero(st)) == 1
+    return len(_parts(st, False)) == 1
 
 
 def _require_nondegenerate(st: SetTuple, B: FiniteSet, t: int) -> None:
@@ -554,21 +559,21 @@ def _require_nondegenerate(st: SetTuple, B: FiniteSet, t: int) -> None:
 
 def _certifier(st: SetTuple, B: FiniteSet, dec, t: int):
     """cert of the module docstring for the limit shape dec = (C, c, D, d)
-    of the t-fold sets of h.A + B, memoized."""
+    of the t-fold sets of h.A + B, on coordinate tuples h, memoized."""
     q, maxima = st.q, st.maxima
     low, cut_low, high, cut_high = dec
     # middle length L at h is h.maxima + shift
     shift = B.max - cut_high - cut_low + 1
-    known: dict[HVec, bool] = {}
+    known: dict[tuple[int, ...], bool] = {}
 
-    def cert(h: HVec) -> bool:
+    def cert(h: tuple[int, ...]) -> bool:
         got = known.get(h)
         if got is None:
-            middle = h.dot(maxima) + shift
+            middle = sum(map(mul, h, maxima)) + shift
             got = (
                 middle >= 1
                 and _tfold_size(st, B, t, h) == len(low) + middle + len(high)
-                and all(cert(hvec_add_unit(h, i)) for i in range(q) if maxima[i] > middle)
+                and all(cert(h[:i] + (h[i] + 1,) + h[i + 1 :]) for i in range(q) if maxima[i] > middle)
             )
             known[h] = got
         return got
@@ -611,7 +616,7 @@ def _stabilize(
 
     # the middle is nonempty from the first m with m * sum(maxima) + max(B) >= c + d
     first = max(0, -(-(cut_low + cut_high - B.max) // sum(st.maxima)))
-    m = _gallop(lambda m: cert(HVec((m,) * q)), first, ceiling)
+    m = _gallop(lambda m: cert((m,) * q), first, ceiling)
     if m > ceiling:
         raise SearchExhaustedError(
             f"no certified t-fold shape up to the diagonal ceiling {ceiling}"
@@ -620,9 +625,9 @@ def _stabilize(
     c = (m,) * q
     for i in range(q):
         # the least k >= 1 at which c_i - k is no longer certified
-        k = _gallop(lambda k: not cert(HVec(c[:i] + (c[i] - k,) + c[i + 1 :])), 1, c[i])
+        k = _gallop(lambda k: not cert(c[:i] + (c[i] - k,) + c[i + 1 :]), 1, c[i])
         c = c[:i] + (c[i] - k + 1,) + c[i + 1 :]
-    return _result(dec, HVec(c), "empirical", margin)
+    return _result(dec, c, "empirical", margin)
 
 
 def structure_constants(
@@ -650,24 +655,23 @@ def structure_constants(
     if ceiling is not None and (not _is_int(ceiling) or ceiling < 0):
         raise DomainError("ceiling must be a nonnegative integer or None")
     B = _translation(B)
+    if strategy not in ("empirical", "constructive"):
+        raise DomainError(f"unknown strategy {strategy!r}")
+    if strategy == "constructive" and (B != _ZERO or ceiling is not None):
+        raise DomainError("the constructive strategy takes no translation set and no ceiling")
+    _require_nondegenerate(st, B, t)
     if strategy == "empirical":
-        _require_nondegenerate(st, B, t)
         with _shared_rows():
             return _stabilize(st, B, t, margin, ceiling)
-    if strategy != "constructive":
-        raise DomainError(f"unknown strategy {strategy!r}")
-    if B != _ZERO or ceiling is not None:
-        raise DomainError("the constructive strategy takes no translation set and no ceiling")
 
-    dec, ht = _constructive(st, t)
+    dec, coords = _constructive(st, t)
     with _shared_rows():
-        certified = _certifier(st, _ZERO, dec, t)(ht)
+        certified = _certifier(st, B, dec, t)(coords)
     if not certified:
         raise RuntimeError(
-            f"internal invariant: the constructive threshold h={list(ht.coords)} "
-            "is not certified"
+            f"internal invariant: the constructive threshold h={list(coords)} is not certified"
         )
-    return _result(dec, ht, "constructive", margin)
+    return _result(dec, coords, "constructive", margin)
 
 
 def structure_constants_inhomogeneous(
@@ -720,4 +724,4 @@ def verify_box(
         raise DomainError("malformed interval: the cuts overlap at this h")
     dec = (result.low_fringe.elements, result.low_cut,
            result.high_fringe.elements, result.high_cut)
-    return list(zip(_box_points(lo, margin), _streamed_box_fits(st, B, t, dec, lo, margin)))
+    return list(zip(_box_points(lo, margin), _streamed_box_fits(st, B, t, dec, lo.coords, margin)))

@@ -315,8 +315,8 @@ def test_one_point_fold_is_one_plain_convolution_per_color(monkeypatch):
         monkeypatch.setattr(repcount, "_PRODUCT_BITS", bits)
         for run in (
             lambda: inhomogeneous_count_table(st, h, B, cap=t),
-            lambda: repcount._tfold_size(st, B, t, h),
-            lambda: repcount._streamed_box_fits(st, B, t, dec, h, 0),
+            lambda: repcount._tfold_size(st, B, t, h.coords),
+            lambda: repcount._streamed_box_fits(st, B, t, dec, h.coords, 0),
         ):
             calls.clear()
             run()

@@ -143,6 +143,38 @@ def test_one_box_check():
     assert found == ["structure.verify_box"]
 
 
+def test_structure_validates_at_its_boundary():
+    """structure builds an HVec or a FiniteSet, and reflects a tuple, only
+    where a value enters or leaves the library: a result and its JSON
+    form, a fringe constant, the constructive threshold and the points
+    verify_box returns.  The search, its certificate and the constructive
+    route run on plain coordinate tuples and on the (part, color) pairs
+    of structure._parts, so nothing the library made is validated again."""
+
+    def calls(name: str) -> set[str]:
+        return {
+            f for f in _places(
+                lambda node: isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            )
+            if f.startswith("structure.")
+        }
+
+    assert calls("HVec") == {
+        "structure.StructureResult.from_json", "structure._box_points",
+        "structure._result", "structure.threshold_constructive",
+    }
+    assert calls("FiniteSet") == {
+        "structure.StructureResult.pattern_set", "structure.StructureResult.from_json",
+        "structure._result", "structure.low_fringe_constants",
+    }
+    assert calls("reflected") == {"structure.high_fringe_constants"}
+    named = ("id", "attr", "name")
+    for name in ("hvec_add_unit", "hvec_sup", "_flat_nonzero"):
+        found = _places(lambda node: name in (getattr(node, key, None) for key in named))
+        assert [f for f in found if f == "structure" or f.startswith("structure.")] == [], name
+
+
 def _trees() -> list[ast.Module]:
     return [
         ast.parse(path.read_text(), filename=str(path))

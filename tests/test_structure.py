@@ -55,7 +55,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 A023 = make_tuple([[0, 2, 3]])
 # the empirical result of A023 at t = 1
-R023 = structure._result(((0,), 2, (), 0), HVec((1,)), "empirical", 3)
+R023 = structure._result(((0,), 2, (), 0), (1,), "empirical", 3)
 
 
 def box(lo: HVec, margin: int) -> list[HVec]:
@@ -683,16 +683,18 @@ class TestThresholds:
 
     def test_search_size_calls_are_pinned(self, monkeypatch):
         # one certificate size fold per cert point the galloping walks
-        # visit; a walk of one step at a time made 88 here
+        # visit, each at a plain coordinate tuple; a walk of one step at a
+        # time made 88 here
         size, calls = structure._tfold_size, []
 
-        def spy(st, B, t, h):
-            calls.append(h)
-            return size(st, B, t, h)
+        def spy(st, B, t, coords):
+            calls.append(coords)
+            return size(st, B, t, coords)
 
         monkeypatch.setattr(structure, "_tfold_size", spy)
         res = structure_constants(make_tuple([[0, 3, 100], [0, 7, 99]]), 20)
         assert res.threshold == HVec((63, 28))
+        assert all(type(coords) is tuple for coords in calls)
         assert len(calls) == 25 and len(set(calls)) == 25
 
     def test_search_makes_no_box_check(self, monkeypatch):
@@ -771,10 +773,10 @@ class TestThresholds:
                  != structure._pattern_members(dec, h.dot(st.maxima) + B.max)),
                 None,
             )
-            fits = repcount._streamed_box_fits(st, B, t, dec, lo, 2)
+            fits = repcount._streamed_box_fits(st, B, t, dec, lo.coords, 2)
             got = next((h for h, ok in zip(box(lo, 2), fits) if not ok), None)
             assert got == want, (st.sets, B.elements, t, dec, lo)
-            checked = verify_box(st, t, structure._result(dec, lo, "empirical", 0), lo, B, 2)
+            checked = verify_box(st, t, structure._result(dec, lo.coords, "empirical", 0), lo, B, 2)
             assert [h for h, _ in checked] == box(lo, 2)
             assert next((h for h, ok in checked if not ok), None) == want
 
@@ -822,9 +824,9 @@ class TestThresholds:
                 for h in box(lo, margin)
             ]
             args = (st.sets, B.elements, t, dec, lo.coords, margin)
-            assert repcount._streamed_box_fits(st, B, t, dec, lo, margin) == want, args
+            assert repcount._streamed_box_fits(st, B, t, dec, lo.coords, margin) == want, args
             if cut_low + cut_high <= end:
-                checked = verify_box(st, t, structure._result(dec, lo, "empirical", 0), lo, B, margin)
+                checked = verify_box(st, t, structure._result(dec, lo.coords, "empirical", 0), lo, B, margin)
                 assert checked == list(zip(box(lo, margin), want)), args
             verdicts[kind].update(want)
             cases += 1
@@ -859,8 +861,8 @@ class TestThresholds:
         assert members == tuple(range(members[0], members[-1] + 1)) and len(members) > 100
         exact = ((), members[0], (), 100 * top - members[-1])
         monkeypatch.setattr(repcount, "_box_counts", spy)
-        assert repcount._tfold_size(st, B, t, lo) == len(members)
-        assert repcount._streamed_box_fits(st, B, t, exact, lo, 0) == [True]
+        assert repcount._tfold_size(st, B, t, lo.coords) == len(members)
+        assert repcount._streamed_box_fits(st, B, t, exact, lo.coords, 0) == [True]
         _, cut_low, _, cut_high = exact
         for dec in [exact, ((), cut_low, (), cut_high + 1), ((), cut_low + 1, (), cut_high),
                     ((), cut_low, (cut_high - 2,), cut_high)]:
@@ -869,7 +871,7 @@ class TestThresholds:
                 == structure._pattern_members(dec, top * h.coords[0])
                 for h in (lo, HVec((101,)))
             ]
-            assert repcount._streamed_box_fits(st, B, t, dec, lo, 1) == want
+            assert repcount._streamed_box_fits(st, B, t, dec, lo.coords, 1) == want
         assert dtypes == {np.dtype(fold_dtype)}
 
     def test_verify_takes_the_rows_of_zero_from_row_0(self, monkeypatch):
@@ -1047,9 +1049,10 @@ class TestVerify:
         # fault of the library, not a refusal: the certificate at that
         # vector fails, and the call raises the internal invariant
         st, t = make_tuple([[0, 2, 3]]), 2
-        (low, _, high, cut_high), ht = structure._constructive(st, t)
-        overlap = (low, ht.dot(st.maxima) - cut_high + 1, high, cut_high)
-        monkeypatch.setattr(structure, "_constructive", lambda *_: (overlap, ht))
+        (low, _, high, cut_high), coords = structure._constructive(st, t)
+        end = sum(c * a for c, a in zip(coords, st.maxima))
+        overlap = (low, end - cut_high + 1, high, cut_high)
+        monkeypatch.setattr(structure, "_constructive", lambda *_: (overlap, coords))
         with pytest.raises(RuntimeError, match="internal invariant"):
             structure_constants(st, t, strategy="constructive")
 
@@ -1222,31 +1225,30 @@ def _certified(request):
 
 
 def _linear_walk(st, t, B):
-    """The search one step at a time, on the search's own cert: (first
-    diagonal point with a nonempty middle, first certified diagonal
-    point, the vector after lowering each coordinate in turn while cert
-    holds, cert)."""
+    """The search one step at a time, on the search's own cert, which
+    takes coordinate tuples: (first diagonal point with a nonempty middle,
+    first certified diagonal point, the coordinates after lowering each
+    one in turn while cert holds, cert)."""
     dec = structure._limit_constants(st, B, t)
     cert = structure._certifier(st, B, dec, t)
     first = max(0, -(-(dec[1] + dec[3] - B.max) // sum(st.maxima)))
     ceiling = structure._search_ceiling(st, t)
-    m_star = next(m for m in range(first, ceiling + 1) if cert(HVec((m,) * st.q)))
+    m_star = next(m for m in range(first, ceiling + 1) if cert((m,) * st.q))
     c = [m_star] * st.q
     for i in range(st.q):
-        while c[i] > 0 and cert(HVec(tuple(c[:i] + [c[i] - 1] + c[i + 1:]))):
+        while c[i] > 0 and cert(tuple(c[:i] + [c[i] - 1] + c[i + 1:])):
             c[i] -= 1
-    return first, m_star, HVec(tuple(c)), cert
+    return first, m_star, tuple(c), cert
 
 
 @given(small_request)
 def test_galloping_walks_find_the_linear_walk_vector(request):
     st, t, B, res = _certified(request)
-    _, _, ht, cert = _linear_walk(st, t, B)
-    assert res.threshold == ht
+    _, _, c, cert = _linear_walk(st, t, B)
+    assert res.threshold.coords == c
     # minimal: no positive coordinate can be lowered
-    c = ht.coords
-    assert cert(ht)
-    assert not any(cert(HVec(c[:i] + (c[i] - 1,) + c[i + 1:])) for i in range(st.q) if c[i])
+    assert cert(c)
+    assert not any(cert(c[:i] + (c[i] - 1,) + c[i + 1:]) for i in range(st.q) if c[i])
 
 
 def _oracle_tfold(st, h, B, t) -> set[int]:
