@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, NotNormalizedError
+from .errors import DimensionError, DomainError, NotNormalizedError
 from .intset import FiniteSet, HVec, SetTuple, _is_int, hvec_add_unit
 from .repcount import (
     CountTable,
@@ -205,7 +205,7 @@ def run_all(st: SetTuple, h: HVec, t: int = 1, B: FiniteSet | None = None) -> li
     if not st.normalized:
         raise NotNormalizedError("lemma checks require a normalized tuple")
     if h.q != st.q:
-        raise DomainError("exponent vector length does not match tuple")
+        raise DimensionError("exponent vector length does not match tuple")
     if not _is_int(t) or t < 1:
         raise DomainError("t must be a positive integer")
     if B is None:

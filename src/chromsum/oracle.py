@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DimensionError, DomainError
 from .intset import FiniteSet, HVec, SetTuple, _is_int
 from .repcount import CountTable
 
@@ -43,7 +43,7 @@ def enumeration_size(st: SetTuple, h: HVec) -> int:
     """Number of colored tuples the exhaustive enumeration visits:
     the product over colors of C(|A_i| + h_i - 1, h_i)."""
     if h.q != st.q:
-        raise DomainError("exponent vector length does not match tuple")
+        raise DimensionError("exponent vector length does not match tuple")
     size = 1
     for A, hi in zip(st.sets, h.coords):
         size *= math.comb(len(A) + hi - 1, hi)

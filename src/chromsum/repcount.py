@@ -59,7 +59,7 @@ Exact rows on packed integers (_exact_row).  A row of the recurrence is
 a polynomial with nonnegative coefficients, so it can be held as one
 Python integer, entry n in bits [n * w, (n + 1) * w) (Kronecker
 substitution; Harvey, J. Symbolic Comput., 2009), and a step is one
-shift and one add in C (_packed_steps, the one stepping loop):
+shift and one add in C (_prefixes, the one stepping loop):
 
     f(j, m+1, .) = f(j-1, m+1, .) + (f(j, m, .) << a_j * w)
 
@@ -174,11 +174,15 @@ streams, against 416, 43 and 255 ms for the walk alone and 184, 20 and
 1,081 and 2,114 of 2,916 calls are products, while the counts
 workload's capped strata and anchors walk.  Slots of one fixed 8 bytes
 would let every product share a single packed row per (set, h), where
-now a row scope builds a row again at each width its products need
-(339 of 3,180 builds over 300 seed-104/106/108 structure-search
-requests), but they made each product hold up to 8 times the bits: the
-first 700 requests of seed 104, replayed in-process, took a p50 of
-0.33-0.37 ms against 0.29-0.31 ms (3 alternating runs each).
+now a row scope steps a set's states again from row 0 at each new
+width its products need (416 of 3,180 stepping calls, 2,232 of 8,014
+steps, over 300 seed-104/106/108 structure-search requests), but they
+made each product hold up to 8 times the bits: the first 700 requests
+of seed 104, replayed in-process, took a p50 of 0.33-0.37 ms against
+0.29-0.31 ms (3 alternating runs each).  Nor does
+re-slotting a kept row for each product pay: keeping each packed row
+once at its own width took those 700 requests from 0.197 to 0.222 s in
+all, and packing a kept int64 row on each use was slower still.
 
 Capped rows from two partition folds (_capped_rows).  Since 0 is in A,
 an h-multiset of A is a partition of its sum into the nonzero elements
@@ -210,8 +214,13 @@ are prefixes of those of a higher one: the margin box's rows h = lo_i,
 ..., lo_i + margin all come from the two folds at its top row.  The
 structure search's certificate runs in a row scope (below), so it
 builds the row of each (set, h) it visits once: two folds near h, not h
-kernel steps, where they prove it; an unproven long row is rebuilt from
-row 0 at each new h.
+kernel steps, where they prove it; an unproven long row is packed,
+stepped on from the highest packed state the scope keeps below it at
+its slot width.  So [[0,1,2,3]] at t = 32768, whose rows up to h_t = 607
+are all unproven, takes 799 steps for its 16 rows, where rebuilding
+each from row 0 took 8,448 (6.4-7.3 against 33-40 ms, 8 fresh
+processes each on a 2-vCPU VM, Python 3.11, numpy 2.4); a new slot
+width starts again at row 0.
 
 The margin box.  verify tests the t-fold set at every point of a box
 [lo, lo + margin], (margin + 1)^q points, from the rows lo_i, ...,
@@ -232,18 +241,30 @@ the rows it reads, not with the box.  A one-point box past the product's
 crossover walks with q - 1 np.convolve calls for a one-element B, q for
 a larger one.
 
-The row scope.  Inside a _shared_rows() block, _rows keeps each single
-row it builds by (A's elements, h, cap, slot bytes) and hands it to
-every later request with the same key, whatever table, certificate
-point or color asks: lemmas.run_all runs its checks in one scope, and
-structure_constants each route's certificate, so two colors with equal
-sets share their rows.  Sharing is exact: the key fixes the whole row
-(_exact_row's or _capped_rows' array, dtype included, or the packed
-integer at its slot width), and the fold's dtype and cap are chosen per
-walk afterwards.  Kept arrays are marked read-only, and no fold writes
-into a row; packed rows are Python ints, which nothing can write.
-Outside a scope nothing is kept, so no row outlives the call that built
-it.
+The row scope.  Inside a _shared_rows() block two kinds of entry are
+kept, whatever table, certificate point or color asks: lemmas.run_all
+runs its checks in one scope, and structure_constants each route's
+certificate, so two colors with equal sets share their rows.
+
+* (A's elements, h, cap) -> the single row _rows built, an array: a
+  later request with the same key gets it.  Sharing is exact: the key
+  fixes the whole row (_exact_row's or _capped_rows' array, dtype
+  included), and the fold's dtype and cap are chosen per walk
+  afterwards.  Kept arrays are marked read-only, and no fold writes
+  into a row.
+* (A's elements, slot bytes) -> {h: state}, the packed states
+  _prefixes stepped to, every prefix's row h: the packed product reads
+  its rows from them, and _exact_row its rows and its handover state.
+  A request at h takes the state kept at h, or steps on from a copy of
+  the highest one below; a state is a list of Python ints, and no step
+  writes into a kept one.  A state serves its own slot width only.
+
+Keeping the arrays matters where no state could help: without them, a
+sweep of 300 random searches (q 1-3, maxima up to 40, t 2-1,000)
+failed twice as many _capped_rows proofs and ran slower.  A range of
+rows (the margin box) is stepped in one pass, which keeps the state at
+its top row alone, not one per row.  Outside a scope nothing is kept,
+so no row outlives the call that built it.
 
 Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
@@ -428,7 +449,8 @@ _STEP_CELLS = 150
 _PART_CELLS = 2300
 
 # inside a _shared_rows() scope, the single rows _rows built, by (elements,
-# h, cap); None outside one
+# h, cap), and the packed states _prefixes stepped to, by (elements, slot
+# bytes) and then by row; None outside one
 _ROWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_ROWS", default=None)
 
 
@@ -478,7 +500,7 @@ class CountTable:
         )
 
     def support_at_least(self, t: int) -> FiniteSet:
-        if t < 1:
+        if not _is_int(t) or t < 1:
             raise DomainError("threshold must be a positive integer")
         if self.cap is not None and t > self.cap:
             raise DomainError("threshold exceeds the table cap")
@@ -559,19 +581,36 @@ def _slot_size(bound: int) -> int:
     return 1 << (size - 1).bit_length() if size <= 8 else size
 
 
-def _packed_steps(elements: tuple[int, ...], size: int) -> Iterator[list[int]]:
-    """The packed rows f(j, m, .) of every element prefix j, for m = 0, 1,
-    2, ..., entry n in slot n of size bytes (see the module docstring); one
-    list, updated in place by each step.  elements must start at 0, and
-    every entry and partial sum up to the last m asked for must fit a
-    slot."""
-    prefix = [1] * len(elements)
+def _prefixes(elements: tuple[int, ...], size: int, hs: range) -> tuple[list[int], list[int]]:
+    """(rows, state): the packed rows hs of the multiset DP over elements,
+    and the state at the top row h = hs[-1], the packed rows f(j, h, .) of
+    every element prefix j, entry n in slot n of size bytes (see the
+    module docstring); the module's one stepping loop.  elements must
+    start at 0, and every entry and partial sum up to row h must fit a
+    slot; every row of {0} is 1, at no step.  Inside a _shared_rows()
+    scope the steps resume from a copy of the highest state kept for
+    (elements, size) at or below hs[0], and the state at h is kept;
+    outside one they start at row 0 and nothing is kept.  Callers must not
+    write to the state."""
+    if len(elements) == 1:
+        return [1] * len(hs), [1]
+    lo, h = hs[0], hs[-1]
+    shared = _ROWS.get()
+    kept = {} if shared is None else shared.setdefault((elements, size), {})
+    if lo == h and h in kept:
+        return [kept[h][-1]], kept[h]
+    start = max((m for m in kept if m <= lo), default=0)
+    prefix = list(kept[start]) if start else [1] * len(elements)
     shifts = [8 * size * a for a in elements[1:]]
-    while True:
-        yield prefix
+    rows = [prefix[-1]] if start == lo else []
+    for m in range(start + 1, h + 1):
         below = 1
         for j, shift in enumerate(shifts, 1):
             below = prefix[j] = below + (prefix[j] << shift)
+        if m >= lo:
+            rows.append(prefix[-1])
+    kept[h] = prefix
+    return rows, prefix
 
 
 def _unpack(value: int, length: int, size: int) -> np.ndarray:
@@ -589,9 +628,9 @@ def _exact_row(
     elements: tuple[int, ...], hs: range, bound: int, cap: int | None = None
 ) -> list[np.ndarray]:
     """Rows hs of _multiset_rows(elements, _dtype(bound), cap), bound being
-    C(len(elements) + hs[-1] - 1, hs[-1]), from _packed_steps at the slots
-    of bound (see the module docstring); elements must start at 0 and hold
-    a nonzero element.  Where cap is below bound, each row is clipped at it
+    C(len(elements) + hs[-1] - 1, hs[-1]), from _prefixes at the slots of
+    bound (see the module docstring); elements must start at 0 and hold a
+    nonzero element.  Where cap is below bound, each row is clipped at it
     once, as it is unpacked, and comes at _dtype(cap).  An int64 row, exact
     or clipped, is handed over to _multiset_rows before _HANDOVER
     entries."""
@@ -602,12 +641,10 @@ def _exact_row(
     stop = h if dtype is object else min(h, (_HANDOVER - 1) // top)
     # (packed row, its length) to unpack: the rows of hs up to the
     # handover, then every prefix at it
-    packed = []
-    for m, prefix in zip(range(stop + 1), _packed_steps(elements, size)):
-        if m in hs:
-            packed.append((prefix[-1], m * top + 1))
+    tops, state = _prefixes(elements, size, range(min(hs[0], stop), stop + 1))
+    packed = [(value, m * top + 1) for m, value in zip(range(hs[0], stop + 1), tops)]
     if stop < h:
-        packed += [(prefix[j], stop * a + 1) for j, a in enumerate(elements)]
+        packed += [(state[j], stop * a + 1) for j, a in enumerate(elements)]
     rows = []
     for value, length in packed:
         row = _unpack(value, length, size)
@@ -623,49 +660,31 @@ def _exact_row(
     return rows + list(islice(stream, max(hs[0] - stop, 1), h - stop + 1))
 
 
-def _rows(
-    elements: tuple[int, ...], hs: range, cap: int | None, size: int = 0
-) -> list[np.ndarray] | list[int]:
+def _rows(elements: tuple[int, ...], hs: range, cap: int | None) -> list[np.ndarray]:
     """Rows hs of the multiset DP over elements, clipped at cap unless it is
-    None, the one source of rows: every row of {0} is [1]; rows whose cap
-    is below the color's bound C(|A| + h - 1, h) at the top row h = hs[-1]
-    come from _capped_rows where that row costs more than _PACKED_CELLS
-    cells and it proves them; every other row is packed (_exact_row),
-    and clipped once where the cap is below the bound.  With size, the
-    one row h comes exact and still packed, one integer of size-byte slots
-    (_packed_steps; cap must be None), which the caller proves wide enough.
+    None, the one source of row arrays: every row of {0} is [1]; rows whose
+    cap is below the color's bound C(|A| + h - 1, h) at the top row h =
+    hs[-1] come from _capped_rows where that row costs more than
+    _PACKED_CELLS cells and it proves them; every other row is packed
+    (_exact_row), and clipped once where the cap is below the bound.
     Inside a _shared_rows() scope a single row is kept by (elements, h,
-    cap, size), an array read-only, and a later request for that key gets
-    the same row; elements must start at 0.  The slot width is in the key
-    because each product reads its rows at the slots of its own total
-    (see the module docstring).  Keeping a packed row once at its own
-    width and re-slotting it for each product made the search slower (700
-    structure-search requests in-process on a 2-vCPU VM: 0.197 s became
-    0.222 s), and packing a kept int64 row on each use slower still.
-    Packed rows come from here, not from an entry of their own, so that
-    _ROWS keeps one reader and one memo for both kinds of row."""
+    cap), read-only, and a later request for that key gets the same row;
+    elements must start at 0."""
+    if not elements[-1]:
+        return [np.ones(1, dtype=np.int64)] * len(hs)
     h = hs[-1]
     shared = _ROWS.get() if len(hs) == 1 else None
-    key = (elements, h, cap, size)
+    key = (elements, h, cap)
+    rows = None if shared is None else shared.get(key)
+    if rows is not None:
+        return rows
+    bound = math.comb(len(elements) + h - 1, h)
+    if cap is not None and cap < bound and len(elements) * h * (h * elements[-1] + 1) > _PACKED_CELLS:
+        rows = _capped_rows(elements, hs, cap)
+    if rows is None:
+        rows = _exact_row(elements, hs, bound, cap)
     if shared is not None:
-        rows = shared.get(key)
-        if rows is not None:
-            return rows
-    top = elements[-1]
-    if not top:
-        return [1] if size else [np.ones(1, dtype=np.int64)] * len(hs)
-    if size:
-        rows = [next(islice(_packed_steps(elements, size), h, None))[-1]]
-    else:
-        bound = math.comb(len(elements) + h - 1, h)
-        rows = None
-        if cap is not None and cap < bound and len(elements) * h * (h * top + 1) > _PACKED_CELLS:
-            rows = _capped_rows(elements, hs, cap)
-        if rows is None:
-            rows = _exact_row(elements, hs, bound, cap)
-        if shared is not None:
-            rows[0].setflags(write=False)
-    if shared is not None:
+        rows[0].setflags(write=False)
         shared[key] = rows
     return rows
 
@@ -776,8 +795,7 @@ def _box_counts(
             for b in B.elements:
                 product += 1 << 8 * size * (b - base)
             for A, h in zip(sets, lo):
-                [row] = _rows(A.elements, range(h, h + 1), None, size)
-                product *= row
+                product *= _prefixes(A.elements, size, range(h, h + 1))[1][-1]
             counts = _unpack(product, length, size).astype(np.int64)
             if cap is not None and cap < total:
                 np.minimum(counts, cap, out=counts)
@@ -830,9 +848,9 @@ def _box_counts(
 
 class _shared_rows:
     """A row scope: within it _rows keeps each single row it builds and
-    hands that row (an array read-only, or a packed integer) to every later
-    request for its key (see the module docstring); the rows are dropped
-    when the scope ends."""
+    hands that row, read-only, to every later request for its key, and
+    _prefixes keeps each packed state it steps to and resumes from it (see
+    the module docstring); all are dropped when the scope ends."""
 
     def __enter__(self) -> None:
         self._token = _ROWS.set({})

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -102,24 +104,66 @@ def routing(request, monkeypatch):
     return request.param
 
 
-def row_builds(monkeypatch) -> list[tuple]:
-    """The key (elements, h, cap, slot bytes) of every row repcount._rows
-    builds, that is, each of its calls that runs a kernel (the packed steps,
-    or a partition fold that proves the row) rather than answering from
-    the row scope or for {0}."""
-    built, ran = [], []
-    rows, steps, capped = repcount._rows, repcount._packed_steps, repcount._capped_rows
+def _spy_prefixes(monkeypatch, record) -> None:
+    """Call record(caller, elements, slot bytes, top row, rows stepped) for
+    every call of repcount._prefixes, caller being the name of the function
+    that made it (_exact_row, or _box_counts for a packed product).  The
+    rows stepped are counted, not inferred: the runs of its one
+    shift-and-add line, traced, over the set's nonzero elements."""
+    real = repcount._prefixes
+    lines, first = inspect.getsourcelines(real)
+    [line] = [first + i for i, text in enumerate(lines) if "<<" in text]
 
-    def spy(elements, hs, cap, size=0):
-        ran.clear()
-        got = rows(elements, hs, cap, size)
-        if ran:
-            built.append((elements, hs[-1], cap, size))
+    def spy(elements, size, hs):
+        runs = 0
+
+        def local(frame, event, arg):
+            nonlocal runs
+            runs += event == "line" and frame.f_lineno == line
+            return local
+
+        caller = sys._getframe(1).f_code.co_name
+        outer = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code is real.__code__ else None)
+        try:
+            got = real(elements, size, hs)
+        finally:
+            sys.settrace(outer)
+        record(caller, elements, size, hs[-1], runs // max(len(elements) - 1, 1))
         return got
 
-    def stepped(*args):
+    monkeypatch.setattr(repcount, "_prefixes", spy)
+
+
+def packed_steps(monkeypatch) -> list[tuple]:
+    """(caller, elements, slot bytes, top row, rows stepped) of every call of
+    repcount._prefixes (see _spy_prefixes); a call that stepped as many rows
+    as its top row started at row 0."""
+    calls = []
+    _spy_prefixes(monkeypatch, lambda *call: calls.append(call))
+    return calls
+
+
+def row_builds(monkeypatch) -> list[tuple]:
+    """The rows repcount builds rather than takes from the row scope or
+    answers for {0}: (elements, h, cap) of every row array repcount._rows
+    builds, from repcount._exact_row or from a partition fold that proves
+    it, and (elements, h, slot bytes, "packed") of every packed row of a
+    product that repcount._prefixes steps to, from row 0 or from a state
+    the scope kept."""
+    built, ran = [], []
+    rows, exact, capped = repcount._rows, repcount._exact_row, repcount._capped_rows
+
+    def spy(elements, hs, cap):
+        ran.clear()
+        got = rows(elements, hs, cap)
+        if ran:
+            built.append((elements, hs[-1], cap))
+        return got
+
+    def packed(*args):
         ran.append(1)
-        return steps(*args)
+        return exact(*args)
 
     def proven(*args):
         got = capped(*args)
@@ -127,7 +171,12 @@ def row_builds(monkeypatch) -> list[tuple]:
             ran.append(1)
         return got
 
+    def product_row(caller, elements, size, h, stepped):
+        if caller == "_box_counts" and stepped:
+            built.append((elements, h, size, "packed"))
+
     monkeypatch.setattr(repcount, "_rows", spy)
-    monkeypatch.setattr(repcount, "_packed_steps", stepped)
+    monkeypatch.setattr(repcount, "_exact_row", packed)
     monkeypatch.setattr(repcount, "_capped_rows", proven)
+    _spy_prefixes(monkeypatch, product_row)
     return built

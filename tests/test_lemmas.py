@@ -3,7 +3,7 @@ import random
 import pytest
 
 from chromsum import lemmas
-from chromsum.errors import DomainError, NotNormalizedError
+from chromsum.errors import DimensionError, DomainError, NotNormalizedError
 from chromsum import repcount
 from chromsum.intset import HVec, make_set, make_tuple
 from chromsum.lemmas import run_all
@@ -55,7 +55,7 @@ def test_to_json_shape():
 def test_validation():
     with pytest.raises(NotNormalizedError):
         run_all(make_tuple([[0, 2], [0, 4]]), HVec((1, 1)))
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionError):
         run_all(make_tuple([[0, 1]]), HVec((1, 1)))
     with pytest.raises(DomainError):
         run_all(make_tuple([[0, 1]]), HVec((1,)), t=0)

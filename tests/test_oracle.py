@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chromsum.errors import BudgetError, DomainError
+from chromsum.errors import BudgetError, DimensionError, DomainError
 from chromsum.intset import HVec, make_set, make_tuple
 from chromsum.oracle import (
     enumerate_representations,
@@ -20,7 +20,7 @@ def test_enumeration_size():
     t = make_tuple([[0, 1, 2], [0, 3]])
     # multisets of size 2 from 3 elements: 6; of size 1 from 2 elements: 2
     assert enumeration_size(t, HVec((2, 1))) == 12
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionError):
         enumeration_size(t, HVec((1,)))
 
 

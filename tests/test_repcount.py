@@ -26,7 +26,7 @@ from chromsum.repcount import (
     tfold_set,
 )
 
-from conftest import ROUTINGS, random_oracle_instance, row_builds
+from conftest import ROUTINGS, packed_steps, random_oracle_instance, row_builds
 
 normalized_set = st.lists(
     st.integers(min_value=1, max_value=9), min_size=1, max_size=4
@@ -181,6 +181,37 @@ def test_exact_row_is_the_streamed_row(A, g, h):
     assert [row.tolist() for row in rows] == [row.tolist() for row in islice(stream, hs[0], h + 1)]
 
 
+@given(normalized_set, st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=30),
+       st.data(), st.sampled_from([0, 1, 3]))
+def test_resumed_state_is_the_state_from_row_0(A, m, d, data, wider):
+    # inside a row scope, the packed state at h resumes from the one kept
+    # at a row m < h, stepping h - m rows, and leaves the kept one as it
+    # was; the rows of hs = [lo, h], m <= lo, and the state at h are those
+    # stepped from row 0 outside a scope, at any slot width that fits
+    elements, h = A.elements, m + d
+    lo = data.draw(st.integers(min_value=m, max_value=h))
+    size = repcount._slot_size(math.comb(len(elements) + h - 1, h)) + wider
+    fresh = repcount._prefixes(elements, size, range(lo, h + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = packed_steps(mp)
+        with repcount._shared_rows():
+            _, kept = repcount._prefixes(elements, size, range(m, m + 1))
+            before = list(kept)
+            resumed = repcount._prefixes(elements, size, range(lo, h + 1))
+            assert kept == before
+            assert sorted(repcount._ROWS.get()[(elements, size)]) == [m, h]
+    assert resumed == fresh
+    assert [steps for *_, steps in calls] == [m, h - m]
+    assert len(fresh[0]) == h - lo + 1 and fresh[0][-1] == fresh[1][-1]
+
+
+def test_rows_of_zero_take_no_step():
+    # every row of {0} is 1, even at h = 10^9, and no scope keeps it
+    with repcount._shared_rows():
+        assert repcount._prefixes((0,), 1, range(10**9, 10**9 + 2)) == ([1, 1], [1])
+        assert repcount._ROWS.get() == {}
+
+
 def _packed_top(elements):
     """The largest top row h whose capped rows _rows packs: the
     cells k * h * (h * max + 1) of a k-set are at most _PACKED_CELLS."""
@@ -325,15 +356,14 @@ def test_one_point_fold_is_one_plain_convolution_per_color(monkeypatch):
 
 def _one_point(sets, lo, B, cap, routing):
     """The one-point box's counts under a routing of conftest.ROUTINGS, and
-    the slot bytes of every packed row it read (none on the numpy walk)."""
-    sizes = []
+    the slot bytes of every packed row its product read (none on the numpy
+    walk, whose exact rows _exact_row packs at slots of their own)."""
     with pytest.MonkeyPatch.context() as mp:
         for name, value in ROUTINGS[routing].items():
             mp.setattr(repcount, name, value)
-        rows = repcount._rows
-        mp.setattr(repcount, "_rows", lambda *args: sizes.extend(args[3:]) or rows(*args))
+        calls = packed_steps(mp)
         [counts] = next(repcount._box_counts(sets, lo, 1, B, cap))
-    return counts, sizes
+    return counts, [size for caller, _, size, _, _ in calls if caller == "_box_counts"]
 
 
 one_point_set = st.lists(st.integers(min_value=1, max_value=9), max_size=3).map(
@@ -635,10 +665,10 @@ class TestCountTable:
 
     def test_support_at_least_needs_valid_threshold(self):
         capped = multiset_count_table(make_set([0, 1, 2]), 3, cap=2)
-        with pytest.raises(DomainError):
-            capped.support_at_least(0)
-        with pytest.raises(DomainError):
-            capped.support_at_least(3)
+        # True is not read as t = 1, nor 1.5 and "2" as thresholds
+        for t in (0, 3, True, 1.5, "2"):
+            with pytest.raises(DomainError):
+                capped.support_at_least(t)
         assert 3 in capped.support_at_least(2)
 
     def test_rejects_counts_above_cap(self):

@@ -1,10 +1,12 @@
 """Rules that the library's own source keeps."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import chromsum
+from chromsum import repcount
 
 from conftest import ROUTINGS
 
@@ -109,19 +111,23 @@ def test_one_fold_entry():
 
 def test_one_row_source():
     """repcount._exact_row and repcount._capped_rows are named only inside
-    repcount._rows, the one entry every fold and every packed product
-    reads its rows from, and the packed steps only there and in
-    repcount._exact_row; the row scope's memo (repcount._ROWS) is read
-    only in repcount._rows and repcount._shared_rows: no caller builds or
-    keeps rows of its own."""
+    repcount._rows, the one entry every fold reads its row arrays from,
+    which takes no slot width and returns arrays alone; packed rows come
+    only from repcount._prefixes, which only repcount._exact_row and the
+    packed product of repcount._box_counts call; the row scope's memo
+    (repcount._ROWS) is read only in repcount._prefixes, repcount._rows and
+    repcount._shared_rows: no caller builds or keeps rows of its own."""
     for name, places in (("_exact_row", {"repcount._rows"}), ("_capped_rows", {"repcount._rows"}),
-                         ("_packed_steps", {"repcount._rows", "repcount._exact_row"})):
+                         ("_prefixes", {"repcount._exact_row", "repcount._box_counts"})):
         found = _places(lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None)))
         assert set(found) == places, name
+    assert list(inspect.signature(repcount._rows).parameters) == ["elements", "hs", "cap"]
+    assert inspect.signature(repcount._rows).return_annotation == "list[np.ndarray]"
     found = _places(
         lambda node: isinstance(node, ast.Name) and node.id == "_ROWS" and isinstance(node.ctx, ast.Load)
     )
-    assert found and all(f == "repcount._rows" or f.startswith("repcount._shared_rows.") for f in found)
+    assert set(found) == {"repcount._prefixes", "repcount._rows", "repcount._shared_rows.__enter__",
+                          "repcount._shared_rows.__exit__"}
     # no definition, import or use of the per-search row keeper
     named = ("id", "attr", "name")
     assert _places(lambda node: "_TFoldSets" in (getattr(node, key, None) for key in named)) == []
@@ -259,13 +265,26 @@ def test_one_float_fold():
     assert found == ["repcount._box_counts"]
 
 
+def _shift_and_add(node) -> bool:
+    """Whether node adds a shifted value to another, the shifted value
+    being no constant: the step of a packed row."""
+    def shifted(value):
+        return (isinstance(value, ast.BinOp) and isinstance(value.op, ast.LShift)
+                and not isinstance(value.left, ast.Constant))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return shifted(node.left) or shifted(node.right)
+    return isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add) and shifted(node.value)
+
+
 def test_one_packed_kernel():
-    """Packed integers are stepped only in repcount._packed_steps (the
-    module's one loop that shifts a row by an element's slots) and read
-    back into slots only in repcount._unpack, which only
-    repcount._exact_row and repcount._box_counts call, each with slots
-    proven wider than every count they can hold: no other path can read a
-    slot that a carry has reached."""
+    """Packed integers are stepped only in repcount._prefixes (the
+    module's one loop that adds a row shifted by an element's slots), and
+    no caller steps a row of its own; they are read back into slots only
+    in repcount._unpack, which only repcount._exact_row and
+    repcount._box_counts call, each with slots proven wider than every
+    count they can hold: no other path can read a slot that a carry has
+    reached."""
+    assert _places(_shift_and_add) == ["repcount._prefixes"]
     found = _places(
         lambda node: isinstance(node, ast.Attribute)
         and node.attr in {"to_bytes", "from_bytes", "frombuffer"}

@@ -49,7 +49,7 @@ from chromsum.structure import (
     witness_representations,
 )
 
-from conftest import ROUTINGS, random_normalized_tuple, row_builds
+from conftest import ROUTINGS, packed_steps, random_normalized_tuple, row_builds
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -571,18 +571,34 @@ def test_equal_colors_share_their_rows(monkeypatch, sets, ht, builds):
     assert repcount._ROWS.get() is None
 
 
-@pytest.mark.parametrize("sets, ht, builds", [
-    ([[0, 1, 2, 3]] * 3, (1, 1, 1), 2),
-    ([[0, 5, 13, 14], [0, 5, 13, 14], [0, 1]], (2, 2, 7), 22),
+@pytest.mark.parametrize("sets, ht, builds, from_zero, steps", [
+    ([[0, 1, 2, 3]] * 3, (1, 1, 1), 1, 1, 1),
+    ([[0, 5, 13, 14], [0, 5, 13, 14], [0, 1]], (2, 2, 7), 20, 10, 62),
 ])
-def test_equal_colors_share_their_packed_rows(monkeypatch, sets, ht, builds):
-    # as packed products, the certificate builds each (set, h, slot width)
-    # row once, whichever colors ask for it: 2 and 22 rows, where one row
-    # per color would make 6 and 31
-    built = row_builds(monkeypatch)
+def test_equal_colors_share_their_packed_rows(monkeypatch, sets, ht, builds, from_zero, steps):
+    # as packed products, the certificate steps to each (set, h, slot
+    # width) row once, whichever colors ask for it, from the highest state
+    # the scope keeps below it at that width: 1 and 20 rows in 1 and 62
+    # steps, 1 and 10 of them from row 0.  Building each row from row 0
+    # took 2 and 22 builds and 1 and 94 steps (the h = 0 rows take none
+    # now); one row per color would make 6 and 31
+    calls = packed_steps(monkeypatch)
     assert structure_constants(make_tuple(sets), 5).threshold == HVec(ht)
-    assert len(built) == len(set(built)) == builds
+    stepped = [(elements, h, size) for _, elements, size, h, n in calls if n]
+    assert len(stepped) == len(set(stepped)) == builds
+    assert sum(1 for *_, h, n in calls if n == h > 0) == from_zero
+    assert sum(n for *_, n in calls) == steps
     assert repcount._ROWS.get() is None
+
+
+def test_long_unproven_search_resumes_its_rows(monkeypatch):
+    # [[0,1,2,3]] t=32768: no certificate row past the packed cells is
+    # proven, so each is packed.  Rebuilt from row 0 at each probe, its 16
+    # rows took 8,448 steps to reach h_t = 607; resumed from the states
+    # the scope keeps, a new slot width alone starts again at row 0
+    calls = packed_steps(monkeypatch)
+    assert structure_constants(make_tuple([[0, 1, 2, 3]]), 32768).threshold == HVec((607,))
+    assert sum(n for *_, n in calls) < 2 * 607
 
 
 def test_no_row_outlives_a_structure_call():
