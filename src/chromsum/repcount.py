@@ -350,10 +350,10 @@ remainder (the same fold, one pass per part from the last).  Among
 tuples of one length, the one with more copies of the first index where
 they differ comes first, so descending multiplicities list each
 target's partitions of every size in lexicographic order; a stable sort
-by (target, size) then puts the wanted t first.  Targets are enumerated
-in consecutive groups whose partition counts, capped at _GROUP_CAP, sum
-to at most it, so the rows a request holds at once never exceed
-_GROUP_CAP or one target's partitions.
+by (target, size) then puts the wanted t first.  All targets are listed
+in one pass, each level carrying its rows' multiplicities so far; every
+partial row completes to at least one partition, so no level holds more
+rows than the partitions the router counted.
 
 The DP costs about (top + 1) * len(parts) * t cells of Python steps, and
 the enumeration about the partitions it lists, each at most once per
@@ -361,21 +361,28 @@ level, plus a dozen numpy calls per level.  Cells alone cannot choose:
 each added small part multiplies the partitions about sixfold but the
 cells barely move, while two large parts give few partitions of a long
 table.  So the DP runs at once on at most _DP_CELLS = 2^13 cells; past
-it, the suffix counts the enumeration needs anyway are built, and the DP
-runs only where they list (capped per target at _GROUP_CAP) more than
-one partition per _CELLS_PER_PARTITION = 8 cells.  Measured on a 2-vCPU
-VM (Python 3.11, numpy 2.4), best of 3 sets of 1-5 runs, in ms:
+it, the suffix counts the enumeration needs anyway are built, clipped
+just past cells / _CELLS_PER_PARTITION, and the DP runs only where they
+list more than one partition per _CELLS_PER_PARTITION = 8 cells.  A
+clipped count always fails that test, so the enumeration runs only on
+exact counts and never holds more than cells / 8 rows, within the cells
+the DP would have spent.  Measured by tools/loads_table.py, which names
+each row's request, on a 2-vCPU VM (Python 3.11, numpy 2.4), best of 2
+sets of 5 runs, in ms, with the route the rule takes:
 
-    parts                      t   top      cells      listed      DP   listing
-    {5,5,8,11}                 2    33        272          90   0.052     0.196
-    {1,2,3,4,5,200}            2   201      2,424   7,546,655   0.638  3,851.7
-    {1,1,3,5,7,8,10,15,70}    12    70      8,208   1,423,724   0.659    339.7
-    {13,38,39}                 5   638      9,585       2,379   0.751     0.658
-    {35,58,60}                 4 1,137     13,656       1,314   1.217     0.555
-    {16,37}                    5 2,944     29,450       1,535   2.802     0.496
-    {23,40}                    5 4,577     45,780       2,345   2.555     0.434
-    {195,...,200}              2 8,001     96,024   9,366,689   8.784    868.1
-    {3,4}                    256 3,069  1,571,840       1,792  25.662     0.167
+    parts                      t   top      cells      listed      DP   listing  rule
+    {5,5,8,11}                 2    33        272          90   0.033     0.099  DP
+    {1,2,3,4,5,200}            2   201      2,424  27,663,350   0.402         -  DP
+    {1,1,3,5,7,8,10,15,70}    12    75      8,208   1,831,045   0.682     762.9  DP
+    {13,38,39}                 5   638      9,585       2,379   0.493     0.394  DP
+    {35,58,60}                 4 1,137     13,656       1,314   0.733     0.289  listing
+    {16,37}                    5 2,944     29,450       1,535   1.663     0.224  listing
+    {23,40}                    5 4,577     45,780       2,345   2.752     0.318  listing
+    {195,...,200}              2 8,001     96,024   9,366,689   8.875         -  DP
+    {3,4}                    256 3,069  1,571,840       1,792  29.807     0.161  listing
+
+A dash marks a listing not timed: it would hold 27.7 or 9.4 million
+partitions at once (the third row's 1.8 million peaked at 470 MB).
 
 The first row is the median call of the benchmark's constructive stream.
 Over 1,970 calls (that stream's, those of 400 random tuples with maxima
@@ -415,10 +422,6 @@ __all__ = [
 
 # the plain tables are those of the translated form with B = {0}
 _ZERO = FiniteSet((0,))
-
-# _fewest_partitions caps its suffix counts here and holds at most this
-# many partitions at once, unless one target alone has more
-_GROUP_CAP = 1 << 16
 
 # _fewest_loads runs the t-best DP, without counting partitions, on at most
 # this many cells, (top + 1) * len(parts) * t; past it, only where the
@@ -1076,12 +1079,12 @@ def _residue_side(
     return tuple(fringe), cut
 
 
-def _suffix_counts(parts: Sequence[int], top: int) -> list[np.ndarray]:
-    """Row j counts the partitions of 0..top into parts[j:], capped at
-    _GROUP_CAP; the last row counts only the empty partition of 0."""
+def _suffix_counts(parts: Sequence[int], top: int, cap: int) -> list[np.ndarray]:
+    """Row j counts the partitions of 0..top into parts[j:], clipped at
+    cap >= 1; the last row counts only the empty partition of 0."""
     start = np.zeros(top + 1, dtype=np.int64)
     start[0] = 1
-    return list(_unbounded_rows(start, reversed(parts), _GROUP_CAP))[::-1]
+    return list(_unbounded_rows(start, reversed(parts), cap))[::-1]
 
 
 def _fewest_partitions(
@@ -1094,61 +1097,41 @@ def _fewest_partitions(
     owner[k] the position in targets of its target; the rows run in order
     of target position, then in the order above.
 
-    suffix is _suffix_counts(parts, max(targets)): row j counts the
-    partitions of r into parts[j:], capped at _GROUP_CAP.  Level j extends each row by the multiplicities of
-    parts[j] whose remainder row j + 1 can still finish, in descending
-    order (the last part takes what is left), and a stable sort by
-    (target, size) puts the wanted t first; see the module docstring."""
-    top = max(targets, default=0)
-    # per level j, the remainders parts[j + 1:] reach as keys ordered by
-    # residue class mod parts[j], then by value: the remainders a row r
-    # can leave are the keys of its class up to r, one slice
-    width = top + 1
-    levels = []
-    for j, a in enumerate(parts[:-1]):
-        ys = np.flatnonzero(suffix[j + 1])
-        levels.append(np.sort(ys % a * width + ys))
-    counts = suffix[0][list(targets)].tolist()
-    owners = [np.zeros(0, dtype=np.int64)]
-    mults = [np.zeros((0, len(parts)), dtype=np.int64)]
-    first = 0
-    while first < len(counts):
-        stop, total = first + 1, counts[first]
-        while stop < len(counts) and total + counts[stop] <= _GROUP_CAP:
-            total += counts[stop]
-            stop += 1
-        # one row per target of the group that has a partition
-        owner = np.arange(first, stop)[np.asarray(counts[first:stop]) > 0]
-        rem = np.asarray(targets[first:stop], dtype=np.int64)[owner - first]
-        size = np.zeros(len(rem), dtype=np.int64)
-        steps = []
-        for j, a in enumerate(parts):
-            if j == len(parts) - 1:
-                parent, m = None, rem // a
-            else:
-                keys = levels[j]
-                cls = rem % a * width
-                lo = keys.searchsorted(cls)
-                wide = keys.searchsorted(cls + rem, side="right") - lo
-                parent = np.repeat(np.arange(len(rem)), wide)
-                ys = keys[np.repeat(lo + wide - np.cumsum(wide), wide) + np.arange(len(parent))] % width
-                m = (rem[parent] - ys) // a
-                rem, owner, size = ys, owner[parent], size[parent]
-            size = size + m
-            steps.append((parent, m))
-        order = np.lexsort((size, owner))
-        ranked = owner[order]
-        keep = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < t]
-        owners.append(owner[keep])
-        mult = np.empty((len(keep), len(parts)), dtype=np.int64)
-        for j in range(len(parts) - 1, -1, -1):
-            parent, m = steps[j]
-            mult[:, j] = m[keep]
-            if parent is not None:
-                keep = parent[keep]
-        mults.append(mult)
-        first = stop
-    return np.concatenate(owners), np.concatenate(mults)
+    suffix is _suffix_counts(parts, max(targets), cap) at any cap: only
+    whether row j reaches r is read.  All targets are listed in one pass.
+    Level j extends each row by the multiplicities of parts[j] whose
+    remainder row j + 1 can still finish, in descending order (the last
+    part takes what is left), and a stable sort by (target, size) puts
+    the wanted t first; see the module docstring."""
+    width = max(targets, default=0) + 1
+    # one row per target that has a partition
+    owner = np.flatnonzero(suffix[0][list(targets)])
+    rem = np.asarray(targets, dtype=np.int64)[owner]
+    size = np.zeros(len(rem), dtype=np.int64)
+    mult = np.zeros((len(rem), len(parts)), dtype=np.int64)
+    for j, a in enumerate(parts):
+        if j == len(parts) - 1:
+            m = rem // a
+        else:
+            # the remainders parts[j + 1:] reach, as keys ordered by
+            # residue class mod a, then by value: the remainders a row r
+            # can leave are the keys of its class up to r, one slice
+            ys = np.flatnonzero(suffix[j + 1])
+            keys = np.sort(ys % a * width + ys)
+            cls = rem % a * width
+            lo = keys.searchsorted(cls)
+            wide = keys.searchsorted(cls + rem, side="right") - lo
+            parent = np.repeat(np.arange(len(rem)), wide)
+            ys = keys[np.repeat(lo + wide - np.cumsum(wide), wide) + np.arange(len(parent))] % width
+            m = (rem[parent] - ys) // a
+            # take gathers narrow rows ~10 times as fast as mult[parent]
+            rem, owner, size, mult = ys, owner[parent], size[parent], mult.take(parent, axis=0)
+        mult[:, j] = m
+        size += m
+    order = np.lexsort((size, owner))
+    ranked = owner[order]
+    keep = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < t]
+    return owner[keep], mult.take(keep, axis=0)
 
 
 def _fewest_loads(
@@ -1159,12 +1142,13 @@ def _fewest_loads(
     tuples; colors[j] is the color of parts[j].  The t-best DP on at most
     _DP_CELLS cells, (max(targets) + 1) * len(parts) * t, or where the
     enumeration would list more than one partition per
-    _CELLS_PER_PARTITION cells; else the enumeration of _fewest_partitions
-    (see the module docstring)."""
+    _CELLS_PER_PARTITION cells; else the enumeration of _fewest_partitions.
+    The suffix counts are clipped just past what the rule admits, so every
+    admitted count is exact (see the module docstring)."""
     top = max(targets, default=0)
     cells = (top + 1) * len(parts) * t
     if cells > _DP_CELLS:
-        suffix = _suffix_counts(parts, top)
+        suffix = _suffix_counts(parts, top, cells // max(_CELLS_PER_PARTITION, 1) + 1)
         if int(suffix[0][list(targets)].sum()) * _CELLS_PER_PARTITION <= cells:
             return _enumerated_loads(parts, colors, q, targets, t, suffix)
     return _dp_loads(parts, colors, q, targets, t)

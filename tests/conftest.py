@@ -72,13 +72,12 @@ def binom_mass(sizes, coords) -> int:
 # capped row proven, else packed (or every one packed), every exact row
 # handed over to the numpy kernel at once (or never), every one-point
 # count below 2^62 one product of packed rows (or every one a numpy walk),
-# the constructive loads from the DP alone (or the enumeration alone, also
-# in groups of one partition), every count on Python ints, and the limit
-# constants from the residue walk alone (or the partition table alone);
-# all of them must give the same outputs as the default routes.  The
-# routings that force a row kernel, the handover or the dtype of the walk
-# also turn the product off, so that every count reads its rows through
-# the route they name
+# the constructive loads from the DP alone (or the enumeration alone),
+# every count on Python ints, and the limit constants from the residue
+# walk alone (or the partition table alone); all of them must give the
+# same outputs as the default routes.  The routings that force a row
+# kernel, the handover or the dtype of the walk also turn the product off,
+# so that every count reads its rows through the route they name
 _WALK = {"_PRODUCT_BITS": -1}
 ROUTINGS = {
     "proof-first": {"_PACKED_CELLS": -1, **_WALK},
@@ -89,7 +88,6 @@ ROUTINGS = {
     "handover-never": {"_HANDOVER": 10**18, **_WALK},
     "dp-only": {"_DP_CELLS": 0, "_CELLS_PER_PARTITION": 10**18},
     "enumeration-only": {"_DP_CELLS": 0, "_CELLS_PER_PARTITION": 0},
-    "groups-of-one": {"_DP_CELLS": 0, "_CELLS_PER_PARTITION": 0, "_GROUP_CAP": 1},
     "object-counts": {"_dtype": lambda bound: object, **_WALK},
     "residue-always": {"_STEP_CELLS": 0, "_PART_CELLS": 10**18},
     "table-always": {"_STEP_CELLS": 10**18, "_PART_CELLS": 0},

@@ -1,10 +1,11 @@
+import functools
 import math
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -317,7 +318,8 @@ class TestWitnesses:
 
 def _fewest(parts, n, t):
     """The selected multiplicity rows of n, as non-decreasing index tuples."""
-    owner, mult = _fewest_partitions(parts, [n], t, _suffix_counts(parts, n))
+    # the enumeration reads only which remainders the suffixes reach
+    owner, mult = _fewest_partitions(parts, [n], t, _suffix_counts(parts, n, 1))
     assert (owner == 0).all()
     return [tuple(j for j, m in enumerate(row) for _ in range(m)) for row in mult.tolist()]
 
@@ -372,7 +374,7 @@ def test_missing_partitions_are_an_internal_invariant(monkeypatch):
 def _listed_loads(parts, colors, q, targets, t):
     """Per color, the most parts of that color in the rows
     _fewest_partitions lists, or the shortfall error's text."""
-    owner, mult = _fewest_partitions(parts, targets, t, _suffix_counts(parts, max(targets)))
+    owner, mult = _fewest_partitions(parts, targets, t, _suffix_counts(parts, max(targets), 1))
     short = [n for k, n in enumerate(targets) if np.count_nonzero(owner == k) < t]
     if short:
         return f"n={short[0]} has fewer than {t}"
@@ -429,6 +431,73 @@ def test_dp_loads_match_the_enumeration(monkeypatch):
     assert taken == {("_dp_loads", False), ("_dp_loads", True), ("_enumerated_loads", True)}
 
 
+@functools.cache
+def _brute_loads(parts, colors, q, targets, t):
+    """Per color, the most parts of that color in the t fewest-part
+    partitions of each target, listed without repcount, or the shortfall
+    error's text: oracle_partitions for distinct parts, and index
+    multisets in (size, lexicographic) order for repeated ones."""
+    loads = [0] * q
+    for n in targets:
+        if len(set(parts)) == len(parts):
+            index = {a: j for j, a in enumerate(parts)}
+            found = sorted(oracle_partitions(make_set(parts), n), key=lambda p: (len(p), p))
+            listed = (tuple(index[a] for a in p) for p in found)
+        else:
+            listed = (
+                p
+                for k in range(n // parts[0] + 1)
+                for p in combinations_with_replacement(range(len(parts)), k)
+                if sum(parts[j] for j in p) == n
+            )
+        best = list(islice(listed, t))
+        if len(best) < t:
+            return f"n={n} has fewer than {t}"
+        for p in best:
+            for c in range(q):
+                loads[c] = max(loads[c], sum(colors[j] == c for j in p))
+    return loads
+
+
+def _router_cases():
+    rng = random.Random(31)
+    cases = []
+    for _ in range(100):
+        q = rng.randint(1, 3)
+        parts = sorted(rng.sample(range(1, 10), rng.randint(1, 4)))
+        targets = rng.sample(range(20, 60), rng.randint(1, 3))
+        cases.append((parts, [rng.randrange(q) for _ in parts], q, targets, rng.randint(1, 6)))
+    for _ in range(60):
+        q = rng.randint(1, 3)
+        base = rng.choices(range(1, 7), k=rng.randint(1, 3))
+        parts = sorted(base + [rng.choice(base)])
+        targets = rng.sample(range(10, 25), rng.randint(1, 2))
+        cases.append((parts, [rng.randrange(q) for _ in parts], q, targets, rng.randint(1, 6)))
+    # past _DP_CELLS with few partitions, where the default router lists
+    # them: distinct and repeated parts, and a shortfall
+    cases += [
+        ([23, 40], [0, 1], 2, list(range(4570, 4578)), 5),
+        ([23, 40], [1, 0], 2, list(range(4570, 4578)), 6),
+        ([37, 40, 40, 97], [0, 1, 2, 1], 3, [1000, 1001, 1077], 3),
+    ]
+    return cases
+
+
+def test_fewest_loads_match_brute_force(routing):
+    cases = _router_cases()
+    short = 0
+    for parts, colors, q, targets, t in cases:
+        want = _brute_loads(tuple(parts), tuple(colors), q, tuple(targets), t)
+        if isinstance(want, str):
+            short += 1
+            with pytest.raises(RuntimeError, match=f"internal invariant: {want} colored"):
+                repcount._fewest_loads(parts, colors, q, targets, t)
+        else:
+            assert repcount._fewest_loads(parts, colors, q, targets, t) == want, (parts, colors, targets, t)
+    # both outcomes are well covered
+    assert len(cases) // 3 < short < 2 * len(cases) // 3
+
+
 def test_fewest_partitions_need_no_recursion():
     # partitions of about 3,000 into parts 3 and 4 (1 and 4 reflected)
     # run a thousand parts deep
@@ -452,7 +521,7 @@ def test_large_constructive_answers(sets, t, cut, ht):
     assert (res.low_cut, res.threshold.coords) == (cut, ht)
 
 
-def test_fewest_partitions_group_size_changes_nothing(monkeypatch):
+def test_enumeration_changes_no_constructive_result(monkeypatch):
     rng = random.Random(23)
     cases = [(make_tuple([[0, 3, 4]]), 256)] + [
         (random_normalized_tuple(rng, size_max=4, elt_max=9), rng.randint(1, 5))
@@ -466,11 +535,7 @@ def test_fewest_partitions_group_size_changes_nothing(monkeypatch):
 
     mixed = results()
     _enumerate_only(monkeypatch)
-    want = results()
-    assert want == mixed
-    for cap in (1, 3):
-        monkeypatch.setattr(repcount, "_GROUP_CAP", cap)
-        assert results() == want, cap
+    assert results() == mixed
 
 
 def _refused(st, t):
@@ -515,7 +580,8 @@ def test_wide_box_fits_in_400_mb():
 
 
 def test_heavy_constructive_request_fits_in_one_gib():
-    # one target alone has more partitions than a group may hold
+    # each side's target has over 400,000 partitions into the small parts,
+    # and the DP picks the fewest without listing them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
@@ -523,6 +589,34 @@ def test_heavy_constructive_request_fits_in_one_gib():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["1", "34", "49"]
+
+
+_ONE_PASS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from chromsum import repcount
+routes = []
+listed = repcount._enumerated_loads
+def spy(*args):
+    routes.append("listed")
+    return listed(*args)
+repcount._enumerated_loads = spy
+print(*repcount._fewest_loads([3, 4], [0, 0], 1, list(range(300000, 300004)), 20000), *routes)
+"""
+
+
+def test_enumeration_lists_every_target_in_one_pass_within_one_gib():
+    # about 100,000 partitions of four targets into 3 and 4, more than
+    # 2^16, listed at once
+    targets = range(300000, 300004)
+    assert sum((n - 4 * b) % 3 == 0 for n in targets for b in range(n // 4 + 1)) > 1 << 16
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", _ONE_PASS], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["95000", "listed"]
 
 
 _LONG_CERTIFICATE = """
