@@ -22,11 +22,11 @@ its rows from _rows.  A short one-point count is one product of the
 colors' packed rows as Python integers (below); every other count walks
 a box of exponent vectors one color at a time, and every product of two
 rows on that walk is one schoolbook convolution (np.convolve, in
-_fold).  The walk picks the dtype once from
-_bound, a proven bound on every intermediate value at the box's top
-corner: float64 below 2^53, numpy int64 below 2^62, and
-dtype=object (Python ints in the same numpy code) above it, so the
-result is exact either way.  A float64 fold
+_fold).  _box_counts computes the exact total T (below) and the
+length once, at the box's top corner, and the walk picks its dtype from
+the proven bound on every intermediate value that they give: float64
+below 2^53, numpy int64 below 2^62, and dtype=object (Python ints in the
+same numpy code) above it, so the result is exact either way.  A float64 fold
 is exact because every product and every partial sum it forms, in any
 order, is a nonnegative integer at most the bound (a sum of some of the
 nonnegative terms of one count), and every integer below 2^53 is a
@@ -225,19 +225,23 @@ width starts again at row 0.
 The margin box.  verify tests the t-fold set at every point of a box
 [lo, lo + margin], (margin + 1)^q points, from the rows lo_i, ...,
 lo_i + margin that _rows gives each color (_streamed_box_fits).
-_box_counts walks the box one color at a time, last coordinate fastest.
-The partial product at a point of the first i colors, B's indicator
-times one row of each (a one-element B is the identity, so it starts
-from the first color's row), is kept while the walk runs through the
-later colors, so each is formed once, by one np.convolve: in all
-(margin + 1)^2 + ... + (margin + 1)^q of them for a one-element B.  Per
-point of the first q - 1 colors, the last color's margin + 1 products
-come as one group, zero-padded to its longest row (zeros past a row's
-end are no members), and one comparison tests the group.  Every product
-is clipped as before and stays under the bound of the count table at
-the box's top corner (_bound), which holds at every point below it.  The
-walk holds one group and q partial products, so its memory grows with
-the rows it reads, not with the box.  A one-point box past the product's
+_box_counts walks the box one color at a time, last coordinate fastest,
+through a chain of generators, one per color but the last: the one of
+color i multiplies each partial product the chain yields for the colors
+below it (B's indicator at the start; a one-element B is the identity,
+so the chain starts from the first color's rows) by each of its rows,
+so each partial product is formed once, by one np.convolve: in all
+(margin + 1)^2 + ... + (margin + 1)^q of them for a one-element B, and
+margin + 1 more for a larger one, whose indicator is folded into each of
+the first color's rows.  Per point of the first q - 1 colors, the last
+color's margin + 1 products come as one group, zero-padded to its
+longest row (zeros past a row's end are no members), and one comparison
+tests the group.  Every product is clipped as before and stays under
+the bound given by T and the length at the box's top corner, which
+holds at every point below it.  The walk holds one group and one
+partial product per generator, so its memory grows with the rows it
+reads, not with the box, and it holds no reference cycle, so its rows
+are freed as soon as the caller drops it.  A one-point box past the product's
 crossover walks with q - 1 np.convolve calls for a one-element B, q for
 a larger one.
 
@@ -745,89 +749,78 @@ def _fold(acc: np.ndarray, row: np.ndarray, cap: int | None) -> np.ndarray:
     return out
 
 
-def _bound(
-    colors: Sequence[tuple[FiniteSet, int]], B: FiniteSet, cap: int | None
-) -> tuple[int, int | None]:
-    """A bound on every intermediate value of the counts of sum_i (h_i-multiset
-    of A_i) + one element of B, clipped at cap, and the cap that can still
-    clip them: None when no count exceeds it.  The bound holds at every
-    smaller h too.  A capped bound below 2^62 is returned as it is: the
-    dtype is int64 either way, and a cap no count reaches clips nothing."""
-    if cap is not None:
-        length = sum(h * A.max for A, h in colors) + B.max - B.min + 1
-        capped = max(2 * cap, length * cap * cap)
-        if capped < 1 << 62:
-            return capped, cap
-    bound = len(B) * math.prod(math.comb(len(A) + h - 1, h) for A, h in colors)
-    if cap is None or cap >= bound:
-        return bound, None
-    return min(bound, capped), cap
-
-
 def _box_counts(
     sets: Sequence[FiniteSet], lo: Sequence[int], width: int, B: FiniteSet, cap: int | None
 ) -> Iterator[np.ndarray]:
     """The counts of h.A + B, clipped at cap unless it is None, at every
     point h of the box [lo, lo + width - 1], each color's rows lo_i, ...,
-    lo_i + width - 1 taken from _rows at the fold's cap.  The walk goes
-    one color at a time, last coordinate fastest, and keeps one partial
-    product per color; per point of the other colors it yields one 2-D
-    group, the last color's rows times that point's product, zero-padded
-    to the longest.  The cap is _bound's at the top corner, and the dtype
-    float64 where that bound is below 2^53 (see the module docstring),
-    else _dtype's.  A row whose dtype converts safely is folded as it is;
-    an object row, under a cap no count reaches, is copied at that dtype.
+    lo_i + width - 1 taken from _rows at cap.  The exact total T = |B| *
+    prod_i C(|A_i| + h_i - 1, h_i) and the length, both at the box's top
+    corner and computed once, bound every count of the box; a cap at or
+    above T clips nothing.  The walk goes one color at a time, last
+    coordinate fastest, through a chain of one generator per color but the
+    last, which forms each partial product once; per point of the other
+    colors it yields one 2-D group, the last color's rows times that
+    point's product, zero-padded to the longest.  Its dtype is _dtype's
+    for the bound on every intermediate value (see the module docstring),
+    or float64 where that is int64 and the bound is below 2^53; every row
+    is folded as it is.
 
-    A one-point box whose exact total T = |B| * prod_i C(|A_i| + h_i - 1,
-    h_i) is below 2^62, and whose product, at slots wide enough for T,
-    holds at most _PRODUCT_BITS bits, is one product of Python integers
-    instead: B's packed indicator times each color's packed row, unpacked
-    once at int64 and clipped once where the cap is below T (see the
-    module docstring)."""
-    if width == 1:
-        base = B.elements[0]
-        total, length = len(B.elements), B.elements[-1] - base + 1
+    A one-point box whose T is below 2^62, and whose product, at slots wide
+    enough for T, holds at most _PRODUCT_BITS bits, is one product of
+    Python integers instead: B's packed indicator times each color's
+    packed row, unpacked once at int64 and clipped once where the cap is
+    below T (see the module docstring)."""
+    base = B.elements[0]
+    total, length = len(B.elements), B.elements[-1] - base + 1
+    for A, c in zip(sets, lo):
+        h = c + width - 1
+        total *= math.comb(len(A.elements) + h - 1, h)
+        length += h * A.elements[-1]
+    clip = cap if cap is not None and cap < total else None
+    size = _slot_size(total)
+    if width == 1 and total < 1 << 62 and length * 8 * size <= _PRODUCT_BITS:
+        # every coefficient is a count, at most T < 2^(8 * size), so no
+        # slot carries
+        product = 0
+        for b in B.elements:
+            product += 1 << 8 * size * (b - base)
         for A, h in zip(sets, lo):
-            total *= math.comb(len(A.elements) + h - 1, h)
-            length += h * A.elements[-1]
-        size = _slot_size(total)
-        if total < 1 << 62 and length * 8 * size <= _PRODUCT_BITS:
-            # every coefficient is a count, at most T < 2^(8 * size), so no
-            # slot carries
-            product = 0
-            for b in B.elements:
-                product += 1 << 8 * size * (b - base)
-            for A, h in zip(sets, lo):
-                product *= _prefixes(A.elements, size, range(h, h + 1))[1][-1]
-            counts = _unpack(product, length, size).astype(np.int64)
-            if cap is not None and cap < total:
-                np.minimum(counts, cap, out=counts)
-            yield counts[None]
-            return
-    bound, cap = _bound([(A, c + width - 1) for A, c in zip(sets, lo)], B, cap)
-    dtype = np.float64 if bound < 1 << 53 else _dtype(bound)
+            product *= _prefixes(A.elements, size, range(h, h + 1))[1][-1]
+        counts = _unpack(product, length, size).astype(np.int64)
+        if clip is not None:
+            np.minimum(counts, clip, out=counts)
+        yield counts[None]
+        return
+    bound = total if clip is None else min(total, max(2 * clip, length * clip * clip))
+    dtype = _dtype(bound)
+    if dtype is np.int64 and bound < 1 << 53:
+        dtype = np.float64
     *heads, rows = [_rows(A.elements, range(c, c + width), cap) for A, c in zip(sets, lo)]
 
     def times(acc, row, clip):
         if acc is None:  # a one-element B is the identity
             return row.astype(dtype, copy=False)
-        return _fold(acc, row if row.dtype <= dtype else row.astype(dtype), clip)
+        return _fold(acc, row, clip)
 
-    # partial[i]: B times the current row of each color below i (None
-    # for a one-element B); point: the current row of each color but the
-    # last, from whose k-th color on the partial products are stale
-    partial = [None]
+    def extend(partials, head):
+        # each partial product times each row of one more color, each
+        # formed once
+        for acc in partials:
+            for row in head:
+                yield times(acc, row, clip)
+
+    indicator = None  # a one-element B is the identity
     if len(B) > 1:
-        partial[0] = np.zeros(B.max - B.min + 1, dtype=dtype)
-        partial[0][[b - B.min for b in B.elements]] = 1
-    point, k = [0] * len(heads), 0
-    while True:
-        del partial[k + 1 :]
-        for i in range(k, len(heads)):
-            partial.append(times(partial[i], heads[i][point[i]], cap))
-        acc = partial[-1]
+        indicator = np.zeros(B.elements[-1] - base + 1, dtype=dtype)
+        indicator[[b - base for b in B.elements]] = 1
+    # B times one row of each color but the last, last coordinate fastest
+    partials = iter([indicator])
+    for head in heads:
+        partials = extend(partials, head)
+    for acc in partials:
         if width == 1:  # a lone product needs no copy into a group
-            yield times(acc, rows[0], cap)[None]
+            yield times(acc, rows[0], clip)[None]
         else:
             # a group is clipped once, as a whole
             longest = len(rows[-1]) + (0 if acc is None else len(acc) - 1)
@@ -835,18 +828,9 @@ def _box_counts(
             for r, row in enumerate(rows):
                 out = times(acc, row, None)
                 group[r, : len(out)] = out
-            if cap is not None:
-                np.minimum(group, cap, out=group)
+            if clip is not None:
+                np.minimum(group, clip, out=group)
             yield group
-        # the next point: the last color not at its last row moves on one
-        # row, and every later color starts again
-        k = len(heads) - 1
-        while k >= 0 and point[k] == width - 1:
-            point[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        point[k] += 1
 
 
 class _shared_rows:

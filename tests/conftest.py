@@ -73,11 +73,13 @@ def binom_mass(sizes, coords) -> int:
 # handed over to the numpy kernel at once (or never), every one-point
 # count below 2^62 one product of packed rows (or every one a numpy walk),
 # the constructive loads from the DP alone (or the enumeration alone),
-# every count on Python ints, and the limit constants from the residue
-# walk alone (or the partition table alone); all of them must give the
-# same outputs as the default routes.  The routings that force a row
-# kernel, the handover or the dtype of the walk also turn the product off,
-# so that every count reads its rows through the route they name
+# every count on Python ints (its rows and the walk's folds alike, also
+# where the walk would otherwise fold in float64 below 2^53), and the
+# limit constants from the residue walk alone (or the partition table
+# alone); all of them must give the same outputs as the default routes.
+# The routings that force a row kernel, the handover or the dtype of the
+# walk also turn the product off, so that every count reads its rows
+# through the route they name
 _WALK = {"_PRODUCT_BITS": -1}
 ROUTINGS = {
     "proof-first": {"_PACKED_CELLS": -1, **_WALK},

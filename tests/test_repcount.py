@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from itertools import islice
 
 import numpy as np
@@ -313,8 +315,8 @@ def test_float_fold_just_below_2_53_is_exact():
     # {0..11} totals 0.996 * 2^53: _box_counts folds it at float64, and
     # every count equals the same fold on Python ints
     sets, h = [make_set(range(10)), make_set(range(12))], [9, 46]
-    bound, cap = repcount._bound(list(zip(sets, h)), make_set([0]), None)
-    assert 2**52 < bound < 2**53 and cap is None
+    total = math.prod(math.comb(len(A) + hi - 1, hi) for A, hi in zip(sets, h))
+    assert 2**52 < total < 2**53
     rows = [[_streamed_row(A.elements, hi, None)] for A, hi in zip(sets, h)]
     [got] = repcount._box_counts(sets, h, 1, make_set([0]), None)
     assert got.dtype == np.float64
@@ -503,21 +505,49 @@ def test_shared_rows_are_built_once_and_read_only(monkeypatch):
             assert not any(isinstance(row, np.ndarray) and row.flags.writeable for row in shared)
 
 
-def test_identity_fold_leaves_the_shared_row_unchanged(monkeypatch):
-    # an int64 row in an int64 fold of the numpy walk: the identity fold
-    # starts from the row itself, and the cap goes into a new array
+@pytest.mark.parametrize("elements, h, cap, dtype", [
+    ((0, 1, 2), 3, 1 << 27, np.float64),  # T = 10: the cap reaches no count
+    (tuple(range(30)), 28, 1 << 27, np.int64),  # 2^53 <= T < 2^62
+    (tuple(range(20)), 80, None, object),  # T >= 2^62
+], ids=["float64", "int64", "object"])
+def test_identity_fold_leaves_the_shared_row_unchanged(monkeypatch, elements, h, cap, dtype):
+    # on the numpy walk the dtype comes from the exact total T (float64
+    # below 2^53, int64 below 2^62, else Python ints) and the clip the cap
+    # can still make; the identity fold starts from the shared row itself
+    # where it has that dtype, and no fold writes into it; every count
+    # equals the object-dtype fold's
     monkeypatch.setattr(repcount, "_PRODUCT_BITS", -1)
     seen = _row_spy(monkeypatch)
-    A, h, cap = make_set([0, 1, 2]), 3, 1 << 27
-    bound, row_cap = repcount._bound([(A, h)], make_set([0]), cap)
-    assert 1 << 53 <= bound < 1 << 62 and row_cap == cap
+    A = make_set(elements)
     with repcount._shared_rows():
-        table = multiset_count_table(A, h, cap=cap)
+        [group] = repcount._box_counts([A], [h], 1, make_set([0]), cap)
         [[row]] = seen
-        assert row.dtype == np.int64 and not row.flags.writeable
-        assert row.tolist() == list(table.counts) == _streamed_row(A.elements, h, None).tolist()
-        assert multiset_count_table(A, h, cap=cap) == table
+        assert group.dtype == dtype and not row.flags.writeable
+        assert np.shares_memory(group, row) == (row.dtype == dtype)
+        table = multiset_count_table(A, h, cap=cap)
+        assert [int(x) for x in group[0]] == row.tolist() == list(table.counts)
+    monkeypatch.setattr(repcount, "_dtype", lambda bound: object)
+    [want] = repcount._box_counts([A], [h], 1, make_set([0]), cap)
+    assert want.dtype == object and want[0].tolist() == list(table.counts)
     assert row.tolist() == list(table.counts)
+
+
+def test_the_walk_frees_its_rows_without_the_cycle_collector(monkeypatch):
+    # the walk keeps no reference cycle: every row it read is freed as soon
+    # as the walk is done or dropped, with no wait for gc
+    monkeypatch.setattr(repcount, "_PRODUCT_BITS", -1)
+    rows, seen = repcount._rows, []
+    monkeypatch.setattr(repcount, "_rows", lambda *args: seen.append(rows(*args)) or seen[-1])
+    A, B = make_set([0, 3, 7]), make_set([0, 2])
+    gc.disable()
+    try:
+        list(repcount._box_counts([A, A], [2, 3], 3, B, 3))
+        next(repcount._box_counts([A, A, A], [2, 3, 4], 2, B, None))
+        refs = [weakref.ref(row) for got in seen for row in got]
+        seen.clear()
+        assert len(refs) == 12 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_no_row_is_kept_outside_a_scope(monkeypatch):

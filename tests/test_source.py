@@ -93,12 +93,12 @@ def test_one_convolution():
 
 def test_one_fold_entry():
     """repcount._fold is named only inside repcount._box_counts (its walk
-    included), which picks every count's dtype and cap from the one bound
-    (repcount._bound), and its crossover repcount._PRODUCT_BITS is read
-    only there, where a one-point count's exact total proves the packed
-    product's slots wide enough: count tables, the search's certificate
-    sizes and the margin box cannot fold at a dtype or slot width of their
-    own."""
+    included), which picks every count's dtype and cap from the one exact
+    total it computes at the box's top corner, and its crossover
+    repcount._PRODUCT_BITS is read only there, where that total proves the
+    packed product's slots wide enough: count tables, the search's
+    certificate sizes and the margin box cannot fold at a dtype or slot
+    width of their own."""
     for name in ("_fold", "_PRODUCT_BITS"):
         found = _places(
             lambda node: isinstance(node, (ast.Name, ast.Attribute))

@@ -824,20 +824,23 @@ class TestThresholds:
         assert len(calls) == 1
 
     def test_box_walk_convolution_count_is_pinned(self, monkeypatch):
-        # the walk keeps one partial product per color: at margin 3, two
+        # the walk forms each partial product once: at margin 3, two
         # colors take the last color's 4 rows times each of the first's 4,
         # 16 products, and three colors add 16 partial products of the
         # first two to 64 last-color products, 80; folding each point's
-        # whole prefix again would take 2 per point, 128
+        # whole prefix again would take 2 per point, 128.  A two-element B
+        # is folded once into each of the first color's 4 rows: 20 and 84
         convolve, calls = np.convolve, []
         monkeypatch.setattr(np, "convolve", lambda a, v: calls.append(1) or convolve(a, v))
-        for sets, want in [([[0, 2, 3], [0, 1, 5]], 16), ([[0, 2, 3], [0, 1, 5], [0, 4, 7]], 80)]:
+        two, three = [[0, 2, 3], [0, 1, 5]], [[0, 2, 3], [0, 1, 5], [0, 4, 7]]
+        for sets, B, want in [(two, None, 16), (three, None, 80),
+                              (two, make_set([0, 1]), 20), (three, make_set([0, 1]), 84)]:
             st = make_tuple(sets)
-            res = structure_constants(st, 2)
+            res = structure_constants(st, 2, B=B)
             calls.clear()
-            checked = verify_box(st, 2, res, margin=3)
+            checked = verify_box(st, 2, res, B=B, margin=3)
             assert len(checked) == 4 ** st.q and all(ok for _, ok in checked)
-            assert len(calls) == want, sets
+            assert len(calls) == want, (sets, B)
 
     def test_empirical_constants_are_the_limit(self):
         # a shape read off one t-fold set and checked on a margin box gave
