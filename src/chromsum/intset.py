@@ -69,11 +69,23 @@ def _int(value, decimal: bool = False) -> int:
 
 
 def _is_int(value) -> bool:
-    """Whether value is a Python int and not a bool: the scalar parameters
-    (t, a cap, a margin, an exponent, n, a ceiling, a budget, a dilation
-    factor, a coordinate index, an interval end, a translation) take
-    nothing else, so True is not read as 1 nor 2.0 as 2."""
+    """Whether value is a Python int and not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(value, what: str, least: int | None = None, optional: bool = False) -> None:
+    """Refuse value with a DomainError unless it is a Python int (_is_int)
+    and at least least (None, 0 or 1), or it is None and optional.  The
+    scalar parameters (t, a cap, a margin, an exponent, n, a ceiling, a
+    budget, a dilation factor, a coordinate index, an interval end, a
+    translation) take nothing else, so True is not read as 1 nor 2.0 as
+    2; each is refused here, but for FiniteSet.interval's two ends.  The
+    message is "{what} must be an integer", "... a nonnegative integer"
+    or "... a positive integer", with " or None" when optional."""
+    if (value is None and optional) or (_is_int(value) and (least is None or value >= least)):
+        return
+    kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[least]
+    raise DomainError(f"{what} must be {kind}" + (" or None" if optional else ""))
 
 
 @dataclass(frozen=True)
@@ -147,8 +159,7 @@ class FiniteSet:
         return FiniteSet(tuple(sorted(sums)))
 
     def translate(self, c: int) -> "FiniteSet":
-        if not _is_int(c):
-            raise DomainError("translation must be an integer")
+        _require_int(c, "translation")
         return FiniteSet(tuple(a + c for a in self.elements))
 
 
@@ -176,8 +187,7 @@ def reflect(A: FiniteSet) -> FiniteSet:
 
 def dilate(d: int, A: FiniteSet) -> FiniteSet:
     """The dilated set {d * a : a in A} for positive d."""
-    if not _is_int(d) or d < 1:
-        raise DomainError("dilation factor must be a positive integer")
+    _require_int(d, "dilation factor", 1)
     return FiniteSet(tuple(d * a for a in A.elements))
 
 
@@ -263,6 +273,13 @@ class HVec:
         return self.coords[i]
 
 
+def _require_length(st: SetTuple, *hs: HVec) -> None:
+    """Refuse exponent vectors that do not have one coordinate per color
+    of st."""
+    if any(h.q != st.q for h in hs):
+        raise DimensionError("exponent vector length does not match tuple")
+
+
 def hvec_leq(h1: HVec, h2: HVec) -> bool:
     """Componentwise h1 <= h2."""
     if h1.q != h2.q:
@@ -284,8 +301,7 @@ def hvec_sup(hs: Sequence[HVec]) -> HVec:
 
 def hvec_add_unit(h: HVec, i: int) -> HVec:
     """h with coordinate i incremented by one."""
-    if not _is_int(i):
-        raise DomainError("coordinate index must be an integer")
+    _require_int(i, "coordinate index")
     if not 0 <= i < h.q:
         raise DimensionError(f"coordinate index {i} out of range for q={h.q}")
     coords = list(h.coords)

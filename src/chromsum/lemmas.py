@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError, DomainError, NotNormalizedError
-from .intset import FiniteSet, HVec, SetTuple, _is_int, hvec_add_unit
+from .errors import DomainError, NotNormalizedError
+from .intset import FiniteSet, HVec, SetTuple, _require_int, _require_length, hvec_add_unit
 from .repcount import (
     CountTable,
     _shared_rows,
@@ -204,10 +204,8 @@ def run_all(st: SetTuple, h: HVec, t: int = 1, B: FiniteSet | None = None) -> li
     """Run every check on one instance; B defaults to {0, 1}."""
     if not st.normalized:
         raise NotNormalizedError("lemma checks require a normalized tuple")
-    if h.q != st.q:
-        raise DimensionError("exponent vector length does not match tuple")
-    if not _is_int(t) or t < 1:
-        raise DomainError("t must be a positive integer")
+    _require_length(st, h)
+    _require_int(t, "t", 1)
     if B is None:
         B = FiniteSet((0, 1))
     if B.min != 0:

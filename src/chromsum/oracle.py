@@ -3,7 +3,7 @@
 Everything here enumerates representations literally, with no recurrences
 and no convolution, so it can cross-check the counting kernels.  Slow on
 purpose; a budget guard refuses instances whose enumeration would be
-larger than the configured ceiling.
+larger than the budget.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
-from .errors import BudgetError, DimensionError, DomainError
-from .intset import FiniteSet, HVec, SetTuple, _is_int
+from .errors import BudgetError, DomainError
+from .intset import FiniteSet, HVec, SetTuple, _require_int, _require_length
 from .repcount import CountTable
 
 __all__ = [
@@ -42,8 +42,7 @@ class Representation:
 def enumeration_size(st: SetTuple, h: HVec) -> int:
     """Number of colored tuples the exhaustive enumeration visits:
     the product over colors of C(|A_i| + h_i - 1, h_i)."""
-    if h.q != st.q:
-        raise DimensionError("exponent vector length does not match tuple")
+    _require_length(st, h)
     size = 1
     for A, hi in zip(st.sets, h.coords):
         size *= math.comb(len(A) + hi - 1, hi)
@@ -51,8 +50,7 @@ def enumeration_size(st: SetTuple, h: HVec) -> int:
 
 
 def _check_budget(st: SetTuple, h: HVec, budget: int | None) -> None:
-    if budget is not None and not _is_int(budget):
-        raise DomainError("budget must be an integer or None")
+    _require_int(budget, "budget", optional=True)
     limit = DEFAULT_BUDGET if budget is None else budget
     size = enumeration_size(st, h)
     if size > limit:
@@ -66,8 +64,7 @@ def enumerate_representations(
 ) -> list[Representation]:
     """All colored representations of n at exponents h, in lexicographic
     order over the q-tuples of per-color non-decreasing tuples."""
-    if not _is_int(n):
-        raise DomainError("n must be an integer")
+    _require_int(n, "n")
     _check_budget(st, h, budget)
     pools = [
         list(combinations_with_replacement(A.elements, hi))
@@ -103,8 +100,7 @@ def oracle_partitions(parts: FiniteSet, n: int) -> list[tuple[int, ...]]:
     lexicographic order.  n = 0 yields the single empty partition."""
     if parts and parts.min < 1:
         raise DomainError("partition parts must all be at least 1")
-    if not _is_int(n):
-        raise DomainError("n must be an integer")
+    _require_int(n, "n")
     if n < 0:
         return []
     elems = parts.elements

@@ -407,13 +407,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    EmptySetError,
-    NotNormalizedError,
-)
-from .intset import FiniteSet, HVec, SetTuple, _int, _ints, _is_int
+from .errors import DomainError, EmptySetError, NotNormalizedError
+from .intset import FiniteSet, HVec, SetTuple, _int, _ints, _require_int, _require_length
 
 __all__ = [
     "CountTable",
@@ -507,8 +502,7 @@ class CountTable:
         )
 
     def support_at_least(self, t: int) -> FiniteSet:
-        if not _is_int(t) or t < 1:
-            raise DomainError("threshold must be a positive integer")
+        _require_int(t, "threshold", 1)
         if self.cap is not None and t > self.cap:
             raise DomainError("threshold exceeds the table cap")
         return FiniteSet(
@@ -537,11 +531,6 @@ class CountTable:
             return cls(offset=obj["offset"], counts=counts, cap=obj.get("cap"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed count table: {exc}") from exc
-
-
-def _validate_cap(cap):
-    if cap is not None and (not _is_int(cap) or cap < 1):
-        raise DomainError("cap must be a positive integer or None")
 
 
 def _dtype(bound: int):
@@ -857,20 +846,18 @@ def _counts(sets: Sequence[FiniteSet], hs: Sequence[int], B: FiniteSet, cap: int
 
 def multiset_count_table(A: FiniteSet, h: int, cap: int | None = None) -> CountTable:
     """Counts of non-decreasing h-tuples from A by their sum, over [0, h*max(A)]."""
-    _validate_cap(cap)
+    _require_int(cap, "cap", 1, optional=True)
     if not A:
         raise EmptySetError("cannot count over an empty set")
     if A.min != 0:
         raise NotNormalizedError("multiset counting requires min(A) = 0")
-    if not _is_int(h) or h < 0:
-        raise DomainError("repetition count must be a nonnegative integer")
+    _require_int(h, "repetition count", 0)
     return CountTable(offset=0, counts=_counts([A], [h], _ZERO, cap), cap=cap)
 
 
 def _colors(st: SetTuple, h: HVec) -> tuple[tuple[FiniteSet, ...], tuple[int, ...]]:
     """The sets and the exponents of a chromatic count, checked."""
-    if h.q != st.q:
-        raise DimensionError("exponent vector length does not match tuple")
+    _require_length(st, h)
     if not st.normalized:
         raise NotNormalizedError("chromatic counting requires a normalized tuple")
     return st.sets, h.coords
@@ -883,14 +870,13 @@ def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> Coun
     A colored representation is determined by its per-color multisets, so
     the table is the convolution of the per-color tables.
     """
-    _validate_cap(cap)
+    _require_int(cap, "cap", 1, optional=True)
     return CountTable(offset=0, counts=_counts(*_colors(st, h), _ZERO, cap), cap=cap)
 
 
 def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
     """The set of integers with at least t colored representations."""
-    if not _is_int(t) or t < 1:
-        raise DomainError("t must be a positive integer")
+    _require_int(t, "t", 1)
     counts = _counts(*_colors(st, h), _ZERO, t)
     return FiniteSet(tuple(np.flatnonzero(counts >= t).tolist()))
 
@@ -954,10 +940,8 @@ def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
     The empty multiset represents 0, so the count at 0 is 1.  Parts must
     all be at least 1; callers strip 0 from their alphabets first.
     """
-    if not _is_int(cap) or cap < 1:
-        raise DomainError("cap must be a positive integer")
-    if not _is_int(n_top) or n_top < 0:
-        raise DomainError("table end must be a nonnegative integer")
+    _require_int(cap, "cap", 1)
+    _require_int(n_top, "table end", 0)
     if parts and parts.min < 1:
         raise DomainError("partition parts must all be at least 1")
     for counts in _unbounded_rows([1] + [0] * n_top, parts.elements, cap):
@@ -1220,7 +1204,7 @@ def inhomogeneous_count_table(
 ) -> CountTable:
     """Counts of the translated form: colored representation plus one
     element of B, over [min(B), sum_i h_i * max(A_i) + max(B)]."""
-    _validate_cap(cap)
+    _require_int(cap, "cap", 1, optional=True)
     if not B:
         raise EmptySetError("translation set B must be nonempty")
     return CountTable(offset=B.min, counts=_counts(*_colors(st, h), B, cap), cap=cap)

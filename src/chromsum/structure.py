@@ -95,12 +95,11 @@ from .errors import (
     BoundError,
     ChromsumError,
     DegenerateAlphabetError,
-    DimensionError,
     DomainError,
     NotNormalizedError,
     SearchExhaustedError,
 )
-from .intset import FiniteSet, HVec, SetTuple, _int, _is_int, hvec_leq
+from .intset import FiniteSet, HVec, SetTuple, _int, _require_int, _require_length, hvec_leq
 from .repcount import (
     _ZERO,
     _fewest_loads,
@@ -149,8 +148,7 @@ class StructureResult:
 
     def pattern_set(self, m: int) -> FiniteSet:
         """The predicted set for right endpoint m."""
-        if not _is_int(m):
-            raise DomainError("right endpoint must be an integer")
+        _require_int(m, "right endpoint")
         dec = (self.low_fringe.elements, self.low_cut,
                self.high_fringe.elements, self.high_cut)
         return FiniteSet(_pattern_members(dec, m))
@@ -257,16 +255,6 @@ def _require_normalized(st: SetTuple) -> None:
         raise NotNormalizedError("this operation requires a normalized tuple")
 
 
-def _require_t(t: int) -> None:
-    if not _is_int(t) or t < 1:
-        raise DomainError("t must be a positive integer")
-
-
-def _require_margin(margin: int) -> None:
-    if not _is_int(margin) or margin < 1:
-        raise DomainError("margin must be a positive integer")
-
-
 def _translation(B: FiniteSet | None) -> FiniteSet:
     """The translation set, {0} for None; its minimum must be 0."""
     if B is None:
@@ -315,10 +303,14 @@ def certified_rep_bound(st: SetTuple, t: int) -> int:
     construction gives t distinct colored representations of every n at
     or above this."""
     _require_normalized(st)
-    _require_t(t)
-    k = sum(len(A) - 1 for A in st.sets)
+    _require_int(t, "t", 1)
+    return _rep_bound(st, t)
+
+
+def _rep_bound(st: SetTuple, t: int) -> int:
+    """certified_rep_bound of a normalized tuple and a positive t."""
     a_star = max(st.maxima)
-    return k * (t * a_star - 1) * a_star
+    return sum(len(A) - 1 for A in st.sets) * (t * a_star - 1) * a_star
 
 
 def low_fringe_constants(st: SetTuple, t: int) -> tuple[FiniteSet, int]:
@@ -328,33 +320,43 @@ def low_fringe_constants(st: SetTuple, t: int) -> tuple[FiniteSet, int]:
     the n <= cut - 2 that already have t.  Both strategies return these
     as (C, c); see the module docstring.
     """
-    _require_normalized(st)
-    _require_t(t)
-    _require_nondegenerate(st, _ZERO, t)
-    low, cut = _limit_fringe(st, _ZERO, t, certified_rep_bound(st, t), False)
-    return FiniteSet(low), cut
+    return _fringe_constants(st, t, False)
 
 
 def high_fringe_constants(st: SetTuple, t: int) -> tuple[FiniteSet, int]:
     """Same as low_fringe_constants on the reflected tuple; the sporadic
     set holds offsets below the right endpoint."""
-    return low_fringe_constants(st.reflected(), t)
+    return _fringe_constants(st, t, True)
+
+
+def _fringe_constants(st: SetTuple, t: int, high: bool) -> tuple[FiniteSet, int]:
+    """low_fringe_constants, or with high high_fringe_constants: the
+    reflected tuple's parts come from _parts, so no tuple is reflected."""
+    _require_normalized(st)
+    _require_int(t, "t", 1)
+    _require_nondegenerate(st, _ZERO, t)
+    fringe, cut = _limit_fringe(st, _ZERO, t, _rep_bound(st, t), high)
+    return FiniteSet(fringe), cut
 
 
 def closed_form_threshold(A: FiniteSet, t: int) -> int:
     """(|A| - 1) * (t*max(A) - 1) * max(A) + 1: the explicit exponent bound
     past which a single normalized set's t-fold sumsets carry the
     eventual shape."""
-    _require_t(t)
+    _require_int(t, "t", 1)
     if len(A) < 2:
         raise DomainError("the set needs at least two elements")
     if A.min != 0:
         raise DomainError("the set must contain 0 as its minimum")
     if A.gcd() != 1:
         raise DomainError("the set's elements must have gcd 1")
-    k = len(A)
-    a_star = A.max
-    return (k - 1) * (t * a_star - 1) * a_star + 1
+    return _closed_form(A, t)
+
+
+def _closed_form(A: FiniteSet, t: int) -> int:
+    """closed_form_threshold of a set of at least two elements with
+    minimum 0 and gcd 1, and a positive t."""
+    return (len(A) - 1) * (t * A.max - 1) * A.max + 1
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -391,14 +393,13 @@ def witness_representations(st: SetTuple, n: int, t: int) -> WitnessSet:
     certified bound keeps the absorbed coefficient nonnegative.
     """
     _require_normalized(st)
-    _require_t(t)
-    if not _is_int(n):
-        raise DomainError("n must be an integer")
+    _require_int(t, "t", 1)
+    _require_int(n, "n")
     if t >= 2 and _counts_are_bounded(st):
         raise DegenerateAlphabetError(
             "only one nonzero element: distinct representations cannot exist"
         )
-    bound = certified_rep_bound(st, t)
+    bound = _rep_bound(st, t)
     if n < bound:
         raise BoundError(
             f"n={n} is below the certified bound {bound}; the construction "
@@ -493,7 +494,7 @@ def _constructive(st: SetTuple, t: int):
     coords[bump] += max(0, -(-short // a_star))
     if st.q == 1:
         # the closed form is sufficient for a single set; never exceed it
-        coords[0] = min(coords[0], closed_form_threshold(st.sets[0], t))
+        coords[0] = min(coords[0], _closed_form(st.sets[0], t))
     return dec, tuple(coords)
 
 
@@ -513,7 +514,7 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
     at it with the certificate of the module docstring.
     """
     _require_normalized(st)
-    _require_t(t)
+    _require_int(t, "t", 1)
     _require_nondegenerate(st, _ZERO, t)
     return HVec(_constructive(st, t)[1])
 
@@ -525,7 +526,7 @@ def threshold_constructive(st: SetTuple, t: int) -> HVec:
 def _limit_constants(st: SetTuple, B: FiniteSet, t: int):
     """(C, c, D, d) of the large-h limit of the t-fold sets of h.A + B."""
     # the reflected tuple shares the certified bound
-    bound = certified_rep_bound(st, t)
+    bound = _rep_bound(st, t)
     return (*_limit_fringe(st, B, t, bound, False), *_limit_fringe(st, B, t, bound, True))
 
 
@@ -583,7 +584,7 @@ def _certifier(st: SetTuple, B: FiniteSet, dec, t: int):
 
 
 def _search_ceiling(st: SetTuple, t: int) -> int:
-    return 4 * closed_form_threshold(st.union, t)
+    return 4 * _closed_form(st.union, t)
 
 
 def _gallop(pred, lo: int, hi: int) -> int:
@@ -651,10 +652,9 @@ def structure_constants(
     form).  The constructive strategy builds its vector from witnesses;
     it takes neither a translation nor a ceiling."""
     _require_normalized(st)
-    _require_t(t)
-    _require_margin(margin)
-    if ceiling is not None and (not _is_int(ceiling) or ceiling < 0):
-        raise DomainError("ceiling must be a nonnegative integer or None")
+    _require_int(t, "t", 1)
+    _require_int(margin, "margin", 1)
+    _require_int(ceiling, "ceiling", 0, optional=True)
     B = _translation(B)
     if strategy not in ("empirical", "constructive"):
         raise DomainError(f"unknown strategy {strategy!r}")
@@ -710,14 +710,12 @@ def verify_box(
     (repcount).  Every check on a point holds at every point of the box
     once it holds at lo, the least one."""
     _require_normalized(st)
-    _require_t(t)
-    if not _is_int(margin) or margin < 0:
-        raise DomainError("margin must be a nonnegative integer")
+    _require_int(t, "t", 1)
+    _require_int(margin, "margin", 0)
     B = _translation(B)
     if lo is None:
         lo = result.threshold
-    if lo.q != st.q or result.threshold.q != st.q:
-        raise DimensionError("exponent vector length does not match tuple")
+    _require_length(st, lo, result.threshold)
     if not hvec_leq(result.threshold, lo):
         raise DomainError("h lies below the result's threshold vector")
     m = lo.dot(st.maxima) + B.max

@@ -181,3 +181,18 @@ def test_constructive_structure_refuses_a_translation(monkeypatch):
     code, out, err = call(monkeypatch, *argv, "--B", "0,1")
     assert (code, out) == (3, "")
     assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["structure", "--sets", "[[0,2,4]]", "--t", "2"], ""),
+    (["structure", "--sets", "[[0,2,4]]", "--t", "2", "--strategy", "constructive"], ""),
+    (["witness", "--sets", "[[0,2,4]]", "--t", "2", "--n", "100"], ""),
+    (["verify", "--sets", "[[0,2,4]]", "--t", "2"], json.dumps(RESULT)),
+])
+def test_structure_commands_refuse_a_tuple_that_is_not_normalized(monkeypatch, argv, stdin):
+    # the command line passes the tuple as given; the library refuses it
+    code, out, err = call(monkeypatch, *argv, stdin=stdin)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == {
+        "type": "NotNormalizedError", "message": "this operation requires a normalized tuple",
+    }

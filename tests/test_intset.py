@@ -29,12 +29,16 @@ from chromsum.intset import (
     tuple_from_json,
     tuple_to_json,
 )
+from chromsum.lemmas import run_all
 from chromsum.oracle import (
     enumerate_representations,
+    enumeration_size,
     oracle_count_table,
     oracle_partition_count,
     oracle_partitions,
 )
+from chromsum.repcount import chromatic_count_table
+from chromsum.structure import StructureResult, verify_box
 
 sets_strategy = st.lists(
     st.integers(min_value=-30, max_value=30), min_size=1, max_size=6
@@ -99,6 +103,12 @@ class TestFiniteSet:
     def test_translate(self):
         assert make_set([0, 2]).translate(-3).elements == (-3, -1)
 
+    @pytest.mark.parametrize("other", [1, (0, 2), HVec((1,))])
+    def test_sum_with_a_non_set_is_refused(self, other):
+        # __add__ returns NotImplemented, so Python raises TypeError
+        with pytest.raises(TypeError):
+            make_set([0, 1]) + other
+
 
 class TestReflectDilate:
     def test_reflect_example(self):
@@ -146,6 +156,13 @@ class TestSetTuple:
         with pytest.raises(EmptySetError):
             SetTuple((FiniteSet.empty(),))
 
+    def test_components_must_be_sets_and_a_list_is_kept_as_a_tuple(self):
+        with pytest.raises(TypeError, match="^SetTuple components must be FiniteSet$"):
+            SetTuple((make_set([0, 1]), (0, 2)))
+        t = SetTuple([make_set([0, 1]), make_set([0, 2])])
+        assert type(t.sets) is tuple
+        assert t == make_tuple([[0, 1], [0, 2]]) and hash(t) == hash(make_tuple([[0, 1], [0, 2]]))
+
     def test_reflected(self):
         t = make_tuple([[0, 2, 3], [0, 1]])
         assert t.reflected().sets[0].elements == (0, 1, 3)
@@ -166,6 +183,14 @@ class TestHVec:
         with pytest.raises(DomainError):
             HVec((1, -1))
 
+    def test_sequence_protocol(self):
+        h = HVec((4, 0, 2))
+        assert len(h) == 3
+        assert list(h) == [4, 0, 2]
+        assert (h[0], h[-1]) == (4, 2)
+        with pytest.raises(IndexError):
+            h[3]
+
     def test_norm_dot(self):
         h = HVec((2, 3))
         assert h.norm == 5
@@ -181,6 +206,8 @@ class TestHVec:
             hvec_sup([])
         with pytest.raises(DimensionError):
             hvec_sup([HVec((1,)), HVec((1, 2))])
+        with pytest.raises(DimensionError, match="^exponent vectors of different lengths$"):
+            hvec_leq(HVec((1,)), HVec((1, 2)))
 
     def test_add_unit(self):
         assert hvec_add_unit(HVec((1, 1)), 1).coords == (1, 2)
@@ -191,32 +218,58 @@ class TestHVec:
 _A013, _T02 = make_set([0, 1, 3]), make_tuple([[0, 1, 3], [0, 2]])
 
 
-@pytest.mark.parametrize("call, args", [
-    (dilate, (True, _A013)),
-    (dilate, (2.0, _A013)),
-    (hvec_add_unit, (HVec((1, 2)), True)),
-    (hvec_add_unit, (HVec((1, 2)), 1.0)),
-    (FiniteSet.interval, (True, 3)),
-    (FiniteSet.interval, (0, 3.0)),
-    (_A013.translate, (True,)),
-    (_A013.translate, (1.5,)),
-    (oracle_partitions, (make_set([2, 3]), True)),
-    (oracle_partitions, (make_set([2, 3]), 2.5)),
-    (oracle_partition_count, (make_set([2, 3]), 6.0)),
-    (enumerate_representations, (_T02, HVec((2, 1)), True)),
-    (enumerate_representations, (_T02, HVec((2, 1)), 6.0)),
-    (enumerate_representations, (_T02, HVec((2, 1)), 6, True)),
-    (enumerate_representations, (_T02, HVec((2, 1)), 6, 100.5)),
-    (oracle_count_table, (_T02, HVec((2, 1)), True)),
-    (oracle_count_table, (_T02, HVec((2, 1)), 100.5)),
+_NOT_INT = "n must be an integer"
+_NOT_BUDGET = "budget must be an integer or None"
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (dilate, (True, _A013), "dilation factor must be a positive integer"),
+    (dilate, (2.0, _A013), "dilation factor must be a positive integer"),
+    (dilate, (0, _A013), "dilation factor must be a positive integer"),
+    (hvec_add_unit, (HVec((1, 2)), True), "coordinate index must be an integer"),
+    (hvec_add_unit, (HVec((1, 2)), 1.0), "coordinate index must be an integer"),
+    (FiniteSet.interval, (True, 3), "interval ends must be integers"),
+    (FiniteSet.interval, (0, 3.0), "interval ends must be integers"),
+    (_A013.translate, (True,), "translation must be an integer"),
+    (_A013.translate, (1.5,), "translation must be an integer"),
+    (oracle_partitions, (make_set([2, 3]), True), _NOT_INT),
+    (oracle_partitions, (make_set([2, 3]), 2.5), _NOT_INT),
+    (oracle_partition_count, (make_set([2, 3]), 6.0), _NOT_INT),
+    (enumerate_representations, (_T02, HVec((2, 1)), True), _NOT_INT),
+    (enumerate_representations, (_T02, HVec((2, 1)), 6.0), _NOT_INT),
+    (enumerate_representations, (_T02, HVec((2, 1)), 2.0), _NOT_INT),
+    (enumerate_representations, (_T02, HVec((2, 1)), 6, True), _NOT_BUDGET),
+    (enumerate_representations, (_T02, HVec((2, 1)), 6, 100.5), _NOT_BUDGET),
+    (enumerate_representations, (_T02, HVec((2, 1)), 6, 1.5), _NOT_BUDGET),
+    (oracle_count_table, (_T02, HVec((2, 1)), True), _NOT_BUDGET),
+    (oracle_count_table, (_T02, HVec((2, 1)), 100.5), _NOT_BUDGET),
+    (oracle_count_table, (_T02, HVec((2, 1)), 1.5), _NOT_BUDGET),
 ], ids=lambda x: getattr(x, "__name__", None))
-def test_scalar_parameters_refuse_bools_and_floats(call, args):
+def test_scalar_parameters_refuse_bools_and_floats(call, args, message):
     # True is not read as 1 nor 2.0 as 2, here as in every other scalar
     # parameter of the library; a budget is refused as a value, not
     # compared with the enumeration's size (BudgetError)
     with pytest.raises(DomainError) as refused:
         call(*args)
     assert refused.type is DomainError
+    assert str(refused.value) == message
+
+
+_R13 = StructureResult.from_json({"C": [], "c": 1, "D": [], "d": 1, "h_t": [1, 1],
+                                  "strategy": "empirical", "verified_box": [[1, 1], [2, 2]]})
+
+
+@pytest.mark.parametrize("call, args", [
+    (chromatic_count_table, (_T02, HVec((2,)))),
+    (run_all, (_T02, HVec((2, 1, 1)))),
+    (verify_box, (_T02, 1, _R13, HVec((1,)))),
+    (verify_box, (make_tuple([[0, 1, 3]]), 1, _R13)),
+    (enumeration_size, (_T02, HVec((2,)))),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_exponent_vectors_of_the_wrong_length_are_refused(call, args):
+    # one coordinate per color, or no count is started
+    with pytest.raises(DimensionError, match="^exponent vector length does not match tuple$"):
+        call(*args)
 
 
 class TestNormalization:
@@ -257,6 +310,13 @@ class TestNormalization:
         values = denormalize_sumset(make_set([0, 1, 2]), record, HVec((1, 1)))
         assert values.elements == (10, 14, 18)
 
+    def test_denormalize_refuses_a_record_of_another_length(self):
+        _, record = normalize_tuple(make_tuple([[6, 10], [4, 8]]))
+        with pytest.raises(DimensionError, match="^record length does not match tuple$"):
+            denormalize_tuple(make_tuple([[0, 1]]), record)
+        with pytest.raises(DimensionError, match="^exponent vector length does not match record$"):
+            denormalize_sumset(make_set([0, 1]), record, HVec((1,)))
+
 
 class TestTupleJson:
     def test_roundtrip(self):
@@ -269,11 +329,19 @@ class TestTupleJson:
         obj = tuple_to_json(t, labels=["red"])
         st_, labels = tuple_from_json(obj)
         assert labels == ("red",)
+        with pytest.raises(ValueError, match="^labels length does not match tuple$"):
+            tuple_to_json(t, labels=["red", "blue"])
 
-    @pytest.mark.parametrize(
-        "bad",
-        [42, {"sets": [[0, True]]}, {"sets": "nope"}, {"sets": [0, 1]}],
-    )
-    def test_malformed(self, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("bad, message", [
+        (42, 'expected an object with a "sets" field'),
+        ({"sets": [[0, True]]}, '"sets" must contain integers only'),
+        ({"sets": "nope"}, '"sets" must be a list of lists of integers'),
+        ({"sets": [0, 1]}, '"sets" must be a list of lists of integers'),
+        ({"sets": [[0, 1]], "labels": "red"}, '"labels" must be a list of strings'),
+        ({"sets": [[0, 1]], "labels": [1]}, '"labels" must be a list of strings'),
+        ({"sets": [[0, 1]], "labels": ["red", "blue"]}, "labels length does not match sets"),
+    ])
+    def test_malformed(self, bad, message):
+        with pytest.raises(ValueError) as refused:
             tuple_from_json(bad)
+        assert str(refused.value) == message

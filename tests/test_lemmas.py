@@ -63,13 +63,13 @@ def test_validation():
         run_all(make_tuple([[0, 1]]), HVec((1,)), B=make_set([2, 3]))
 
 
-@pytest.mark.parametrize("t", [True, 2.0])
+@pytest.mark.parametrize("t", [True, 2.0, 0])
 def test_t_refuses_bools_and_floats(monkeypatch, t):
     # True is not read as t = 1 nor 2.0 as 2, and no check runs first
     monkeypatch.setattr(
         lemmas, "chromatic_count_table", lambda *_, **__: pytest.fail("checked before refusing")
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^t must be a positive integer$"):
         run_all(make_tuple([[0, 1]]), HVec((2,)), t)
 
 

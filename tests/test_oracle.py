@@ -39,12 +39,19 @@ def test_enumerate_representations_is_sorted_and_distinct():
     assert len(seen) == len(set(seen))
 
 
-def test_budget_refusal():
-    t = make_tuple([[0, 1, 2, 3]])
-    with pytest.raises(BudgetError):
-        enumerate_representations(t, HVec((10,)), 5, budget=10)
-    with pytest.raises(BudgetError):
-        oracle_count_table(t, HVec((10,)), budget=10)
+@pytest.mark.parametrize("budget, error, message", [
+    # C(13, 10) = 286 multisets of 10 from 4 elements
+    (10, BudgetError, "enumeration of 286 colored tuples exceeds the budget of 10"),
+    (1.5, DomainError, "budget must be an integer or None"),
+], ids=["over", "float"])
+@pytest.mark.parametrize("call, args", [
+    (enumerate_representations, (HVec((10,)), 5)),
+    (oracle_count_table, (HVec((10,)),)),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_budget_refusal(call, args, budget, error, message):
+    with pytest.raises(error) as refused:
+        call(make_tuple([[0, 1, 2, 3]]), *args, budget=budget)
+    assert refused.type is error and str(refused.value) == message
 
 
 def test_oracle_matches_chromatic_battery():

@@ -58,20 +58,36 @@ def test_multiset_validation():
 _A013, _T013 = make_set([0, 1, 3]), make_tuple([[0, 1, 3]])
 
 
-@pytest.mark.parametrize("call, args", [
-    (tfold_set, (_T013, HVec((2,)), True)),
-    (tfold_set, (_T013, HVec((2,)), 2.0)),
-    (multiset_count_table, (_A013, True)),
-    (multiset_count_table, (_A013, 2.0)),
-    (multiset_count_table, (_A013, 4, True)),
-    (multiset_count_table, (_A013, 4, 2.0)),
-    (chromatic_count_table, (_T013, HVec((2,)), True)),
-    (inhomogeneous_count_table, (_T013, HVec((2,)), make_set([0, 1]), True)),
-    (partition_count_table, (make_set([2, 3]), 5, True)),
-    (partition_count_table, (make_set([2, 3]), 5, 3.0)),
-    (partition_count_table, (make_set([2, 3]), 5.0, 3)),
+_T = "t must be a positive integer"
+_H = "repetition count must be a nonnegative integer"
+_CAP = "cap must be a positive integer or None"
+_T013_TABLE = CountTable(offset=0, counts=(1, 1, 2), cap=2)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (tfold_set, (_T013, HVec((2,)), True), _T),
+    (tfold_set, (_T013, HVec((2,)), 2.0), _T),
+    (tfold_set, (_T013, HVec((2,)), 0), _T),
+    (multiset_count_table, (_A013, True), _H),
+    (multiset_count_table, (_A013, 2.0), _H),
+    (multiset_count_table, (_A013, -1), _H),
+    (multiset_count_table, (_A013, 4, True), _CAP),
+    (multiset_count_table, (_A013, 4, 2.0), _CAP),
+    (multiset_count_table, (_A013, 4, 0), _CAP),
+    (chromatic_count_table, (_T013, HVec((2,)), True), _CAP),
+    (chromatic_count_table, (_T013, HVec((2,)), 0), _CAP),
+    (inhomogeneous_count_table, (_T013, HVec((2,)), make_set([0, 1]), True), _CAP),
+    (inhomogeneous_count_table, (_T013, HVec((2,)), make_set([0, 1]), 0), _CAP),
+    (partition_count_table, (make_set([2, 3]), 5, True), "cap must be a positive integer"),
+    (partition_count_table, (make_set([2, 3]), 5, 3.0), "cap must be a positive integer"),
+    (partition_count_table, (make_set([2, 3]), 5, 0), "cap must be a positive integer"),
+    (partition_count_table, (make_set([2, 3]), 5.0, 3), "table end must be a nonnegative integer"),
+    (partition_count_table, (make_set([2, 3]), -1, 3), "table end must be a nonnegative integer"),
+    (_T013_TABLE.support_at_least, (True,), "threshold must be a positive integer"),
+    (_T013_TABLE.support_at_least, (0,), "threshold must be a positive integer"),
+    (_T013_TABLE.support_at_least, (3,), "threshold exceeds the table cap"),
 ], ids=lambda x: getattr(x, "__name__", None))
-def test_scalar_parameters_refuse_bools_and_floats(monkeypatch, call, args):
+def test_scalar_parameters_refuse_bools_and_floats(monkeypatch, call, args, message):
     # True is not read as 1 nor 2.0 as 2: the typed error comes before
     # any row or fold is computed
     def work(*_):
@@ -79,8 +95,15 @@ def test_scalar_parameters_refuse_bools_and_floats(monkeypatch, call, args):
 
     for name in ("_box_counts", "_unbounded_rows", "_exact_row", "_multiset_rows"):
         monkeypatch.setattr(repcount, name, work)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as refused:
         call(*args)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("bad", [None, [1, 2], "{}"])
+def test_count_table_from_json_refuses_a_non_object(bad):
+    with pytest.raises(ValueError, match="^expected a count table object$"):
+        CountTable.from_json(bad)
 
 
 @given(normalized_set, st.integers(min_value=0, max_value=6))

@@ -150,12 +150,14 @@ def test_one_box_check():
 
 
 def test_structure_validates_at_its_boundary():
-    """structure builds an HVec or a FiniteSet, and reflects a tuple, only
-    where a value enters or leaves the library: a result and its JSON
-    form, a fringe constant, the constructive threshold and the points
-    verify_box returns.  The search, its certificate and the constructive
-    route run on plain coordinate tuples and on the (part, color) pairs
-    of structure._parts, so nothing the library made is validated again."""
+    """structure builds an HVec or a FiniteSet only where a value enters
+    or leaves the library: a result and its JSON form, a fringe constant,
+    the constructive threshold and the points verify_box returns.  The
+    search, its certificate and the constructive route run on plain
+    coordinate tuples and on the (part, color) pairs of structure._parts,
+    so nothing the library made is validated again: no tuple is
+    reflected, and no function of structure calls a public entry that
+    checks its arguments again."""
 
     def calls(name: str) -> set[str]:
         return {
@@ -172,13 +174,26 @@ def test_structure_validates_at_its_boundary():
     }
     assert calls("FiniteSet") == {
         "structure.StructureResult.pattern_set", "structure.StructureResult.from_json",
-        "structure._result", "structure.low_fringe_constants",
+        "structure._result", "structure._fringe_constants",
     }
-    assert calls("reflected") == {"structure.high_fringe_constants"}
+    for name in ("reflected", "certified_rep_bound", "closed_form_threshold", "low_fringe_constants"):
+        assert calls(name) == set(), name
     named = ("id", "attr", "name")
     for name in ("hvec_add_unit", "hvec_sup", "_flat_nonzero"):
         found = _places(lambda node: name in (getattr(node, key, None) for key in named))
         assert [f for f in found if f == "structure" or f.startswith("structure.")] == [], name
+
+
+def test_one_scalar_validator():
+    """intset._is_int is named only in intset, where the one scalar
+    validator intset._require_int uses it: every other module refuses a
+    scalar parameter through that validator, with one message per
+    condition, and the per-module checks it replaced are gone."""
+    named = ("id", "attr", "name")
+    found = _places(lambda node: "_is_int" in (getattr(node, key, None) for key in named))
+    assert found and all(f == "intset" or f.startswith("intset.") for f in found)
+    for name in ("_require_t", "_require_margin", "_validate_cap"):
+        assert _places(lambda node: name in (getattr(node, key, None) for key in named)) == [], name
 
 
 def _trees() -> list[ast.Module]:

@@ -19,6 +19,7 @@ from chromsum.errors import (
     DegenerateAlphabetError,
     DimensionError,
     DomainError,
+    NotNormalizedError,
     SearchExhaustedError,
 )
 from chromsum.intset import FiniteSet, HVec, make_set, make_tuple
@@ -57,6 +58,11 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 A023 = make_tuple([[0, 2, 3]])
 # the empirical result of A023 at t = 1
 R023 = structure._result(((0,), 2, (), 0), (1,), "empirical", 3)
+# minimum 0 but gcd 2: not normalized
+_A024 = make_tuple([[0, 2, 4]])
+_T, _MARGIN = "t must be a positive integer", "margin must be a positive integer"
+_CEILING = "ceiling must be a nonnegative integer or None"
+_NO_B = "the constructive strategy takes no translation set and no ceiling"
 
 
 def box(lo: HVec, margin: int) -> list[HVec]:
@@ -183,7 +189,7 @@ class TestFringeConstants:
         # (the residue walk reads no bound, so the table is forced)
         for name, value in ROUTINGS["table-always"].items():
             monkeypatch.setattr(repcount, name, value)
-        monkeypatch.setattr(structure, "certified_rep_bound", lambda st, t: 0)
+        monkeypatch.setattr(structure, "_rep_bound", lambda st, t: 0)
         with pytest.raises(RuntimeError, match=r"^internal invariant: no run of 2 counts >= 2 below 2$"):
             low_fringe_constants(A023, 2)
 
@@ -737,29 +743,40 @@ class TestThresholds:
         with pytest.raises(DomainError):
             structure_constants(A023, 1, margin=0)
 
-    @pytest.mark.parametrize("call, args, kwargs", [
-        (structure_constants, (A023, True), {}),
-        (structure_constants, (A023, 2.0), {}),
-        (structure_constants, (A023, 2), {"margin": True}),
-        (structure_constants, (A023, 2), {"margin": 2.0}),
-        (structure_constants, (A023, True), {"strategy": "constructive"}),
-        (structure_constants_inhomogeneous, (A023, make_set([0, 1]), True), {}),
-        (structure_constants_inhomogeneous, (A023, make_set([0, 1]), 2), {"margin": True}),
-        (structure_constants, (A023, 2), {"B": make_set([0, 1]), "margin": True}),
-        (threshold_constructive, (A023, True), {}),
-        (certified_rep_bound, (A023, True), {}),
-        (witness_representations, (A023, 20, True), {}),
-        (witness_representations, (A023, 20, 2.0), {}),
-        (witness_representations, (A023, 20.0, 1), {}),
-        (structure_constants, (A023, 2), {"ceiling": True}),
-        (structure_constants, (A023, 2), {"ceiling": 2.5}),
-        (structure_constants, (A023, 2), {"ceiling": -1}),
-        (structure_constants, (A023, 2), {"strategy": "constructive", "B": make_set([0, 1])}),
-        (structure_constants, (A023, 2), {"strategy": "constructive", "ceiling": 10}),
-        (StructureResult.pattern_set, (R023, True), {}),
-        (StructureResult.pattern_set, (R023, 10.0), {}),
+    @pytest.mark.parametrize("call, args, kwargs, message", [
+        (structure_constants, (A023, True), {}, _T),
+        (structure_constants, (A023, 2.0), {}, _T),
+        (structure_constants, (A023, 0), {}, _T),
+        (structure_constants, (A023, 2), {"margin": True}, _MARGIN),
+        (structure_constants, (A023, 2), {"margin": 2.0}, _MARGIN),
+        (structure_constants, (A023, 2), {"margin": 0}, _MARGIN),
+        (structure_constants, (A023, True), {"strategy": "constructive"}, _T),
+        (structure_constants_inhomogeneous, (A023, make_set([0, 1]), True), {}, _T),
+        (structure_constants_inhomogeneous, (A023, make_set([0, 1]), 2), {"margin": True}, _MARGIN),
+        (structure_constants, (A023, 2), {"B": make_set([0, 1]), "margin": True}, _MARGIN),
+        (threshold_constructive, (A023, True), {}, _T),
+        (threshold_constructive, (A023, 0), {}, _T),
+        (certified_rep_bound, (A023, True), {}, _T),
+        (certified_rep_bound, (A023, 0), {}, _T),
+        (low_fringe_constants, (A023, 0), {}, _T),
+        (high_fringe_constants, (A023, True), {}, _T),
+        (closed_form_threshold, (make_set([0, 2, 3]), 0), {}, _T),
+        (witness_representations, (A023, 20, True), {}, _T),
+        (witness_representations, (A023, 20, 2.0), {}, _T),
+        (witness_representations, (A023, 20, 0), {}, _T),
+        (witness_representations, (A023, 20.0, 1), {}, "n must be an integer"),
+        (structure_constants, (A023, 2), {"ceiling": True}, _CEILING),
+        (structure_constants, (A023, 2), {"ceiling": 2.5}, _CEILING),
+        (structure_constants, (A023, 2), {"ceiling": -1}, _CEILING),
+        (structure_constants, (A023, 2), {"strategy": "constructive", "B": make_set([0, 1])}, _NO_B),
+        (structure_constants, (A023, 2), {"strategy": "constructive", "ceiling": 10}, _NO_B),
+        (StructureResult.pattern_set, (R023, True), {}, "right endpoint must be an integer"),
+        (StructureResult.pattern_set, (R023, 10.0), {}, "right endpoint must be an integer"),
+        (verify_box, (A023, 0, R023), {}, _T),
+        (verify_box, (A023, 1, R023), {"margin": -1}, "margin must be a nonnegative integer"),
+        (verify_box, (A023, 1, R023), {"margin": 1.0}, "margin must be a nonnegative integer"),
     ], ids=lambda x: getattr(x, "__name__", None) if callable(x) else None)
-    def test_scalar_parameters_refuse_bools_and_floats(self, monkeypatch, call, args, kwargs):
+    def test_scalar_parameters_refuse_bools_and_floats(self, monkeypatch, call, args, kwargs, message):
         # True is not read as 1 nor 2.0 as 2: the typed error comes before
         # the search, the constructive route or a witness starts; so does
         # the refusal of a negative ceiling, and of a translation set or a
@@ -768,10 +785,31 @@ class TestThresholds:
         def work(*_):
             raise AssertionError("computed before refusing")
 
-        for name in ("_stabilize", "_limit_constants", "_ext_gcd"):
+        for name in ("_stabilize", "_limit_constants", "_ext_gcd", "_limit_fringe", "_streamed_box_fits"):
             monkeypatch.setattr(structure, name, work)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as refused:
             call(*args, **kwargs)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("call, args", [
+        (structure_constants, (_A024, 2)),
+        (structure_constants, (_A024, 2, "constructive")),
+        (certified_rep_bound, (_A024, 2)),
+        (low_fringe_constants, (_A024, 2)),
+        (high_fringe_constants, (_A024, 2)),
+        (threshold_constructive, (_A024, 2)),
+        (witness_representations, (_A024, 100, 2)),
+        (verify_box, (_A024, 1, R023)),
+        (verify_structure, (_A024, 1, R023, HVec((1,)))),
+    ], ids=lambda x: getattr(x, "__name__", None) if callable(x) else None)
+    def test_structure_entries_refuse_a_tuple_that_is_not_normalized(self, call, args):
+        # {0, 2, 4} has minimum 0 but gcd 2: every entry refuses it first
+        with pytest.raises(NotNormalizedError, match="^this operation requires a normalized tuple$"):
+            call(*args)
+
+    def test_high_fringe_constants_refuses_a_tuple_off_zero(self):
+        with pytest.raises(NotNormalizedError):
+            high_fringe_constants(make_tuple([[1, 2]]), 1)
 
     def test_search_ceiling_is_enforced(self):
         with pytest.raises(SearchExhaustedError):
