@@ -8,7 +8,13 @@ three-part shape of those t-fold sets (sporadic fringe, solid middle
 interval, mirrored fringe) together with explicit exponent thresholds
 and witness representations, all cross-checked against an exhaustive
 enumeration oracle.
+
+The oracle and the self-check suite (lemmas) load on first use of one of
+their names (PEP 562), so a process that needs neither never imports
+them.
 """
+
+import importlib
 
 from .errors import (
     BoundError,
@@ -40,16 +46,6 @@ from .intset import (
     tuple_from_json,
     tuple_to_json,
 )
-from .lemmas import LemmaCheck, run_all
-from .oracle import (
-    DEFAULT_BUDGET,
-    Representation,
-    enumerate_representations,
-    enumeration_size,
-    oracle_count_table,
-    oracle_partition_count,
-    oracle_partitions,
-)
 from .repcount import (
     CountTable,
     chromatic_count_table,
@@ -75,6 +71,37 @@ from .structure import (
 )
 
 __version__ = "0.1.0"
+
+# each name loaded on first use, and the module that defines it; a module's
+# own name gives the module
+_LAZY = {
+    "lemmas": "lemmas",
+    "LemmaCheck": "lemmas",
+    "run_all": "lemmas",
+    "oracle": "oracle",
+    "DEFAULT_BUDGET": "oracle",
+    "Representation": "oracle",
+    "enumerate_representations": "oracle",
+    "enumeration_size": "oracle",
+    "oracle_count_table": "oracle",
+    "oracle_partition_count": "oracle",
+    "oracle_partitions": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    if name == _LAZY[name]:
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "BoundError",

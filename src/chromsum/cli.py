@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 from .errors import ChromsumError
 from .intset import FiniteSet, HVec, SetTuple, make_set, make_tuple
-from .lemmas import run_all
 from .repcount import inhomogeneous_count_table, tfold_set
 from .structure import (
     DEFAULT_MARGIN,
@@ -233,6 +232,8 @@ def _cmd_witness(req: dict):
 
 
 def _cmd_lemmas(req: dict):
+    from .lemmas import run_all
+
     checks = run_all(req["sets"], req["h"], t=req["t"], B=req["B"])
     payload = {
         "checks": [c.to_json() for c in checks],

@@ -13,6 +13,9 @@ need them.  Sharing changes no value; each check still compares
 supports computed on its own: the cap-t table's t-set against the
 bumped, reflected and translated t-sets and the per-color sums, and the
 cap-1 support against the pooled sumset and the translated form.
+run_all checks its arguments once, and the checks count through
+repcount._table and repcount._tfold and read a table's members through
+CountTable._at_least, below the public entries' checks.
 """
 
 from __future__ import annotations
@@ -21,14 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NotNormalizedError
 from .intset import FiniteSet, HVec, SetTuple, _require_int, _require_length, hvec_add_unit
-from .repcount import (
-    CountTable,
-    _shared_rows,
-    chromatic_count_table,
-    inhomogeneous_count_table,
-    multiset_count_table,
-    tfold_set,
-)
+from .repcount import _ZERO, CountTable, _shared_rows, _table, _tfold
 
 __all__ = ["LemmaCheck", "run_all"]
 
@@ -44,7 +40,7 @@ class LemmaCheck:
 
 
 def _support(st: SetTuple, h: HVec, t: int) -> frozenset:
-    return frozenset(tfold_set(st, h, t).elements)
+    return frozenset(_tfold(st.sets, h.coords, t).elements)
 
 
 def _check_monotone_inclusion(st: SetTuple, h: HVec, t: int, base: frozenset) -> LemmaCheck:
@@ -77,7 +73,7 @@ def _check_support_bounds(st: SetTuple, h: HVec, table: CountTable) -> LemmaChec
 def _check_union_bound(st: SetTuple, h: HVec, sumset: frozenset) -> LemmaCheck:
     """The colored sumset sits inside the pooled |h|-fold sumset."""
     rhs = frozenset(
-        multiset_count_table(st.union, h.norm, cap=1).support().elements
+        _table([st.union], [h.norm], _ZERO, 1).support().elements
     )
     ok = sumset <= rhs
     return LemmaCheck(
@@ -98,7 +94,7 @@ def _check_per_color_product(st: SetTuple, h: HVec, t: int, target: frozenset) -
         members = {0}
         for i, (A, hi) in enumerate(zip(st.sets, h.coords)):
             ti = t if i == lead else 1
-            part = multiset_count_table(A, hi, cap=ti).support_at_least(ti)
+            part = _table([A], [hi], _ZERO, ti)._at_least(ti)
             members = {x + y for x in members for y in part.elements}
         if not members <= target:
             return LemmaCheck(
@@ -140,8 +136,8 @@ def _check_interval_sum(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
 
 
 def _check_reflection_table(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
-    table = chromatic_count_table(st, h)
-    mirrored = chromatic_count_table(st.reflected(), h)
+    table = _table(st.sets, h.coords, _ZERO, None)
+    mirrored = _table(st.reflected().sets, h.coords, _ZERO, None)
     ok = mirrored.counts == table.reversed_counts()
     return LemmaCheck(
         "reflection_table",
@@ -169,7 +165,7 @@ def _check_translation_by_set(
     st: SetTuple, h: HVec, t: int, B: FiniteSet, base: frozenset
 ) -> LemmaCheck:
     target = frozenset(
-        inhomogeneous_count_table(st, h, B, cap=t).support_at_least(t).elements
+        _table(st.sets, h.coords, B, t)._at_least(t).elements
     )
     ok = all(n + b in target for n in base for b in B.elements)
     return LemmaCheck(
@@ -187,7 +183,7 @@ def _check_translation_by_form(
     """At threshold 1 the shifted sumset is exactly the union of translates
     of the colored sumset."""
     got = frozenset(
-        inhomogeneous_count_table(st, h, B, cap=1).support_at_least(1).elements
+        _table(st.sets, h.coords, B, 1)._at_least(1).elements
     )
     want = frozenset(n + b for n in sumset for b in B.elements)
     ok = got == want
@@ -213,9 +209,9 @@ def run_all(st: SetTuple, h: HVec, t: int = 1, B: FiniteSet | None = None) -> li
     with _shared_rows():
         # the cap-t table and its t-fold set at h, which four of the checks
         # compare against, and the colored sumset, which two do
-        table = chromatic_count_table(st, h, cap=t)
-        base = frozenset(table.support_at_least(t).elements)
-        sumset = frozenset(chromatic_count_table(st, h, cap=1).support().elements)
+        table = _table(st.sets, h.coords, _ZERO, t)
+        base = frozenset(table._at_least(t).elements)
+        sumset = frozenset(_table(st.sets, h.coords, _ZERO, 1).support().elements)
         return [
             _check_monotone_inclusion(st, h, t, base),
             _check_support_bounds(st, h, table),

@@ -12,17 +12,22 @@ convolution of clipped inputs:
 (the second because any factor above cap forces the clipped term to cap
 already).  Capped tables therefore agree with clipping the exact table.
 
-Every row comes from one entry, _rows.  Exact rows run through a
-packed-integer kernel that hands long int64 rows over to one numpy
-multiset kernel (below); capped rows come from partition folds where
-they prove a long row, else from the packed kernel, clipped once
-(below).  Every count (a table, the structure search's certificate
-sizes, the margin box) is made by one entry, _box_counts, which reads
-its rows from _rows.  A short one-point count is one product of the
-colors' packed rows as Python integers (below); every other count walks
-a box of exponent vectors one color at a time, and every product of two
-rows on that walk is one schoolbook convolution (np.convolve, in
-_fold).  _box_counts computes the exact total T (below) and the
+Every function that holds counts in numpy arrays lives in this
+module's numpy half, chromsum._arrays, the one module that imports
+numpy; this module imports it inside the functions whose route needs
+arrays, so a process whose counts are all short one-point products
+never loads numpy (see below).  Every row array comes from one entry,
+_arrays._rows.  Exact rows run through a packed-integer kernel that
+hands long int64 rows over to one numpy multiset kernel (below); capped
+rows come from partition folds where they prove a long row, else from
+the packed kernel, clipped once (below).  Every count (a table, the
+structure search's certificate sizes, the margin box) is made by one
+entry, _box_counts.  A short one-point count is one product of the
+colors' packed rows as Python integers, read with integer operations
+only (below); every other count walks a box of exponent vectors one
+color at a time (_arrays._walk, from _arrays._rows), and every product
+of two rows on that walk is one schoolbook convolution (np.convolve, in
+_arrays._fold).  _box_counts computes the exact total T (below) and the
 length once, at the box's top corner, and the walk picks its dtype from
 the proven bound on every intermediate value that they give: float64
 below 2^53, numpy int64 below 2^62, and dtype=object (Python ints in the
@@ -32,7 +37,7 @@ order, is a nonnegative integer at most the bound (a sum of some of the
 nonnegative terms of one count), and every integer below 2^53 is a
 float64: neither the order in which np.convolve's dot product adds nor a
 fused multiply-add can round.  numpy's float64 dot runs on BLAS, several
-times the speed of its int64 loop on long rows; a count table's float
+times the speed of its int64 loop on long rows; a one-point box's float
 counts are cast back to int64.
 
 * exact: a multiset row entry counts multisets from a prefix of A_i, so
@@ -69,9 +74,10 @@ so it is at most the color's exact bound C(|A| + h - 1, h); w is that
 bound's bit length rounded up to 8, 16, 32 or 64 bits (past 64, to
 whole bytes; _slot_size), or that of any larger bound, so every slot
 value is below 2^w, and Python integers are exact at any size.  Row h
-is unpacked once (_unpack): 1-, 2-, 4- and 8-byte slots by
-np.frombuffer, then cast to _dtype(bound); wider slots by one
-int.from_bytes per slot into an object array.  The numpy kernel makes
+is read once by the one slot reader, _slots: 1-, 2-, 4- and 8-byte
+slots into an array.array of unsigned integers, which _exact_row views
+as a numpy array and casts to _dtype(bound); wider slots by one
+int.from_bytes per slot, into an object array.  The numpy kernel makes
 three calls of about 1 us each per (row, element), on the rows of at
 most ~1,500 entries that count tables mostly have, so call overhead,
 not arithmetic, sets its cost.  But CPython adds 30-bit digits in a
@@ -137,13 +143,13 @@ median of 1 and at most 6 points, nearly all below h = 16.  The count
 is B's indicator times one row per color, all polynomials with
 nonnegative coefficients, so it is one product of packed integers:
 sum_b 2^(w * (b - min B)) times each color's row h_i at slots of w
-bits, unpacked once at int64 and clipped once where the cap is below
-the exact total T = |B| * prod_i C(|A_i| + h_i - 1, h_i).  Every
+bits, read once (_Product, below) and clipped once where the cap is
+below the exact total T = |B| * prod_i C(|A_i| + h_i - 1, h_i).  Every
 coefficient of the product is a count, at most T, and w is T's bit
 length rounded up to 8, 16, 32 or 64 bits, so no slot carries; one clip
 is exact by the identities above.  On such rows call overhead, not
 arithmetic, sets the walk's cost, and the product makes one
-multiplication per color and one unpack.  Past about 2^14 product bits
+multiplication per color and one read.  Past about 2^14 product bits
 the walk wins (below), so the product runs only where T < 2^62 and it
 holds at most _PRODUCT_BITS = 2^14 bits, its length times w; every
 other box, wider ones included, walks.  With w >= 8 such a product has
@@ -183,6 +189,32 @@ of seed 104, replayed in-process, took a p50 of 0.33-0.37 ms against
 re-slotting a kept row for each product pay: keeping each packed row
 once at its own width took those 700 requests from 0.197 to 0.222 s in
 all, and packing a kept int64 row on each use was slower still.
+
+The product is read with integer operations only, so a process whose
+counts are all such products never imports numpy (on the command line,
+every small counts, sumset, structure and witness request: numpy's
+import is about 65-80 ms of a process of about 160 ms).  As T < 2^62,
+its slots are 1, 2, 4 or 8 bytes, and _slots reads them into an
+array.array.  Whether a count c is at least t is a carry test: for t <
+2^w, c + (2^w - t) carries out of its slot exactly when c >= t, and as
+c + 2^w - t < 2^(w + 1), the carry is one bit.  So the even slots are
+masked out of the product and 2^w - t added to each at once, their
+carries landing in the empty odd slots between them, and likewise the
+odd slots; the carry bits, shifted back, are the flags, 1 in the slot
+of each count >= t (and for t >= 2^w, no count reaches t).  Their
+int.bit_count() is the certificate's size (_tfold_size), their slots
+select tfold_set's members, and a table's counts are clipped by
+masking the flagged slots, flags times 2^w - 1, and setting them to
+the cap.  On 2-byte slots, which 98.9% of the structure search's
+one-point calls (seed 101) have at 256 slots or fewer, the count took
+1.7 us at 128 slots and 2.7 us at 256 against 2.2 and 2.7 us for numpy
+(frombuffer, astype and count_nonzero), and 4.7 against 3.5 us at 512;
+the clipped counts as a list took 3.5 and 5.4 against 2.7 and 3.6 us
+(2-vCPU VM, Python 3.11, numpy 2.4, best of 7).  A count table takes
+the read slots as they are, an array.array of unsigned integers, none
+negative: with a cap it checks their largest in Python, and without
+one it checks nothing more (a list or tuple of counts passes through
+intset._ints and min in Python, and an array of them through numpy).
 
 Capped rows from two partition folds (_capped_rows).  Since 0 is in A,
 an h-multiset of A is a partition of its sum into the nonzero elements
@@ -401,11 +433,12 @@ from __future__ import annotations
 import contextvars
 import heapq
 import math
-from collections.abc import Iterable, Iterator, Sequence
+import sys
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
-
-import numpy as np
+from itertools import compress
+from typing import NamedTuple
 
 from .errors import DomainError, EmptySetError, NotNormalizedError
 from .intset import FiniteSet, HVec, SetTuple, _int, _ints, _require_int, _require_length
@@ -429,19 +462,10 @@ _ZERO = FiniteSet((0,))
 _DP_CELLS = 1 << 13
 _CELLS_PER_PARTITION = 8
 
-# _exact_row hands an int64 row over to the numpy kernel before it passes
-# this many entries, the measured crossover (see the module docstring)
-_HANDOVER = 1 << 11
-
 # _box_counts multiplies a one-point box's packed rows as Python integers
 # while the product's length times its slot bits is at most this, the
 # measured crossover (see the module docstring)
 _PRODUCT_BITS = 1 << 14
-
-# _rows packs a capped row whose top row costs at most this many
-# cells, |A| * h * (h * max(A) + 1), the measured crossover (see the module
-# docstring)
-_PACKED_CELLS = 1 << 15
 
 # _limit_side's table passes cost len(parts) * (length + _PART_CELLS)
 # cells each, and its residue walk _STEP_CELLS cells per step, of
@@ -450,9 +474,9 @@ _PACKED_CELLS = 1 << 15
 _STEP_CELLS = 150
 _PART_CELLS = 2300
 
-# inside a _shared_rows() scope, the single rows _rows built, by (elements,
-# h, cap), and the packed states _prefixes stepped to, by (elements, slot
-# bytes) and then by row; None outside one
+# inside a _shared_rows() scope, the single rows _arrays._rows built, by
+# (elements, h, cap), and the packed states _prefixes stepped to, by
+# (elements, slot bytes) and then by row; None outside one
 _ROWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_ROWS", default=None)
 
 
@@ -473,15 +497,24 @@ class CountTable:
         cap = None if self.cap is None else _int(self.cap)
         if cap is not None and cap < 1:
             raise ValueError("cap must be a positive integer")
-        counts = self.counts
-        if not (isinstance(counts, np.ndarray) and counts.ndim == 1 and counts.dtype.kind in "iu"):
-            # Python ints, or an object array of them; a float or bool raises
-            counts = np.array(_ints(counts), dtype=object)
-        if counts.size and counts.min() < 0:
+        counts, most = self.counts, None
+        if isinstance(counts, array) and counts.typecode in "BHIQ":
+            # unsigned integers, as the packed product's reader gives
+            counts, least = tuple(counts.tolist()), 0
+        elif isinstance(counts, (list, tuple)):
+            counts = _ints(counts)
+            least = min(counts, default=0)
+        else:
+            # a numpy array, as a box walk or a partition fold gives: numpy
+            # reads its least and largest values
+            from ._arrays import _int_values
+
+            counts, least, most = _int_values(counts)
+        if least < 0:
             raise ValueError("counts must be nonnegative")
-        if counts.size and cap is not None and counts.max() > cap:
+        if cap is not None and (max(counts, default=0) if most is None else most) > cap:
             raise ValueError("counts exceed the declared cap")
-        object.__setattr__(self, "counts", tuple(counts.tolist()))
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "offset", _int(self.offset))
         object.__setattr__(self, "cap", cap)
 
@@ -497,17 +530,18 @@ class CountTable:
         return 0
 
     def support(self) -> FiniteSet:
-        return FiniteSet(
-            tuple(self.offset + i for i, c in enumerate(self.counts) if c > 0)
-        )
+        return self._at_least(1)
 
     def support_at_least(self, t: int) -> FiniteSet:
         _require_int(t, "threshold", 1)
         if self.cap is not None and t > self.cap:
             raise DomainError("threshold exceeds the table cap")
-        return FiniteSet(
-            tuple(self.offset + i for i, c in enumerate(self.counts) if c >= t)
-        )
+        return self._at_least(t)
+
+    def _at_least(self, t: int) -> FiniteSet:
+        """The n whose count is at least t, below support_at_least's
+        checks."""
+        return FiniteSet(tuple(self.offset + i for i, c in enumerate(self.counts) if c >= t))
 
     def total(self) -> int:
         return sum(self.counts)
@@ -531,42 +565,6 @@ class CountTable:
             return cls(offset=obj["offset"], counts=counts, cap=obj.get("cap"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed count table: {exc}") from exc
-
-
-def _dtype(bound: int):
-    """int64 when no intermediate value exceeds bound < 2^62, else Python
-    ints in object arrays."""
-    return np.int64 if bound < (1 << 62) else object
-
-
-def _multiset_rows(
-    elements: tuple[int, ...], dtype, cap: int | None, start: Sequence[np.ndarray] | None = None
-) -> Iterator[np.ndarray]:
-    """Rows m = 0, 1, 2, ... of the multiset DP over the increasing
-    elements, clipped at cap unless it is None, or rows m, m + 1, ... from
-    start, the state at some row m.  Row m has length m * max(elements) +
-    1; callers must not write to it.
-
-    The state is f(j, m, .) for every prefix j, of length m * a_j + 1;
-    f(j, m+1, .) adds f(j, m, .) shifted by a_j to f(j-1, m+1, .), in
-    m-major order.  An element 0 can only come first, and its prefix's
-    rows are all [1], so they are never recomputed."""
-    prefix = [np.ones(1, dtype=dtype)] * len(elements) if start is None else list(start)
-    while True:
-        yield prefix[-1]
-        below = None
-        for j, a in enumerate(elements):
-            row = prefix[j]
-            if a == 0:
-                below = row
-                continue
-            cur = np.zeros(len(row) + a, dtype=dtype)
-            if below is not None:
-                cur[: len(below)] = below
-            cur[a:] += row
-            if cap is not None:
-                np.minimum(cur, cap, out=cur)
-            prefix[j] = below = cur
 
 
 def _slot_size(bound: int) -> int:
@@ -609,157 +607,79 @@ def _prefixes(elements: tuple[int, ...], size: int, hs: range) -> tuple[list[int
     return rows, prefix
 
 
-def _unpack(value: int, length: int, size: int) -> np.ndarray:
-    """The first length slots of size bytes of a packed integer, read-only:
-    unsigned integers for slots of at most 8 bytes, else Python ints in an
-    object array."""
+def _slots(value: int, length: int, size: int) -> array | list[int]:
+    """The first length slots of size bytes of a packed integer, the one
+    slot reader: unsigned integers in an array.array for slots of 1, 2, 4
+    or 8 bytes (type codes B, H, I and Q), else Python ints in a list."""
     raw = value.to_bytes(length * size, "little")
-    if size <= 8:
-        return np.frombuffer(raw, f"<u{size}")
-    slots = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    return np.array(slots, dtype=object)
+    if size > 8:
+        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    slots = array("BHIQ"[size.bit_length() - 1], raw)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
 
 
-def _exact_row(
-    elements: tuple[int, ...], hs: range, bound: int, cap: int | None = None
-) -> list[np.ndarray]:
-    """Rows hs of _multiset_rows(elements, _dtype(bound), cap), bound being
-    C(len(elements) + hs[-1] - 1, hs[-1]), from _prefixes at the slots of
-    bound (see the module docstring); elements must start at 0 and hold a
-    nonzero element.  Where cap is below bound, each row is clipped at it
-    once, as it is unpacked, and comes at _dtype(cap).  An int64 row, exact
-    or clipped, is handed over to _multiset_rows before _HANDOVER
-    entries."""
-    top, h = elements[-1], hs[-1]
-    clip = cap if cap is not None and cap < bound else None
-    dtype = _dtype(bound if clip is None else clip)
-    size = _slot_size(bound)
-    stop = h if dtype is object else min(h, (_HANDOVER - 1) // top)
-    # (packed row, its length) to unpack: the rows of hs up to the
-    # handover, then every prefix at it
-    tops, state = _prefixes(elements, size, range(min(hs[0], stop), stop + 1))
-    packed = [(value, m * top + 1) for m, value in zip(range(hs[0], stop + 1), tops)]
-    if stop < h:
-        packed += [(state[j], stop * a + 1) for j, a in enumerate(elements)]
-    rows = []
-    for value, length in packed:
-        row = _unpack(value, length, size)
-        if clip is not None:
-            row = np.minimum(row, clip)
-        rows.append(row.astype(dtype, copy=False))
-    if stop == h:
-        return rows
-    # the clipped state streams on clipped: min(x + y, cap) is the same
-    # from clipped x and y
-    rows, start = rows[: -len(elements)], rows[-len(elements) :]
-    stream = _multiset_rows(elements, dtype, clip, start)
-    return rows + list(islice(stream, max(hs[0] - stop, 1), h - stop + 1))
+class _Product(NamedTuple):
+    """A one-point count as one packed product (see the module docstring):
+    slot n of size bytes holds the count at min(B) + n, for n below
+    length, and every count is below 2^(8 * size); clip is the cap where
+    it is below the exact total, else None."""
 
+    value: int
+    length: int
+    size: int
+    clip: int | None
 
-def _rows(elements: tuple[int, ...], hs: range, cap: int | None) -> list[np.ndarray]:
-    """Rows hs of the multiset DP over elements, clipped at cap unless it is
-    None, the one source of row arrays: every row of {0} is [1]; rows whose
-    cap is below the color's bound C(|A| + h - 1, h) at the top row h =
-    hs[-1] come from _capped_rows where that row costs more than
-    _PACKED_CELLS cells and it proves them; every other row is packed
-    (_exact_row), and clipped once where the cap is below the bound.
-    Inside a _shared_rows() scope a single row is kept by (elements, h,
-    cap), read-only, and a later request for that key gets the same row;
-    elements must start at 0."""
-    if not elements[-1]:
-        return [np.ones(1, dtype=np.int64)] * len(hs)
-    h = hs[-1]
-    shared = _ROWS.get() if len(hs) == 1 else None
-    key = (elements, h, cap)
-    rows = None if shared is None else shared.get(key)
-    if rows is not None:
-        return rows
-    bound = math.comb(len(elements) + h - 1, h)
-    if cap is not None and cap < bound and len(elements) * h * (h * elements[-1] + 1) > _PACKED_CELLS:
-        rows = _capped_rows(elements, hs, cap)
-    if rows is None:
-        rows = _exact_row(elements, hs, bound, cap)
-    if shared is not None:
-        rows[0].setflags(write=False)
-        shared[key] = rows
-    return rows
+    def flags(self, t: int) -> int:
+        """A packed integer at the same slots, 1 where the count is at
+        least t >= 1 and 0 elsewhere: adding 2^w - t to a slot of w bits
+        carries out of it exactly where the count is at least t, so the
+        even and the odd slots each take one addition, with their carries
+        landing in the empty slots between them."""
+        w = 8 * self.size
+        if t >> w:
+            return 0  # t >= 2^w: no slot can reach it
+        # 1 in slots 0, 2, 4, ..., up to length slots and one more
+        ones = int.from_bytes((b"\x01" + bytes(2 * self.size - 1)) * ((self.length + 1) // 2), "little")
+        even, add, carry = ones * ((1 << w) - 1), ones * ((1 << w) - t), ones << w
+        low = ((self.value & even) + add) & carry
+        high = (((self.value >> w) & even) + add) & carry
+        return (low >> w) | high
 
+    def marks(self, t: int) -> array:
+        """Per slot, 1 where the count is at least t >= 1, else 0."""
+        return _slots(self.flags(t), self.length, self.size)
 
-def _capped_rows(elements: tuple[int, ...], hs: range, cap: int) -> list[np.ndarray] | None:
-    """Rows hs of the multiset DP clipped at cap, each read off one
-    partition fold per end at the top row hs[-1], or None where some
-    row's middle is not proven to saturate (see the module docstring);
-    elements must start at 0 and hold a nonzero element."""
-    top = elements[-1]
-    parts = elements[1:]
-    step = math.gcd(*parts)
-    sides = []
-    for side in (parts, [top - a for a in elements[:-1]]):
-        least = min(side)
-        start = np.zeros(hs[-1] * least + 1, dtype=np.int64)
-        start[0] = 1
-        for counts in _unbounded_rows(start, side, cap):
-            pass
-        sides.append((least, counts))
-    (low, p), (high, q) = sides
-    rows = []
-    for h in hs:
-        # row h's ends are the first h * low + 1 and h * high + 1 entries
-        # of the tables: a partition fold reads no entry above the one it
-        # writes
-        width = h * top
-        row = np.zeros(width + 1, dtype=_dtype(cap))
-        row[: h * low + 1] = p[: h * low + 1]
-        row[width - h * high :] = q[h * high :: -1]
-        middle = np.arange(h * low + step, width - h * high, step)
-        if middle.size:
-            proven = np.zeros(middle.size, dtype=bool)
-            for least, counts, n in ((low, p, middle), (high, q, width - middle)):
-                # r copies of top added to an (h - r)-multiset, at the least
-                # r that puts the rest, m <= (h - r) * least, in the low end
-                # of row h - r
-                r = -(-(n - h * least) // (top - least))
-                m = n - r * top
-                proven |= (m >= 0) & (counts[np.maximum(m, 0)] >= cap)
-            if not proven.all():
-                return None
-            row[middle] = cap
-        rows.append(row)
-    return rows
-
-
-def _fold(acc: np.ndarray, row: np.ndarray, cap: int | None) -> np.ndarray:
-    """The product of the 1-D rows acc and row, one np.convolve at acc's
-    dtype (row's must convert safely to it), clipped at cap when one is
-    set, in a new array."""
-    out = np.convolve(acc, row)
-    if cap is not None:
-        np.minimum(out, cap, out=out)
-    return out
+    def counts(self) -> array:
+        """The counts, clipped at clip unless it is None: the flags of the
+        slots at or above clip, times 2^w - 1, mask those slots, which are
+        then set to clip."""
+        value = self.value
+        if self.clip is not None:
+            flags = self.flags(self.clip)
+            value += flags * self.clip - (value & flags * ((1 << 8 * self.size) - 1))
+        return _slots(value, self.length, self.size)
 
 
 def _box_counts(
     sets: Sequence[FiniteSet], lo: Sequence[int], width: int, B: FiniteSet, cap: int | None
-) -> Iterator[np.ndarray]:
+) -> Iterator:
     """The counts of h.A + B, clipped at cap unless it is None, at every
-    point h of the box [lo, lo + width - 1], each color's rows lo_i, ...,
-    lo_i + width - 1 taken from _rows at cap.  The exact total T = |B| *
+    point h of the box [lo, lo + width - 1].  The exact total T = |B| *
     prod_i C(|A_i| + h_i - 1, h_i) and the length, both at the box's top
     corner and computed once, bound every count of the box; a cap at or
-    above T clips nothing.  The walk goes one color at a time, last
-    coordinate fastest, through a chain of one generator per color but the
-    last, which forms each partial product once; per point of the other
-    colors it yields one 2-D group, the last color's rows times that
-    point's product, zero-padded to the longest.  Its dtype is _dtype's
-    for the bound on every intermediate value (see the module docstring),
-    or float64 where that is int64 and the bound is below 2^53; every row
-    is folded as it is.
+    above T clips nothing.
 
     A one-point box whose T is below 2^62, and whose product, at slots wide
-    enough for T, holds at most _PRODUCT_BITS bits, is one product of
-    Python integers instead: B's packed indicator times each color's
-    packed row, unpacked once at int64 and clipped once where the cap is
-    below T (see the module docstring)."""
+    enough for T, holds at most _PRODUCT_BITS bits, is one _Product of
+    Python integers: B's packed indicator times each color's packed row
+    (see the module docstring).  Every other box is walked one color at a
+    time, last coordinate fastest (_arrays._walk), each color's rows
+    lo_i, ..., lo_i + width - 1 taken from _arrays._rows at cap; per point
+    of the other colors it yields one 2-D group, the last color's rows
+    times that point's product, zero-padded to the longest, at the dtype
+    of the bound on every intermediate value."""
     base = B.elements[0]
     total, length = len(B.elements), B.elements[-1] - base + 1
     for A, c in zip(sets, lo):
@@ -776,55 +696,17 @@ def _box_counts(
             product += 1 << 8 * size * (b - base)
         for A, h in zip(sets, lo):
             product *= _prefixes(A.elements, size, range(h, h + 1))[1][-1]
-        counts = _unpack(product, length, size).astype(np.int64)
-        if clip is not None:
-            np.minimum(counts, clip, out=counts)
-        yield counts[None]
+        yield _Product(product, length, size, clip)
         return
+    from ._arrays import _walk
+
     bound = total if clip is None else min(total, max(2 * clip, length * clip * clip))
-    dtype = _dtype(bound)
-    if dtype is np.int64 and bound < 1 << 53:
-        dtype = np.float64
-    *heads, rows = [_rows(A.elements, range(c, c + width), cap) for A, c in zip(sets, lo)]
-
-    def times(acc, row, clip):
-        if acc is None:  # a one-element B is the identity
-            return row.astype(dtype, copy=False)
-        return _fold(acc, row, clip)
-
-    def extend(partials, head):
-        # each partial product times each row of one more color, each
-        # formed once
-        for acc in partials:
-            for row in head:
-                yield times(acc, row, clip)
-
-    indicator = None  # a one-element B is the identity
-    if len(B) > 1:
-        indicator = np.zeros(B.elements[-1] - base + 1, dtype=dtype)
-        indicator[[b - base for b in B.elements]] = 1
-    # B times one row of each color but the last, last coordinate fastest
-    partials = iter([indicator])
-    for head in heads:
-        partials = extend(partials, head)
-    for acc in partials:
-        if width == 1:  # a lone product needs no copy into a group
-            yield times(acc, rows[0], clip)[None]
-        else:
-            # a group is clipped once, as a whole
-            longest = len(rows[-1]) + (0 if acc is None else len(acc) - 1)
-            group = np.zeros((len(rows), longest), dtype=dtype)
-            for r, row in enumerate(rows):
-                out = times(acc, row, None)
-                group[r, : len(out)] = out
-            if clip is not None:
-                np.minimum(group, clip, out=group)
-            yield group
+    yield from _walk(sets, lo, width, B, cap, clip, bound)
 
 
 class _shared_rows:
-    """A row scope: within it _rows keeps each single row it builds and
-    hands that row, read-only, to every later request for its key, and
+    """A row scope: within it _arrays._rows keeps each single row it builds
+    and hands that row, read-only, to every later request for its key, and
     _prefixes keeps each packed state it steps to and resumes from it (see
     the module docstring); all are dropped when the scope ends."""
 
@@ -835,13 +717,24 @@ class _shared_rows:
         _ROWS.reset(self._token)
 
 
-def _counts(sets: Sequence[FiniteSet], hs: Sequence[int], B: FiniteSet, cap: int | None) -> np.ndarray:
-    """Counts of sum_i (hs_i-multiset of sets_i) + one element of B over
-    [min(B), sum_i hs_i * max(sets_i) + max(B)], the one-point box at hs;
-    a float fold's counts come back as int64.  Every set must be nonempty
-    with minimum 0, and every hs_i a nonnegative integer."""
-    counts = next(_box_counts(sets, hs, 1, B, cap))[0]
-    return counts if counts.dtype == object else counts.astype(np.int64, copy=False)
+def _table(sets: Sequence[FiniteSet], hs: Sequence[int], B: FiniteSet, cap: int | None) -> CountTable:
+    """The table of sum_i (hs_i-multiset of sets_i) + one element of B over
+    [min(B), sum_i hs_i * max(sets_i) + max(B)], the one-point box at hs,
+    below the public entries' checks: every set must be nonempty with
+    minimum 0, every hs_i a nonnegative integer, B nonempty and cap None
+    or a positive integer."""
+    counts = next(_box_counts(sets, hs, 1, B, cap))
+    counts = counts.counts() if isinstance(counts, _Product) else counts[0]
+    return CountTable(offset=B.elements[0], counts=counts, cap=cap)
+
+
+def _tfold(sets: Sequence[FiniteSet], hs: Sequence[int], t: int) -> FiniteSet:
+    """The integers with at least t >= 1 representations at hs, below
+    tfold_set's checks (see _table)."""
+    counts = next(_box_counts(sets, hs, 1, _ZERO, t))
+    if isinstance(counts, _Product):
+        return FiniteSet(tuple(compress(range(counts.length), counts.marks(t))))
+    return FiniteSet(tuple((counts[0] >= t).nonzero()[0].tolist()))
 
 
 def multiset_count_table(A: FiniteSet, h: int, cap: int | None = None) -> CountTable:
@@ -852,7 +745,7 @@ def multiset_count_table(A: FiniteSet, h: int, cap: int | None = None) -> CountT
     if A.min != 0:
         raise NotNormalizedError("multiset counting requires min(A) = 0")
     _require_int(h, "repetition count", 0)
-    return CountTable(offset=0, counts=_counts([A], [h], _ZERO, cap), cap=cap)
+    return _table([A], [h], _ZERO, cap)
 
 
 def _colors(st: SetTuple, h: HVec) -> tuple[tuple[FiniteSet, ...], tuple[int, ...]]:
@@ -871,67 +764,38 @@ def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> Coun
     the table is the convolution of the per-color tables.
     """
     _require_int(cap, "cap", 1, optional=True)
-    return CountTable(offset=0, counts=_counts(*_colors(st, h), _ZERO, cap), cap=cap)
+    return _table(*_colors(st, h), _ZERO, cap)
 
 
 def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
     """The set of integers with at least t colored representations."""
     _require_int(t, "t", 1)
-    counts = _counts(*_colors(st, h), _ZERO, t)
-    return FiniteSet(tuple(np.flatnonzero(counts >= t).tolist()))
-
-
-def _shape_fits(dec, mask: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Whether row p of a 2-D boolean mask marks exactly the shape dec =
-    (low fringe, low cut, high fringe, high cut) at the right endpoint M =
-    ends[p]: the union of the low fringe, [low cut, M - high cut] and M
-    minus the high fringe.  Column n of the mask is the integer n, and no
-    row may mark a column past its own M.  A member of the shape outside
-    [0, M] fails its row.  One boolean per row."""
-    low, cut_low, high, cut_high = dec
-    rows, width = mask.shape
-    top = max((*low, *high), default=-1)
-    if min((*low, *high), default=0) < 0 or top >= width:
-        # a member below 0, or past every M
-        return np.zeros(rows, dtype=bool)
-    # no fringe member past M; where one is, M - (high member) is a
-    # negative index, which marks a column of a row that fails anyway
-    ok = ends >= top
-    # (the cuts are clamped to at most width and their sum to [-1,
-    # width], which keeps every comparison inside int64 and changes
-    # none of them)
-    if min(cut_low, cut_high) < 0:
-        # a nonempty middle, cut_low + cut_high <= M, reaches below 0 or past M
-        ok &= ends < min(max(cut_low + cut_high, -1), width)
-        want = np.zeros(mask.shape, dtype=bool)
-    else:
-        cols = np.arange(width)
-        want = (cols >= min(cut_low, width)) & (cols <= ends[:, None] - min(cut_high, width))
-    want[:, np.array(low, dtype=np.int64)] = True
-    want[np.arange(rows)[:, None], ends[:, None] - np.array(high, dtype=np.int64)] = True
-    return ok & (mask == want).all(axis=1)
+    return _tfold(*_colors(st, h), t)
 
 
 def _streamed_box_fits(
     st: SetTuple, B: FiniteSet, t: int, dec, lo: tuple[int, ...], margin: int
 ) -> list[bool]:
-    """Whether the t-fold set of h.A + B is the shape dec (see _shape_fits)
-    at each point h of the box [lo, lo + margin], last coordinate varying
-    fastest.  B must have minimum 0.
+    """Whether the t-fold set of h.A + B is the shape dec (see
+    _arrays._shape_fits) at each point h of the box [lo, lo + margin],
+    last coordinate varying fastest.  B must have minimum 0.
 
-    Each color's margin + 1 rows come from _rows, computed once at the
-    top row; every row of {0} is [1], whatever lo_i is, and costs no
-    step.  _box_counts walks the box, and one comparison tests each group
-    of points it yields."""
+    Each color's margin + 1 rows come from _arrays._rows, computed once
+    at the top row; every row of {0} is [1], whatever lo_i is, and costs
+    no step.  _box_counts walks the box, and one comparison tests each
+    group of points it yields."""
+    from ._arrays import _shape_fits
+
     ends = [B.max]
     for a, c in zip(st.maxima, lo):
         ends = [m + a * (c + d) for m in ends for d in range(margin + 1)]
+    fits = []
     groups = _box_counts(st.sets, lo, margin + 1, B, t)
-    return [
-        fit
-        for counts, group_ends in zip(groups, np.array(ends, dtype=np.int64).reshape(-1, margin + 1))
-        for fit in _shape_fits(dec, counts >= t, group_ends).tolist()
-    ]
+    for at, counts in zip(range(0, len(ends), margin + 1), groups):
+        # one row of member marks per point of the group
+        marks = [counts.marks(t)] if isinstance(counts, _Product) else counts >= t
+        fits += _shape_fits(dec, marks, ends[at : at + margin + 1])
+    return fits
 
 
 def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
@@ -944,25 +808,11 @@ def partition_count_table(parts: FiniteSet, n_top: int, cap: int) -> CountTable:
     _require_int(n_top, "table end", 0)
     if parts and parts.min < 1:
         raise DomainError("partition parts must all be at least 1")
+    from ._arrays import _unbounded_rows
+
     for counts in _unbounded_rows([1] + [0] * n_top, parts.elements, cap):
         pass
     return CountTable(offset=0, counts=counts, cap=cap)
-
-
-def _unbounded_rows(acc: Sequence[int], parts: Iterable[int], cap: int) -> Iterator[np.ndarray]:
-    """acc, then acc times 1/(1 - x^a) after each part a >= 1 in turn
-    (repeats allowed), over the range of acc, clipped at cap; acc must
-    already be clipped, and callers must not write to the rows."""
-    length = len(acc)
-    dtype = _dtype(length * cap)
-    out = np.asarray(acc, dtype=dtype)
-    yield out
-    for a in parts:
-        rows = -(-length // a)
-        grid = np.zeros(rows * a, dtype=dtype)
-        grid[:length] = out
-        out = np.minimum(grid.reshape(rows, a).cumsum(axis=0), cap).ravel()[:length]
-        yield out
 
 
 def _limit_side(
@@ -972,10 +822,10 @@ def _limit_side(
     of n - b) with b in shifts and parts counted with repeats.  With p the
     smallest part, Q(n) >= Q(n - p), so the cut is the start of the first
     run of p counts >= t, and the fringe the smaller n with Q(n) >= t.
-    Every n at or above bound must have Q(n) >= t; the table doubles up
-    to there, while its passes fit the residue walk's estimated cost
-    (_STEP_CELLS, _PART_CELLS), and the walk (_residue_side) answers past
-    it."""
+    Every n at or above bound must have Q(n) >= t; the table
+    (_arrays._table_side) doubles up to there, while its passes fit the
+    residue walk's estimated cost (_STEP_CELLS, _PART_CELLS), and the walk
+    (_residue_side) answers past it."""
     run = min(parts)
     budget = _STEP_CELLS * ((len(parts) - 1) * t + 1) * run
     length = min(256, bound + run)
@@ -983,18 +833,11 @@ def _limit_side(
         budget -= len(parts) * (length + _PART_CELLS)
         if budget < 0:
             return _residue_side(parts, shifts, t)
-        start = np.zeros(length, dtype=np.int64)
-        start[[b for b in shifts if b < length]] = 1
-        for counts in _unbounded_rows(start, parts, t):
-            pass
-        ok = counts >= t
-        # the n with Q(n) < t, between -1 and length: a gap of more than
-        # run between two of them holds a run
-        low = np.concatenate(([-1], np.flatnonzero(~ok), [length]))
-        gaps = np.flatnonzero(np.diff(low) > run)
-        if gaps.size:
-            cut = int(low[gaps[0]]) + 1
-            return tuple(np.flatnonzero(ok[:cut]).tolist()), cut
+        from ._arrays import _table_side
+
+        side = _table_side(parts, shifts, t, length)
+        if side is not None:
+            return side
         if length >= bound + run:
             raise RuntimeError(
                 f"internal invariant: no run of {run} counts >= {t} below {bound + run}"
@@ -1047,60 +890,6 @@ def _residue_side(
     return tuple(fringe), cut
 
 
-def _suffix_counts(parts: Sequence[int], top: int, cap: int) -> list[np.ndarray]:
-    """Row j counts the partitions of 0..top into parts[j:], clipped at
-    cap >= 1; the last row counts only the empty partition of 0."""
-    start = np.zeros(top + 1, dtype=np.int64)
-    start[0] = 1
-    return list(_unbounded_rows(start, reversed(parts), cap))[::-1]
-
-
-def _fewest_partitions(
-    parts: Sequence[int], targets: Sequence[int], t: int, suffix: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, mult): for each target, the t multisets of indices into the
-    increasing parts whose parts sum to it, with fewest parts, ties in
-    lexicographic order of their non-decreasing index tuples (all of them
-    if fewer).  Row k of mult holds the multiplicity of every index and
-    owner[k] the position in targets of its target; the rows run in order
-    of target position, then in the order above.
-
-    suffix is _suffix_counts(parts, max(targets), cap) at any cap: only
-    whether row j reaches r is read.  All targets are listed in one pass.
-    Level j extends each row by the multiplicities of parts[j] whose
-    remainder row j + 1 can still finish, in descending order (the last
-    part takes what is left), and a stable sort by (target, size) puts
-    the wanted t first; see the module docstring."""
-    width = max(targets, default=0) + 1
-    # one row per target that has a partition
-    owner = np.flatnonzero(suffix[0][list(targets)])
-    rem = np.asarray(targets, dtype=np.int64)[owner]
-    size = np.zeros(len(rem), dtype=np.int64)
-    mult = np.zeros((len(rem), len(parts)), dtype=np.int64)
-    for j, a in enumerate(parts):
-        if j == len(parts) - 1:
-            m = rem // a
-        else:
-            # the remainders parts[j + 1:] reach, as keys ordered by
-            # residue class mod a, then by value: the remainders a row r
-            # can leave are the keys of its class up to r, one slice
-            ys = np.flatnonzero(suffix[j + 1])
-            keys = np.sort(ys % a * width + ys)
-            cls = rem % a * width
-            lo = keys.searchsorted(cls)
-            wide = keys.searchsorted(cls + rem, side="right") - lo
-            parent = np.repeat(np.arange(len(rem)), wide)
-            ys = keys[np.repeat(lo + wide - np.cumsum(wide), wide) + np.arange(len(parent))] % width
-            m = (rem[parent] - ys) // a
-            # take gathers narrow rows ~10 times as fast as mult[parent]
-            rem, owner, size, mult = ys, owner[parent], size[parent], mult.take(parent, axis=0)
-        mult[:, j] = m
-        size += m
-    order = np.lexsort((size, owner))
-    ranked = owner[order]
-    keep = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < t]
-    return owner[keep], mult.take(keep, axis=0)
-
 
 def _fewest_loads(
     parts: Sequence[int], colors: Sequence[int], q: int, targets: Sequence[int], t: int
@@ -1110,12 +899,14 @@ def _fewest_loads(
     tuples; colors[j] is the color of parts[j].  The t-best DP on at most
     _DP_CELLS cells, (max(targets) + 1) * len(parts) * t, or where the
     enumeration would list more than one partition per
-    _CELLS_PER_PARTITION cells; else the enumeration of _fewest_partitions.
-    The suffix counts are clipped just past what the rule admits, so every
+    _CELLS_PER_PARTITION cells; else the enumeration of
+    _arrays._fewest_partitions.  The suffix counts are clipped just past what the rule admits, so every
     admitted count is exact (see the module docstring)."""
     top = max(targets, default=0)
     cells = (top + 1) * len(parts) * t
     if cells > _DP_CELLS:
+        from ._arrays import _enumerated_loads, _suffix_counts
+
         suffix = _suffix_counts(parts, top, cells // max(_CELLS_PER_PARTITION, 1) + 1)
         if int(suffix[0][list(targets)].sum()) * _CELLS_PER_PARTITION <= cells:
             return _enumerated_loads(parts, colors, q, targets, t, suffix)
@@ -1181,23 +972,6 @@ def _dp_loads(
     return [max([e >> s & mask for e in best], default=0) for s in range(0, shift, w)]
 
 
-def _enumerated_loads(
-    parts: Sequence[int],
-    colors: Sequence[int],
-    q: int,
-    targets: Sequence[int],
-    t: int,
-    suffix: list[np.ndarray],
-) -> list[int]:
-    """_fewest_loads from the partitions _fewest_partitions lists."""
-    owner, mult = _fewest_partitions(parts, targets, t, suffix)
-    short = np.flatnonzero(np.bincount(owner, minlength=len(targets)) < t)
-    if short.size:
-        raise _too_few(targets[short[0]], t)
-    onehot = np.zeros((len(parts), q), dtype=np.int64)
-    onehot[np.arange(len(parts)), list(colors)] = 1
-    return (mult @ onehot).max(axis=0, initial=0).tolist()
-
 
 def inhomogeneous_count_table(
     st: SetTuple, h: HVec, B: FiniteSet, cap: int | None = None
@@ -1207,11 +981,13 @@ def inhomogeneous_count_table(
     _require_int(cap, "cap", 1, optional=True)
     if not B:
         raise EmptySetError("translation set B must be nonempty")
-    return CountTable(offset=B.min, counts=_counts(*_colors(st, h), B, cap), cap=cap)
+    return _table(*_colors(st, h), B, cap)
 
 
 def _tfold_size(st: SetTuple, B: FiniteSet, t: int, h: tuple[int, ...]) -> int:
     """Number of integers with at least t representations in h.A + B at the
     coordinates h, from one one-point _box_counts count."""
     counts = next(_box_counts(st.sets, h, 1, B, t))
-    return int(np.count_nonzero(counts >= t))
+    if isinstance(counts, _Product):
+        return counts.flags(t).bit_count()
+    return int((counts >= t).sum())

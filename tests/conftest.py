@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, settings
 
-from chromsum import repcount
+from chromsum import _arrays, repcount
 from chromsum.intset import HVec, SetTuple, make_tuple
 from chromsum.oracle import enumeration_size
 
@@ -96,20 +96,30 @@ ROUTINGS = {
 }
 
 
+def patch(monkeypatch, name, value) -> None:
+    """Set name to value in repcount and in _arrays, its numpy half,
+    wherever it is bound: a routing constant or a function lives in one
+    of them, and _arrays binds the repcount names it imports too."""
+    bound = [module for module in (repcount, _arrays) if name in vars(module)]
+    assert bound, name
+    for module in bound:
+        monkeypatch.setattr(module, name, value)
+
+
 @pytest.fixture(params=sorted(ROUTINGS))
 def routing(request, monkeypatch):
     """One forced routing of ROUTINGS for the test, by name."""
     for name, value in ROUTINGS[request.param].items():
-        monkeypatch.setattr(repcount, name, value)
+        patch(monkeypatch, name, value)
     return request.param
 
 
 def _spy_prefixes(monkeypatch, record) -> None:
     """Call record(caller, elements, slot bytes, top row, rows stepped) for
     every call of repcount._prefixes, caller being the name of the function
-    that made it (_exact_row, or _box_counts for a packed product).  The
-    rows stepped are counted, not inferred: the runs of its one
-    shift-and-add line, traced, over the set's nonzero elements."""
+    that made it (_arrays._exact_row, or _box_counts for a packed
+    product).  The rows stepped are counted, not inferred: the runs of its
+    one shift-and-add line, traced, over the set's nonzero elements."""
     real = repcount._prefixes
     lines, first = inspect.getsourcelines(real)
     [line] = [first + i for i, text in enumerate(lines) if "<<" in text]
@@ -132,7 +142,7 @@ def _spy_prefixes(monkeypatch, record) -> None:
         record(caller, elements, size, hs[-1], runs // max(len(elements) - 1, 1))
         return got
 
-    monkeypatch.setattr(repcount, "_prefixes", spy)
+    patch(monkeypatch, "_prefixes", spy)
 
 
 def packed_steps(monkeypatch) -> list[tuple]:
@@ -146,13 +156,13 @@ def packed_steps(monkeypatch) -> list[tuple]:
 
 def row_builds(monkeypatch) -> list[tuple]:
     """The rows repcount builds rather than takes from the row scope or
-    answers for {0}: (elements, h, cap) of every row array repcount._rows
-    builds, from repcount._exact_row or from a partition fold that proves
+    answers for {0}: (elements, h, cap) of every row array _arrays._rows
+    builds, from _arrays._exact_row or from a partition fold that proves
     it, and (elements, h, slot bytes, "packed") of every packed row of a
     product that repcount._prefixes steps to, from row 0 or from a state
     the scope kept."""
     built, ran = [], []
-    rows, exact, capped = repcount._rows, repcount._exact_row, repcount._capped_rows
+    rows, exact, capped = _arrays._rows, _arrays._exact_row, _arrays._capped_rows
 
     def spy(elements, hs, cap):
         ran.clear()
@@ -175,8 +185,8 @@ def row_builds(monkeypatch) -> list[tuple]:
         if caller == "_box_counts" and stepped:
             built.append((elements, h, size, "packed"))
 
-    monkeypatch.setattr(repcount, "_rows", spy)
-    monkeypatch.setattr(repcount, "_exact_row", packed)
-    monkeypatch.setattr(repcount, "_capped_rows", proven)
+    monkeypatch.setattr(_arrays, "_rows", spy)
+    monkeypatch.setattr(_arrays, "_exact_row", packed)
+    monkeypatch.setattr(_arrays, "_capped_rows", proven)
     _spy_prefixes(monkeypatch, product_row)
     return built

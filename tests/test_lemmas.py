@@ -4,7 +4,7 @@ import pytest
 
 from chromsum import lemmas
 from chromsum.errors import DimensionError, DomainError, NotNormalizedError
-from chromsum import repcount
+from chromsum import _arrays, repcount
 from chromsum.intset import HVec, make_set, make_tuple
 from chromsum.lemmas import run_all
 from chromsum.repcount import CountTable, chromatic_count_table
@@ -66,9 +66,7 @@ def test_validation():
 @pytest.mark.parametrize("t", [True, 2.0, 0])
 def test_t_refuses_bools_and_floats(monkeypatch, t):
     # True is not read as t = 1 nor 2.0 as 2, and no check runs first
-    monkeypatch.setattr(
-        lemmas, "chromatic_count_table", lambda *_, **__: pytest.fail("checked before refusing")
-    )
+    monkeypatch.setattr(lemmas, "_table", lambda *_, **__: pytest.fail("checked before refusing"))
     with pytest.raises(DomainError, match="^t must be a positive integer$"):
         run_all(make_tuple([[0, 1]]), HVec((2,)), t)
 
@@ -77,9 +75,23 @@ def test_lemma_tables_are_packed(monkeypatch):
     # the counts workload's lemma shape builds every capped table from
     # packed rows: no partition fold and no numpy kernel stream
     for name in ("_capped_rows", "_multiset_rows"):
-        monkeypatch.setattr(repcount, name, lambda *_, name=name: pytest.fail(f"called {name}"))
+        monkeypatch.setattr(_arrays, name, lambda *_, name=name: pytest.fail(f"called {name}"))
     checks = run_all(make_tuple([[0, 2, 5], [0, 3, 9]]), HVec((3, 4)), t=2, B=make_set([0, 1, 3]))
     assert all(c.ok for c in checks), [c for c in checks if not c.ok]
+
+
+def test_one_run_checks_its_arguments_once(monkeypatch):
+    # run_all checks the tuple, h, t and B itself, and its checks count
+    # and read members below the public entries' checks: repcount makes
+    # no scalar check and no chromatic argument check during a run
+    calls = []
+    for name in ("_require_int", "_colors"):
+        real = getattr(repcount, name)
+        monkeypatch.setattr(repcount, name, lambda *args, name=name, real=real, **kw: calls.append(name) or real(*args, **kw))
+    checks = run_all(make_tuple([[0, 2, 5], [0, 3, 9]]), HVec((3, 4)), t=2, B=make_set([0, 1, 3]))
+    assert all(c.ok for c in checks) and calls == []
+    chromatic_count_table(make_tuple([[0, 2, 5]]), HVec((3,)), cap=2).support_at_least(2)
+    assert calls == ["_require_int", "_colors", "_require_int"]
 
 
 def test_one_run_builds_each_row_once(monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+from array import array
 import math
 import random
 import weakref
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chromsum import repcount
+from chromsum import _arrays, repcount
 from chromsum.errors import (
     DimensionError,
     DomainError,
@@ -28,7 +29,7 @@ from chromsum.repcount import (
     tfold_set,
 )
 
-from conftest import ROUTINGS, packed_steps, random_oracle_instance, row_builds
+from conftest import ROUTINGS, packed_steps, patch, random_oracle_instance, row_builds
 
 normalized_set = st.lists(
     st.integers(min_value=1, max_value=9), min_size=1, max_size=4
@@ -94,7 +95,7 @@ def test_scalar_parameters_refuse_bools_and_floats(monkeypatch, call, args, mess
         raise AssertionError("counted before refusing")
 
     for name in ("_box_counts", "_unbounded_rows", "_exact_row", "_multiset_rows"):
-        monkeypatch.setattr(repcount, name, work)
+        patch(monkeypatch, name, work)
     with pytest.raises(DomainError) as refused:
         call(*args)
     assert str(refused.value) == message
@@ -126,7 +127,7 @@ def test_multiset_cap_is_clipped_exact(A, h, cap):
        st.sampled_from([None, 1, 2, 3, 5, 1 << 40]),
        st.sampled_from([np.int64, object]))
 def test_capped_rows_are_clipped_exact(A, h, cap, dtype):
-    rows = repcount._multiset_rows(A.elements, dtype, cap)
+    rows = _arrays._multiset_rows(A.elements, dtype, cap)
     for m in range(h + 1):
         row = next(rows)
         assert row.dtype == np.dtype(dtype)
@@ -142,7 +143,7 @@ def test_narrow_capped_rows_are_clipped_exact(cap):
     # the crossover, all int64
     A = make_set(list(range(10)))
     for m in range(21):
-        [row] = repcount._rows(A.elements, range(m, m + 1), cap)
+        [row] = _arrays._rows(A.elements, range(m, m + 1), cap)
         assert row.dtype == np.int64
         exact = multiset_count_table(A, m).counts
         assert row.tolist() == [min(c, cap) for c in exact]
@@ -150,7 +151,7 @@ def test_narrow_capped_rows_are_clipped_exact(cap):
 
 
 def _streamed_row(elements, h, cap):
-    return next(islice(repcount._multiset_rows(elements, np.int64, cap), h, None))
+    return next(islice(_arrays._multiset_rows(elements, np.int64, cap), h, None))
 
 
 @given(normalized_set, st.sampled_from([1, 2, 3]), st.integers(min_value=0, max_value=60),
@@ -162,7 +163,7 @@ def test_capped_row_is_the_streamed_row(A, g, h, cap):
     # a proven row from the two partition folds is the capped kernel's
     # row h, for sets whose nonzero parts share a factor g too
     elements = tuple(g * a for a in A.elements)
-    rows = repcount._capped_rows(elements, range(h, h + 1), cap)
+    rows = _arrays._capped_rows(elements, range(h, h + 1), cap)
     if rows is not None:
         assert rows[0].tolist() == _streamed_row(elements, h, cap).tolist()
 
@@ -198,11 +199,11 @@ def test_exact_row_is_the_streamed_row(A, g, h):
     # exact rows come through the one row source, which answers {0} itself
     elements = tuple(g * a for a in A.elements)
     bound = math.comb(len(elements) + h - 1, h)
-    dtype = repcount._dtype(bound)
+    dtype = _arrays._dtype(bound)
     hs = range(max(h - 2, 0), h + 1)
-    rows = repcount._rows(elements, hs, None)
+    rows = _arrays._rows(elements, hs, None)
     assert [row.dtype for row in rows] == [np.dtype(dtype)] * len(hs)
-    stream = repcount._multiset_rows(elements, dtype, None)
+    stream = _arrays._multiset_rows(elements, dtype, None)
     assert [row.tolist() for row in rows] == [row.tolist() for row in islice(stream, hs[0], h + 1)]
 
 
@@ -241,7 +242,7 @@ def _packed_top(elements):
     """The largest top row h whose capped rows _rows packs: the
     cells k * h * (h * max + 1) of a k-set are at most _PACKED_CELLS."""
     k, top = len(elements), elements[-1]
-    return next(h for h in itertools.count() if k * (h + 1) * ((h + 1) * top + 1) > repcount._PACKED_CELLS)
+    return next(h for h in itertools.count() if k * (h + 1) * ((h + 1) * top + 1) > _arrays._PACKED_CELLS)
 
 
 def _crossover_examples(test):
@@ -269,9 +270,9 @@ def test_capped_block_is_the_streamed_rows(A, g, h, margin, cap):
     # _capped_rows gives the cap
     elements = tuple(g * a for a in A.elements)
     hs = range(h, h + margin + 1)
-    rows = repcount._rows(elements, hs, cap)
-    dtype = repcount._dtype(cap)
-    stream = repcount._multiset_rows(elements, dtype, cap)
+    rows = _arrays._rows(elements, hs, cap)
+    dtype = _arrays._dtype(cap)
+    stream = _arrays._multiset_rows(elements, dtype, cap)
     if elements == (0,):
         # every row of {0} is [1], so row 0 stands for row 10^9
         want = [next(stream)] * len(hs)
@@ -288,21 +289,21 @@ def test_capped_block_packs_up_to_the_crossover(monkeypatch, elements):
     # goes to the two partition folds
     calls = []
     for name in ("_exact_row", "_capped_rows"):
-        monkeypatch.setattr(repcount, name, lambda *args, name=name, real=getattr(repcount, name):
+        monkeypatch.setattr(_arrays, name, lambda *args, name=name, real=getattr(_arrays, name):
                             calls.append(name) or real(*args))
     top = _packed_top(elements)
-    repcount._rows(elements, range(top - 1, top + 1), 3)
-    repcount._rows(elements, range(top, top + 2), 3)
+    _arrays._rows(elements, range(top - 1, top + 1), 3)
+    _arrays._rows(elements, range(top, top + 2), 3)
     assert calls == ["_exact_row", "_capped_rows"]
 
 
 def test_capped_anchor_takes_the_partition_folds(monkeypatch):
     # the counts workload's capped anchor, {0,3,7,11,19} at h = 400 and
     # cap 2 (15.2 million cells), is read off the two partition folds
-    calls, capped = [], repcount._capped_rows
-    monkeypatch.setattr(repcount, "_capped_rows",
+    calls, capped = [], _arrays._capped_rows
+    monkeypatch.setattr(_arrays, "_capped_rows",
                         lambda *args: calls.append(args[1]) or capped(*args))
-    monkeypatch.setattr(repcount, "_exact_row", lambda *_: pytest.fail("packed a capped anchor row"))
+    monkeypatch.setattr(_arrays, "_exact_row", lambda *_: pytest.fail("packed a capped anchor row"))
     table = multiset_count_table(make_set([0, 3, 7, 11, 19]), 400, cap=2)
     assert calls == [range(400, 401)]
     assert table.counts == tuple(_streamed_row((0, 3, 7, 11, 19), 400, 2).tolist())
@@ -312,14 +313,14 @@ def test_capped_row_proves_saturation_or_returns_none():
     # {0,3,9,12} at h=40: the ends [0, 120] and [360, 480] from the
     # folds, every multiple of 3 between them proven to reach the cap,
     # and zeros off the multiples of 3
-    [row] = repcount._capped_rows((0, 3, 9, 12), range(40, 41), 8)
+    [row] = _arrays._capped_rows((0, 3, 9, 12), range(40, 41), 8)
     assert row.tolist() == _streamed_row((0, 3, 9, 12), 40, 8).tolist()
     middle = row[120 + 3 : 360 : 3]
     assert middle.size and (middle == 8).all() and not row[1::3].any()
     # {0,1,2,3} at h=40: the middle bounds reach no count of 32768 near
     # the ends of the middle, so the row is left to the stream
-    assert repcount._capped_rows((0, 1, 2, 3), range(40, 41), 32768) is None
-    rows = repcount._rows((0,), range(10**9, 10**9 + 2), 5)
+    assert _arrays._capped_rows((0, 1, 2, 3), range(40, 41), 32768) is None
+    rows = _arrays._rows((0,), range(10**9, 10**9 + 2), 5)
     assert [row.tolist() for row in rows] == [[1]] * 2
 
 
@@ -333,17 +334,20 @@ def test_capped_table_on_a_color_with_a_common_factor(cap):
         assert chromatic_count_table(st, h, cap=cap).counts == tuple(min(c, cap) for c in exact)
 
 
-def test_float_fold_just_below_2_53_is_exact():
+def test_float_fold_just_below_2_53_is_exact(monkeypatch):
     # the exact table of 9-multisets of {0..9} and 46-multisets of
-    # {0..11} totals 0.996 * 2^53: _box_counts folds it at float64, and
-    # every count equals the same fold on Python ints
+    # {0..11} totals 0.996 * 2^53: _box_counts folds it at float64, its
+    # counts come back as int64, and every count equals the same fold on
+    # Python ints
     sets, h = [make_set(range(10)), make_set(range(12))], [9, 46]
     total = math.prod(math.comb(len(A) + hi - 1, hi) for A, hi in zip(sets, h))
     assert 2**52 < total < 2**53
     rows = [[_streamed_row(A.elements, hi, None)] for A, hi in zip(sets, h)]
+    folds, fold = [], _arrays._fold
+    monkeypatch.setattr(_arrays, "_fold", lambda acc, row, cap: folds.append(acc.dtype) or fold(acc, row, cap))
     [got] = repcount._box_counts(sets, h, 1, make_set([0]), None)
-    assert got.dtype == np.float64
-    want = repcount._fold(*(row.astype(object) for [row] in rows), None)
+    assert folds == [np.float64] and got.dtype == np.int64
+    want = _arrays._fold(*(row.astype(object) for [row] in rows), None)
     assert max(want) > 2**45
     assert [int(x) for x in got[0]] == want.tolist()
     table = chromatic_count_table(make_tuple([range(10), range(12)]), HVec(tuple(h)))
@@ -380,14 +384,16 @@ def test_one_point_fold_is_one_plain_convolution_per_color(monkeypatch):
 
 
 def _one_point(sets, lo, B, cap, routing):
-    """The one-point box's counts under a routing of conftest.ROUTINGS, and
-    the slot bytes of every packed row its product read (none on the numpy
+    """The one-point box's counts under a routing of conftest.ROUTINGS, as
+    the product's list of Python ints or the numpy walk's row, and the
+    slot bytes of every packed row its product read (none on the numpy
     walk, whose exact rows _exact_row packs at slots of their own)."""
     with pytest.MonkeyPatch.context() as mp:
         for name, value in ROUTINGS[routing].items():
-            mp.setattr(repcount, name, value)
+            patch(mp, name, value)
         calls = packed_steps(mp)
-        [counts] = next(repcount._box_counts(sets, lo, 1, B, cap))
+        counts = next(repcount._box_counts(sets, lo, 1, B, cap))
+        counts = counts.counts().tolist() if isinstance(counts, repcount._Product) else counts[0]
     return counts, [size for caller, _, size, _, _ in calls if caller == "_box_counts"]
 
 
@@ -409,8 +415,8 @@ def test_packed_product_is_the_numpy_walk(colors, B, cap):
     product, sizes = _one_point(sets, lo, B, cap, "product-always")
     walk, none = _one_point(sets, lo, B, cap, "product-never")
     assert set(sizes) == {repcount._slot_size(total)} and none == []
-    assert product.dtype == np.int64
-    assert product.tolist() == [int(c) for c in walk]
+    assert all(type(c) is int for c in product)
+    assert product == [int(c) for c in walk]
 
 
 # (total T, |B|, factors): |B| times one {0, 1} color at h = f - 1 per
@@ -447,6 +453,40 @@ def test_product_slots_at_the_edges(edge, size):
         assert set(sizes) == ({size} if size else set())
         assert [int(c) for c in product] == [int(c) for c in walk]
     assert max(int(c) for c in walk) > 1
+
+
+@st.composite
+def _packed_counts(draw):
+    """(slot bytes, t, counts, clip) for repcount._Product's reader: slots
+    of 1, 2, 4 or 8 bytes (w bits), t at 1, 2^w - 1, 2^w and past it or
+    anywhere below, counts at 0, t - 1, t and 2^w - 1 or anywhere in a
+    slot, as many as _PRODUCT_BITS holds, and no clip or one below 2^w."""
+    size = draw(st.sampled_from([1, 2, 4, 8]))
+    top = 1 << 8 * size
+    t = draw(st.one_of(st.sampled_from([1, 2, top - 1, top, top + 1, 3 * top]), st.integers(1, top - 1)))
+    edges = sorted({c for c in (0, t - 1, t, top - 1) if c < top})
+    counts = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(0, top - 1)),
+                           min_size=1, max_size=repcount._PRODUCT_BITS // (8 * size)))
+    clip = draw(st.one_of(st.none(), st.sampled_from([1, min(t, top - 1), top - 1]), st.integers(1, top - 1)))
+    return size, t, counts, clip
+
+
+@given(_packed_counts())
+@example((1, 255, [254, 255, 0, 1] * 512, 255))
+@example((2, 1, [0, 1, 65535] * 341, 1))
+@example((1, 2**8 + 1, [0, 5, 0, 255] * 4, None))
+@example((4, 2**32, [0, 2**32 - 1] * 256, 2**32 - 1))
+@example((8, 2**64 - 1, [2**64 - 2, 2**64 - 1, 0] * 85, 2**63))
+def test_product_reader_at_the_slot_edges(drawn):
+    # the carry test's members and their count, and the clipped counts,
+    # against a plain reading of every slot
+    size, t, counts, clip = drawn
+    value = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
+    product = repcount._Product(value, len(counts), size, clip)
+    members = [n for n, c in enumerate(counts) if c >= t]
+    assert product.flags(t).bit_count() == len(members)
+    assert list(itertools.compress(range(len(counts)), product.marks(t))) == members
+    assert product.counts().tolist() == [c if clip is None else min(c, clip) for c in counts]
 
 
 def test_count_tables_match_the_oracle_under_every_routing(routing):
@@ -492,7 +532,7 @@ def test_one_element_B_starts_from_the_first_block(monkeypatch):
 
 def _row_spy(monkeypatch):
     """The rows each _box_counts call folds, one list of rows per call."""
-    box_counts, rows, seen = repcount._box_counts, repcount._rows, []
+    box_counts, rows, seen = repcount._box_counts, _arrays._rows, []
 
     def spy(*args):
         seen.append([])
@@ -504,7 +544,7 @@ def _row_spy(monkeypatch):
         return got
 
     monkeypatch.setattr(repcount, "_box_counts", spy)
-    monkeypatch.setattr(repcount, "_rows", fetched)
+    monkeypatch.setattr(_arrays, "_rows", fetched)
     return seen
 
 
@@ -545,11 +585,12 @@ def test_identity_fold_leaves_the_shared_row_unchanged(monkeypatch, elements, h,
     with repcount._shared_rows():
         [group] = repcount._box_counts([A], [h], 1, make_set([0]), cap)
         [[row]] = seen
-        assert group.dtype == dtype and not row.flags.writeable
+        # a one-point box's float counts come back as int64
+        assert group.dtype == (np.int64 if dtype is np.float64 else dtype) and not row.flags.writeable
         assert np.shares_memory(group, row) == (row.dtype == dtype)
         table = multiset_count_table(A, h, cap=cap)
         assert [int(x) for x in group[0]] == row.tolist() == list(table.counts)
-    monkeypatch.setattr(repcount, "_dtype", lambda bound: object)
+    monkeypatch.setattr(_arrays, "_dtype", lambda bound: object)
     [want] = repcount._box_counts([A], [h], 1, make_set([0]), cap)
     assert want.dtype == object and want[0].tolist() == list(table.counts)
     assert row.tolist() == list(table.counts)
@@ -559,8 +600,8 @@ def test_the_walk_frees_its_rows_without_the_cycle_collector(monkeypatch):
     # the walk keeps no reference cycle: every row it read is freed as soon
     # as the walk is done or dropped, with no wait for gc
     monkeypatch.setattr(repcount, "_PRODUCT_BITS", -1)
-    rows, seen = repcount._rows, []
-    monkeypatch.setattr(repcount, "_rows", lambda *args: seen.append(rows(*args)) or seen[-1])
+    rows, seen = _arrays._rows, []
+    monkeypatch.setattr(_arrays, "_rows", lambda *args: seen.append(rows(*args)) or seen[-1])
     A, B = make_set([0, 3, 7]), make_set([0, 2])
     gc.disable()
     try:
@@ -725,10 +766,16 @@ class TestCountTable:
         assert 3 in capped.support_at_least(2)
 
     def test_rejects_counts_above_cap(self):
-        with pytest.raises(ValueError):
-            CountTable(offset=0, counts=(5,), cap=2)
-        with pytest.raises(ValueError):
-            CountTable(offset=0, counts=(-1,))
+        # counts as a tuple, a list, an array.array (unsigned, as the
+        # packed product's reader gives them, or signed) or a numpy array
+        for kind in (tuple, list, lambda c: array("H", c), lambda c: array("q", c), np.array):
+            with pytest.raises(ValueError, match="^counts exceed the declared cap$"):
+                CountTable(offset=0, counts=kind((1, 5)), cap=2)
+            assert CountTable(offset=0, counts=kind((1, 2)), cap=2).counts == (1, 2)
+            assert CountTable(offset=0, counts=kind(())).counts == ()
+        for kind in (tuple, list, lambda c: array("q", c), np.array):
+            with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+                CountTable(offset=0, counts=kind((2, -1)))
         with pytest.raises(ValueError):
             CountTable(offset=0, counts=(1,), cap=0)
 

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import chromsum
-from chromsum import repcount
+from chromsum import _arrays
 
 from conftest import ROUTINGS
 
@@ -41,11 +41,40 @@ def _imports(module: str) -> set[str]:
     return parts
 
 
+def _top_imports(module: str) -> set[str]:
+    """The library modules and numpy that a library module imports at its
+    top level (imports inside a function run only when it is called)."""
+    path = Path(chromsum.__file__).parent / f"{module}.py"
+    found = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            # from .module import x, or from . import module
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return found & {"numpy", *(path.stem for path in Path(chromsum.__file__).parent.glob("*.py"))}
+
+
+def _cli_process() -> set[str]:
+    """Every module a command-line process imports before it runs a
+    command: the top-level imports of __main__ and of the package, and
+    theirs in turn."""
+    loaded, todo = set(), ["__main__", "__init__"]
+    while todo:
+        module = todo.pop()
+        if module not in loaded:
+            loaded.add(module)
+            if module != "numpy":
+                todo += _top_imports(module)
+    return loaded
+
+
 def test_layering():
     """structure.py reaches arrays only through repcount, which owns every
-    numpy kernel and the dtype rules that keep them exact; and the fast
-    path, the command line included, shares no code with the brute-force
-    oracle, its ground truth."""
+    numpy kernel (in its numpy half, _arrays) and the dtype rules that
+    keep them exact; and the fast path, the command line included, shares
+    no code with the brute-force oracle, its ground truth: a command-line
+    process does not even import it."""
     pairs = [
         ("structure", "numpy"),
         ("structure", "oracle"),
@@ -53,6 +82,8 @@ def test_layering():
         ("cli", "oracle"),
     ]
     assert [pair for pair in pairs if pair[1] in _imports(pair[0])] == []
+    assert {"cli", "repcount", "structure"} <= _cli_process()
+    assert [name for name in ("oracle", "lemmas", "_arrays", "numpy") if name in _cli_process()] == []
 
 
 def _places(hit) -> list[str]:
@@ -82,51 +113,52 @@ def _places(hit) -> list[str]:
 
 
 def test_one_convolution():
-    """np.convolve runs only in repcount._fold, the one pairwise product
+    """np.convolve runs only in _arrays._fold, the one pairwise product
     that count tables, the structure search and the box check share."""
     found = _places(
         lambda node: (isinstance(node, ast.Attribute) and node.attr == "convolve")
         or (isinstance(node, ast.alias) and node.name.split(".")[-1] == "convolve")
     )
-    assert set(found) == {"repcount._fold"}
+    assert set(found) == {"_arrays._fold"}
 
 
 def test_one_fold_entry():
-    """repcount._fold is named only inside repcount._box_counts (its walk
-    included), which picks every count's dtype and cap from the one exact
-    total it computes at the box's top corner, and its crossover
-    repcount._PRODUCT_BITS is read only there, where that total proves the
-    packed product's slots wide enough: count tables, the search's
-    certificate sizes and the margin box cannot fold at a dtype or slot
-    width of their own."""
-    for name in ("_fold", "_PRODUCT_BITS"):
+    """_arrays._fold is named only inside _arrays._walk, the walk that only
+    repcount._box_counts names, which picks every count's dtype and cap
+    from the one exact total it computes at the box's top corner and hands
+    the walk; its crossover repcount._PRODUCT_BITS is read only there,
+    where that total proves the packed product's slots wide enough: count
+    tables, the search's certificate sizes and the margin box cannot fold
+    at a dtype or slot width of their own."""
+    for name, entry in (("_fold", "_arrays._walk"), ("_walk", "repcount._box_counts"),
+                        ("_PRODUCT_BITS", "repcount._box_counts")):
         found = _places(
             lambda node: isinstance(node, (ast.Name, ast.Attribute))
             and name in (getattr(node, "id", None), getattr(node, "attr", None))
             and isinstance(node.ctx, ast.Load)
         )
         assert found, name
-        assert all(f == "repcount._box_counts" or f.startswith("repcount._box_counts.") for f in found), name
+        assert all(f == entry or f.startswith(f"{entry}.") for f in found), name
 
 
 def test_one_row_source():
-    """repcount._exact_row and repcount._capped_rows are named only inside
-    repcount._rows, the one entry every fold reads its row arrays from,
+    """_arrays._exact_row and _arrays._capped_rows are named only inside
+    _arrays._rows, the one entry every fold reads its row arrays from,
     which takes no slot width and returns arrays alone; packed rows come
-    only from repcount._prefixes, which only repcount._exact_row and the
+    only from repcount._prefixes, which only _arrays._exact_row and the
     packed product of repcount._box_counts call; the row scope's memo
-    (repcount._ROWS) is read only in repcount._prefixes, repcount._rows and
+    (repcount._ROWS) is read only in repcount._prefixes, _arrays._rows and
     repcount._shared_rows: no caller builds or keeps rows of its own."""
-    for name, places in (("_exact_row", {"repcount._rows"}), ("_capped_rows", {"repcount._rows"}),
-                         ("_prefixes", {"repcount._exact_row", "repcount._box_counts"})):
+    for name, places in (("_exact_row", {"_arrays._rows"}), ("_capped_rows", {"_arrays._rows"}),
+                         ("_prefixes", {"_arrays._exact_row", "repcount._box_counts"})):
         found = _places(lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None)))
         assert set(found) == places, name
-    assert list(inspect.signature(repcount._rows).parameters) == ["elements", "hs", "cap"]
-    assert inspect.signature(repcount._rows).return_annotation == "list[np.ndarray]"
+    assert list(inspect.signature(_arrays._rows).parameters) == ["elements", "hs", "cap"]
+    assert inspect.signature(_arrays._rows).return_annotation == "list[np.ndarray]"
     found = _places(
         lambda node: isinstance(node, ast.Name) and node.id == "_ROWS" and isinstance(node.ctx, ast.Load)
     )
-    assert set(found) == {"repcount._prefixes", "repcount._rows", "repcount._shared_rows.__enter__",
+    assert set(found) == {"repcount._prefixes", "_arrays._rows", "repcount._shared_rows.__enter__",
                           "repcount._shared_rows.__exit__"}
     # no definition, import or use of the per-search row keeper
     named = ("id", "attr", "name")
@@ -241,6 +273,7 @@ def test_every_constant_is_read():
 _NOT_ROUTING = {
     "_ZERO": "the translation set {0} of the plain tables",
     "_ROWS": "the row scope's shared rows",
+    "_LAZY": "the package's names loaded on first use",
     "DEFAULT_BUDGET": "the oracle's default refusal size",
     "DEFAULT_MARGIN": "the default margin of a result's box",
     "_FIELDS": "the command line's request fields",
@@ -267,17 +300,18 @@ _FLOAT_TYPES = {
 
 
 def test_one_float_fold():
-    """A float type is named only where repcount._box_counts picks the
-    fold's dtype, float64 where its bound proves every count below 2^53:
-    no other path can count in floats, where an integer past 2^53 would
-    round."""
+    """A float type is named only in _arrays._walk, which picks the fold's
+    dtype, float64 where the bound repcount._box_counts hands it proves
+    every count below 2^53, and casts a one-point box's counts back to
+    int64: no other path can count in floats, where an integer past 2^53
+    would round."""
     found = _places(
         lambda node: (isinstance(node, ast.Attribute) and node.attr in _FLOAT_TYPES)
         or (isinstance(node, ast.Name) and node.id in _FLOAT_TYPES)
         or (isinstance(node, ast.alias) and node.name.split(".")[-1] in _FLOAT_TYPES)
         or (isinstance(node, ast.Constant) and node.value in _FLOAT_TYPES)
     )
-    assert found == ["repcount._box_counts"]
+    assert found and set(found) == {"_arrays._walk"}
 
 
 def _shift_and_add(node) -> bool:
@@ -295,18 +329,37 @@ def test_one_packed_kernel():
     """Packed integers are stepped only in repcount._prefixes (the
     module's one loop that adds a row shifted by an element's slots), and
     no caller steps a row of its own; they are read back into slots only
-    in repcount._unpack, which only repcount._exact_row and
-    repcount._box_counts call, each with slots proven wider than every
-    count they can hold: no other path can read a slot that a carry has
-    reached."""
+    in repcount._slots, which only _arrays._exact_row and the one-point
+    product's readers (repcount._Product) call, each with slots proven
+    wider than every count they can hold: no other path can read a slot
+    that a carry has reached (int.from_bytes also builds the carry test's
+    constant, in repcount._Product.flags)."""
     assert _places(_shift_and_add) == ["repcount._prefixes"]
-    found = _places(
-        lambda node: isinstance(node, ast.Attribute)
-        and node.attr in {"to_bytes", "from_bytes", "frombuffer"}
-    )
-    assert set(found) == {"repcount._unpack"}
-    found = _places(lambda node: isinstance(node, ast.Name) and node.id == "_unpack")
-    assert set(found) == {"repcount._exact_row", "repcount._box_counts"}
+    for names, places in (({"to_bytes", "frombuffer", "cast"}, {"repcount._slots"}),
+                          ({"from_bytes"}, {"repcount._slots", "repcount._Product.flags"})):
+        found = _places(lambda node: isinstance(node, ast.Attribute) and node.attr in names)
+        assert set(found) == places, names
+    found = _places(lambda node: isinstance(node, ast.Name) and node.id == "_slots")
+    assert set(found) == {"_arrays._exact_row", "repcount._Product.marks", "repcount._Product.counts"}
+
+
+def test_numpy_in_one_module():
+    """numpy is imported by one module of the library, _arrays, at its
+    top, and no other module names np: repcount reaches arrays only
+    through function-level imports of _arrays on the routes that need
+    them, so a process whose counts are all short one-point products never
+    loads numpy."""
+    importers = {}
+    for path in sorted(Path(chromsum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else (
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.setdefault(path.stem, []).append(node in tree.body)
+    assert importers == {"_arrays": [True]}
+    found = _places(lambda node: isinstance(node, ast.Name) and node.id == "np")
+    assert found and all(f == "_arrays" or f.startswith("_arrays.") for f in found)
 
 
 def test_cli_imports_only_public_names():

@@ -10,7 +10,7 @@ DIR (default: this checkout), takes the repcount._fewest_loads call whose
 parts are the row's, and times in-process, best of N runs (default 3):
 
     DP       repcount._dp_loads on that call;
-    listing  repcount._enumerated_loads on it, its suffix counts built
+    listing  _arrays._enumerated_loads on it, its suffix counts built
              outside the timing, skipped ("-") where it would list more
              than M partitions (default 2,000,000), since it holds them
              all at once;
@@ -61,11 +61,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.root).resolve() / "src"))
     sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
-    from chromsum import repcount, structure
+    from chromsum import _arrays, repcount, structure
     from chromsum.intset import make_tuple
 
     calls, listings = [], []
-    fewest, enumerated = repcount._fewest_loads, repcount._enumerated_loads
+    fewest, enumerated = repcount._fewest_loads, _arrays._enumerated_loads
     structure._fewest_loads = lambda *call: calls.append(call) or fewest(*call)
     print(f"{'parts':<28} {'t':>4} {'top':>6} {'cells':>10} {'listed':>11} {'DP':>9} {'listing':>9}  rule")
     for sets, t, want in ROWS:
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         top = max(targets)
         cells = (top + 1) * len(parts) * t
         # exact below 2^61 / (top + 1) partitions per target
-        suffix = repcount._suffix_counts(parts, top, (1 << 61) // (top + 1))
+        suffix = _arrays._suffix_counts(parts, top, (1 << 61) // (top + 1))
         listed = int(suffix[0][list(targets)].sum())
         dp = best_ms(args.runs, lambda: repcount._dp_loads(*call))
         listing = "-"
@@ -84,11 +84,11 @@ def main(argv=None) -> int:
             ms = best_ms(args.runs, lambda: enumerated(*call, suffix))
             listing = f"{ms:.3f}"
         listings.clear()
-        repcount._enumerated_loads = lambda *listing: listings.append(listing) or enumerated(*listing)
+        _arrays._enumerated_loads = lambda *listing: listings.append(listing) or enumerated(*listing)
         try:
             fewest(*call)
         finally:
-            repcount._enumerated_loads = enumerated
+            _arrays._enumerated_loads = enumerated
         rule = "listing" if listings else "DP"
         label = "{" + ",".join(map(str, parts)) + "}"
         print(f"{label:<28} {t:>4} {top:>6} {cells:>10,} {listed:>11,} {dp:>9.3f} {listing:>9}  {rule}",
