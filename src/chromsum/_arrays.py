@@ -28,16 +28,17 @@ _HANDOVER = 1 << 11
 _PACKED_CELLS = 1 << 15
 
 
-def _int_values(counts) -> tuple[tuple[int, ...], int, int]:
+def _int_values(counts, cap: int | None) -> tuple[tuple[int, ...], int, int | None]:
     """(values, least, largest) of a count table's counts given as an
-    array, the values as Python ints (0 and 0 where there are none); an
-    array of anything but integers raises TypeError (intset._ints)."""
+    array, the values as Python ints (least 0 where there are none), and
+    largest None unless cap is set; an array of anything but integers
+    raises TypeError (intset._ints)."""
     if not (isinstance(counts, np.ndarray) and counts.ndim == 1 and counts.dtype.kind in "iu"):
         # Python ints, or an object array of them; a float or bool raises
         counts = np.array(_ints(counts), dtype=object)
     if not counts.size:
-        return (), 0, 0
-    return tuple(counts.tolist()), int(counts.min()), int(counts.max())
+        return (), 0, None
+    return tuple(counts.tolist()), int(counts.min()), None if cap is None else int(counts.max())
 
 
 def _dtype(bound: int):

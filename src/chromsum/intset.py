@@ -51,9 +51,7 @@ def _ints(values: Iterable) -> tuple[int, ...]:
     """The values as Python ints; anything but a Python or numpy integer
     (a bool too) raises TypeError naming it."""
     values = tuple(values)
-    # every value a Python int (no bool), tested in C: a count table
-    # checks every count it holds here
-    if tuple(map(type, values)).count(int) == len(values):
+    if all(type(x) is int for x in values):
         return values
     for x in values:
         if isinstance(x, bool) or not hasattr(type(x), "__index__"):

@@ -202,19 +202,20 @@ masked out of the product and 2^w - t added to each at once, their
 carries landing in the empty odd slots between them, and likewise the
 odd slots; the carry bits, shifted back, are the flags, 1 in the slot
 of each count >= t (and for t >= 2^w, no count reaches t).  Their
-int.bit_count() is the certificate's size (_tfold_size), their slots
-select tfold_set's members, and a table's counts are clipped by
-masking the flagged slots, flags times 2^w - 1, and setting them to
-the cap.  On 2-byte slots, which 98.9% of the structure search's
-one-point calls (seed 101) have at 256 slots or fewer, the count took
-1.7 us at 128 slots and 2.7 us at 256 against 2.2 and 2.7 us for numpy
-(frombuffer, astype and count_nonzero), and 4.7 against 3.5 us at 512;
-the clipped counts as a list took 3.5 and 5.4 against 2.7 and 3.6 us
-(2-vCPU VM, Python 3.11, numpy 2.4, best of 7).  A count table takes
-the read slots as they are, an array.array of unsigned integers, none
-negative: with a cap it checks their largest in Python, and without
-one it checks nothing more (a list or tuple of counts passes through
-intset._ints and min in Python, and an array of them through numpy).
+slots, read by _slots, are the member marks (_marks, which gives a
+walk's marks as numpy rows): the bytes 1 among them count the
+certificate (_tfold_size), and they select tfold_set's members.  A
+table's counts are clipped by masking the flagged slots, flags times
+2^w - 1, and setting them to the cap.  On 2-byte slots, which 98.9% of
+the structure search's one-point calls (seed 101) have at 256 slots or
+fewer, the count took 1.7 us at 128 slots and 2.7 us at 256 against
+2.2 and 2.7 us for numpy (frombuffer, astype and count_nonzero), and
+4.7 against 3.5 us at 512; the clipped counts as a list took 3.5 and
+5.4 against 2.7 and 3.6 us (2-vCPU VM, Python 3.11, numpy 2.4, best of
+7; the count then was int.bit_count() of the flags, and reading them
+through _slots adds about 1.3 us at 256 slots).  A count table takes
+the read counts as a list, which intset._ints and min check in Python
+(an array of counts, as a walk gives, numpy checks).
 
 Capped rows from two partition folds (_capped_rows).  Since 0 is in A,
 an h-multiset of A is a partition of its sum into the nonzero elements
@@ -498,18 +499,15 @@ class CountTable:
         if cap is not None and cap < 1:
             raise ValueError("cap must be a positive integer")
         counts, most = self.counts, None
-        if isinstance(counts, array) and counts.typecode in "BHIQ":
-            # unsigned integers, as the packed product's reader gives
-            counts, least = tuple(counts.tolist()), 0
-        elif isinstance(counts, (list, tuple)):
+        if isinstance(counts, (list, tuple)):
             counts = _ints(counts)
             least = min(counts, default=0)
         else:
-            # a numpy array, as a box walk or a partition fold gives: numpy
-            # reads its least and largest values
+            # an array, as a box walk or a partition fold gives: numpy reads
+            # its least value, and its largest where there is a cap
             from ._arrays import _int_values
 
-            counts, least, most = _int_values(counts)
+            counts, least, most = _int_values(counts, cap)
         if least < 0:
             raise ValueError("counts must be nonnegative")
         if cap is not None and (max(counts, default=0) if most is None else most) > cap:
@@ -640,8 +638,12 @@ class _Product(NamedTuple):
         w = 8 * self.size
         if t >> w:
             return 0  # t >= 2^w: no slot can reach it
-        # 1 in slots 0, 2, 4, ..., up to length slots and one more
-        ones = int.from_bytes((b"\x01" + bytes(2 * self.size - 1)) * ((self.length + 1) // 2), "little")
+        # 1 in slots 0, 2, 4, ..., at least up to length slots, doubled
+        # from slot 0 (past length every slot is 0, and 0 + 2^w - t
+        # carries nowhere)
+        ones, pairs = 1, 1
+        while pairs < (self.length + 1) // 2:
+            ones, pairs = ones | ones << 2 * w * pairs, 2 * pairs
         even, add, carry = ones * ((1 << w) - 1), ones * ((1 << w) - t), ones << w
         low = ((self.value & even) + add) & carry
         high = (((self.value >> w) & even) + add) & carry
@@ -724,17 +726,24 @@ def _table(sets: Sequence[FiniteSet], hs: Sequence[int], B: FiniteSet, cap: int 
     minimum 0, every hs_i a nonnegative integer, B nonempty and cap None
     or a positive integer."""
     counts = next(_box_counts(sets, hs, 1, B, cap))
-    counts = counts.counts() if isinstance(counts, _Product) else counts[0]
+    counts = counts.counts().tolist() if isinstance(counts, _Product) else counts[0]
     return CountTable(offset=B.elements[0], counts=counts, cap=cap)
+
+
+def _marks(counts, t: int):
+    """Per point of a group that _box_counts yields, a row of member
+    marks, 1 where the count is at least t >= 1 and 0 elsewhere: an
+    array.array for a _Product, a numpy boolean row for a walk's group.
+    Either row reads back as a list of ints (tolist), and its bytes
+    (tobytes) hold one byte 1 per member and no other."""
+    return [counts.marks(t)] if isinstance(counts, _Product) else counts >= t
 
 
 def _tfold(sets: Sequence[FiniteSet], hs: Sequence[int], t: int) -> FiniteSet:
     """The integers with at least t >= 1 representations at hs, below
     tfold_set's checks (see _table)."""
-    counts = next(_box_counts(sets, hs, 1, _ZERO, t))
-    if isinstance(counts, _Product):
-        return FiniteSet(tuple(compress(range(counts.length), counts.marks(t))))
-    return FiniteSet(tuple((counts[0] >= t).nonzero()[0].tolist()))
+    marks = _marks(next(_box_counts(sets, hs, 1, _ZERO, t)), t)[0].tolist()
+    return FiniteSet(tuple(compress(range(len(marks)), marks)))
 
 
 def multiset_count_table(A: FiniteSet, h: int, cap: int | None = None) -> CountTable:
@@ -792,9 +801,7 @@ def _streamed_box_fits(
     fits = []
     groups = _box_counts(st.sets, lo, margin + 1, B, t)
     for at, counts in zip(range(0, len(ends), margin + 1), groups):
-        # one row of member marks per point of the group
-        marks = [counts.marks(t)] if isinstance(counts, _Product) else counts >= t
-        fits += _shape_fits(dec, marks, ends[at : at + margin + 1])
+        fits += _shape_fits(dec, _marks(counts, t), ends[at : at + margin + 1])
     return fits
 
 
@@ -987,7 +994,4 @@ def inhomogeneous_count_table(
 def _tfold_size(st: SetTuple, B: FiniteSet, t: int, h: tuple[int, ...]) -> int:
     """Number of integers with at least t representations in h.A + B at the
     coordinates h, from one one-point _box_counts count."""
-    counts = next(_box_counts(st.sets, h, 1, B, t))
-    if isinstance(counts, _Product):
-        return counts.flags(t).bit_count()
-    return int((counts >= t).sum())
+    return _marks(next(_box_counts(st.sets, h, 1, B, t)), t)[0].tobytes().count(1)

@@ -478,14 +478,17 @@ def _packed_counts(draw):
 @example((4, 2**32, [0, 2**32 - 1] * 256, 2**32 - 1))
 @example((8, 2**64 - 1, [2**64 - 2, 2**64 - 1, 0] * 85, 2**63))
 def test_product_reader_at_the_slot_edges(drawn):
-    # the carry test's members and their count, and the clipped counts,
-    # against a plain reading of every slot
+    # the carry test's members and their count, as tfold_set and
+    # _tfold_size read them, and the clipped counts, against a plain
+    # reading of every slot
     size, t, counts, clip = drawn
     value = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
     product = repcount._Product(value, len(counts), size, clip)
     members = [n for n, c in enumerate(counts) if c >= t]
-    assert product.flags(t).bit_count() == len(members)
-    assert list(itertools.compress(range(len(counts)), product.marks(t))) == members
+    assert product.flags(t) >> 8 * size * len(counts) == 0
+    marks = repcount._marks(product, t)[0]
+    assert marks.tobytes().count(1) == len(members)
+    assert list(itertools.compress(range(len(counts)), marks.tolist())) == members
     assert product.counts().tolist() == [c if clip is None else min(c, clip) for c in counts]
 
 
@@ -766,8 +769,8 @@ class TestCountTable:
         assert 3 in capped.support_at_least(2)
 
     def test_rejects_counts_above_cap(self):
-        # counts as a tuple, a list, an array.array (unsigned, as the
-        # packed product's reader gives them, or signed) or a numpy array
+        # counts as a tuple, a list (as the packed product's reader gives
+        # them), an array.array (unsigned or signed) or a numpy array
         for kind in (tuple, list, lambda c: array("H", c), lambda c: array("q", c), np.array):
             with pytest.raises(ValueError, match="^counts exceed the declared cap$"):
                 CountTable(offset=0, counts=kind((1, 5)), cap=2)

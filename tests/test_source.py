@@ -332,13 +332,11 @@ def test_one_packed_kernel():
     in repcount._slots, which only _arrays._exact_row and the one-point
     product's readers (repcount._Product) call, each with slots proven
     wider than every count they can hold: no other path can read a slot
-    that a carry has reached (int.from_bytes also builds the carry test's
-    constant, in repcount._Product.flags)."""
+    that a carry has reached."""
     assert _places(_shift_and_add) == ["repcount._prefixes"]
-    for names, places in (({"to_bytes", "frombuffer", "cast"}, {"repcount._slots"}),
-                          ({"from_bytes"}, {"repcount._slots", "repcount._Product.flags"})):
-        found = _places(lambda node: isinstance(node, ast.Attribute) and node.attr in names)
-        assert set(found) == places, names
+    names = {"to_bytes", "from_bytes", "frombuffer", "cast"}
+    found = _places(lambda node: isinstance(node, ast.Attribute) and node.attr in names)
+    assert set(found) == {"repcount._slots"}
     found = _places(lambda node: isinstance(node, ast.Name) and node.id == "_slots")
     assert set(found) == {"_arrays._exact_row", "repcount._Product.marks", "repcount._Product.counts"}
 
