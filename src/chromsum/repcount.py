@@ -208,14 +208,15 @@ certificate (_tfold_size), and they select tfold_set's members.  A
 table's counts are clipped by masking the flagged slots, flags times
 2^w - 1, and setting them to the cap.  On 2-byte slots, which 98.9% of
 the structure search's one-point calls (seed 101) have at 256 slots or
-fewer, the count took 1.7 us at 128 slots and 2.7 us at 256 against
-2.2 and 2.7 us for numpy (frombuffer, astype and count_nonzero), and
-4.7 against 3.5 us at 512; the clipped counts as a list took 3.5 and
-5.4 against 2.7 and 3.6 us (2-vCPU VM, Python 3.11, numpy 2.4, best of
-7; the count then was int.bit_count() of the flags, and reading them
-through _slots adds about 1.3 us at 256 slots).  A count table takes
-the read counts as a list, which intset._ints and min check in Python
-(an array of counts, as a walk gives, numpy checks).
+fewer, the count took 3.3, 4.9 and 7.7 us at 128, 256 and 512 slots
+against 2.6, 2.8 and 3.8 us for numpy (frombuffer, astype and
+count_nonzero), and the clipped counts as a list 5.6, 9.0 and 16.2
+against 4.4, 6.6 and 10.9 us (2-vCPU VM, Python 3.11, numpy 2.4, best
+of 7, host load not controlled): a few microseconds per call in a
+process that holds numpy anyway, for no numpy import in one that needs
+no arrays.  A count table takes the read counts as a list, which
+intset._ints and min check in Python (an array of counts, as a walk
+gives, numpy checks).
 
 Capped rows from two partition folds (_capped_rows).  Since 0 is in A,
 an h-multiset of A is a partition of its sum into the nonzero elements
