@@ -735,7 +735,7 @@ def _marks(counts, t: int):
     """Per point of a group that _box_counts yields, a row of member
     marks, 1 where the count is at least t >= 1 and 0 elsewhere: an
     array.array for a _Product, a numpy boolean row for a walk's group.
-    Either row reads back as a list of ints (tolist), and its bytes
+    Either row reads back as a Python list (tolist), and its bytes
     (tobytes) hold one byte 1 per member and no other."""
     return [counts.marks(t)] if isinstance(counts, _Product) else counts >= t
 
