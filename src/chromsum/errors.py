@@ -5,6 +5,19 @@ malformed input to exit code 2 and any ChromsumError raised during
 computation to exit code 3.
 """
 
+__all__ = [
+    "ChromsumError",
+    "EmptySetError",
+    "DegenerateTupleError",
+    "NotNormalizedError",
+    "DimensionError",
+    "DomainError",
+    "DegenerateAlphabetError",
+    "BoundError",
+    "BudgetError",
+    "SearchExhaustedError",
+]
+
 
 class ChromsumError(Exception):
     """Base class for all errors this package raises deliberately."""

@@ -88,6 +88,22 @@ def _require_int(value, what: str, least: int | None = None, optional: bool = Fa
     raise DomainError(f"{what} must be {kind}" + (" or None" if optional else ""))
 
 
+def _translation(B: FiniteSet | None, default: FiniteSet) -> FiniteSet:
+    """The translation set B, default for None; a B whose minimum is not
+    0 is refused."""
+    if B is None:
+        return default
+    if B.min != 0:
+        raise DomainError("the translation set must have minimum 0")
+    return B
+
+
+def _require_same_length(*hs: HVec) -> None:
+    """Refuse exponent vectors that do not all have the same length."""
+    if len({h.q for h in hs}) > 1:
+        raise DimensionError("exponent vectors of different lengths")
+
+
 @dataclass(frozen=True)
 class FiniteSet:
     """Immutable finite set of integers, stored strictly increasing."""
@@ -282,8 +298,7 @@ def _require_length(st: SetTuple, *hs: HVec) -> None:
 
 def hvec_leq(h1: HVec, h2: HVec) -> bool:
     """Componentwise h1 <= h2."""
-    if h1.q != h2.q:
-        raise DimensionError("exponent vectors of different lengths")
+    _require_same_length(h1, h2)
     return all(a <= b for a, b in zip(h1.coords, h2.coords))
 
 
@@ -292,11 +307,8 @@ def hvec_sup(hs: Sequence[HVec]) -> HVec:
     hs = list(hs)
     if not hs:
         raise DimensionError("sup of an empty family is undefined")
-    q = hs[0].q
-    for h in hs[1:]:
-        if h.q != q:
-            raise DimensionError("exponent vectors of different lengths")
-    return HVec(tuple(max(h.coords[i] for h in hs) for i in range(q)))
+    _require_same_length(*hs)
+    return HVec(tuple(max(h.coords[i] for h in hs) for i in range(hs[0].q)))
 
 
 def hvec_add_unit(h: HVec, i: int) -> HVec:

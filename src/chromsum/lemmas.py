@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, NotNormalizedError
-from .intset import FiniteSet, HVec, SetTuple, _require_int, _require_length, hvec_add_unit
+from .errors import NotNormalizedError
+from .intset import (
+    FiniteSet, HVec, SetTuple, _require_int, _require_length, _translation, hvec_add_unit,
+)
 from .repcount import _ZERO, CountTable, _shared_rows, _table, _tfold
 
 __all__ = ["LemmaCheck", "run_all"]
@@ -202,10 +204,7 @@ def run_all(st: SetTuple, h: HVec, t: int = 1, B: FiniteSet | None = None) -> li
         raise NotNormalizedError("lemma checks require a normalized tuple")
     _require_length(st, h)
     _require_int(t, "t", 1)
-    if B is None:
-        B = FiniteSet((0, 1))
-    if B.min != 0:
-        raise DomainError("the translation set must have minimum 0")
+    B = _translation(B, FiniteSet((0, 1)))
     with _shared_rows():
         # the cap-t table and its t-fold set at h, which four of the checks
         # compare against, and the colored sumset, which two do

@@ -99,7 +99,9 @@ from .errors import (
     NotNormalizedError,
     SearchExhaustedError,
 )
-from .intset import FiniteSet, HVec, SetTuple, _int, _require_int, _require_length, hvec_leq
+from .intset import (
+    FiniteSet, HVec, SetTuple, _int, _require_int, _require_length, _translation, hvec_leq,
+)
 from .repcount import (
     _ZERO,
     _fewest_loads,
@@ -253,15 +255,6 @@ class WitnessSet:
 def _require_normalized(st: SetTuple) -> None:
     if not st.normalized:
         raise NotNormalizedError("this operation requires a normalized tuple")
-
-
-def _translation(B: FiniteSet | None) -> FiniteSet:
-    """The translation set, {0} for None; its minimum must be 0."""
-    if B is None:
-        return _ZERO
-    if B.min != 0:
-        raise DomainError("the translation set must have minimum 0")
-    return B
 
 
 def _box_points(lo: HVec, margin: int):
@@ -655,7 +648,7 @@ def structure_constants(
     _require_int(t, "t", 1)
     _require_int(margin, "margin", 1)
     _require_int(ceiling, "ceiling", 0, optional=True)
-    B = _translation(B)
+    B = _translation(B, _ZERO)
     if strategy not in ("empirical", "constructive"):
         raise DomainError(f"unknown strategy {strategy!r}")
     if strategy == "constructive" and (B != _ZERO or ceiling is not None):
@@ -712,7 +705,7 @@ def verify_box(
     _require_normalized(st)
     _require_int(t, "t", 1)
     _require_int(margin, "margin", 0)
-    B = _translation(B)
+    B = _translation(B, _ZERO)
     if lo is None:
         lo = result.threshold
     _require_length(st, lo, result.threshold)

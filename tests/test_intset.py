@@ -204,7 +204,7 @@ class TestHVec:
         assert hvec_sup([HVec((1, 2)), HVec((3, 0))]).coords == (3, 2)
         with pytest.raises(DimensionError):
             hvec_sup([])
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^exponent vectors of different lengths$"):
             hvec_sup([HVec((1,)), HVec((1, 2))])
         with pytest.raises(DimensionError, match="^exponent vectors of different lengths$"):
             hvec_leq(HVec((1,)), HVec((1, 2)))

@@ -59,7 +59,7 @@ def test_validation():
         run_all(make_tuple([[0, 1]]), HVec((1, 1)))
     with pytest.raises(DomainError):
         run_all(make_tuple([[0, 1]]), HVec((1,)), t=0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^the translation set must have minimum 0$"):
         run_all(make_tuple([[0, 1]]), HVec((1,)), B=make_set([2, 3]))
 
 

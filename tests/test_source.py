@@ -228,6 +228,16 @@ def test_one_scalar_validator():
         assert _places(lambda node: name in (getattr(node, key, None) for key in named)) == [], name
 
 
+def test_one_check_per_shared_refusal():
+    """A refusal that several entries share is raised by one helper in
+    intset, so its condition and its message are written once."""
+    for message, place in [
+        ("the translation set must have minimum 0", "intset._translation"),
+        ("exponent vectors of different lengths", "intset._require_same_length"),
+    ]:
+        assert _places(lambda node: isinstance(node, ast.Constant) and node.value == message) == [place]
+
+
 def _trees() -> list[ast.Module]:
     return [
         ast.parse(path.read_text(), filename=str(path))
@@ -358,6 +368,46 @@ def test_numpy_in_one_module():
     assert importers == {"_arrays": [True]}
     found = _places(lambda node: isinstance(node, ast.Name) and node.id == "np")
     assert found and all(f == "_arrays" or f.startswith("_arrays.") for f in found)
+
+
+def _star_imported() -> list[str]:
+    """The modules whose names the package re-exports: every module that
+    its __init__ imports with `from .module import *`."""
+    tree = ast.parse(Path(chromsum.__file__).read_text())
+    return [node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) and [alias.name for alias in node.names] == ["*"]]
+
+
+def test_lazy_names_are_the_oracle_and_lemmas_names():
+    """The package loads on first use exactly the __all__ of oracle and of
+    lemmas, each name from its own module, and the two modules by name."""
+    from chromsum import lemmas, oracle
+
+    lazy = {}
+    for module in (oracle, lemmas):
+        short = module.__name__.rpartition(".")[2]
+        lazy.update(dict.fromkeys([short, *module.__all__], short))
+    assert chromsum._LAZY == lazy
+
+
+def test_star_imported_modules_share_no_name():
+    """The modules the package star-imports have pairwise disjoint
+    __all__s, none of which is loaded on first use: a name in two of them
+    would be shadowed silently by the later import."""
+    assert _star_imported() == ["errors", "intset", "repcount", "structure"]
+    names = [name for module in _star_imported() for name in getattr(chromsum, module).__all__]
+    assert len(names) == len(set(names)) and not set(names) & set(chromsum._LAZY)
+
+
+def test_every_public_name_resolves():
+    """The package's __all__ is sorted with no repeats, every name in it
+    resolves, and it is the union of the star-imported modules' __all__s
+    and of the names loaded on first use."""
+    public = chromsum.__all__
+    assert public == sorted(set(public))
+    assert [name for name in public if not hasattr(chromsum, name)] == []
+    lazy = {name for name, module in chromsum._LAZY.items() if name != module}
+    assert set(public) == lazy.union(*(getattr(chromsum, m).__all__ for m in _star_imported()))
 
 
 def test_cli_imports_only_public_names():

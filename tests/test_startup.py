@@ -1,5 +1,6 @@
-"""What a command-line process imports: the requests of the benchmark's
-cli workload that walk no box (counts by flags and by --stdin, sumset,
+"""What a fresh process imports: `import chromsum` alone loads none of
+numpy, the oracle and lemmas; the requests of the benchmark's cli
+workload that walk no box (counts by flags and by --stdin, sumset,
 structure and witness) finish without loading numpy or the oracle, and
 verify, which walks its margin box, still answers (and loads numpy)."""
 
@@ -8,6 +9,15 @@ from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_import_loads_neither_numpy_nor_the_oracle_nor_lemmas(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import startup
+
+    done, loaded = startup.probe(str(ROOT), ["-c", "import chromsum"], None)
+    assert done.returncode == 0, done.stderr
+    assert set(startup.WATCHED) == {"numpy", "chromsum.oracle", "chromsum.lemmas"} and loaded == set()
 
 
 def test_short_cli_requests_load_neither_numpy_nor_the_oracle(monkeypatch):

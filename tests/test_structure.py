@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from chromsum import _arrays, repcount, structure
@@ -254,6 +254,68 @@ def test_both_limit_routes_match_the_scanned_table(parts, repeats, shifts, t):
                 mp.setattr(repcount, constant, value)
             got[name] = repcount._limit_side(parts, shifts, t, bound)
     assert got["residue-always"] == got["table-always"] == _scanned_limit_side(parts, shifts, t, bound)
+
+
+def _two_part_constants(a: int, b: int, t: int) -> tuple[FiniteSet, int]:
+    """(sporadic set, cut) of a side with the coprime parts a and b, in
+    closed form.  Q(n + ab) = Q(n) + 1 (Popoviciu), so Q >= t exactly on
+    (t - 1)ab + <a, b>, <a, b> being the numerical semigroup of a and b;
+    its largest gap is ab - a - b, so the cut is t*ab - a - b + 1."""
+    gaps_end = a * b - a - b
+    members = {i * a + j * b for i in range(b) for j in range(a)}
+    fringe = sorted((t - 1) * a * b + s for s in members if s < gaps_end)
+    return FiniteSet(tuple(fringe)), t * a * b - a - b + 1
+
+
+def _check_two_part_sides(a: int, b: int, t: int) -> None:
+    """Both sides of {0, a, b}, the parts (a, b) and, reflected, (b - a, b),
+    match the closed form."""
+    st = make_tuple([[0, a, b]])
+    assert low_fringe_constants(st, t) == _two_part_constants(a, b, t)
+    assert high_fringe_constants(st, t) == _two_part_constants(b - a, b, t)
+
+
+@hst.composite
+def _two_part_sides(draw):
+    """Coprime 1 <= a < b <= 50 and t with t*a*b <= 10^5, t drawn over its
+    binary orders of magnitude so that large t is not rare."""
+    b = draw(hst.integers(2, 50))
+    a = draw(hst.integers(1, b - 1).filter(lambda a: math.gcd(a, b) == 1))
+    top = 10**5 // (a * b)
+    bits = draw(hst.integers(0, top.bit_length() - 1))
+    return a, b, draw(hst.integers(1 << bits, min(top, (2 << bits) - 1)))
+
+
+@settings(max_examples=120)
+@given(_two_part_sides())
+def test_two_part_sides_match_the_closed_form(case):
+    # under the default routing and each limit route forced
+    for name in (None, "residue-always", "table-always"):
+        with pytest.MonkeyPatch.context() as mp:
+            for constant, value in ROUTINGS.get(name, {}).items():
+                mp.setattr(repcount, constant, value)
+            _check_two_part_sides(*case)
+
+
+@pytest.mark.parametrize("a, b, t", [(3, 7, 10**4), (49, 50, 10**3)])
+def test_two_part_sides_at_large_t(a, b, t):
+    _check_two_part_sides(a, b, t)
+
+
+@settings(max_examples=100)
+@given(hst.integers(3, 22), hst.sets(hst.integers(1, 21), max_size=5))
+def test_single_set_threshold_at_t_1_is_at_most_max_minus_2(top, inner):
+    # Granville & Walker: a normalized A with max(A) = l >= 3 has the
+    # eventual shape from h = l - 2 on, so the minimal h_1 is at most that
+    st = make_tuple([sorted({0, top} | {x for x in inner if x < top})])
+    assume(st.normalized)
+    assert structure_constants(st, 1, "empirical").threshold.coords[0] <= top - 2
+
+
+@pytest.mark.parametrize("top", range(4, 16))
+def test_zero_one_top_reaches_max_minus_2(top):
+    # the bound above is tight: {0, 1, l} has h_1 = l - 2
+    assert structure_constants(make_tuple([[0, 1, top]]), 1, "empirical").threshold.coords == (top - 2,)
 
 
 class TestWitnesses:
@@ -1332,12 +1394,13 @@ class TestInhomogeneous:
             structure_constants(make_tuple([[0, 1]]), 3, B=make_set([0, 1]))
 
     def test_min_B_must_be_zero(self):
-        with pytest.raises(DomainError):
+        refused = "^the translation set must have minimum 0$"
+        with pytest.raises(DomainError, match=refused):
             structure_constants(A023, 1, B=make_set([1, 2]))
         res = structure_constants(A023, 1, strategy="empirical")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=refused):
             verify_structure(A023, 1, res, HVec((3,)), make_set([1]))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=refused):
             verify_box(A023, 1, res, B=make_set([1]))
 
     def test_delegate_is_the_entry(self):

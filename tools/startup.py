@@ -6,13 +6,14 @@ Usage:
 For each of the six request shapes of the benchmark's cli workload
 (counts by flags and by --stdin, sumset, structure, witness and verify:
 the first request of each shape in stream S of DIR/bench/workloads.py,
-default 101) and for `python -c pass`, runs N fresh processes (default
-9) of `python -m chromsum` with PYTHONPATH=DIR/src and prints, per
-root, the median wall time in ms and whether numpy and chromsum.oracle
-were loaded when the process exited (from one more process run under
-probe(), which reports sys.modules at exit).  With two roots the
-processes alternate between them, one of each root per round.  Nothing
-is written to DIR.
+default 101), each run as `python -m chromsum`, and for
+`python -c pass` and `python -c "import chromsum"`, runs N fresh
+processes (default 9) with PYTHONPATH=DIR/src and prints, per root, the
+median wall time in ms and whether numpy, chromsum.oracle and
+chromsum.lemmas were loaded when the process exited (from one more
+process run under probe(), which reports sys.modules at exit).  With two
+roots the processes alternate between them, one of each root per round.
+Nothing is written to DIR.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 from time import perf_counter
 
 # the modules whose presence at exit is reported
-WATCHED = ("numpy", "chromsum.oracle")
+WATCHED = ("numpy", "chromsum.oracle", "chromsum.lemmas")
 
 # run by `python -c` ahead of the command: reports which of WATCHED are
 # loaded when the process exits, on the last line of stderr
@@ -39,8 +40,9 @@ _RUN_CLI = "import runpy; runpy.run_module('chromsum', run_name='__main__', alte
 
 
 def shapes(root: str, seed: int) -> list[tuple[str, list[str], str | None]]:
-    """(label, argv after `python`, stdin text) of `python -c pass` and of
-    the first request of each cli shape in the stream of seed."""
+    """(label, argv after `python`, stdin text) of `python -c pass`, of
+    `python -c "import chromsum"` and of the first request of each cli
+    shape in the stream of seed."""
     sys.path.insert(0, str(Path(root) / "bench"))
     sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
     import worker
@@ -54,7 +56,8 @@ def shapes(root: str, seed: int) -> list[tuple[str, list[str], str | None]]:
             found[label] = (["-m", "chromsum", *argv], stdin)
         if len(found) == 6:
             break
-    return [("python -c pass", ["-c", "pass"], None)] + [(label, *found[label]) for label in sorted(found)]
+    bare = [("python -c pass", ["-c", "pass"], None), ("import chromsum", ["-c", "import chromsum"], None)]
+    return bare + [(label, *found[label]) for label in sorted(found)]
 
 
 def _env(root: str) -> dict:
@@ -73,7 +76,7 @@ def probe(root: str, argv: list[str], stdin: str | None) -> tuple[subprocess.Com
     """One process of the command argv (after `python`), run by a probe
     that reports sys.modules at exit: the finished process, its last
     stderr line taken off, and which of WATCHED it had loaded."""
-    run_it = "pass" if argv[:1] == ["-c"] else _RUN_CLI
+    run_it = argv[1] if argv[:1] == ["-c"] else _RUN_CLI
     args = argv[2:] if argv[:2] == ["-m", "chromsum"] else []
     code = _PROBE.format(watched=WATCHED, run=run_it)
     done = subprocess.run([sys.executable, "-c", code, *args], input=stdin, env=_env(root),
@@ -93,7 +96,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=101)
     args = parser.parse_args(argv)
     roots = [str(Path(root).resolve()) for root in args.root]
-    header = f"{'request':<16}" + "".join(f" {'ms':>7} {'numpy':>5} {'oracle':>6}" for _ in roots)
+    columns = [name.rpartition(".")[2] for name in WATCHED]
+    header = f"{'request':<16}" + "".join(f" {'ms':>7}" + "".join(f" {c:>6}" for c in columns) for _ in roots)
     print("roots: " + "  ".join(roots))
     print(header)
     for label, command, stdin in shapes(roots[0], args.seed):
@@ -104,8 +108,8 @@ def main(argv=None) -> int:
         row = f"{label:<16}"
         for root in roots:
             _, loaded = probe(root, command, stdin)
-            flags = ["yes" if name in loaded else "no" for name in WATCHED]
-            row += f" {statistics.median(times[root]) * 1000:>7.1f} {flags[0]:>5} {flags[1]:>6}"
+            flags = "".join(f" {'yes' if name in loaded else 'no':>6}" for name in WATCHED)
+            row += f" {statistics.median(times[root]) * 1000:>7.1f}{flags}"
         print(row, flush=True)
     return 0
 
