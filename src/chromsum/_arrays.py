@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .intset import FiniteSet, _ints
-from .repcount import _ROWS, _prefixes, _slot_size, _slots, _too_few
+from .repcount import _prefixes, _slot_size, _slots, _too_few
 
 # _exact_row hands an int64 row over to the numpy kernel before it passes
 # this many entries, the measured crossover (see repcount's docstring)
@@ -121,26 +121,16 @@ def _rows(elements: tuple[int, ...], hs: range, cap: int | None) -> list[np.ndar
     hs[-1] come from _capped_rows where that row costs more than
     _PACKED_CELLS cells and it proves them; every other row is packed
     (_exact_row), and clipped once where the cap is below the bound.
-    Inside a repcount._shared_rows() scope a single row is kept by
-    (elements, h, cap), read-only, and a later request for that key gets
-    the same row; elements must start at 0."""
+    elements must start at 0."""
     if not elements[-1]:
         return [np.ones(1, dtype=np.int64)] * len(hs)
     h = hs[-1]
-    shared = _ROWS.get() if len(hs) == 1 else None
-    key = (elements, h, cap)
-    rows = None if shared is None else shared.get(key)
-    if rows is not None:
-        return rows
     bound = math.comb(len(elements) + h - 1, h)
     if cap is not None and cap < bound and len(elements) * h * (h * elements[-1] + 1) > _PACKED_CELLS:
         rows = _capped_rows(elements, hs, cap)
-    if rows is None:
-        rows = _exact_row(elements, hs, bound, cap)
-    if shared is not None:
-        rows[0].setflags(write=False)
-        shared[key] = rows
-    return rows
+        if rows is not None:
+            return rows
+    return _exact_row(elements, hs, bound, cap)
 
 
 def _capped_rows(elements: tuple[int, ...], hs: range, cap: int) -> list[np.ndarray] | None:

@@ -51,7 +51,7 @@ def _ints(values: Iterable) -> tuple[int, ...]:
     """The values as Python ints; anything but a Python or numpy integer
     (a bool too) raises TypeError naming it."""
     values = tuple(values)
-    if all(type(x) is int for x in values):
+    if {int}.issuperset(map(type, values)):
         return values
     for x in values:
         if isinstance(x, bool) or not hasattr(type(x), "__index__"):

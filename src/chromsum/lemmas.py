@@ -7,12 +7,12 @@ code paths where possible: set-level identities are recomputed from
 supports, not from the formulas under test.
 
 One run_all call runs every check inside one row scope
-(repcount._shared_rows): each multiset row is built once, and the cap-t
-and cap-1 chromatic tables are built once and shared by the checks that
-need them.  Sharing changes no value; each check still compares
-supports computed on its own: the cap-t table's t-set against the
-bumped, reflected and translated t-sets and the per-color sums, and the
-cap-1 support against the pooled sumset and the translated form.
+(repcount._shared_rows): each packed multiset state is stepped to once,
+and the cap-t and cap-1 chromatic tables are built once and shared by
+the checks that need them.  Sharing changes no value; each check still
+compares supports computed on its own: the cap-t table's t-set against
+the bumped, reflected and translated t-sets and the per-color sums, and
+the cap-1 support against the pooled sumset and the translated form.
 run_all checks its arguments once, and the checks count through
 repcount._table and repcount._tfold and read a table's members through
 CountTable._at_least, below the public entries' checks.
@@ -111,7 +111,7 @@ def _check_per_color_product(st: SetTuple, h: HVec, t: int, target: frozenset) -
     )
 
 
-def _check_interval_sum(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
+def _check_interval_sum(st: SetTuple) -> LemmaCheck:
     """[c, c+m-1] + A = [c, c+m-1+max(A)] once m >= max(A), per color and
     for the union, at a few representative anchors.  Each set is a
     Python-int bit mask, integer n at bit n + 4 (-4 is the least anchor,
@@ -137,7 +137,7 @@ def _check_interval_sum(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
     )
 
 
-def _check_reflection_table(st: SetTuple, h: HVec, t: int) -> LemmaCheck:
+def _check_reflection_table(st: SetTuple, h: HVec) -> LemmaCheck:
     table = _table(st.sets, h.coords, _ZERO, None)
     mirrored = _table(st.reflected().sets, h.coords, _ZERO, None)
     ok = mirrored.counts == table.reversed_counts()
@@ -216,8 +216,8 @@ def run_all(st: SetTuple, h: HVec, t: int = 1, B: FiniteSet | None = None) -> li
             _check_support_bounds(st, h, table),
             _check_union_bound(st, h, sumset),
             _check_per_color_product(st, h, t, base),
-            _check_interval_sum(st, h, t),
-            _check_reflection_table(st, h, t),
+            _check_interval_sum(st),
+            _check_reflection_table(st, h),
             _check_reflection_tfold(st, h, t, base),
             _check_translation_by_set(st, h, t, B, base),
             _check_translation_by_form(st, h, B, sumset),

@@ -246,11 +246,11 @@ part, replace h kernel steps over rows of up to h * M entries.  A fold
 reads no entry above the one it writes, so the tables of a lower row
 are prefixes of those of a higher one: the margin box's rows h = lo_i,
 ..., lo_i + margin all come from the two folds at its top row.  The
-structure search's certificate runs in a row scope (below), so it
-builds the row of each (set, h) it visits once: two folds near h, not h
-kernel steps, where they prove it; an unproven long row is packed,
-stepped on from the highest packed state the scope keeps below it at
-its slot width.  So [[0,1,2,3]] at t = 32768, whose rows up to h_t = 607
+structure search's certificate takes two folds near h, not h kernel
+steps, for each long row they prove; an unproven long row is packed,
+and the certificate runs in a row scope (below), so it is stepped on
+from the highest packed state the scope keeps below it at its slot
+width.  So [[0,1,2,3]] at t = 32768, whose rows up to h_t = 607
 are all unproven, takes 799 steps for its 16 rows, where rebuilding
 each from row 0 took 8,448 (6.4-7.3 against 33-40 ms, 8 fresh
 processes each on a 2-vCPU VM, Python 3.11, numpy 2.4); a new slot
@@ -279,30 +279,21 @@ are freed as soon as the caller drops it.  A one-point box past the product's
 crossover walks with q - 1 np.convolve calls for a one-element B, q for
 a larger one.
 
-The row scope.  Inside a _shared_rows() block two kinds of entry are
-kept, whatever table, certificate point or color asks: lemmas.run_all
-runs its checks in one scope, and structure_constants each route's
-certificate, so two colors with equal sets share their rows.
-
-* (A's elements, h, cap) -> the single row _rows built, an array: a
-  later request with the same key gets it.  Sharing is exact: the key
-  fixes the whole row (_exact_row's or _capped_rows' array, dtype
-  included), and the fold's dtype and cap are chosen per walk
-  afterwards.  Kept arrays are marked read-only, and no fold writes
-  into a row.
-* (A's elements, slot bytes) -> {h: state}, the packed states
-  _prefixes stepped to, every prefix's row h: the packed product reads
-  its rows from them, and _exact_row its rows and its handover state.
-  A request at h takes the state kept at h, or steps on from a copy of
-  the highest one below; a state is a list of Python ints, and no step
-  writes into a kept one.  A state serves its own slot width only.
-
-Keeping the arrays matters where no state could help: without them, a
-sweep of 300 random searches (q 1-3, maxima up to 40, t 2-1,000)
-failed twice as many _capped_rows proofs and ran slower.  A range of
-rows (the margin box) is stepped in one pass, which keeps the state at
-its top row alone, not one per row.  Outside a scope nothing is kept,
-so no row outlives the call that built it.
+The row scope.  Inside a _shared_rows() block _prefixes keeps every
+packed state it steps to, by (A's elements, slot bytes) and then by h,
+whatever table, certificate point or color asks: lemmas.run_all runs
+its checks in one scope, and structure_constants each route's
+certificate, so two colors with equal sets share their states.  A
+state is every prefix's packed row h: the packed product reads its rows
+from it, and _exact_row its rows and its handover state.  A request at
+h takes the state kept at h, or steps on from a copy of the highest one
+below; a state is a list of Python ints, and no step writes into a kept
+one.  A state serves its own slot width only.  A range of rows (the
+margin box) is stepped in one pass, which keeps the state at its top
+row alone, not one per row.  No row array is kept: the numpy walk
+unpacks its rows from the kept states, or proves them (_capped_rows),
+at each request.  Outside a scope nothing is kept, so no state outlives
+the call that stepped to it.
 
 Unbounded partition counts multiply by 1/(1 - x^a) for each part a: a
 running sum along each residue class mod a, which only grows, so
@@ -476,9 +467,8 @@ _PRODUCT_BITS = 1 << 14
 _STEP_CELLS = 150
 _PART_CELLS = 2300
 
-# inside a _shared_rows() scope, the single rows _arrays._rows built, by
-# (elements, h, cap), and the packed states _prefixes stepped to, by
-# (elements, slot bytes) and then by row; None outside one
+# inside a _shared_rows() scope, the packed states _prefixes stepped to,
+# by (elements, slot bytes) and then by row; None outside one
 _ROWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_ROWS", default=None)
 
 
@@ -560,6 +550,8 @@ class CountTable:
         if not isinstance(obj, dict):
             raise ValueError("expected a count table object")
         try:
+            if not isinstance(obj["counts"], list):
+                raise TypeError("counts must be a list")
             counts = tuple(_int(c, decimal=True) for c in obj["counts"])
             return cls(offset=obj["offset"], counts=counts, cap=obj.get("cap"))
         except (KeyError, TypeError, ValueError) as exc:
@@ -708,10 +700,9 @@ def _box_counts(
 
 
 class _shared_rows:
-    """A row scope: within it _arrays._rows keeps each single row it builds
-    and hands that row, read-only, to every later request for its key, and
-    _prefixes keeps each packed state it steps to and resumes from it (see
-    the module docstring); all are dropped when the scope ends."""
+    """A row scope: within it _prefixes keeps each packed state it steps
+    to and resumes from it (see the module docstring); all are dropped
+    when the scope ends."""
 
     def __enter__(self) -> None:
         self._token = _ROWS.set({})

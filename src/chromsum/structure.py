@@ -64,15 +64,16 @@ at one point (repcount._tfold_size): where it is short, one product of
 the colors' packed rows as Python integers, and past the crossover that
 repcount's docstring measures, a one-point walk.  structure_constants
 runs each route's certificate in one row scope (repcount._shared_rows),
-so each row it visits is built once, whichever color asks for it, and a
-packed row is stepped on from the highest state the scope keeps below
-it at its slot width, not from row 0.  On both routes the certificate
-at the threshold proves the shape over the margin box verified_box;
-verify_box re-checks it on request, comparing the sets over a whole box:
-repcount._box_counts walks the box one color at a time, keeping one
-partial product per color, and one comparison tests each group of
-points it yields, every point's mask over [0, M] against the shape at
-its own M (repcount._shape_fits, which a member outside [0, M] fails).
+so each packed state it visits is stepped to once, whichever color asks
+for it, and a packed row is stepped on from the highest state the scope
+keeps below it at its slot width, not from row 0.  On both routes the
+certificate at the threshold proves the shape over the margin box
+verified_box; verify_box re-checks it on request, comparing the sets
+over a whole box: repcount._box_counts walks the box one color at a
+time, keeping one partial product per color, and one comparison tests
+each group of points it yields, every point's mask over [0, M] against
+the shape at its own M (repcount._shape_fits, which a member outside
+[0, M] fails).
 verify_box is the one public box check, the command line's verify
 included; verify_structure is its one-point case.
 

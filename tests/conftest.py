@@ -155,38 +155,14 @@ def packed_steps(monkeypatch) -> list[tuple]:
 
 
 def row_builds(monkeypatch) -> list[tuple]:
-    """The rows repcount builds rather than takes from the row scope or
-    answers for {0}: (elements, h, cap) of every row array _arrays._rows
-    builds, from _arrays._exact_row or from a partition fold that proves
-    it, and (elements, h, slot bytes, "packed") of every packed row of a
-    product that repcount._prefixes steps to, from row 0 or from a state
-    the scope kept."""
-    built, ran = [], []
-    rows, exact, capped = _arrays._rows, _arrays._exact_row, _arrays._capped_rows
-
-    def spy(elements, hs, cap):
-        ran.clear()
-        got = rows(elements, hs, cap)
-        if ran:
-            built.append((elements, hs[-1], cap))
-        return got
-
-    def packed(*args):
-        ran.append(1)
-        return exact(*args)
-
-    def proven(*args):
-        got = capped(*args)
-        if got is not None:
-            ran.append(1)
-        return got
+    """(elements, h, slot bytes) of every packed row of a product that
+    repcount._prefixes steps to, from row 0 or from a state the row scope
+    kept, rather than takes from the scope or answers for {0}."""
+    built = []
 
     def product_row(caller, elements, size, h, stepped):
         if caller == "_box_counts" and stepped:
-            built.append((elements, h, size, "packed"))
+            built.append((elements, h, size))
 
-    monkeypatch.setattr(_arrays, "_rows", spy)
-    monkeypatch.setattr(_arrays, "_exact_row", packed)
-    monkeypatch.setattr(_arrays, "_capped_rows", proven)
     _spy_prefixes(monkeypatch, product_row)
     return built

@@ -95,24 +95,20 @@ def test_one_run_checks_its_arguments_once(monkeypatch):
 
 
 def test_one_run_builds_each_row_once(monkeypatch):
-    # each distinct row key is built once per run, and nothing is kept
-    # between runs or outside them: 9 packed rows (by set, h and slot
-    # width) where the tables' products run, 13 unpacked ones (27 requests,
-    # 13 distinct (A, h, row cap)) on the numpy walk
+    # each distinct packed row (by set, h and slot width) of the tables'
+    # products is stepped to once per run, and nothing is kept between
+    # runs or outside them: 9 rows
     built = row_builds(monkeypatch)
     st, h, B = make_tuple([[0, 1, 7], [0, 3, 8]]), HVec((3, 4)), make_set([0, 3, 4])
-    for bits, rows in ((repcount._PRODUCT_BITS, 9), (-1, 13)):
-        monkeypatch.setattr(repcount, "_PRODUCT_BITS", bits)
-        built.clear()
-        first = run_all(st, h, 2, B)
-        assert all(c.ok for c in first)
-        assert len(built) == len(set(built)) == rows
-        assert run_all(st, h, 2, B) == first
-        assert len(built) == 2 * rows
-        assert repcount._ROWS.get() is None
-        chromatic_count_table(st, h)
-        chromatic_count_table(st, h)
-        assert len(built) == 2 * rows + 4
+    first = run_all(st, h, 2, B)
+    assert all(c.ok for c in first)
+    assert len(built) == len(set(built)) == 9
+    assert run_all(st, h, 2, B) == first
+    assert len(built) == 18
+    assert repcount._ROWS.get() is None
+    chromatic_count_table(st, h)
+    chromatic_count_table(st, h)
+    assert len(built) == 22
 
 
 def _instance():
@@ -122,7 +118,7 @@ def _instance():
 
 
 def test_interval_sum_reports_a_gap():
-    check = lemmas._check_interval_sum(make_tuple([[1, 9]]), HVec((2,)), 1)
+    check = lemmas._check_interval_sum(make_tuple([[1, 9]]))
     assert not check.ok
     assert check.detail == "[0,8] + {1, 9} misses the full interval"
 

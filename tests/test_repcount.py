@@ -551,26 +551,6 @@ def _row_spy(monkeypatch):
     return seen
 
 
-def test_shared_rows_are_built_once_and_read_only(monkeypatch):
-    # packed rows (the default route here) are immutable integers, and
-    # the numpy walk's rows are arrays marked read-only
-    seen = _row_spy(monkeypatch)
-    st, h = make_tuple([[0, 2, 3], [0, 1, 5]]), HVec((3, 2))
-    for bits, kind in ((repcount._PRODUCT_BITS, int), (-1, np.ndarray)):
-        monkeypatch.setattr(repcount, "_PRODUCT_BITS", bits)
-        for cap in (None, 2):
-            seen.clear()
-            with repcount._shared_rows():
-                first = chromatic_count_table(st, h, cap=cap)
-                second = chromatic_count_table(st, h, cap=cap)
-            assert first == second == chromatic_count_table(st, h, cap=cap)
-            shared, again, fresh = seen
-            assert all(isinstance(row, kind) for row in shared)
-            assert all(a is b for a, b in zip(shared, again))
-            assert not any(a is b for a, b in zip(shared, fresh))
-            assert not any(isinstance(row, np.ndarray) and row.flags.writeable for row in shared)
-
-
 @pytest.mark.parametrize("elements, h, cap, dtype", [
     ((0, 1, 2), 3, 1 << 27, np.float64),  # T = 10: the cap reaches no count
     (tuple(range(30)), 28, 1 << 27, np.int64),  # 2^53 <= T < 2^62
@@ -579,20 +559,19 @@ def test_shared_rows_are_built_once_and_read_only(monkeypatch):
 def test_identity_fold_leaves_the_shared_row_unchanged(monkeypatch, elements, h, cap, dtype):
     # on the numpy walk the dtype comes from the exact total T (float64
     # below 2^53, int64 below 2^62, else Python ints) and the clip the cap
-    # can still make; the identity fold starts from the shared row itself
-    # where it has that dtype, and no fold writes into it; every count
-    # equals the object-dtype fold's
+    # can still make; the identity fold starts from the row itself where
+    # it has that dtype, and no fold writes into it; every count equals
+    # the object-dtype fold's
     monkeypatch.setattr(repcount, "_PRODUCT_BITS", -1)
     seen = _row_spy(monkeypatch)
     A = make_set(elements)
-    with repcount._shared_rows():
-        [group] = repcount._box_counts([A], [h], 1, make_set([0]), cap)
-        [[row]] = seen
-        # a one-point box's float counts come back as int64
-        assert group.dtype == (np.int64 if dtype is np.float64 else dtype) and not row.flags.writeable
-        assert np.shares_memory(group, row) == (row.dtype == dtype)
-        table = multiset_count_table(A, h, cap=cap)
-        assert [int(x) for x in group[0]] == row.tolist() == list(table.counts)
+    [group] = repcount._box_counts([A], [h], 1, make_set([0]), cap)
+    [[row]] = seen
+    # a one-point box's float counts come back as int64
+    assert group.dtype == (np.int64 if dtype is np.float64 else dtype)
+    assert np.shares_memory(group, row) == (row.dtype == dtype)
+    table = multiset_count_table(A, h, cap=cap)
+    assert [int(x) for x in group[0]] == row.tolist() == list(table.counts)
     monkeypatch.setattr(_arrays, "_dtype", lambda bound: object)
     [want] = repcount._box_counts([A], [h], 1, make_set([0]), cap)
     assert want.dtype == object and want[0].tolist() == list(table.counts)
@@ -618,21 +597,18 @@ def test_the_walk_frees_its_rows_without_the_cycle_collector(monkeypatch):
 
 
 def test_no_row_is_kept_outside_a_scope(monkeypatch):
-    # packed for the product, or unpacked for the numpy walk, each of the
-    # two rows is built once in a scope and once per table outside it
+    # each of the product's two packed rows is stepped to once in a scope
+    # and once per table outside it
     built = row_builds(monkeypatch)
     st, h = make_tuple([[0, 2, 3], [0, 1, 5]]), HVec((3, 2))
-    for bits in (repcount._PRODUCT_BITS, -1):
-        monkeypatch.setattr(repcount, "_PRODUCT_BITS", bits)
-        built.clear()
-        with repcount._shared_rows():
-            chromatic_count_table(st, h)
-            chromatic_count_table(st, h)
-        assert len(built) == 2
-        assert repcount._ROWS.get() is None
+    with repcount._shared_rows():
         chromatic_count_table(st, h)
         chromatic_count_table(st, h)
-        assert len(built) == 6
+    assert len(built) == 2
+    assert repcount._ROWS.get() is None
+    chromatic_count_table(st, h)
+    chromatic_count_table(st, h)
+    assert len(built) == 6
 
 
 def test_chromatic_examples():
@@ -804,8 +780,8 @@ class TestCountTable:
         obj = {"offset": 0, "cap": None, "counts": ["1", 2]}
         assert CountTable.from_json(obj).counts == (1, 2)
         for key, value in (("counts", [1.5]), ("counts", [True]), ("counts", ["1.5"]),
-                           ("offset", 0.5), ("cap", 2.0)):
-            with pytest.raises(ValueError):
+                           ("counts", "123"), ("offset", 0.5), ("cap", 2.0)):
+            with pytest.raises(ValueError, match="^malformed count table: "):
                 CountTable.from_json(dict(obj, **{key: value}))
 
     def test_big_counts_survive_json(self):

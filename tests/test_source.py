@@ -146,9 +146,10 @@ def test_one_row_source():
     _arrays._rows, the one entry every fold reads its row arrays from,
     which takes no slot width and returns arrays alone; packed rows come
     only from repcount._prefixes, which only _arrays._exact_row and the
-    packed product of repcount._box_counts call; the row scope's memo
-    (repcount._ROWS) is read only in repcount._prefixes, _arrays._rows and
-    repcount._shared_rows: no caller builds or keeps rows of its own."""
+    packed product of repcount._box_counts call; the row scope
+    (repcount._ROWS) is read only in repcount._prefixes and
+    repcount._shared_rows, and no row array is marked read-only to be
+    kept: no caller builds or keeps rows of its own."""
     for name, places in (("_exact_row", {"_arrays._rows"}), ("_capped_rows", {"_arrays._rows"}),
                          ("_prefixes", {"_arrays._exact_row", "repcount._box_counts"})):
         found = _places(lambda node: name in (getattr(node, "id", None), getattr(node, "attr", None)))
@@ -158,8 +159,10 @@ def test_one_row_source():
     found = _places(
         lambda node: isinstance(node, ast.Name) and node.id == "_ROWS" and isinstance(node.ctx, ast.Load)
     )
-    assert set(found) == {"repcount._prefixes", "_arrays._rows", "repcount._shared_rows.__enter__",
+    assert set(found) == {"repcount._prefixes", "repcount._shared_rows.__enter__",
                           "repcount._shared_rows.__exit__"}
+    assert "_ROWS" not in vars(_arrays)
+    assert _places(lambda node: isinstance(node, ast.Attribute) and node.attr == "setflags") == []
     # no definition, import or use of the per-search row keeper
     named = ("id", "attr", "name")
     assert _places(lambda node: "_TFoldSets" in (getattr(node, key, None) for key in named)) == []
@@ -282,7 +285,7 @@ def test_every_constant_is_read():
 # the library's constants that choose no route, and what each is
 _NOT_ROUTING = {
     "_ZERO": "the translation set {0} of the plain tables",
-    "_ROWS": "the row scope's shared rows",
+    "_ROWS": "the row scope's packed states",
     "_LAZY": "the package's names loaded on first use",
     "DEFAULT_BUDGET": "the oracle's default refusal size",
     "DEFAULT_MARGIN": "the default margin of a result's box",

@@ -47,7 +47,7 @@ from chromsum.structure import (
     witness_representations,
 )
 
-from conftest import ROUTINGS, packed_steps, random_normalized_tuple, row_builds
+from conftest import ROUTINGS, packed_steps, random_normalized_tuple
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -714,21 +714,6 @@ def test_certificate_rows_take_no_stream_from_row_0(monkeypatch, strategy, ht):
     assert structure_constants(A023, 1000, strategy=strategy).threshold.coords == ht
 
 
-@pytest.mark.parametrize("sets, ht, builds", [
-    ([[0, 1, 2, 3]] * 3, (1, 1, 1), 2),
-    ([[0, 5, 13, 14], [0, 5, 13, 14], [0, 1]], (2, 2, 7), 15),
-])
-def test_equal_colors_share_their_rows(monkeypatch, sets, ht, builds):
-    # on the numpy walk, the search's certificate builds each (set, h) row
-    # once, whichever colors ask for it: 2 and 15 rows, where one row per
-    # (color, h) made 6 and 24
-    monkeypatch.setattr(repcount, "_PRODUCT_BITS", -1)
-    built = row_builds(monkeypatch)
-    assert structure_constants(make_tuple(sets), 5).threshold == HVec(ht)
-    assert len(built) == len(set(built)) == builds
-    assert repcount._ROWS.get() is None
-
-
 @pytest.mark.parametrize("sets, ht, builds, from_zero, steps", [
     ([[0, 1, 2, 3]] * 3, (1, 1, 1), 1, 1, 1),
     ([[0, 5, 13, 14], [0, 5, 13, 14], [0, 1]], (2, 2, 7), 20, 10, 62),
@@ -747,6 +732,30 @@ def test_equal_colors_share_their_packed_rows(monkeypatch, sets, ht, builds, fro
     assert sum(1 for *_, h, n in calls if n == h > 0) == from_zero
     assert sum(n for *_, n in calls) == steps
     assert repcount._ROWS.get() is None
+
+
+@pytest.mark.parametrize("strategy, ht", [("empirical", (2, 2, 7)), ("constructive", (12, 2, 7))])
+def test_the_scope_keeps_packed_states_only(monkeypatch, strategy, ht):
+    # on the numpy walk too, the certificate's scope keeps only packed
+    # states, by (set, slot bytes) and then by row, each a list of ints:
+    # every row array is unpacked from them, and none is kept
+    monkeypatch.setattr(repcount, "_PRODUCT_BITS", -1)
+    kept = []
+
+    class scope(repcount._shared_rows):
+        def __exit__(self, *exc):
+            kept.append(repcount._ROWS.get())
+            super().__exit__(*exc)
+
+    monkeypatch.setattr(structure, "_shared_rows", scope)
+    st = make_tuple([[0, 5, 13, 14], [0, 5, 13, 14], [0, 1]])
+    assert structure_constants(st, 5, strategy=strategy).threshold == HVec(ht)
+    [rows] = kept
+    assert {key[0] for key in rows} == {(0, 1), (0, 5, 13, 14)}
+    for key, states in rows.items():
+        assert len(key) == 2 and type(key[1]) is int
+        assert all(type(h) is int and type(state) is list for h, state in states.items())
+        assert all(type(x) is int for state in states.values() for x in state)
 
 
 def test_long_unproven_search_resumes_its_rows(monkeypatch):
