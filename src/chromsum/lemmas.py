@@ -8,14 +8,16 @@ supports, not from the formulas under test.
 
 One run_all call runs every check inside one row scope
 (repcount._shared_rows): each packed multiset state is stepped to once,
-and the cap-t and cap-1 chromatic tables are built once and shared by
+and the t-set and the colored sumset at h are read once and shared by
 the checks that need them.  Sharing changes no value; each check still
-compares supports computed on its own: the cap-t table's t-set against
-the bumped, reflected and translated t-sets and the per-color sums, and
-the cap-1 support against the pooled sumset and the translated form.
-run_all checks its arguments once, and the checks count through
-repcount._table and repcount._tfold and read a table's members through
-CountTable._at_least, below the public entries' checks.
+compares member sets read on its own: the t-set against the bumped,
+reflected and translated t-sets and the per-color sums, and the sumset
+against the bounds, the pooled sumset and the translated form.
+run_all checks its arguments once, below the public entries' checks.
+Every member set is read through repcount._tfold, the one reader of
+t-fold members, as a tuple of ints; a count table (repcount._table) is
+built only for the reflection check, the one check that compares
+counts.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotNormalizedError
-from .intset import (
-    FiniteSet, HVec, SetTuple, _require_int, _require_length, _translation, hvec_add_unit,
-)
-from .repcount import _ZERO, CountTable, _shared_rows, _table, _tfold
+from .intset import FiniteSet, HVec, SetTuple, _require_int, _require_length, _translation
+from .repcount import _ZERO, _shared_rows, _table, _tfold
 
 __all__ = ["LemmaCheck", "run_all"]
 
@@ -41,16 +41,13 @@ class LemmaCheck:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-def _support(st: SetTuple, h: HVec, t: int) -> frozenset:
-    return frozenset(_tfold(st.sets, h.coords, t).elements)
-
-
 def _check_monotone_inclusion(st: SetTuple, h: HVec, t: int, base: frozenset) -> LemmaCheck:
     """Raising any one exponent never removes members (0 is in every color)."""
+    hs = h.coords
     bad = [
         i
         for i in range(st.q)
-        if not base <= _support(st, hvec_add_unit(h, i), t)
+        if not base.issubset(_tfold(st.sets, hs[:i] + (hs[i] + 1,) + hs[i + 1:], _ZERO, t))
     ]
     return LemmaCheck(
         "monotone_inclusion",
@@ -61,10 +58,9 @@ def _check_monotone_inclusion(st: SetTuple, h: HVec, t: int, base: frozenset) ->
     )
 
 
-def _check_support_bounds(st: SetTuple, h: HVec, table: CountTable) -> LemmaCheck:
+def _check_support_bounds(st: SetTuple, h: HVec, sumset: frozenset) -> LemmaCheck:
     m = h.dot(st.maxima)
-    sup = table.support()
-    ok = all(0 <= n <= m for n in sup)
+    ok = all(0 <= n <= m for n in sumset)
     return LemmaCheck(
         "support_bounds",
         ok,
@@ -74,10 +70,7 @@ def _check_support_bounds(st: SetTuple, h: HVec, table: CountTable) -> LemmaChec
 
 def _check_union_bound(st: SetTuple, h: HVec, sumset: frozenset) -> LemmaCheck:
     """The colored sumset sits inside the pooled |h|-fold sumset."""
-    rhs = frozenset(
-        _table([st.union], [h.norm], _ZERO, 1).support().elements
-    )
-    ok = sumset <= rhs
+    ok = sumset.issubset(_tfold([st.union], [h.norm], _ZERO, 1))
     return LemmaCheck(
         "union_bound",
         ok,
@@ -96,8 +89,8 @@ def _check_per_color_product(st: SetTuple, h: HVec, t: int, target: frozenset) -
         members = {0}
         for i, (A, hi) in enumerate(zip(st.sets, h.coords)):
             ti = t if i == lead else 1
-            part = _table([A], [hi], _ZERO, ti)._at_least(ti)
-            members = {x + y for x in members for y in part.elements}
+            part = _tfold([A], [hi], _ZERO, ti)
+            members = {x + y for x in members for y in part}
         if not members <= target:
             return LemmaCheck(
                 "per_color_product",
@@ -152,7 +145,7 @@ def _check_reflection_table(st: SetTuple, h: HVec) -> LemmaCheck:
 
 def _check_reflection_tfold(st: SetTuple, h: HVec, t: int, base: frozenset) -> LemmaCheck:
     m = h.dot(st.maxima)
-    mirrored = {m - n for n in _support(st.reflected(), h, t)}
+    mirrored = {m - n for n in _tfold(st.reflected().sets, h.coords, _ZERO, t)}
     ok = mirrored == base
     return LemmaCheck(
         "reflection_tfold",
@@ -166,9 +159,7 @@ def _check_reflection_tfold(st: SetTuple, h: HVec, t: int, base: frozenset) -> L
 def _check_translation_by_set(
     st: SetTuple, h: HVec, t: int, B: FiniteSet, base: frozenset
 ) -> LemmaCheck:
-    target = frozenset(
-        _table(st.sets, h.coords, B, t)._at_least(t).elements
-    )
+    target = frozenset(_tfold(st.sets, h.coords, B, t))
     ok = all(n + b in target for n in base for b in B.elements)
     return LemmaCheck(
         "translation_by_set",
@@ -184,9 +175,7 @@ def _check_translation_by_form(
 ) -> LemmaCheck:
     """At threshold 1 the shifted sumset is exactly the union of translates
     of the colored sumset."""
-    got = frozenset(
-        _table(st.sets, h.coords, B, 1)._at_least(1).elements
-    )
+    got = frozenset(_tfold(st.sets, h.coords, B, 1))
     want = frozenset(n + b for n in sumset for b in B.elements)
     ok = got == want
     return LemmaCheck(
@@ -206,14 +195,13 @@ def run_all(st: SetTuple, h: HVec, t: int = 1, B: FiniteSet | None = None) -> li
     _require_int(t, "t", 1)
     B = _translation(B, FiniteSet((0, 1)))
     with _shared_rows():
-        # the cap-t table and its t-fold set at h, which four of the checks
-        # compare against, and the colored sumset, which two do
-        table = _table(st.sets, h.coords, _ZERO, t)
-        base = frozenset(table._at_least(t).elements)
-        sumset = frozenset(_table(st.sets, h.coords, _ZERO, 1).support().elements)
+        # the t-fold set at h, which four of the checks compare against,
+        # and the colored sumset, which three do
+        base = frozenset(_tfold(st.sets, h.coords, _ZERO, t))
+        sumset = frozenset(_tfold(st.sets, h.coords, _ZERO, 1))
         return [
             _check_monotone_inclusion(st, h, t, base),
-            _check_support_bounds(st, h, table),
+            _check_support_bounds(st, h, sumset),
             _check_union_bound(st, h, sumset),
             _check_per_color_product(st, h, t, base),
             _check_interval_sum(st),

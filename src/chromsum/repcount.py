@@ -204,7 +204,7 @@ odd slots; the carry bits, shifted back, are the flags, 1 in the slot
 of each count >= t (and for t >= 2^w, no count reaches t).  Their
 slots, read by _slots, are the member marks (_marks, which gives a
 walk's marks as numpy rows): the bytes 1 among them count the
-certificate (_tfold_size), and they select tfold_set's members.  A
+certificate (_tfold_size), and they select _tfold's members.  A
 table's counts are clipped by masking the flagged slots, flags times
 2^w - 1, and setting them to the cap.  On 2-byte slots, which 98.9% of
 the structure search's one-point calls (seed 101) have at 256 slots or
@@ -479,6 +479,11 @@ class CountTable:
     counts[i] is the count of n = offset + i.  Entries outside the table
     are zero.  With cap set, every entry is min(true count, cap), so an
     entry equal to cap means the true count is at least cap.
+
+    A table is built where counts are returned or compared.  Inside the
+    library, t-fold members are read by _tfold, which builds no table;
+    support and support_at_least read a table's members at the public
+    boundary.
     """
 
     offset: int
@@ -519,17 +524,12 @@ class CountTable:
         return 0
 
     def support(self) -> FiniteSet:
-        return self._at_least(1)
+        return self.support_at_least(1)
 
     def support_at_least(self, t: int) -> FiniteSet:
         _require_int(t, "threshold", 1)
         if self.cap is not None and t > self.cap:
             raise DomainError("threshold exceeds the table cap")
-        return self._at_least(t)
-
-    def _at_least(self, t: int) -> FiniteSet:
-        """The n whose count is at least t, below support_at_least's
-        checks."""
         return FiniteSet(tuple(self.offset + i for i, c in enumerate(self.counts) if c >= t))
 
     def total(self) -> int:
@@ -731,11 +731,14 @@ def _marks(counts, t: int):
     return [counts.marks(t)] if isinstance(counts, _Product) else counts >= t
 
 
-def _tfold(sets: Sequence[FiniteSet], hs: Sequence[int], t: int) -> FiniteSet:
-    """The integers with at least t >= 1 representations at hs, below
-    tfold_set's checks (see _table)."""
-    marks = _marks(next(_box_counts(sets, hs, 1, _ZERO, t)), t)[0].tolist()
-    return FiniteSet(tuple(compress(range(len(marks)), marks)))
+def _tfold(sets: Sequence[FiniteSet], hs: Sequence[int], B: FiniteSet, t: int) -> tuple[int, ...]:
+    """The integers with at least t >= 1 representations in hs.A + B, in
+    increasing order, below the public entries' checks (see _table): the
+    one reader of t-fold members, which tfold_set and the lemma checks
+    share.  It builds no CountTable and no FiniteSet; _tfold_size counts
+    the same marks without building the tuple."""
+    marks = _marks(next(_box_counts(sets, hs, 1, B, t)), t)[0].tolist()
+    return tuple(compress(range(B.elements[0], B.elements[0] + len(marks)), marks))
 
 
 def multiset_count_table(A: FiniteSet, h: int, cap: int | None = None) -> CountTable:
@@ -771,7 +774,7 @@ def chromatic_count_table(st: SetTuple, h: HVec, cap: int | None = None) -> Coun
 def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
     """The set of integers with at least t colored representations."""
     _require_int(t, "t", 1)
-    return _tfold(*_colors(st, h), t)
+    return FiniteSet(_tfold(*_colors(st, h), _ZERO, t))
 
 
 def _streamed_box_fits(

@@ -175,13 +175,15 @@ class StructureResult:
         if not isinstance(obj, dict):
             raise ValueError("expected a structure result object")
         try:
+            if obj["strategy"] not in ("empirical", "constructive"):
+                raise ValueError(f"unknown strategy {obj['strategy']!r}")
             return cls(
                 low_fringe=FiniteSet(tuple(sorted(obj["C"]))),
                 low_cut=_int(obj["c"]),
                 high_fringe=FiniteSet(tuple(sorted(obj["D"]))),
                 high_cut=_int(obj["d"]),
                 threshold=HVec(tuple(obj["h_t"])),
-                strategy=str(obj["strategy"]),
+                strategy=obj["strategy"],
                 verified_box=(
                     HVec(tuple(obj["verified_box"][0])),
                     HVec(tuple(obj["verified_box"][1])),

@@ -129,6 +129,14 @@ def test_verify_refuses_a_result_with_non_integers(monkeypatch, field, value):
     assert "expected an integer" in err
 
 
+@pytest.mark.parametrize("strategy", [None, 5, "greedy"])
+def test_verify_refuses_a_result_with_an_unknown_strategy(monkeypatch, strategy):
+    result = json.dumps(dict(RESULT, strategy=strategy))
+    code, out, err = call(monkeypatch, "verify", "--sets", "[[0,2,3]]", "--t", "2", stdin=result)
+    assert (code, out) == (2, "")
+    assert "malformed structure result: unknown strategy" in err
+
+
 @pytest.mark.parametrize("field, value", [("h_t", [-1]), ("h_t", []), ("verified_box", [[4], [-7]])])
 def test_verify_refuses_a_result_with_a_bad_vector(monkeypatch, field, value):
     # the exponent vector's own refusal is a malformed result, not a domain refusal

@@ -7,7 +7,7 @@ from chromsum.errors import DimensionError, DomainError, NotNormalizedError
 from chromsum import _arrays, repcount
 from chromsum.intset import HVec, make_set, make_tuple
 from chromsum.lemmas import run_all
-from chromsum.repcount import CountTable, chromatic_count_table
+from chromsum.repcount import chromatic_count_table
 
 from conftest import random_normalized_tuple, row_builds
 
@@ -65,8 +65,10 @@ def test_validation():
 
 @pytest.mark.parametrize("t", [True, 2.0, 0])
 def test_t_refuses_bools_and_floats(monkeypatch, t):
-    # True is not read as t = 1 nor 2.0 as 2, and no check runs first
-    monkeypatch.setattr(lemmas, "_table", lambda *_, **__: pytest.fail("checked before refusing"))
+    # True is not read as t = 1 nor 2.0 as 2, and no check runs first:
+    # neither a count table nor a member set is read
+    for name in ("_table", "_tfold"):
+        monkeypatch.setattr(lemmas, name, lambda *_, **__: pytest.fail("checked before refusing"))
     with pytest.raises(DomainError, match="^t must be a positive integer$"):
         run_all(make_tuple([[0, 1]]), HVec((2,)), t)
 
@@ -124,14 +126,10 @@ def test_interval_sum_reports_a_gap():
 
 
 def test_support_bounds_reports_an_escape():
-    st, h, t, _ = _instance()
-    table = chromatic_count_table(st, h, cap=t)
-    assert lemmas._check_support_bounds(st, h, table).ok
+    st, h, _, sumset = _instance()
+    assert lemmas._check_support_bounds(st, h, sumset).ok
     m = h.dot(st.maxima)
-    for escaped in (
-        CountTable(offset=-1, counts=(1,) + table.counts, cap=t),
-        CountTable(offset=0, counts=table.counts + (0, 1), cap=t),
-    ):
+    for escaped in (sumset | {-1}, sumset | {m + 1}):
         check = lemmas._check_support_bounds(st, h, escaped)
         assert not check.ok
         assert check.detail == f"support escapes [0, {m}]"

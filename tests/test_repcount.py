@@ -8,7 +8,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from chromsum import _arrays, repcount
@@ -19,7 +19,7 @@ from chromsum.errors import (
     NotNormalizedError,
 )
 from chromsum.intset import FiniteSet, HVec, make_set, make_tuple
-from chromsum.oracle import oracle_count_table
+from chromsum.oracle import enumeration_size, oracle_count_table
 from chromsum.repcount import (
     CountTable,
     chromatic_count_table,
@@ -680,6 +680,43 @@ def test_tfold_validation_and_monotone():
         cur = tfold_set(t, h, thr)
         assert set(cur.elements) <= set(prev.elements)
         prev = cur
+
+
+@st.composite
+def _tfold_instances(draw):
+    """(tuple, h, B, t): a normalized tuple of at most 3 colors, h up to 4
+    per color, t from 1 to 4, and B of minimum 0 or shifted to a minimum
+    past 0."""
+    sets = draw(st.lists(normalized_set, min_size=1, max_size=3))
+    tup = make_tuple([A.elements for A in sets])
+    assume(tup.normalized)
+    h = HVec(tuple(draw(st.integers(min_value=0, max_value=4)) for _ in sets))
+    shift = draw(st.sampled_from([0, 1, 5]))
+    B = make_set([0] + draw(st.lists(st.integers(min_value=1, max_value=6), max_size=3)))
+    B = make_set([b + shift for b in B.elements])
+    return tup, h, B, draw(st.integers(min_value=1, max_value=4))
+
+
+@pytest.mark.parametrize("routing", sorted(ROUTINGS))
+@given(_tfold_instances())
+def test_tfold_reads_the_table_members(routing, drawn):
+    # _tfold, the one reader of t-fold members, gives the members of the
+    # translated count table at threshold t, under every routing (the
+    # packed product's marks and the walk's rows alike), and those of
+    # the exhaustive oracle where it is small
+    tup, h, B, t = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in ROUTINGS[routing].items():
+            patch(mp, name, value)
+        got = repcount._tfold(tup.sets, h.coords, B, t)
+        table = inhomogeneous_count_table(tup, h, B, cap=t)
+    assert type(got) is tuple and all(type(n) is int for n in got)
+    assert got == table.support_at_least(t).elements
+    if enumeration_size(tup, h) <= 2000:
+        plain = oracle_count_table(tup, h)
+        top = plain.end + B.max
+        assert got == tuple(n for n in range(B.min, top + 1)
+                            if sum(plain.value(n - b) for b in B.elements) >= t)
 
 
 def test_partition_example():

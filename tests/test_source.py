@@ -219,6 +219,25 @@ def test_structure_validates_at_its_boundary():
         assert [f for f in found if f == "structure" or f.startswith("structure.")] == [], name
 
 
+def test_one_member_reader():
+    """repcount._tfold is the one reader of t-fold members: CountTable
+    has no member reader of its own below its public ones, and lemmas
+    reads every member set through _tfold, building a count table
+    (repcount._table) only in _check_reflection_table, the one check
+    that compares counts."""
+    from chromsum.repcount import CountTable
+
+    assert not hasattr(CountTable, "_at_least")
+    found = _places(
+        lambda node: "_table" in (getattr(node, "id", None), getattr(node, "attr", None))
+    )
+    assert {f for f in found if f.startswith("lemmas")} == {"lemmas._check_reflection_table"}
+    named = ("id", "attr", "name")
+    for name in ("CountTable", "hvec_add_unit", "support", "support_at_least", "_at_least"):
+        found = _places(lambda node: name in (getattr(node, key, None) for key in named))
+        assert [f for f in found if f == "lemmas" or f.startswith("lemmas.")] == [], name
+
+
 def test_one_scalar_validator():
     """intset._is_int is named only in intset, where the one scalar
     validator intset._require_int uses it: every other module refuses a

@@ -1370,6 +1370,14 @@ class TestStructureConstants:
             with pytest.raises(ValueError, match="expected an integer"):
                 StructureResult.from_json(dict(obj, **{key: value}))
 
+    @pytest.mark.parametrize("strategy", [None, 5, ["x"], "greedy", "Empirical", True])
+    def test_result_json_refuses_an_unknown_strategy(self, strategy):
+        # to_json writes "empirical" or "constructive" only; any other
+        # value is refused, not read back as its str()
+        obj = dict(structure_constants(A023, 2, strategy="empirical").to_json(), strategy=strategy)
+        with pytest.raises(ValueError, match=r"^malformed structure result: unknown strategy "):
+            StructureResult.from_json(obj)
+
     def test_pattern_set(self):
         res = structure_constants(A023, 1, strategy="empirical")
         assert res == R023

@@ -10,13 +10,15 @@ follow-ups from DIR/bench (DIR defaults to this checkout), runs the first
 N requests of each stream in stream order, each request's follow-ups
 first, as the benchmark does, and prints per workload and seed:
 
-    workload seed calls digest seconds
+    workload seed calls digest seconds op=seconds ...
 
 calls counts the requests and their follow-ups, digest is a SHA-256 over
 every request and its reply (the output as plain data, or the refusal),
-and seconds sums the library calls alone.  Two checkouts with the same
-outputs print the same digests; run it on each to compare.  Nothing is
-written to DIR.
+and seconds sums the library calls alone; one op=seconds field per
+request op, sorted by op, splits those seconds by the op of each request
+or follow-up (they sum to seconds, within rounding).  Two checkouts with
+the same outputs print the same digests; run it on each to compare.
+Nothing is written to DIR.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ WORKLOADS = ("counts", "structure-search", "structure-constructive")
 
 
 def replay(executor, cs, worker, workloads, workload: str, seed: int, requests: int):
-    """(calls, digest, seconds) of the first requests of one stream."""
-    digest, seconds, calls = hashlib.sha256(), 0.0, 0
+    """(calls, digest, seconds, {op: seconds}) of the first requests of one
+    stream."""
+    digest, seconds, calls, per_op = hashlib.sha256(), 0.0, 0, {}
     stream, pending, drawn = workloads.stream(workload, seed), deque(), 0
     while pending or drawn < requests:
         if pending:
@@ -47,13 +50,15 @@ def replay(executor, cs, worker, workloads, workload: str, seed: int, requests: 
             reply = {"status": "ok"}
         except cs.ChromsumError as exc:
             value, reply = None, {"status": "refused", "error": f"{type(exc).__name__}: {exc}"}
-        seconds += perf_counter() - start
+        spent = perf_counter() - start
+        seconds += spent
+        per_op[req["op"]] = per_op.get(req["op"], 0.0) + spent
         if value is not None:
             reply["out"] = worker.plain(req["op"], value)
         digest.update(json.dumps([req, reply], sort_keys=True, default=str).encode() + b"\n")
         calls += 1
         pending.extend(workloads.followups(req, reply["status"], reply.get("out")))
-    return calls, digest.hexdigest(), seconds
+    return calls, digest.hexdigest(), seconds, per_op
 
 
 def main(argv=None) -> int:
@@ -73,8 +78,10 @@ def main(argv=None) -> int:
     executor = worker.Executor(cs, root)
     for workload in args.workloads:
         for seed in args.seeds:
-            calls, digest, seconds = replay(executor, cs, worker, workloads, workload, seed, args.requests)
-            print(f"{workload} {seed} {calls} {digest} {seconds:.3f}", flush=True)
+            calls, digest, seconds, per_op = replay(
+                executor, cs, worker, workloads, workload, seed, args.requests)
+            ops = " ".join(f"{op}={per_op[op]:.3f}" for op in sorted(per_op))
+            print(f"{workload} {seed} {calls} {digest} {seconds:.3f} {ops}", flush=True)
     return 0
 
 
