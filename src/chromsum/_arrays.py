@@ -3,7 +3,7 @@ arrays, and the one import of numpy in the package.
 
 repcount imports this module inside the functions whose route needs
 arrays (a box walk, a row kernel, a partition fold, the listing), so a
-process whose counts are all short one-point products never loads
+process whose counts are all short packed products never loads
 numpy.  The module docstring of repcount describes every route here.
 """
 

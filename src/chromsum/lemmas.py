@@ -30,6 +30,9 @@ from .repcount import _ZERO, _shared_rows, _table, _tfold
 
 __all__ = ["LemmaCheck", "run_all"]
 
+# run_all's translation set where the caller gives none
+_ZERO_ONE = FiniteSet((0, 1))
+
 
 @dataclass(frozen=True)
 class LemmaCheck:
@@ -193,7 +196,7 @@ def run_all(st: SetTuple, h: HVec, t: int = 1, B: FiniteSet | None = None) -> li
         raise NotNormalizedError("lemma checks require a normalized tuple")
     _require_length(st, h)
     _require_int(t, "t", 1)
-    B = _translation(B, FiniteSet((0, 1)))
+    B = _translation(B, _ZERO_ONE)
     with _shared_rows():
         # the t-fold set at h, which four of the checks compare against,
         # and the colored sumset, which three do

@@ -15,22 +15,23 @@ already).  Capped tables therefore agree with clipping the exact table.
 Every function that holds counts in numpy arrays lives in this
 module's numpy half, chromsum._arrays, the one module that imports
 numpy; this module imports it inside the functions whose route needs
-arrays, so a process whose counts are all short one-point products
-never loads numpy (see below).  Every row array comes from one entry,
+arrays, so a process whose counts are all short packed products never
+loads numpy (see below).  Every row array comes from one entry,
 _arrays._rows.  Exact rows run through a packed-integer kernel that
 hands long int64 rows over to one numpy multiset kernel (below); capped
 rows come from partition folds where they prove a long row, else from
 the packed kernel, clipped once (below).  Every count (a table, the
 structure search's certificate sizes, the margin box) is made by one
-entry, _box_counts.  A short one-point count is one product of the
-colors' packed rows as Python integers, read with integer operations
-only (below); every other count walks a box of exponent vectors one
-color at a time (_arrays._walk, from _arrays._rows), and every product
-of two rows on that walk is one schoolbook convolution (np.convolve, in
-_arrays._fold).  _box_counts computes the exact total T (below) and the
-length once, at the box's top corner, and the walk picks its dtype from
-the proven bound on every intermediate value that they give: float64
-below 2^53, numpy int64 below 2^62, and dtype=object (Python ints in the
+entry, _box_counts.  A short count, of one point or of a small box,
+is one product of the colors' packed rows as Python integers per
+point, read with integer operations only (below); every other count
+walks a box of exponent vectors one color at a time (_arrays._walk,
+from _arrays._rows), and every product of two rows on that walk is one
+schoolbook convolution (np.convolve, in _arrays._fold).  _box_counts
+computes the exact total T (below) and the length once, at the box's
+top corner, and the walk picks its dtype from the proven bound on every
+intermediate value that they give: float64 below 2^53, numpy int64
+below 2^62, and dtype=object (Python ints in the
 same numpy code) above it, so the result is exact either way.  A float64 fold
 is exact because every product and every partial sum it forms, in any
 order, is a nonnegative integer at most the bound (a sum of some of the
@@ -136,10 +137,10 @@ tables of lemmas.run_all in the benchmark's counts workload (h = 3-7)
 are packed, while its capped strata (about 400,000 cells) and large
 margin boxes keep the folds.
 
-Short one-point counts as one packed product (_box_counts).  A count
-table, a certificate size and a one-point box check are one-point
-boxes, and most are short: a structure result's certificate visits a
-median of 1 and at most 6 points, nearly all below h = 16.  The count
+Short counts as packed products (_box_counts).  A count table, a
+certificate size and a one-point box check are one-point boxes, and
+most are short: a structure result's certificate visits a median of 1
+and at most 6 points, nearly all below h = 16.  The count
 is B's indicator times one row per color, all polynomials with
 nonnegative coefficients, so it is one product of packed integers:
 sum_b 2^(w * (b - min B)) times each color's row h_i at slots of w
@@ -150,12 +151,14 @@ length rounded up to 8, 16, 32 or 64 bits, so no slot carries; one clip
 is exact by the identities above.  On such rows call overhead, not
 arithmetic, sets the walk's cost, and the product makes one
 multiplication per color and one read.  Past about 2^14 product bits
-the walk wins (below), so the product runs only where T < 2^62 and it
-holds at most _PRODUCT_BITS = 2^14 bits, its length times w; every
-other box, wider ones included, walks.  With w >= 8 such a product has
-at most 2^11 = _HANDOVER entries, so no row it reads is one the packed
-kernel would have handed over to numpy.  Every one-point _box_counts
-call of the first 1,200 requests of each seed-101 stream of the
+the walk wins (below), so the product runs only where T < 2^62 and the
+box's products hold at most _PRODUCT_BITS = 2^14 bits in all: the
+width^q points of the box times the length times w, a one-point box's
+length times w alone; every other box walks.  With w >= 8 such a
+product has at most 2^11 = _HANDOVER entries, so no row it reads is
+one the packed kernel would have handed over to numpy.  Every
+one-point _box_counts call of the first 1,200 requests of each seed-101
+stream of the
 benchmark (structure-search, structure-constructive, counts), each
 timed both ways from fresh rows, best of 3, on a 2-vCPU VM (Python
 3.11, numpy 2.4); mean us per call over up to 300 sampled calls per
@@ -192,9 +195,9 @@ all, and packing a kept int64 row on each use was slower still.
 
 The product is read with integer operations only, so a process whose
 counts are all such products never imports numpy (on the command line,
-every small counts, sumset, structure and witness request: numpy's
-import is about 65-80 ms of a process of about 160 ms).  As T < 2^62,
-its slots are 1, 2, 4 or 8 bytes, and _slots reads them into an
+every small counts, sumset, structure, witness and verify request:
+numpy's import is about 65-80 ms of a process of about 160 ms).  As
+T < 2^62, its slots are 1, 2, 4 or 8 bytes, and _slots reads them into an
 array.array.  Whether a count c is at least t is a carry test: for t <
 2^w, c + (2^w - t) carries out of its slot exactly when c >= t, and as
 c + 2^w - t < 2^(w + 1), the carry is one bit.  So the even slots are
@@ -216,7 +219,14 @@ of 7, host load not controlled): a few microseconds per call in a
 process that holds numpy anyway, for no numpy import in one that needs
 no arrays.  A count table takes the read counts as a list, which
 intset._ints and min check in Python (an array of counts, as a walk
-gives, numpy checks).
+gives, numpy checks).  A box check reads no slot: the shape at M, the
+low fringe, [c, M - d] and M minus the high fringe, is packed at the
+product's slots as one integer, 2^(w * n) per fringe member n and the
+repunit (2^(w * L) - 1) / (2^w - 1) times 2^(w * c) for a middle of L
+slots, and a point fits exactly when its flags equal it, one integer
+comparison (_packed_fits).  A fringe member outside [0, M] fails the
+point, as does a nonempty middle with a negative cut, as in
+_arrays._shape_fits; an empty middle, c + d > M, adds nothing.
 
 Capped rows from two partition folds (_capped_rows).  Since 0 is in A,
 an h-multiset of A is a partition of its sum into the nonzero elements
@@ -258,12 +268,21 @@ width starts again at row 0.
 
 The margin box.  verify tests the t-fold set at every point of a box
 [lo, lo + margin], (margin + 1)^q points, from the rows lo_i, ...,
-lo_i + margin that _rows gives each color (_streamed_box_fits).
-_box_counts walks the box one color at a time, last coordinate fastest,
-through a chain of generators, one per color but the last: the one of
-color i multiplies each partial product the chain yields for the colors
-below it (B's indicator at the start; a one-element B is the identity,
-so the chain starts from the first color's rows) by each of its rows,
+lo_i + margin of each color (_streamed_box_fits).  On both routes
+_box_counts forms each partial product once, last coordinate fastest,
+and per point of the first q - 1 colors yields the last color's
+margin + 1 points as one group.  A small box (the price above) takes
+each color's packed rows from one _prefixes call, forms B's indicator
+times the rows of the first q - 1 colors as Python integers, and yields
+each group as a list of _Products, which _packed_fits tests point by
+point; the whole box fits in 2^14 bits, so it holds all its partial
+products at once, and a one-element B's indicator, 1, forms nothing
+new.  Every other box is walked one color at a time, with rows from
+_arrays._rows, through a chain of generators, one per color but the
+last: the one of color i multiplies each partial product the chain
+yields for the colors below it (B's indicator at the start; a
+one-element B is the identity, so the chain starts from the first
+color's rows) by each of its rows,
 so each partial product is formed once, by one np.convolve: in all
 (margin + 1)^2 + ... + (margin + 1)^q of them for a one-element B, and
 margin + 1 more for a larger one, whose indicator is folded into each of
@@ -661,20 +680,22 @@ def _box_counts(
     sets: Sequence[FiniteSet], lo: Sequence[int], width: int, B: FiniteSet, cap: int | None
 ) -> Iterator:
     """The counts of h.A + B, clipped at cap unless it is None, at every
-    point h of the box [lo, lo + width - 1].  The exact total T = |B| *
-    prod_i C(|A_i| + h_i - 1, h_i) and the length, both at the box's top
-    corner and computed once, bound every count of the box; a cap at or
-    above T clips nothing.
+    point h of the box [lo, lo + width - 1], per point of the first q - 1
+    colors one group of the last color's width points.  The exact total T
+    = |B| * prod_i C(|A_i| + h_i - 1, h_i) and the length, both at the
+    box's top corner and computed once, bound every count of the box; a
+    cap at or above T clips nothing.
 
-    A one-point box whose T is below 2^62, and whose product, at slots wide
-    enough for T, holds at most _PRODUCT_BITS bits, is one _Product of
-    Python integers: B's packed indicator times each color's packed row
-    (see the module docstring).  Every other box is walked one color at a
-    time, last coordinate fastest (_arrays._walk), each color's rows
-    lo_i, ..., lo_i + width - 1 taken from _arrays._rows at cap; per point
-    of the other colors it yields one 2-D group, the last color's rows
-    times that point's product, zero-padded to the longest, at the dtype
-    of the bound on every intermediate value."""
+    A box whose T is below 2^62, and whose products, at slots wide enough
+    for T, hold at most _PRODUCT_BITS bits in all, the length times the
+    slot bits per point, is multiplied as Python integers: each group is a
+    list of _Products, B's packed indicator times one packed row per color
+    (see the module docstring), and each partial product of the first
+    q - 1 colors is formed once.  Every other box is walked one color at a
+    time, last coordinate fastest (_arrays._walk), each color's rows lo_i,
+    ..., lo_i + width - 1 taken from _arrays._rows at cap; each group is
+    2-D, the last color's rows times that point's product, zero-padded to
+    the longest, at the dtype of the bound on every intermediate value."""
     base = B.elements[0]
     total, length = len(B.elements), B.elements[-1] - base + 1
     for A, c in zip(sets, lo):
@@ -683,15 +704,20 @@ def _box_counts(
         length += h * A.elements[-1]
     clip = cap if cap is not None and cap < total else None
     size = _slot_size(total)
-    if width == 1 and total < 1 << 62 and length * 8 * size <= _PRODUCT_BITS:
+    if total < 1 << 62 and width ** len(sets) * length * 8 * size <= _PRODUCT_BITS:
         # every coefficient is a count, at most T < 2^(8 * size), so no
         # slot carries
-        product = 0
+        indicator = 0
         for b in B.elements:
-            product += 1 << 8 * size * (b - base)
-        for A, h in zip(sets, lo):
-            product *= _prefixes(A.elements, size, range(h, h + 1))[1][-1]
-        yield _Product(product, length, size, clip)
+            indicator += 1 << 8 * size * (b - base)
+        partials = [indicator]
+        rows = []
+        for A, c in zip(sets, lo):
+            rows.append(_prefixes(A.elements, size, range(c, c + width))[0])
+        for head in rows[:-1]:
+            partials = [acc * row for acc in partials for row in head]
+        for acc in partials:
+            yield [_Product(acc * row, length, size, clip) for row in rows[-1]]
         return
     from ._arrays import _walk
 
@@ -717,18 +743,18 @@ def _table(sets: Sequence[FiniteSet], hs: Sequence[int], B: FiniteSet, cap: int 
     below the public entries' checks: every set must be nonempty with
     minimum 0, every hs_i a nonnegative integer, B nonempty and cap None
     or a positive integer."""
-    counts = next(_box_counts(sets, hs, 1, B, cap))
-    counts = counts.counts().tolist() if isinstance(counts, _Product) else counts[0]
+    counts = next(_box_counts(sets, hs, 1, B, cap))[0]
+    counts = counts.counts().tolist() if isinstance(counts, _Product) else counts
     return CountTable(offset=B.elements[0], counts=counts, cap=cap)
 
 
 def _marks(counts, t: int):
     """Per point of a group that _box_counts yields, a row of member
     marks, 1 where the count is at least t >= 1 and 0 elsewhere: an
-    array.array for a _Product, a numpy boolean row for a walk's group.
-    Either row reads back as a Python list (tolist), and its bytes
+    array.array per _Product of a list, a numpy boolean row of a walk's
+    group.  Either row reads back as a Python list (tolist), and its bytes
     (tobytes) hold one byte 1 per member and no other."""
-    return [counts.marks(t)] if isinstance(counts, _Product) else counts >= t
+    return [product.marks(t) for product in counts] if isinstance(counts, list) else counts >= t
 
 
 def _tfold(sets: Sequence[FiniteSet], hs: Sequence[int], B: FiniteSet, t: int) -> tuple[int, ...]:
@@ -777,6 +803,29 @@ def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
     return FiniteSet(_tfold(*_colors(st, h), _ZERO, t))
 
 
+def _packed_fits(dec, flags: int, end: int, size: int) -> bool:
+    """Whether the packed member flags of one point, 1 in the slot of
+    size bytes of each member and 0 elsewhere (_Product.flags), mark
+    exactly the shape dec at M = end (see _arrays._shape_fits), by one
+    comparison with the shape packed at the same slots.  A member of the
+    shape outside [0, M] fails, as does a nonempty middle with a negative
+    cut; an empty one, cut_low + cut_high > M, has no member."""
+    low, cut_low, high, cut_high = dec
+    w = 8 * size
+    shape = 0
+    for n in (*low, *(end - x for x in high)):
+        if not 0 <= n <= end:
+            return False
+        shape |= 1 << w * n
+    if cut_low + cut_high <= end:
+        if min(cut_low, cut_high) < 0:
+            return False
+        # 1 in each slot of [cut_low, end - cut_high]: a repunit in base 2^w
+        ones = ((1 << w * (end - cut_low - cut_high + 1)) - 1) // ((1 << w) - 1)
+        shape |= ones << w * cut_low
+    return flags == shape
+
+
 def _streamed_box_fits(
     st: SetTuple, B: FiniteSet, t: int, dec, lo: tuple[int, ...], margin: int
 ) -> list[bool]:
@@ -784,19 +833,25 @@ def _streamed_box_fits(
     _arrays._shape_fits) at each point h of the box [lo, lo + margin],
     last coordinate varying fastest.  B must have minimum 0.
 
-    Each color's margin + 1 rows come from _arrays._rows, computed once
-    at the top row; every row of {0} is [1], whatever lo_i is, and costs
-    no step.  _box_counts walks the box, and one comparison tests each
-    group of points it yields."""
-    from ._arrays import _shape_fits
-
+    _box_counts counts the box, each color's margin + 1 rows computed
+    once at the top row; every row of {0} is 1, whatever lo_i is, and
+    costs no step.  Each point of a group of _Products is tested by one
+    integer comparison of its flags (_packed_fits), and each group of the
+    numpy walk by one comparison (_arrays._shape_fits), so a box that the
+    product route takes never imports numpy."""
     ends = [B.max]
     for a, c in zip(st.maxima, lo):
         ends = [m + a * (c + d) for m in ends for d in range(margin + 1)]
     fits = []
     groups = _box_counts(st.sets, lo, margin + 1, B, t)
     for at, counts in zip(range(0, len(ends), margin + 1), groups):
-        fits += _shape_fits(dec, _marks(counts, t), ends[at : at + margin + 1])
+        group = ends[at : at + margin + 1]
+        if isinstance(counts, list):
+            fits += [_packed_fits(dec, p.flags(t), end, p.size) for p, end in zip(counts, group)]
+        else:
+            from ._arrays import _shape_fits
+
+            fits += _shape_fits(dec, _marks(counts, t), group)
     return fits
 
 

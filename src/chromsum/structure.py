@@ -69,11 +69,14 @@ for it, and a packed row is stepped on from the highest state the scope
 keeps below it at its slot width, not from row 0.  On both routes the
 certificate at the threshold proves the shape over the margin box
 verified_box; verify_box re-checks it on request, comparing the sets
-over a whole box: repcount._box_counts walks the box one color at a
-time, keeping one partial product per color, and one comparison tests
-each group of points it yields, every point's mask over [0, M] against
-the shape at its own M (repcount._shape_fits, which a member outside
-[0, M] fails).
+over a whole box: repcount._box_counts forms each partial product of the
+colors once and yields the last color's points together, every point's
+members over [0, M] tested against the shape at its own M, which a
+member outside [0, M] fails.  A small box is a list of packed products,
+each point's carry flags compared with the shape packed at the same
+slots (repcount._packed_fits); a larger one is walked one color at a
+time in numpy, keeping one partial product per color, and one
+comparison tests each group of points (_arrays._shape_fits).
 verify_box is the one public box check, the command line's verify
 included; verify_structure is its one-point case.
 
@@ -702,7 +705,7 @@ def verify_box(
     """Exact check of the result at every point h of the box [lo, lo +
     margin] (lo defaults to the result's threshold; B = None is {0}):
     (h, whether the t-fold set of h.A + B at h is the predicted shape),
-    the last coordinate varying fastest, from one walk of the box
+    the last coordinate varying fastest, from one pass over the box
     (repcount).  Every check on a point holds at every point of the box
     once it holds at lo, the least one."""
     _require_normalized(st)

@@ -392,8 +392,8 @@ def _one_point(sets, lo, B, cap, routing):
         for name, value in ROUTINGS[routing].items():
             patch(mp, name, value)
         calls = packed_steps(mp)
-        counts = next(repcount._box_counts(sets, lo, 1, B, cap))
-        counts = counts.counts().tolist() if isinstance(counts, repcount._Product) else counts[0]
+        counts = next(repcount._box_counts(sets, lo, 1, B, cap))[0]
+        counts = counts.counts().tolist() if isinstance(counts, repcount._Product) else counts
     return counts, [size for caller, _, size, _, _ in calls if caller == "_box_counts"]
 
 
@@ -486,10 +486,108 @@ def test_product_reader_at_the_slot_edges(drawn):
     product = repcount._Product(value, len(counts), size, clip)
     members = [n for n, c in enumerate(counts) if c >= t]
     assert product.flags(t) >> 8 * size * len(counts) == 0
-    marks = repcount._marks(product, t)[0]
+    marks = repcount._marks([product], t)[0]
     assert marks.tobytes().count(1) == len(members)
     assert list(itertools.compress(range(len(counts)), marks.tolist())) == members
     assert product.counts().tolist() == [c if clip is None else min(c, clip) for c in counts]
+
+
+@st.composite
+def _packed_shapes(draw):
+    """(slot bytes, t, counts, M, shape) for repcount._packed_fits: one
+    point's counts over [0, M] and a few empty slots past it, and a shape
+    (low fringe, low cut, high fringe, high cut) drawn around [0, M], with
+    fringe members below 0 and past M, negative and huge cuts, empty
+    middles and fringes inside the middle.  Half the time a slot's count
+    reaches t exactly where the integer is a member of the shape, so that
+    both answers occur."""
+    size = draw(st.sampled_from([1, 2, 4, 8]))
+    top = 1 << 8 * size
+    t = draw(st.one_of(st.sampled_from([1, top - 1]), st.integers(1, top - 1)))
+    end = draw(st.integers(0, 30))
+    near = st.integers(-3, end + 3)
+    cut = st.one_of(near, st.sampled_from([-(1 << 70), 1 << 70]))
+    low, high = (tuple(sorted(draw(st.sets(near, max_size=4)))) for _ in "lh")
+    dec = (low, draw(cut), high, draw(cut))
+    if draw(st.booleans()):
+        members = {n for n in range(end + 1)
+                   if n in low or dec[1] <= n <= end - dec[3] or end - n in high}
+    else:
+        members = draw(st.sets(st.integers(0, end)))
+    counts = [draw(st.integers(t, top - 1) if n in members else st.integers(0, t - 1))
+              for n in range(end + 1)]
+    return size, t, counts + [0] * draw(st.integers(0, 3)), end, dec
+
+
+@pytest.mark.parametrize("routing", sorted(ROUTINGS))
+@given(_packed_shapes())
+@example((1, 2, [2, 0, 3], 2, ((-1,), 1, (), 1)))  # a low member below 0
+@example((2, 1, [0, 1, 1, 0], 2, ((3,), 1, (), 1)))  # past M
+@example((4, 1, [0, 1, 0], 2, ((), 1, (3,), 1)))  # a high member past M
+@example((1, 1, [0, 1, 1], 2, ((), -1, (), 2)))  # a negative cut, nonempty middle
+@example((1, 1, [1, 0, 0], 2, ((0,), -1, (), 4)))  # a negative cut, empty middle
+@example((8, 1, [1, 0, 0, 1], 3, ((0,), 2, (), 2)))  # an empty middle
+@example((1, 3, [0, 3, 9, 3, 0], 4, ((2,), 1, (1,), 1)))  # fringes inside the middle
+@example((2, 1, [1, 1, 1], 2, ((), 0, (), 1 << 70)))  # a huge cut
+def test_packed_shape_test_is_the_mask_comparison(routing, drawn):
+    # one comparison of a point's packed flags with the shape packed at
+    # its slots gives _arrays._shape_fits's answer on the member mask,
+    # under every routing
+    size, t, counts, end, dec = drawn
+    value = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
+    product = repcount._Product(value, len(counts), size, None)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in ROUTINGS[routing].items():
+            patch(mp, name, value)
+        got = repcount._packed_fits(dec, product.flags(t), end, size)
+    assert got is _arrays._shape_fits(dec, [[c >= t for c in counts]], [end])[0]
+
+
+def _box_points(sets, lo, width, B, cap, t, routing, bits):
+    """Per point of the box, its counts and its marks at t as Python ints,
+    trailing zeros stripped, under a routing of conftest.ROUTINGS with
+    _PRODUCT_BITS at bits, and whether every group was a list of
+    products."""
+    def strip(xs):
+        xs = [int(x) for x in xs]
+        while xs and not xs[-1]:
+            xs.pop()
+        return xs
+
+    points, kinds = [], set()
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in ROUTINGS[routing].items():
+            patch(mp, name, value)
+        patch(mp, "_PRODUCT_BITS", bits)
+        for group in repcount._box_counts(sets, lo, width, B, cap):
+            kinds.add(isinstance(group, list))
+            counts = [p.counts() for p in group] if isinstance(group, list) else group
+            points += [(strip(c), strip(m)) for c, m in zip(counts, repcount._marks(group, t))]
+    return points, kinds
+
+
+@pytest.mark.parametrize("routing", sorted(ROUTINGS))
+@given(st.lists(st.tuples(one_point_set, st.integers(min_value=0, max_value=4)), min_size=1, max_size=3),
+       st.integers(min_value=2, max_value=3),
+       st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=3).map(make_set),
+       st.sampled_from([None, 1, 2, 3, "T - 1", "T", 2**63]),
+       st.integers(min_value=1, max_value=4))
+def test_product_box_is_the_walk(routing, colors, width, B, cap, t):
+    # a box of width > 1 as packed products gives the walk's counts and
+    # marks at every point, the walk's rows taken under every routing:
+    # {0} colors, B of 1 to 3 elements, and caps below T, at T - 1 and T
+    # and far above it, marks at a t no larger than the cap
+    sets, lo = [A for A, _ in colors], [h for _, h in colors]
+    top = [h + width - 1 for h in lo]
+    total = len(B) * math.prod(math.comb(len(A) + h - 1, h) for A, h in zip(sets, top))
+    if isinstance(cap, str):
+        cap = max(total + {"T - 1": -1, "T": 0}[cap], 1)
+    t = t if cap is None else min(t, cap)
+    product, kinds = _box_points(sets, lo, width, B, cap, t, routing, 10**18)
+    walk, none = _box_points(sets, lo, width, B, cap, t, routing, -1)
+    assert kinds == {True} and none == {False}
+    assert len(product) == width ** len(sets)
+    assert product == walk
 
 
 def test_count_tables_match_the_oracle_under_every_routing(routing):

@@ -169,14 +169,17 @@ def test_one_row_source():
 
 
 def test_one_box_check():
-    """repcount._shape_fits is named only in repcount._streamed_box_fits,
-    which verify_box calls: the structure search proves the margin box
-    with its certificate and checks no box."""
-    found = _places(
-        lambda node: (isinstance(node, ast.Name) and node.id == "_shape_fits")
-        or (isinstance(node, ast.Attribute) and node.attr == "_shape_fits")
-    )
-    assert found == ["repcount._streamed_box_fits"]
+    """_arrays._shape_fits, the walk's shape test, and
+    repcount._packed_fits, the packed products', are each named only in
+    repcount._streamed_box_fits, which verify_box calls: the structure
+    search proves the margin box with its certificate and checks no
+    box."""
+    for name in ("_shape_fits", "_packed_fits"):
+        found = _places(
+            lambda node: (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+        )
+        assert found == ["repcount._streamed_box_fits"], name
     found = _places(
         lambda node: (isinstance(node, ast.Name) and node.id == "_streamed_box_fits")
         or (isinstance(node, ast.Attribute) and node.attr == "_streamed_box_fits")
@@ -304,6 +307,7 @@ def test_every_constant_is_read():
 # the library's constants that choose no route, and what each is
 _NOT_ROUTING = {
     "_ZERO": "the translation set {0} of the plain tables",
+    "_ZERO_ONE": "lemmas.run_all's default translation set {0, 1}",
     "_ROWS": "the row scope's packed states",
     "_LAZY": "the package's names loaded on first use",
     "DEFAULT_BUDGET": "the oracle's default refusal size",
@@ -361,7 +365,7 @@ def test_one_packed_kernel():
     """Packed integers are stepped only in repcount._prefixes (the
     module's one loop that adds a row shifted by an element's slots), and
     no caller steps a row of its own; they are read back into slots only
-    in repcount._slots, which only _arrays._exact_row and the one-point
+    in repcount._slots, which only _arrays._exact_row and the packed
     product's readers (repcount._Product) call, each with slots proven
     wider than every count they can hold: no other path can read a slot
     that a carry has reached."""
@@ -377,7 +381,7 @@ def test_numpy_in_one_module():
     """numpy is imported by one module of the library, _arrays, at its
     top, and no other module names np: repcount reaches arrays only
     through function-level imports of _arrays on the routes that need
-    them, so a process whose counts are all short one-point products never
+    them, so a process whose counts are all short packed products never
     loads numpy."""
     importers = {}
     for path in sorted(Path(chromsum.__file__).parent.glob("*.py")):

@@ -929,12 +929,13 @@ class TestThresholds:
         assert len(calls) == 1
 
     def test_box_walk_convolution_count_is_pinned(self, monkeypatch):
-        # the walk forms each partial product once: at margin 3, two
+        # the numpy walk forms each partial product once: at margin 3, two
         # colors take the last color's 4 rows times each of the first's 4,
         # 16 products, and three colors add 16 partial products of the
         # first two to 64 last-color products, 80; folding each point's
         # whole prefix again would take 2 per point, 128.  A two-element B
         # is folded once into each of the first color's 4 rows: 20 and 84
+        monkeypatch.setattr(repcount, "_PRODUCT_BITS", -1)
         convolve, calls = np.convolve, []
         monkeypatch.setattr(np, "convolve", lambda a, v: calls.append(1) or convolve(a, v))
         two, three = [[0, 2, 3], [0, 1, 5]], [[0, 2, 3], [0, 1, 5], [0, 4, 7]]
@@ -946,6 +947,36 @@ class TestThresholds:
             checked = verify_box(st, 2, res, B=B, margin=3)
             assert len(checked) == 4 ** st.q and all(ok for _, ok in checked)
             assert len(calls) == want, (sets, B)
+
+    def test_product_box_forms_each_partial_product_once(self, monkeypatch):
+        # as packed products the box forms each partial product once too,
+        # the same 16, 80, 20 and 84 products as the walk's convolutions
+        # above: a product by the indicator of a one-element B, 1, forms
+        # nothing, and no np.convolve runs
+        monkeypatch.setattr(repcount, "_PRODUCT_BITS", 10**18)
+        convolve, products = np.convolve, []
+        monkeypatch.setattr(np, "convolve", lambda a, v: products.append("convolve") or convolve(a, v))
+
+        class Row(int):
+            # a packed row: every product the box forms has one as a
+            # factor, and Python asks the subclass first
+            def __rmul__(self, other):
+                if other != 1:
+                    products.append(other)
+                return int(self) * other
+
+        prefixes = repcount._prefixes
+        monkeypatch.setattr(repcount, "_prefixes",
+                            lambda *args: ([Row(row) for row in prefixes(*args)[0]], None))
+        two, three = [[0, 2, 3], [0, 1, 5]], [[0, 2, 3], [0, 1, 5], [0, 4, 7]]
+        for sets, B, want in [(two, None, 16), (three, None, 80),
+                              (two, make_set([0, 1]), 20), (three, make_set([0, 1]), 84)]:
+            st = make_tuple(sets)
+            res = structure_constants(st, 2, B=B)
+            products.clear()
+            checked = verify_box(st, 2, res, B=B, margin=3)
+            assert len(checked) == 4 ** st.q and all(ok for _, ok in checked)
+            assert "convolve" not in products and len(products) == want, (sets, B)
 
     def test_empirical_constants_are_the_limit(self):
         # a shape read off one t-fold set and checked on a margin box gave
@@ -1095,8 +1126,10 @@ class TestThresholds:
 
     def test_verify_takes_the_rows_of_zero_from_row_0(self, monkeypatch):
         # the rows of {0} are all [1]: verify at a huge coordinate of that
-        # color computes no more rows than at a small one, whether they are
-        # packed or streamed, also where no capped row is proven
+        # color computes no more rows on the numpy walk than at a small
+        # one, whether they are packed or streamed, also where no capped
+        # row is proven
+        monkeypatch.setattr(repcount, "_PRODUCT_BITS", -1)
         rows, drawn, capped = _arrays._multiset_rows, [], _arrays._capped_rows
         exact = _arrays._exact_row
 
@@ -1127,6 +1160,26 @@ class TestThresholds:
         assert ([ok for _, ok in verify_box(st, 2, corrupt, far, margin=1)]
                 == [ok for _, ok in verify_box(st, 2, corrupt, near, margin=1)])
         assert max(drawn) <= res.threshold.coords[0] + 2
+
+    def test_product_box_steps_no_row_of_zero(self, monkeypatch):
+        # as packed products too, a {0} color at 10^9 steps no packed row:
+        # its rows are all 1, and the other color's steps stop at its own
+        # top row; a corrupt result fails where the walk fails it near 0
+        st = make_tuple([[0, 2, 3], [0]])
+        res = structure_constants(st, 2)
+        far, near = HVec((res.threshold.coords[0], 10**9)), HVec((res.threshold.coords[0], 1))
+        corrupt = StructureResult.from_json({**res.to_json(), "c": res.low_cut + 1})
+        monkeypatch.setattr(repcount, "_PRODUCT_BITS", -1)
+        walked = [ok for _, ok in verify_box(st, 2, corrupt, near, margin=1)]
+        monkeypatch.setattr(repcount, "_PRODUCT_BITS", 10**18)
+        monkeypatch.setattr(_arrays, "_walk", None)  # any walk fails
+        calls = packed_steps(monkeypatch)
+        assert verify_structure(st, 2, res, far) is True
+        assert verify_box(st, 2, res, far, margin=2) == [(h, True) for h in box(far, 2)]
+        assert [ok for _, ok in verify_box(st, 2, corrupt, far, margin=1)] == walked
+        assert calls and all(caller == "_box_counts" for caller, *_ in calls)
+        assert all(stepped == 0 for _, elements, _, _, stepped in calls if elements == (0,))
+        assert max(h for _, elements, _, h, _ in calls if elements != (0,)) <= res.threshold.coords[0] + 2
 
     def test_margin_box_folds_each_partition_table_once(self, monkeypatch):
         # a margin-3 box of [[0,17,40]] reads its 4 rows off one partition

@@ -14,6 +14,7 @@ taken at least once, summed over the seeds:
 
 The routes:
     product                  one-point counts as one packed product
+    product w>1              wider boxes as packed products
     walk w=W dtype           box walks (_arrays._walk), by width (1 or
                              more) and fold dtype (float64, int64, object)
     capped proven|unproven   _arrays._capped_rows calls, by whether the
@@ -60,10 +61,10 @@ def install(cs, tally: Counter) -> None:
 
     box_counts = repcount._box_counts
 
-    def products(*args):
-        for group in box_counts(*args):
-            if isinstance(group, repcount._Product):
-                tally["product"] += 1
+    def products(sets, lo, width, *rest):
+        for i, group in enumerate(box_counts(sets, lo, width, *rest)):
+            if not i and isinstance(group, list):
+                tally["product" if width == 1 else "product w>1"] += 1
             yield group
 
     repcount._box_counts = products
