@@ -240,37 +240,11 @@ def _walk(
             yield group
 
 
-def _shape_fits(dec, mask, ends: Sequence[int]) -> list[bool]:
-    """Whether row p of a 2-D boolean mask marks exactly the shape dec =
-    (low fringe, low cut, high fringe, high cut) at the right endpoint M =
-    ends[p]: the union of the low fringe, [low cut, M - high cut] and M
-    minus the high fringe.  Column n of the mask is the integer n, and no
-    row may mark a column past its own M.  A member of the shape outside
-    [0, M] fails its row.  One boolean per row."""
-    mask = np.asarray(mask, dtype=bool)
-    ends = np.asarray(ends, dtype=np.int64)
-    low, cut_low, high, cut_high = dec
-    rows, width = mask.shape
-    top = max((*low, *high), default=-1)
-    if min((*low, *high), default=0) < 0 or top >= width:
-        # a member below 0, or past every M
-        return [False] * rows
-    # no fringe member past M; where one is, M - (high member) is a
-    # negative index, which marks a column of a row that fails anyway
-    ok = ends >= top
-    # (the cuts are clamped to at most width and their sum to [-1,
-    # width], which keeps every comparison inside int64 and changes
-    # none of them)
-    if min(cut_low, cut_high) < 0:
-        # a nonempty middle, cut_low + cut_high <= M, reaches below 0 or past M
-        ok &= ends < min(max(cut_low + cut_high, -1), width)
-        want = np.zeros(mask.shape, dtype=bool)
-    else:
-        cols = np.arange(width)
-        want = (cols >= min(cut_low, width)) & (cols <= ends[:, None] - min(cut_high, width))
-    want[:, np.array(low, dtype=np.int64)] = True
-    want[np.arange(rows)[:, None], ends[:, None] - np.array(high, dtype=np.int64)] = True
-    return (ok & (mask == want).all(axis=1)).tolist()
+def _row_flags(group: np.ndarray, t: int) -> list[int]:
+    """Per row of a walk's 2-D group, the packed member flags at 1-byte
+    slots: byte n is 1 where the count at column n is at least t, else 0
+    (a numpy bool is one byte holding 0 or 1)."""
+    return [int.from_bytes(row.tobytes(), "little") for row in group >= t]
 
 
 def _unbounded_rows(acc: Sequence[int], parts: Iterable[int], cap: int) -> Iterator[np.ndarray]:

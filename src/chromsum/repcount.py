@@ -195,8 +195,12 @@ all, and packing a kept int64 row on each use was slower still.
 
 The product is read with integer operations only, so a process whose
 counts are all such products never imports numpy (on the command line,
-every small counts, sumset, structure, witness and verify request:
-numpy's import is about 65-80 ms of a process of about 160 ms).  As
+every small counts, sumset, structure, witness and verify request,
+each a median of 77-114 ms over two runs of tools/startup.py: `python
+-c "import numpy"` took a median of 101-132 ms against 39-42 ms for
+`python -c pass`, each process timed to its exit, 3 sets of 15
+alternating processes, 2-vCPU VM, Python 3.11, numpy 2.4, host load
+not controlled).  As
 T < 2^62, its slots are 1, 2, 4 or 8 bytes, and _slots reads them into an
 array.array.  Whether a count c is at least t is a carry test: for t <
 2^w, c + (2^w - t) carries out of its slot exactly when c >= t, and as
@@ -204,10 +208,11 @@ c + 2^w - t < 2^(w + 1), the carry is one bit.  So the even slots are
 masked out of the product and 2^w - t added to each at once, their
 carries landing in the empty odd slots between them, and likewise the
 odd slots; the carry bits, shifted back, are the flags, 1 in the slot
-of each count >= t (and for t >= 2^w, no count reaches t).  Their
-slots, read by _slots, are the member marks (_marks, which gives a
-walk's marks as numpy rows): the bytes 1 among them count the
-certificate (_tfold_size), and they select _tfold's members.  A
+of each count >= t (and for t >= 2^w, no count reaches t).  Flags are
+the one form in which members are read (_flags, which packs each row
+of a walk's group at 1-byte slots, a numpy bool being one byte of 0 or
+1): their bits count the certificate (_tfold_size), and their slots,
+read by _slots, select _tfold's members.  A
 table's counts are clipped by masking the flagged slots, flags times
 2^w - 1, and setting them to the cap.  On 2-byte slots, which 98.9% of
 the structure search's one-point calls (seed 101) have at 256 slots or
@@ -224,9 +229,15 @@ low fringe, [c, M - d] and M minus the high fringe, is packed at the
 product's slots as one integer, 2^(w * n) per fringe member n and the
 repunit (2^(w * L) - 1) / (2^w - 1) times 2^(w * c) for a middle of L
 slots, and a point fits exactly when its flags equal it, one integer
-comparison (_packed_fits).  A fringe member outside [0, M] fails the
-point, as does a nonempty middle with a negative cut, as in
-_arrays._shape_fits; an empty middle, c + d > M, adds nothing.
+comparison (_packed_shape, which gives -1 where the point cannot fit).
+A fringe member outside [0, M] fails the point, as does a nonempty
+middle with a negative cut; an empty middle, c + d > M, adds nothing.
+The middle's repunit is one division.  Writing the shape's bytes into a
+bytearray instead took about as long at M = 40 on 1- and 2-byte slots
+(1.7-3.0 against 1.2-2.2 us) and at M = 400 on 2-byte slots (2.9-4.1
+against 3.1-3.9 us), and less only far past the benchmark's boxes (5.0-5.8
+against 10.0-12.0 us at M = 3,800 on 1-byte slots; best of 9, 2-vCPU VM,
+Python 3.11).
 
 Capped rows from two partition folds (_capped_rows).  Since 0 is in A,
 an h-multiset of A is a partition of its sum into the nonzero elements
@@ -274,10 +285,9 @@ and per point of the first q - 1 colors yields the last color's
 margin + 1 points as one group.  A small box (the price above) takes
 each color's packed rows from one _prefixes call, forms B's indicator
 times the rows of the first q - 1 colors as Python integers, and yields
-each group as a list of _Products, which _packed_fits tests point by
-point; the whole box fits in 2^14 bits, so it holds all its partial
-products at once, and a one-element B's indicator, 1, forms nothing
-new.  Every other box is walked one color at a time, with rows from
+each group as a list of _Products; the whole box fits in 2^14 bits,
+so it holds all its partial products at once, and a one-element B's
+indicator, 1, forms nothing new.  Every other box is walked one color at a time, with rows from
 _arrays._rows, through a chain of generators, one per color but the
 last: the one of color i multiplies each partial product the chain
 yields for the colors below it (B's indicator at the start; a
@@ -288,8 +298,10 @@ so each partial product is formed once, by one np.convolve: in all
 margin + 1 more for a larger one, whose indicator is folded into each of
 the first color's rows.  Per point of the first q - 1 colors, the last
 color's margin + 1 products come as one group, zero-padded to its
-longest row (zeros past a row's end are no members), and one comparison
-tests the group.  Every product is clipped as before and stays under
+longest row (zeros past a row's end are no members).  On both routes
+each point's member flags (_flags) are compared with the shape packed
+at their slots, built once per right endpoint M and slot width in each
+call.  Every product is clipped as before and stays under
 the bound given by T and the length at the box's top corner, which
 holds at every point below it.  The walk holds one group and one
 partial product per generator, so its memory grows with the rows it
@@ -661,10 +673,6 @@ class _Product(NamedTuple):
         high = (((self.value >> w) & even) + add) & carry
         return (low >> w) | high
 
-    def marks(self, t: int) -> array:
-        """Per slot, 1 where the count is at least t >= 1, else 0."""
-        return _slots(self.flags(t), self.length, self.size)
-
     def counts(self) -> array:
         """The counts, clipped at clip unless it is None: the flags of the
         slots at or above clip, times 2^w - 1, mask those slots, which are
@@ -748,13 +756,17 @@ def _table(sets: Sequence[FiniteSet], hs: Sequence[int], B: FiniteSet, cap: int 
     return CountTable(offset=B.elements[0], counts=counts, cap=cap)
 
 
-def _marks(counts, t: int):
-    """Per point of a group that _box_counts yields, a row of member
-    marks, 1 where the count is at least t >= 1 and 0 elsewhere: an
-    array.array per _Product of a list, a numpy boolean row of a walk's
-    group.  Either row reads back as a Python list (tolist), and its bytes
-    (tobytes) hold one byte 1 per member and no other."""
-    return [product.marks(t) for product in counts] if isinstance(counts, list) else counts >= t
+def _flags(group, t: int) -> list[tuple[int, int]]:
+    """Per point of a group that _box_counts yields, (flags, slot bytes):
+    the packed member flags, 1 in the slot of each count at least t >= 1
+    and 0 elsewhere, the one reader of members.  A _Product gives its
+    flags at its own slots (_Product.flags), a row of a walk's group its
+    flags at 1-byte slots (_arrays._row_flags)."""
+    if isinstance(group, list):
+        return [(product.flags(t), product.size) for product in group]
+    from ._arrays import _row_flags
+
+    return [(flags, 1) for flags in _row_flags(group, t)]
 
 
 def _tfold(sets: Sequence[FiniteSet], hs: Sequence[int], B: FiniteSet, t: int) -> tuple[int, ...]:
@@ -762,8 +774,10 @@ def _tfold(sets: Sequence[FiniteSet], hs: Sequence[int], B: FiniteSet, t: int) -
     increasing order, below the public entries' checks (see _table): the
     one reader of t-fold members, which tfold_set and the lemma checks
     share.  It builds no CountTable and no FiniteSet; _tfold_size counts
-    the same marks without building the tuple."""
-    marks = _marks(next(_box_counts(sets, hs, 1, B, t)), t)[0].tolist()
+    the same flags without building the tuple."""
+    [(flags, size)] = _flags(next(_box_counts(sets, hs, 1, B, t)), t)
+    # every slot up to the last member's
+    marks = _slots(flags, -(-flags.bit_length() // (8 * size)), size)
     return tuple(compress(range(B.elements[0], B.elements[0] + len(marks)), marks))
 
 
@@ -803,55 +817,61 @@ def tfold_set(st: SetTuple, h: HVec, t: int) -> FiniteSet:
     return FiniteSet(_tfold(*_colors(st, h), _ZERO, t))
 
 
-def _packed_fits(dec, flags: int, end: int, size: int) -> bool:
-    """Whether the packed member flags of one point, 1 in the slot of
-    size bytes of each member and 0 elsewhere (_Product.flags), mark
-    exactly the shape dec at M = end (see _arrays._shape_fits), by one
-    comparison with the shape packed at the same slots.  A member of the
-    shape outside [0, M] fails, as does a nonempty middle with a negative
-    cut; an empty one, cut_low + cut_high > M, has no member."""
+def _packed_shape(dec, end: int, size: int) -> int:
+    """The shape dec = (low fringe, low cut, high fringe, high cut) at M =
+    end, the union of the low fringe, [low cut, M - high cut] and M minus
+    the high fringe, packed as _flags packs a point's members: 1 in the
+    slot of size bytes of each member and 0 elsewhere, so that a point is
+    the shape exactly when its flags equal it.  -1, which no flags value
+    equals, where a member of the shape lies outside [0, M] or a nonempty
+    middle has a negative cut; an empty middle, low cut + high cut > M,
+    has no member."""
     low, cut_low, high, cut_high = dec
+    fringes = (*low, *high)
+    if min(fringes, default=0) < 0 or max(fringes, default=0) > end:
+        return -1
     w = 8 * size
     shape = 0
-    for n in (*low, *(end - x for x in high)):
-        if not 0 <= n <= end:
-            return False
+    for n in low:
         shape |= 1 << w * n
+    if high:
+        # packed from the top member M - max(high) down, then shifted once
+        top, mirrored = max(high), 0
+        for x in high:
+            mirrored |= 1 << w * (top - x)
+        shape |= mirrored << w * (end - top)
     if cut_low + cut_high <= end:
         if min(cut_low, cut_high) < 0:
-            return False
+            return -1
         # 1 in each slot of [cut_low, end - cut_high]: a repunit in base 2^w
         ones = ((1 << w * (end - cut_low - cut_high + 1)) - 1) // ((1 << w) - 1)
         shape |= ones << w * cut_low
-    return flags == shape
+    return shape
 
 
 def _streamed_box_fits(
     st: SetTuple, B: FiniteSet, t: int, dec, lo: tuple[int, ...], margin: int
 ) -> list[bool]:
     """Whether the t-fold set of h.A + B is the shape dec (see
-    _arrays._shape_fits) at each point h of the box [lo, lo + margin],
-    last coordinate varying fastest.  B must have minimum 0.
+    _packed_shape) at each point h of the box [lo, lo + margin], last
+    coordinate varying fastest.  B must have minimum 0.
 
     _box_counts counts the box, each color's margin + 1 rows computed
     once at the top row; every row of {0} is 1, whatever lo_i is, and
-    costs no step.  Each point of a group of _Products is tested by one
-    integer comparison of its flags (_packed_fits), and each group of the
-    numpy walk by one comparison (_arrays._shape_fits), so a box that the
-    product route takes never imports numpy."""
+    costs no step.  Each point is tested by one integer comparison of its
+    member flags (_flags) with the shape packed at the same slots, each
+    shape packed once per right endpoint M and slot width, so a box that
+    the product route takes never imports numpy."""
     ends = [B.max]
     for a, c in zip(st.maxima, lo):
         ends = [m + a * (c + d) for m in ends for d in range(margin + 1)]
-    fits = []
-    groups = _box_counts(st.sets, lo, margin + 1, B, t)
-    for at, counts in zip(range(0, len(ends), margin + 1), groups):
-        group = ends[at : at + margin + 1]
-        if isinstance(counts, list):
-            fits += [_packed_fits(dec, p.flags(t), end, p.size) for p, end in zip(counts, group)]
-        else:
-            from ._arrays import _shape_fits
-
-            fits += _shape_fits(dec, _marks(counts, t), group)
+    fits, shapes, ends = [], {}, iter(ends)
+    for group in _box_counts(st.sets, lo, margin + 1, B, t):
+        for (flags, size), end in zip(_flags(group, t), ends):
+            shape = shapes.get((end, size))
+            if shape is None:
+                shape = shapes[end, size] = _packed_shape(dec, end, size)
+            fits.append(flags == shape)
     return fits
 
 
@@ -1043,5 +1063,6 @@ def inhomogeneous_count_table(
 
 def _tfold_size(st: SetTuple, B: FiniteSet, t: int, h: tuple[int, ...]) -> int:
     """Number of integers with at least t representations in h.A + B at the
-    coordinates h, from one one-point _box_counts count."""
-    return _marks(next(_box_counts(st.sets, h, 1, B, t)), t)[0].tobytes().count(1)
+    coordinates h, from one one-point _box_counts count: its member
+    flags' bits."""
+    return _flags(next(_box_counts(st.sets, h, 1, B, t)), t)[0][0].bit_count()

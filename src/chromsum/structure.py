@@ -72,11 +72,11 @@ verified_box; verify_box re-checks it on request, comparing the sets
 over a whole box: repcount._box_counts forms each partial product of the
 colors once and yields the last color's points together, every point's
 members over [0, M] tested against the shape at its own M, which a
-member outside [0, M] fails.  A small box is a list of packed products,
-each point's carry flags compared with the shape packed at the same
-slots (repcount._packed_fits); a larger one is walked one color at a
-time in numpy, keeping one partial product per color, and one
-comparison tests each group of points (_arrays._shape_fits).
+member outside [0, M] fails.  A small box is a list of packed products
+and a larger one is walked one color at a time in numpy, keeping one
+partial product per color; on both, each point's member flags are
+compared with the shape packed at the same slots
+(repcount._packed_shape).
 verify_box is the one public box check, the command line's verify
 included; verify_structure is its one-point case.
 

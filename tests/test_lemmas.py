@@ -73,6 +73,34 @@ def test_t_refuses_bools_and_floats(monkeypatch, t):
         run_all(make_tuple([[0, 1]]), HVec((2,)), t)
 
 
+# the checks that read t-fold members, through run_all's two reads (the
+# t-fold set and the sumset at h) or through reads of their own
+_READ_MEMBERS = {
+    "monotone_inclusion", "support_bounds", "union_bound", "per_color_product",
+    "reflection_tfold", "translation_by_set", "translation_by_form",
+}
+
+
+@pytest.mark.parametrize("own", [True, False])
+def test_corrupted_members_fail_every_check_that_reads_them(monkeypatch, own):
+    # the member sets _tfold returns, shifted by 10^6 past every true
+    # member, either in run_all's own two reads (own) or in every read a
+    # check makes itself: each check that reads them then fails, and only
+    # those
+    real, calls = lemmas._tfold, []
+
+    def spy(*args):
+        calls.append(args)
+        members = real(*args)
+        return tuple(n + 10**6 for n in members) if (len(calls) <= 2) == own else members
+
+    monkeypatch.setattr(lemmas, "_tfold", spy)
+    checks = run_all(make_tuple([[0, 2, 3], [0, 1]]), HVec((3, 2)), t=2, B=make_set([0, 2]))
+    failed = {c.name for c in checks if not c.ok}
+    # support_bounds reads run_all's sumset and makes no read of its own
+    assert failed == (_READ_MEMBERS if own else _READ_MEMBERS - {"support_bounds"}), failed
+
+
 def test_lemma_tables_are_packed(monkeypatch):
     # the counts workload's lemma shape builds every capped table from
     # packed rows: no partition fold and no numpy kernel stream

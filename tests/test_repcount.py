@@ -455,6 +455,14 @@ def test_product_slots_at_the_edges(edge, size):
     assert max(int(c) for c in walk) > 1
 
 
+def _members(flags, size):
+    """The slots of size bytes that packed member flags mark, each flag
+    checked to be the lowest bit of its slot."""
+    bits = [i for i in range(flags.bit_length()) if flags >> i & 1]
+    assert all(i % (8 * size) == 0 for i in bits), bits
+    return [i // (8 * size) for i in bits]
+
+
 @st.composite
 def _packed_counts(draw):
     """(slot bytes, t, counts, clip) for repcount._Product's reader: slots
@@ -478,23 +486,23 @@ def _packed_counts(draw):
 @example((4, 2**32, [0, 2**32 - 1] * 256, 2**32 - 1))
 @example((8, 2**64 - 1, [2**64 - 2, 2**64 - 1, 0] * 85, 2**63))
 def test_product_reader_at_the_slot_edges(drawn):
-    # the carry test's members and their count, as tfold_set and
-    # _tfold_size read them, and the clipped counts, against a plain
-    # reading of every slot
+    # the carry test's members and their count, read through _flags as
+    # tfold_set and _tfold_size read them, and the clipped counts, against
+    # a plain reading of every slot
     size, t, counts, clip = drawn
     value = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
     product = repcount._Product(value, len(counts), size, clip)
     members = [n for n, c in enumerate(counts) if c >= t]
-    assert product.flags(t) >> 8 * size * len(counts) == 0
-    marks = repcount._marks([product], t)[0]
-    assert marks.tobytes().count(1) == len(members)
-    assert list(itertools.compress(range(len(counts)), marks.tolist())) == members
+    [(flags, slot)] = repcount._flags([product], t)
+    assert slot == size and flags >> 8 * size * len(counts) == 0
+    assert flags.bit_count() == len(members)
+    assert _members(flags, size) == members
     assert product.counts().tolist() == [c if clip is None else min(c, clip) for c in counts]
 
 
 @st.composite
 def _packed_shapes(draw):
-    """(slot bytes, t, counts, M, shape) for repcount._packed_fits: one
+    """(slot bytes, t, counts, M, shape) for repcount._packed_shape: one
     point's counts over [0, M] and a few empty slots past it, and a shape
     (low fringe, low cut, high fringe, high cut) drawn around [0, M], with
     fringe members below 0 and past M, negative and huge cuts, empty
@@ -531,21 +539,32 @@ def _packed_shapes(draw):
 @example((2, 1, [1, 1, 1], 2, ((), 0, (), 1 << 70)))  # a huge cut
 def test_packed_shape_test_is_the_mask_comparison(routing, drawn):
     # one comparison of a point's packed flags with the shape packed at
-    # its slots gives _arrays._shape_fits's answer on the member mask,
-    # under every routing
+    # its slots gives a plain set comparison's answer on its members,
+    # under every routing: a shape member outside [0, M] fails, as does a
+    # nonempty middle with a negative cut, and an empty middle has no
+    # member
     size, t, counts, end, dec = drawn
     value = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
     product = repcount._Product(value, len(counts), size, None)
     with pytest.MonkeyPatch.context() as mp:
         for name, value in ROUTINGS[routing].items():
             patch(mp, name, value)
-        got = repcount._packed_fits(dec, product.flags(t), end, size)
-    assert got is _arrays._shape_fits(dec, [[c >= t for c in counts]], [end])[0]
+        [(flags, _)] = repcount._flags([product], t)
+        got = flags == repcount._packed_shape(dec, end, size)
+    low, cut_low, high, cut_high = dec
+    middle = cut_low + cut_high <= end  # nonempty
+    if middle and min(cut_low, cut_high) < 0:
+        assert got is False
+    else:
+        # every member lies in [0, M], so a shape member outside it fails
+        shape = {*low, *(end - x for x in high), *(range(cut_low, end - cut_high + 1) if middle else ())}
+        assert got is (shape == {n for n, c in enumerate(counts) if c >= t})
 
 
 def _box_points(sets, lo, width, B, cap, t, routing, bits):
-    """Per point of the box, its counts and its marks at t as Python ints,
-    trailing zeros stripped, under a routing of conftest.ROUTINGS with
+    """Per point of the box, its counts as Python ints, trailing zeros
+    stripped, and its members at t, read through repcount._flags, under
+    a routing of conftest.ROUTINGS with
     _PRODUCT_BITS at bits, and whether every group was a list of
     products."""
     def strip(xs):
@@ -562,7 +581,7 @@ def _box_points(sets, lo, width, B, cap, t, routing, bits):
         for group in repcount._box_counts(sets, lo, width, B, cap):
             kinds.add(isinstance(group, list))
             counts = [p.counts() for p in group] if isinstance(group, list) else group
-            points += [(strip(c), strip(m)) for c, m in zip(counts, repcount._marks(group, t))]
+            points += [(strip(c), _members(*f)) for c, f in zip(counts, repcount._flags(group, t))]
     return points, kinds
 
 

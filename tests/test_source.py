@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import chromsum
-from chromsum import _arrays
+from chromsum import _arrays, repcount
 
 from conftest import ROUTINGS
 
@@ -169,17 +169,23 @@ def test_one_row_source():
 
 
 def test_one_box_check():
-    """_arrays._shape_fits, the walk's shape test, and
-    repcount._packed_fits, the packed products', are each named only in
-    repcount._streamed_box_fits, which verify_box calls: the structure
-    search proves the margin box with its certificate and checks no
-    box."""
-    for name in ("_shape_fits", "_packed_fits"):
-        found = _places(
-            lambda node: (isinstance(node, ast.Name) and node.id == name)
-            or (isinstance(node, ast.Attribute) and node.attr == name)
-        )
-        assert found == ["repcount._streamed_box_fits"], name
+    """repcount._packed_shape, the one shape test's packing, is named only
+    in repcount._streamed_box_fits, which verify_box calls and which
+    compares it with the flags of products and walked rows alike: the
+    structure search proves the margin box with its certificate and
+    checks no box.  The walk's mask test and the member marks are gone,
+    and repcount._flags is the one reader of members."""
+    found = _places(
+        lambda node: (isinstance(node, ast.Name) and node.id == "_packed_shape")
+        or (isinstance(node, ast.Attribute) and node.attr == "_packed_shape")
+    )
+    assert found == ["repcount._streamed_box_fits"]
+    named = ("id", "attr", "name")
+    for name in ("_shape_fits", "_packed_fits", "_marks"):
+        assert _places(lambda node: name in (getattr(node, key, None) for key in named)) == [], name
+    assert not hasattr(repcount._Product, "marks")
+    found = _places(lambda node: isinstance(node, ast.Name) and node.id == "_flags")
+    assert sorted(found) == ["repcount._streamed_box_fits", "repcount._tfold", "repcount._tfold_size"]
     found = _places(
         lambda node: (isinstance(node, ast.Name) and node.id == "_streamed_box_fits")
         or (isinstance(node, ast.Attribute) and node.attr == "_streamed_box_fits")
@@ -365,16 +371,18 @@ def test_one_packed_kernel():
     """Packed integers are stepped only in repcount._prefixes (the
     module's one loop that adds a row shifted by an element's slots), and
     no caller steps a row of its own; they are read back into slots only
-    in repcount._slots, which only _arrays._exact_row and the packed
-    product's readers (repcount._Product) call, each with slots proven
-    wider than every count they can hold: no other path can read a slot
-    that a carry has reached."""
+    in repcount._slots, which only _arrays._exact_row, the packed
+    product's counts (repcount._Product.counts) and the member flags of
+    repcount._tfold call, each with slots proven wider than every count
+    they can hold: no other path can read a slot that a carry has
+    reached.  _arrays._row_flags packs bytes of 0 or 1 from a numpy mask,
+    which no carry reaches."""
     assert _places(_shift_and_add) == ["repcount._prefixes"]
     names = {"to_bytes", "from_bytes", "frombuffer", "cast"}
     found = _places(lambda node: isinstance(node, ast.Attribute) and node.attr in names)
-    assert set(found) == {"repcount._slots"}
+    assert set(found) == {"repcount._slots", "_arrays._row_flags"}
     found = _places(lambda node: isinstance(node, ast.Name) and node.id == "_slots")
-    assert set(found) == {"_arrays._exact_row", "repcount._Product.marks", "repcount._Product.counts"}
+    assert set(found) == {"_arrays._exact_row", "repcount._Product.counts", "repcount._tfold"}
 
 
 def test_numpy_in_one_module():

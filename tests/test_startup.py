@@ -3,7 +3,7 @@ numpy, the oracle and lemmas; the short requests of the benchmark's cli
 workload (counts by flags and by --stdin, sumset, structure, witness,
 and verify, whose small margin box is counted as packed products)
 finish without loading numpy or the oracle, verify answering at every
-point of its box."""
+point of its box.  tools/startup.py times a process to its exit."""
 
 import json
 from itertools import islice
@@ -43,3 +43,12 @@ def test_short_cli_requests_load_neither_numpy_nor_the_oracle(monkeypatch):
     assert seen == {("counts", False), ("counts", True), ("sumset", False), ("structure", False),
                     ("witness", True), ("verify", True)}
 
+
+
+def test_process_timer_blocks_until_exit(monkeypatch):
+    # a 70 ms process times at under 100 ms, best of 3: a wait that polls
+    # with sleeps of up to 50 ms rounds it up to about 114 ms
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import startup
+
+    assert min(startup.wall(["sleep", "0.07"]) for _ in range(3)) < 0.1

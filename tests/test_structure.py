@@ -256,6 +256,15 @@ def test_both_limit_routes_match_the_scanned_table(parts, repeats, shifts, t):
     assert got["residue-always"] == got["table-always"] == _scanned_limit_side(parts, shifts, t, bound)
 
 
+def test_limit_reads_past_a_bound_below_max_b(routing):
+    # [[0, 1]] at t = 2 has certified bound 1, below max(B) = 20, so the
+    # limit sides must be read up to max(bound, max(B)): the partition
+    # table stops at its bound, which read to 1 misses c = d = 10
+    res = structure_constants(make_tuple([[0, 1]]), 2, B=make_set([0, 10, 20]), ceiling=100)
+    assert (res.low_fringe.elements, res.low_cut, res.high_fringe.elements, res.high_cut) == ((), 10, (), 10)
+    assert res.threshold.coords == (19,)
+
+
 def _two_part_constants(a: int, b: int, t: int) -> tuple[FiniteSet, int]:
     """(sporadic set, cut) of a side with the coprime parts a and b, in
     closed form.  Q(n + ab) = Q(n) + 1 (Popoviciu), so Q >= t exactly on

@@ -1,5 +1,5 @@
 """Count the routes the count engine takes on the benchmark's request
-streams, per in-process workload.
+streams, per workload.
 
 Usage:
     python tools/routes.py [--root DIR] [--requests N] [--seeds S ...]
@@ -8,7 +8,11 @@ Usage:
 Replays the same streams as tools/replay.py (its replay loop, seeds and
 request counts; DIR defaults to this checkout) with a counter on each of
 the engine's forks, and prints one line per workload and route that was
-taken at least once, summed over the seeds:
+taken at least once, summed over the seeds.  The cli stream, whose
+requests the benchmark runs as `python -m chromsum` processes, is run
+here in this process: each request's arguments and stdin text
+(bench/worker.py's cli_invocation) go to chromsum.cli.main, its output
+dropped.
 
     workload route calls
 
@@ -35,8 +39,12 @@ is written to DIR.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
+import io
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 from replay import WORKLOADS, replay
@@ -100,12 +108,27 @@ def install(cs, tally: Counter) -> None:
     arrays._prefixes = scoped
 
 
+def replay_cli(worker, workloads, seed: int, requests: int) -> None:
+    """Run the first requests of the cli stream of seed through
+    chromsum.cli.main in this process, each with its stdin text, dropping
+    what it prints."""
+    cli = importlib.import_module("chromsum.cli")
+    for req in islice(workloads.stream("cli", seed), requests):
+        argv, stdin = worker.cli_invocation(req)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            real, sys.stdin = sys.stdin, io.StringIO(stdin or "")
+            try:
+                cli.main(argv)
+            finally:
+                sys.stdin = real
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
     parser.add_argument("--requests", type=int, default=700)
     parser.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--workloads", nargs="+", choices=[*WORKLOADS, "cli"], default=[*WORKLOADS, "cli"])
     args = parser.parse_args(argv)
     root = str(Path(args.root).resolve())
     sys.path.insert(0, str(Path(root) / "bench"))
@@ -120,7 +143,10 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         tally.clear()
         for seed in args.seeds:
-            replay(executor, cs, worker, workloads, workload, seed, args.requests)
+            if workload == "cli":
+                replay_cli(worker, workloads, seed, args.requests)
+            else:
+                replay(executor, cs, worker, workloads, workload, seed, args.requests)
         for route, calls in sorted(tally.items()):
             print(f"{workload} {route} {calls}", flush=True)
     return 0
